@@ -83,7 +83,9 @@ def _digits_for(abs_err: float) -> int:
 
 
 def _real(value, digits: int) -> str:
-    return mpmath.nstr(mpmath.mpf(value), digits)
+    # convert with enough bits for every printed digit, not mpmath's default 53
+    with mp.workprec(math.ceil(digits * math.log2(10)) + 16):
+        return mpmath.nstr(mpmath.mpf(value), digits)
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -208,7 +210,7 @@ def _cmd_lnq(args) -> int:
 
 
 def _cmd_pi(args) -> int:
-    value, micros = _timed(quadrature.pi_estimate, args.abs_err)
+    (value, series), micros = _timed(quadrature.pi_with_series, args.abs_err)
     digits = _digits_for(args.abs_err)
     payload = {
         "command": "pi",
@@ -217,7 +219,7 @@ def _cmd_pi(args) -> int:
         "precision": digits,
         "error_bound": repr(args.abs_err),
         "bound_is_heuristic": True,
-        "blocks_used": 1000,
+        "blocks_used": series.blocks_used,
         "wall_time_micros": micros,
         "arctan_cross_check": _real(quadrature.pi_arctan(), digits),
     }
@@ -353,7 +355,7 @@ def _cmd_rearranged(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _bench_target(target: str, block_budget: int, max_work: int):
+def _bench_target(target: str, block_budget: int):
     """Returns (vector, scale, reference, kind)."""
     if target == "pi":
         with mp.workprec(120):
@@ -367,7 +369,7 @@ def _bench_target(target: str, block_budget: int, max_work: int):
     if target.startswith("vector:"):
         _, T, coeffs = target.split(":", 2)
         vec = make_vector(int(T), _parse_coeffs(coeffs))
-        reference = float(partial_sum_float(vec, max(2, max_work) * 1000))
+        reference = float(evaluate(vec, 1e-30, block_budget=block_budget).value)
         return vec, 1.0, reference, "vector"
     raise SeriesError(f"unknown bench target {target!r}; use ln:T, pi, or vector:T:c1,...")
 
@@ -416,7 +418,7 @@ def bench(
             raise SeriesError(
                 f"unknown method {method!r}; choose from {', '.join(_BENCH_METHODS)}"
             )
-    vec, scale, reference, kind = _bench_target(target, block_budget, max(work_schedule))
+    vec, scale, reference, kind = _bench_target(target, block_budget)
     T = vec.modulus
     rows = []
     for method in methods:

@@ -16,11 +16,12 @@ Two evaluation routes are provided:
   the K-block partial sum in floating point through the digamma
   identity sum_{k<K} 1/(kT+j) = (psi(K + j/T) - psi(j/T)) / T.  The
   reported bound (tail bound plus a rounding allowance) is rigorous.
-* accelerated: sum a short prefix exactly, then append the asymptotic
-  tail sum_m (-1)^m mu_m T^-(m+1) zeta(m+1, K0) built from the moments
-  mu_m = sum_j a_j j^m, with each zeta tail summed by Euler-Maclaurin.
-  The reported bound (twice the first omitted expansion term, plus the
-  Euler-Maclaurin remainders) is honest but heuristic.
+* accelerated: sum a short prefix of K0 blocks exactly, then add the
+  tail after it, which balance makes exactly
+  -(1/T) sum_j a_j psi(K0 + j/T).  The default K0 is the digamma
+  kernel's shift threshold, so the tail needs no upward recurrence.
+  The series itself is not truncated, so the reported bound is a
+  rounding allowance alone, and it is rigorous.
 
 Exact partial sums, harmonic numbers and the term stream of the
 rearranged form live here as well, all in exact rational arithmetic.
@@ -216,22 +217,27 @@ def gamma_partial(n: int) -> GammaPartial:
 
 
 # ----------------------------------------------------------------------
-# floating-point kernels (digamma, Hurwitz zeta tails)
+# the floating-point kernel (digamma)
 # ----------------------------------------------------------------------
+
+
+def _shift_threshold(prec: int) -> int:
+    """Smallest argument at which _digamma needs no upward recurrence."""
+    return max(32, prec // 3)
 
 
 def _digamma(x, prec: int):
     """psi(x) for x > 0 via upward recurrence plus the asymptotic series.
 
     The asymptotic series psi(x) ~ ln x - 1/(2x) - sum B_{2n}/(2n x^{2n})
-    envelopes its limit for real x > 0, so truncating at the smallest
-    term bounds the remainder by that term; the shift threshold keeps
-    the smallest term below 2^-(prec+8).
+    (DLMF 5.11.2) envelopes its limit for real x > 0, so truncating at the
+    smallest term bounds the remainder by that term; the shift threshold
+    keeps the smallest term below 2^-(prec+8).
     """
     with mp.workprec(prec + 10):
         x = mp.mpf(x)
         shifted = mp.mpf(0)
-        threshold = max(32, prec // 3)
+        threshold = _shift_threshold(prec)
         while x < threshold:
             shifted += 1 / x
             x += 1
@@ -255,51 +261,36 @@ def _digamma(x, prec: int):
         return result - shifted
 
 
-def _zeta_tail(s: int, start: int, prec: int):
-    """(value, remainder_bound) for sum_{n>=start} n^-s, s >= 2.
+def _psi_tail(v: CoefficientVector, blocks: int, prec: int):
+    """(tail, magnitude) of the series after its first `blocks` blocks.
 
-    Euler-Maclaurin with correction terms through B_6 after summing
-    directly up to n = 32; the returned remainder bounds the dropped
-    B_8 term, which envelopes the truncation error.
-    """
-    with mp.workprec(prec + 10):
-        sm = mp.mpf(s)
-        total = mp.mpf(0)
-        n = start
-        while n < 32:
-            total += mp.mpf(n) ** (-sm)
-            n += 1
-        N = mp.mpf(n)
-        total += N ** (1 - sm) / (sm - 1) + N ** (-sm) / 2
-        poch = sm
-        for i in (1, 2, 3):
-            coeff = mp.bernoulli(2 * i) / math.factorial(2 * i)
-            total += coeff * poch * N ** (-sm - 2 * i + 1)
-            poch *= (sm + 2 * i - 1) * (sm + 2 * i)
-        remainder = abs(mp.bernoulli(8)) / math.factorial(8) * poch * N ** (-sm - 7)
-        return total, remainder
-
-
-def _psi_block_sum(v: CoefficientVector, blocks: int, prec: int):
-    """(sum, magnitude) of the first `blocks` blocks via the psi identity.
-
-    `magnitude` accumulates the same combination with |a_j|, giving the
-    scale against which rounding allowances are charged.
+    The next N blocks sum to (1/T) sum_j a_j (psi(blocks + N + j/T) -
+    psi(blocks + j/T)); balance cancels the ln N growth of the first psi,
+    so as N grows the tail is exactly -(1/T) sum_j a_j psi(blocks + j/T).
+    `magnitude` is (1/T) sum_j |a_j psi(blocks + j/T)|, the scale against
+    which rounding allowances are charged.
     """
     T = v.modulus
     with mp.workprec(prec + 10):
         total = mp.mpf(0)
         magnitude = mp.mpf(0)
-        kk = mp.mpf(blocks)
+        start = mp.mpf(blocks)
         for j, a in enumerate(v.coeffs, start=1):
             if not a:
                 continue
-            offset = mp.mpf(j) / T
-            diff = _digamma(kk + offset, prec) - _digamma(offset, prec)
-            am = mp.mpf(a.numerator) / a.denominator
-            total += am * diff
-            magnitude += abs(am) * diff
+            psi = _digamma(start + mp.mpf(j) / T, prec)
+            term = mp.mpf(a.numerator) / a.denominator * psi
+            total -= term
+            magnitude += abs(term)
         return total / T, magnitude / T
+
+
+def _psi_block_sum(v: CoefficientVector, blocks: int, prec: int):
+    """(sum, magnitude) of the first `blocks` blocks: the series minus its tail."""
+    whole, whole_mag = _psi_tail(v, 0, prec)
+    tail, tail_mag = _psi_tail(v, blocks, prec)
+    with mp.workprec(prec + 10):
+        return whole - tail, whole_mag + tail_mag
 
 
 def partial_sum_float(v: CoefficientVector, blocks: int, prec: int = _MIN_PREC):
@@ -372,69 +363,35 @@ def _evaluate_raw(v, abs_err, block_budget, prec) -> EvalResult:
     )
 
 
-def _evaluate_accelerated(v, abs_err, block_budget, prefix_blocks, order, prec) -> EvalResult:
+def _evaluate_accelerated(v, abs_err, block_budget, prefix_blocks, prec) -> EvalResult:
     T = v.modulus
-    k0 = min(prefix_blocks, block_budget // T)
-    if k0 < 2:
+    if prefix_blocks is None:
+        prefix_blocks = _shift_threshold(prec)
+    blocks = min(prefix_blocks, block_budget // T)
+    if blocks < 2:
         raise BudgetExceeded(
             f"block budget {block_budget} cannot host an exact prefix over modulus {T}"
         )
-    level = min(max(1, order), 15)
-    while True:
-        prefix = partial_sum_exact(v, k0, block_budget=block_budget)
-        mus = moments(v, level + 1)
-        with _MP_LOCK, mp.workprec(prec + 10):
-            tail = mp.mpf(0)
-            em_slop = mp.mpf(0)
-            for m in range(1, level + 1):
-                mu = mus[m - 1]
-                if not mu:
-                    continue
-                z, z_rem = _zeta_tail(m + 1, k0, prec)
-                scaled = (mp.mpf(mu.numerator) / mu.denominator) * mp.mpf(T) ** (-(m + 1))
-                tail += (-1) ** m * scaled * z
-                em_slop += abs(scaled) * z_rem
-            mu_next = mus[level]
-            z, z_rem = _zeta_tail(level + 2, k0, prec)
-            if mu_next:
-                first_omitted = (
-                    abs(mp.mpf(mu_next.numerator) / mu_next.denominator)
-                    * mp.mpf(T) ** (-(level + 2))
-                    * (z + z_rem)
-                )
-            else:
-                # crude but rigorous envelope of the whole dropped tail,
-                # needed when the first omitted moment cancels exactly
-                crude = mp.mpf(0)
-                for j, a in enumerate(v.coeffs, start=1):
-                    if a:
-                        crude += abs(mp.mpf(a.numerator) / a.denominator) * (
-                            mp.mpf(j) / T
-                        ) ** (level + 1)
-                first_omitted = crude / T * (z + z_rem)
-            value = mp.mpf(prefix.numerator) / prefix.denominator + tail
-            rounding = mp.ldexp(abs(value) + 1, -(prec - 20))
-            estimate = float(2 * first_omitted + em_slop + rounding)
-            with mp.workprec(prec):
-                value = +value
-        if estimate <= abs_err:
-            return EvalResult(
-                value=value,
-                error_bound=estimate,
-                blocks_used=k0,
-                method="accelerated",
-                bound_is_heuristic=True,
-            )
-        if level < 15:
-            level = min(15, level + 4)
-            continue
-        if k0 * 4 * T <= block_budget:
-            k0 *= 4
-            continue
-        raise BudgetExceeded(
-            f"accelerated evaluation cannot reach abs_err={abs_err} within the "
-            f"block budget of {block_budget}"
+    prefix = partial_sum_exact(v, blocks, block_budget=block_budget)
+    with _MP_LOCK:
+        tail, magnitude = _psi_tail(v, blocks, prec)
+        with mp.workprec(prec + 10):
+            head = mp.mpf(prefix.numerator) / prefix.denominator
+            allowance = float(mp.ldexp(abs(head) + magnitude + 1, -(prec - 20)))
+            total = head + tail
+        with mp.workprec(prec):
+            value = +total
+    if allowance > abs_err:
+        raise Unachievable(
+            f"{prec} bits of working precision cannot reach abs_err={abs_err}"
         )
+    return EvalResult(
+        value=value,
+        error_bound=allowance,
+        blocks_used=blocks,
+        method="accelerated",
+        bound_is_heuristic=False,
+    )
 
 
 def evaluate(
@@ -443,17 +400,31 @@ def evaluate(
     method: str = "accelerated",
     *,
     block_budget: int = DEFAULT_BLOCK_BUDGET,
-    prefix_blocks: int = 1000,
-    order: int = 8,
+    prefix_blocks: int | None = None,
     prec: int | None = None,
 ) -> EvalResult:
     """Evaluate the series of v to within abs_err (see module docstring).
 
-    raw mode reports a rigorous bound and raises BudgetExceeded when the
-    required truncation exceeds `block_budget` blocks; accelerated mode
-    starts from `prefix_blocks` exact blocks and expansion order `order`
-    and grows both as needed, reporting a heuristic bound.  Unachievable
-    signals that abs_err sits below the working-precision floor.
+    Both routes report a rigorous bound.  raw mode raises BudgetExceeded
+    when the required truncation exceeds `block_budget` blocks.
+    accelerated mode sums K0 = `prefix_blocks` blocks exactly (default
+    max(32, prec // 3) at the working precision, capped at `block_budget`
+    block-terms) and adds the exact tail -(1/T) sum_j a_j psi(K0 + j/T).
+
+    Error of the accelerated value: the prefix and the tail identity are
+    exact, so only floating-point work errs.  Each psi(x), x = K0 + j/T
+    >= 2, is computed at prec + 10 bits: the asymptotic-series remainder
+    is below 2^-(prec+8), and the recurrence and the series take fewer
+    than 2^12 rounded operations on numbers below 20, so psi(x) errs by
+    less than 2^-(prec-8), which is below 2^-(prec-10) |psi(x)| because
+    psi(x) >= psi(2) > 0.4.  The conversions of the coefficients and of
+    the prefix, the products, the sums and the final rounding to prec
+    bits add a few units of 2^-(prec+10) relative to the scale
+    |prefix| + (1/T) sum_j |a_j psi(x)|.  The reported bound,
+    2^-(prec-20) (scale + 1), exceeds the total by a factor above 2^9.
+
+    Unachievable signals that abs_err sits below the working-precision
+    floor.
     """
     if not abs_err > 0:
         raise ValueError("abs_err must be positive")
@@ -470,6 +441,4 @@ def evaluate(
     prec_bits = _working_prec(abs_err, v, prec)
     if method == "raw":
         return _evaluate_raw(v, abs_err, block_budget, prec_bits)
-    return _evaluate_accelerated(
-        v, abs_err, block_budget, prefix_blocks, order, prec_bits
-    )
+    return _evaluate_accelerated(v, abs_err, block_budget, prefix_blocks, prec_bits)

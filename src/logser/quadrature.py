@@ -149,12 +149,17 @@ def decomposition_check(T: int, tol: float) -> float:
     return math.fsum(j * integrate(T, j, inner) for j in range(1, T))
 
 
-def pi_estimate(tol: float) -> float:
-    """pi via 3*sqrt(3) times the series of (1, -1, 0) over modulus 3."""
+def pi_with_series(tol: float) -> tuple[float, EvalResult]:
+    """pi_estimate(tol) together with the series evaluation it came from."""
     if tol < 1e-12:
         raise ValueError("tol must be >= 1e-12")
     series = evaluate(make_vector(3, (1, -1, 0)), tol / 6, "accelerated")
-    return 3.0 * math.sqrt(3.0) * float(series.value)
+    return 3.0 * math.sqrt(3.0) * float(series.value), series
+
+
+def pi_estimate(tol: float) -> float:
+    """pi via 3*sqrt(3) times the series of (1, -1, 0) over modulus 3."""
+    return pi_with_series(tol)[0]
 
 
 def pi_arctan() -> float:

@@ -4,7 +4,9 @@ import json
 import math
 
 import pytest
+from mpmath import mp
 
+from logser import evaluate, make_vector
 from logser.cli import CSV_HEADER, bench, run
 
 
@@ -55,6 +57,11 @@ class TestJsonOutput:
         assert float(payload["arctan_cross_check"]) == pytest.approx(
             math.pi, abs=1e-12
         )
+
+    def test_pi_reports_blocks_of_its_series(self, capsys):
+        _, out, _ = run_capture(capsys, ["pi", "--abs-err", "1e-9"])
+        series = evaluate(make_vector(3, (1, -1, 0)), 1e-9 / 6, "accelerated")
+        assert json.loads(out)["blocks_used"] == series.blocks_used
 
     @pytest.mark.parametrize(
         "argv",
@@ -124,6 +131,11 @@ class TestJsonOutput:
         assert payload["relation_count"] >= 1
         assert all(entry["verified_zero"] for entry in payload["relations"])
 
+    def test_value_carries_more_than_double_precision(self, capsys):
+        _, out, _ = run_capture(capsys, ["ln", "2", "--abs-err", "1e-25"])
+        with mp.workprec(200):
+            assert abs(mp.mpf(json.loads(out)["value"]) - mp.ln(2)) <= 1e-25
+
 
 class TestTextOutput:
     def test_ln_text(self, capsys):
@@ -169,6 +181,10 @@ class TestBench:
     def test_accelerated_hits_reference_fast(self):
         rows = bench("ln:2", ["accelerated"], [1000])
         assert rows[0].abs_error_vs_reference <= 1e-12
+
+    def test_vector_reference_is_the_limit(self):
+        row = bench("vector:3:1,-1,0", ["accelerated"], [1000])[0]
+        assert row.abs_error_vs_reference <= row.error_bound + 1e-15
 
     def test_zero_vector_target(self):
         rows = bench("vector:4:1,-3,1,1", ["raw"], [100])

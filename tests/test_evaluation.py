@@ -177,7 +177,7 @@ class TestEvaluateRaw:
 class TestEvaluateAccelerated:
     def test_modulus3_difference_series(self):
         result = evaluate(make_vector(3, (1, -1, 0)), 1e-9, "accelerated")
-        assert result.bound_is_heuristic
+        assert not result.bound_is_heuristic
         assert abs(float(result.value) - S3_DIFF) <= 1e-9
 
     def test_ln_values_high_accuracy(self):
@@ -195,6 +195,40 @@ class TestEvaluateAccelerated:
     def test_small_prefix_still_honest(self):
         result = evaluate(ln_vector(2), 1e-8, prefix_blocks=10)
         assert abs(float(result.value) - LN2) <= result.error_bound
+
+    @pytest.mark.parametrize("abs_err", [1e-10, 1e-20, 1e-30, 1e-45, 1e-60])
+    def test_bound_is_rigorous_vs_digamma_limit(self, abs_err):
+        rng = random.Random(round(-math.log10(abs_err)))
+        # at least twice the working precision the evaluator picks for these vectors
+        bits = 2 * (math.ceil(-math.log2(abs_err)) + 64)
+        for _ in range(8):
+            v = random_balanced(rng, max_modulus=12)
+            result = evaluate(v, abs_err)
+            assert result.error_bound <= abs_err
+            with mp.workprec(bits):
+                gap = abs(result.value - _digamma_limit(v))
+            assert gap <= result.error_bound, f"{v.coeffs} at {abs_err}"
+
+    def test_ln2_at_1e60(self):
+        result = evaluate(ln_vector(2), 1e-60)
+        with mp.workprec(400):
+            assert abs(result.value - mp.ln(2)) <= result.error_bound <= 1e-60
+
+    def test_ln64_at_1e30_uses_a_short_prefix(self):
+        result = evaluate(ln_vector(64), 1e-30)
+        assert result.blocks_used < 1000
+        with mp.workprec(250):
+            assert abs(result.value - mp.ln(64)) <= result.error_bound <= 1e-30
+
+    def test_explicit_prefixes_agree_within_bounds(self):
+        rng = random.Random(31)
+        for v in (ln_vector(5), random_balanced(rng, modulus=7)):
+            results = [evaluate(v, 1e-25, prefix_blocks=k) for k in (2, 10, 1000)]
+            assert [r.blocks_used for r in results] == [2, 10, 1000]
+            with mp.workprec(200):
+                for a in results:
+                    for b in results:
+                        assert abs(a.value - b.value) <= a.error_bound + b.error_bound
 
     def test_linearity_within_bounds(self):
         rng = random.Random(23)
@@ -220,12 +254,24 @@ class TestEvaluateAccelerated:
     def test_unachievable_accuracy(self):
         with pytest.raises(Unachievable):
             evaluate(ln_vector(2), 1e-300)
+        with pytest.raises(Unachievable):
+            evaluate(ln_vector(2), 1e-40, prec=64)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             evaluate(ln_vector(2), 0.0)
         with pytest.raises(ValueError):
             evaluate(ln_vector(2), 1e-6, "fancy")
+
+
+def _digamma_limit(v):
+    """-(1/T) sum_j a_j psi(j/T) at the current mpmath precision."""
+    T = v.modulus
+    return -sum(
+        mp.mpf(a.numerator) / a.denominator * mp.digamma(mp.mpf(j) / T)
+        for j, a in enumerate(v.coeffs, start=1)
+        if a
+    ) / T
 
 
 class TestRearrangedTerms:
