@@ -25,6 +25,10 @@ Two evaluation routes are provided:
 
 Exact partial sums, harmonic numbers and the term stream of the
 rearranged form live here as well, all in exact rational arithmetic.
+Partial sums and harmonic numbers are both weighted harmonic sums
+sum_m w_m / m with periodic integer weights, and one kernel sums them
+by balanced splitting rather than adding one term at a time to an
+ever larger running rational.
 Values are carried at a working precision of at least 96 bits; requests
 below the supported precision floor raise Unachievable instead of
 silently degrading.
@@ -90,6 +94,34 @@ def block_term(v: CoefficientVector, k: int) -> Fraction:
     )
 
 
+def _weighted_harmonic(weights: list[int], n: int) -> Fraction:
+    """Exact sum_{m=1..n} weights[(m-1) mod len(weights)] / m.
+
+    Balanced splitting (Haible and Papanikolaou 1998): [1, n] is halved
+    recursively down to leaves of at most 32 terms.  A leaf is summed as
+    one unreduced integer pair and reduced once; halves merge by Fraction
+    addition, so every gcd runs on operands of balanced size.  Reducing
+    only once at the top would leave the product of all n denominators,
+    and that final gcd is quadratic in its size.
+    """
+    period = len(weights)
+
+    def split(lo: int, hi: int) -> Fraction:
+        # the terms lo <= m < hi
+        if hi - lo <= 32:
+            p, q = 0, 1
+            for m in range(lo, hi):
+                w = weights[(m - 1) % period]
+                if w:
+                    p = p * m + w * q
+                    q *= m
+            return Fraction(p, q)
+        mid = (lo + hi) // 2
+        return split(lo, mid) + split(mid, hi)
+
+    return split(1, n + 1)
+
+
 def partial_sum_exact(
     v: CoefficientVector,
     blocks: int,
@@ -98,8 +130,11 @@ def partial_sum_exact(
 ) -> Fraction:
     """Exact rational sum of the first `blocks` blocks.
 
-    The budget counts individual block-terms (blocks * modulus) and
-    guards against unbounded growth of the running rational.
+    The budget counts individual block-terms (blocks * modulus), which
+    is what the cost grows with.  Block k's term j is a_j / m with
+    m = kT + j, so the sum is a weighted harmonic sum up to blocks * T
+    with the coefficients, scaled to integers by the lcm D of their
+    denominators, as periodic weights.
     """
     if blocks < 0:
         raise ValueError("blocks must be >= 0")
@@ -108,10 +143,9 @@ def partial_sum_exact(
             f"{blocks} blocks over modulus {v.modulus} exceed the budget of "
             f"{block_budget} block-terms"
         )
-    total = Fraction(0)
-    for k in range(blocks):
-        total += block_term(v, k)
-    return total
+    scale = math.lcm(*(a.denominator for a in v.coeffs))
+    weights = [int(a * scale) for a in v.coeffs]
+    return _weighted_harmonic(weights, blocks * v.modulus) / scale
 
 
 def harmonic(n: int) -> Fraction:
@@ -120,10 +154,7 @@ def harmonic(n: int) -> Fraction:
         raise ValueError("n must be >= 0")
     if n > TERM_LIMIT:
         raise BudgetExceeded(f"n={n} exceeds the term limit of {TERM_LIMIT}")
-    total = Fraction(0)
-    for i in range(1, n + 1):
-        total += Fraction(1, i)
-    return total
+    return _weighted_harmonic([1], n)
 
 
 def _weighted_mass(v: CoefficientVector) -> Fraction:

@@ -2,11 +2,12 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 from mpmath import mp
 
-from logser import evaluate, make_vector
+from logser import cli, evaluate, make_vector
 from logser.cli import CSV_HEADER, bench, run
 
 
@@ -57,6 +58,10 @@ class TestJsonOutput:
         assert float(payload["arctan_cross_check"]) == pytest.approx(
             math.pi, abs=1e-12
         )
+        assert payload["bound_is_heuristic"] is False
+        with mp.workdps(30):
+            error = abs(mp.mpf(payload["value"]) - mp.pi)
+        assert error <= float(payload["error_bound"]) <= 1e-14
 
     def test_pi_reports_blocks_of_its_series(self, capsys):
         _, out, _ = run_capture(capsys, ["pi", "--abs-err", "1e-9"])
@@ -197,6 +202,15 @@ class TestBench:
     def test_rearranged_requires_ln_target(self):
         with pytest.raises(Exception):
             bench("pi", ["rearranged"], [10])
+
+    def test_wall_time_is_fastest_of_three_runs(self, monkeypatch):
+        # the first (cold) run takes a second, the two after it 7 and 5 us
+        ticks = iter([0, 10**9, 0, 7000, 0, 5000])
+        monkeypatch.setattr(
+            cli, "time", SimpleNamespace(perf_counter_ns=lambda: next(ticks))
+        )
+        row = bench("ln:2", ["raw"], [10])[0]
+        assert row.wall_time_micros == 5
 
     def test_unknown_method_rejected(self, capsys):
         code, _, _ = run_capture(

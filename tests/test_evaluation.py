@@ -76,6 +76,17 @@ class TestPartialSumExact:
             v = random_balanced(rng)
             K = rng.randint(0, 40)
             assert partial_sum_exact(v, K) == exact_block_oracle(v, K)
+        # mixed denominators and zero coefficients; K * T spans many 32-term leaves
+        for _ in range(10):
+            T = rng.randint(2, 7)
+            head = [
+                Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.7
+                else 0
+                for _ in range(T - 1)
+            ]
+            v = make_vector(T, head + [-sum(head)])
+            K = rng.randint(20, 60)
+            assert partial_sum_exact(v, K) == exact_block_oracle(v, K)
 
 
 class TestHarmonic:
@@ -83,6 +94,12 @@ class TestHarmonic:
         assert harmonic(0) == 0
         assert harmonic(1) == 1
         assert harmonic(4) == Fraction(25, 12)
+        # around the 32-term leaves of the splitting
+        for n in (0, 31, 32, 33, 64, 65, 1000):
+            plain = Fraction(0)
+            for i in range(1, n + 1):
+                plain += Fraction(1, i)
+            assert harmonic(n) == plain
 
     def test_limit_enforced(self):
         with pytest.raises(BudgetExceeded):
