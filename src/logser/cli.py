@@ -20,6 +20,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -29,9 +30,9 @@ from . import quadrature, relations
 from .errors import SeriesError
 from .evaluation import (
     DEFAULT_BLOCK_BUDGET,
-    EvalResult,
     evaluate,
     gamma_partial,
+    partial_sum_exact,
     partial_sum_float,
     rearranged_terms,
     tail_bound,
@@ -120,21 +121,6 @@ def _emit(payload: dict, fmt: str) -> None:
             print(f"  {key}: {value}")
 
 
-def _result_payload(
-    command: str, inputs: dict, result: EvalResult, digits: int, micros: int
-) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "value": _real(result.value, digits),
-        "precision": digits,
-        "error_bound": repr(result.error_bound),
-        "bound_is_heuristic": result.bound_is_heuristic,
-        "blocks_used": result.blocks_used,
-        "wall_time_micros": micros,
-    }
-
-
 def _parse_coeffs(raw: str) -> list[Fraction]:
     try:
         return [Fraction(part.strip()) for part in raw.split(",") if part.strip()]
@@ -165,48 +151,39 @@ def _timed(fn, *args, **kwargs):
     return out, (time.perf_counter_ns() - start) // 1000
 
 
-def _cmd_eval(args) -> int:
+def _eval_vector(args):
     vec = make_vector(args.T, _parse_coeffs(args.coeffs))
-    result, micros = _timed(
-        evaluate, vec, args.abs_err, args.method, block_budget=_block_budget()
-    )
-    digits = _digits_for(args.abs_err)
-    inputs = {
-        "T": args.T,
-        "coeffs": [str(c) for c in vec.coeffs],
-        "abs_err": repr(args.abs_err),
-        "method": args.method,
-    }
-    _emit(_result_payload("eval", inputs, result, digits, micros), args.format)
-    return 0
+    return vec, {"T": args.T, "coeffs": [str(c) for c in vec.coeffs]}
 
 
-def _cmd_ln(args) -> int:
-    vec = ln_vector(args.T)
-    result, micros = _timed(
-        evaluate, vec, args.abs_err, args.method, block_budget=_block_budget()
-    )
-    digits = _digits_for(args.abs_err)
-    inputs = {"T": args.T, "abs_err": repr(args.abs_err), "method": args.method}
-    _emit(_result_payload("ln", inputs, result, digits, micros), args.format)
-    return 0
+def _ln_vector(args):
+    return ln_vector(args.T), {"T": args.T}
 
 
-def _cmd_lnq(args) -> int:
+def _lnq_vector(args):
     top, bottom = _parse_ratio(args.ratio)
     vec = ln_rational_vector(top, bottom)
+    return vec, {"M": top, "L": bottom, "modulus": vec.modulus}
+
+
+def _cmd_series(args) -> int:
+    """eval, ln and lnq: evaluate the vector that `args.vector` builds."""
+    vec, inputs = args.vector(args)
     result, micros = _timed(
         evaluate, vec, args.abs_err, args.method, block_budget=_block_budget()
     )
     digits = _digits_for(args.abs_err)
-    inputs = {
-        "M": top,
-        "L": bottom,
-        "modulus": vec.modulus,
-        "abs_err": repr(args.abs_err),
-        "method": args.method,
+    payload = {
+        "command": args.command,
+        "inputs": {**inputs, "abs_err": repr(args.abs_err), "method": args.method},
+        "value": _real(result.value, digits),
+        "precision": digits,
+        "error_bound": repr(result.error_bound),
+        "bound_is_heuristic": result.bound_is_heuristic,
+        "blocks_used": result.blocks_used,
+        "wall_time_micros": micros,
     }
-    _emit(_result_payload("lnq", inputs, result, digits, micros), args.format)
+    _emit(payload, args.format)
     return 0
 
 
@@ -297,10 +274,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_relations(args) -> int:
-    start = time.perf_counter_ns()
-    basis = relations.divisor_relations(args.T)
-    witnesses = relations.relation_witnesses(args.T, basis)
-    micros = (time.perf_counter_ns() - start) // 1000
+    basis, micros = _timed(relations.divisor_relations, args.T)
+    witnesses, witness_micros = _timed(relations.relation_witnesses, args.T, basis)
+    micros += witness_micros
     entries = []
     for rel, witness in zip(basis.vectors, witnesses):
         ok, result = relations.verify_zero(witness, 1e-6)
@@ -338,9 +314,21 @@ def _cmd_relations(args) -> int:
     return 0
 
 
+def _rearranged_sum(T: int, n: int, block_sum):
+    """Sum of the first n terms of the rearranged stream for ln T.
+
+    Each whole group of T + 1 terms is one block of ln_vector(T), so with
+    n = c (T + 1) + r the sum is block_sum(ln_vector(T), c) plus the
+    r <= T leftover terms 1/(cT + j), j = 1..r.
+    """
+    c, r = divmod(n, T + 1)
+    leftover = sum(Fraction(1, c * T + j) for j in range(1, r + 1))
+    return block_sum(ln_vector(T), c) + leftover
+
+
 def _cmd_rearranged(args) -> int:
     terms, micros = _timed(rearranged_terms, args.T, args.n)
-    total = sum(terms, Fraction(0))
+    total, sum_micros = _timed(_rearranged_sum, args.T, args.n, partial_sum_exact)
     value = float(total)
     payload = {
         "command": "rearranged",
@@ -351,9 +339,10 @@ def _cmd_rearranged(args) -> int:
         "error_bound": repr(math.ldexp(abs(value) + 1.0, -52)),
         "bound_is_heuristic": False,
         "blocks_used": args.n // (args.T + 1),
-        "partial_sum": f"{total.numerator}/{total.denominator}",
+        # Decimal prints integers of any length; str(int) stops at 4300 digits
+        "partial_sum": f"{Decimal(total.numerator)}/{Decimal(total.denominator)}",
         "terms": [f"{t.numerator}/{t.denominator}" for t in terms],
-        "wall_time_micros": micros,
+        "wall_time_micros": micros + sum_micros,
     }
     _emit(payload, args.format)
     return 0
@@ -371,10 +360,11 @@ def _bench_target(target: str, block_budget: int):
             reference = float(mp.pi)
         return make_vector(3, (1, -1, 0)), 3.0 * math.sqrt(3.0), reference, "pi"
     if target.startswith("ln:"):
-        T = int(target.split(":", 1)[1])
+        # build the vector first: it rejects T < 1, where mp.ln is complex
+        vec = ln_vector(int(target.split(":", 1)[1]))
         with mp.workprec(120):
-            reference = float(mp.ln(T))
-        return ln_vector(T), 1.0, reference, "ln"
+            reference = float(mp.ln(vec.modulus))
+        return vec, 1.0, reference, "ln"
     if target.startswith("vector:"):
         _, T, coeffs = target.split(":", 2)
         vec = make_vector(int(T), _parse_coeffs(coeffs))
@@ -385,20 +375,7 @@ def _bench_target(target: str, block_budget: int):
 
 def _rearranged_prefix(T: int, count: int) -> tuple[float, float]:
     """(float prefix sum of the stream, rigorous error bound vs ln T)."""
-    total = 0.0
-    emitted = 0
-    k = 0
-    while emitted < count:
-        base = k * T
-        for j in range(1, T + 1):
-            total += 1.0 / (base + j)
-            emitted += 1
-            if emitted == count:
-                break
-        else:
-            total -= 1.0 / (k + 1)
-            emitted += 1
-        k += 1
+    total = float(_rearranged_sum(T, count, partial_sum_float))
     complete = count // (T + 1)
     bound = tail_bound(ln_vector(T), max(2, complete))
     if complete < 2:
@@ -526,17 +503,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--coeffs", type=str, required=True)
     _add_shared(p)
-    p.set_defaults(handler=_cmd_eval)
+    p.set_defaults(handler=_cmd_series, vector=_eval_vector)
 
     p = sub.add_parser("ln", help="ln of a natural number")
     p.add_argument("T", type=int)
     _add_shared(p)
-    p.set_defaults(handler=_cmd_ln)
+    p.set_defaults(handler=_cmd_series, vector=_ln_vector)
 
     p = sub.add_parser("lnq", help="ln of a positive rational M/L")
     p.add_argument("ratio", type=str, metavar="M/L")
     _add_shared(p)
-    p.set_defaults(handler=_cmd_lnq)
+    p.set_defaults(handler=_cmd_series, vector=_lnq_vector)
 
     p = sub.add_parser("pi", help="pi from the modulus-3 difference series")
     _add_shared(p)

@@ -1,13 +1,21 @@
 """CLI contract: exit codes, JSON schema, CSV benchmark output."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
+from decimal import Decimal
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 from mpmath import mp
 
-from logser import cli, evaluate, make_vector
+from logser import cli, evaluate, make_vector, rearranged_terms
 from logser.cli import CSV_HEADER, bench, run
 
 
@@ -110,6 +118,24 @@ class TestJsonOutput:
         _, out, _ = run_capture(capsys, ["rearranged", "--T", "3", "--n", "4"])
         payload = json.loads(out)
         assert payload["terms"] == ["1/1", "1/2", "1/3", "-1/1"]
+        # partial_sum is summed as whole blocks plus leftover terms; check
+        # it against the stream at and around the block boundaries
+        for T in range(1, 8):
+            for n in (1, T, T + 1, T + 2, 2 * T + 3, 400):
+                _, out, _ = run_capture(
+                    capsys, ["rearranged", "--T", str(T), "--n", str(n)]
+                )
+                total = sum(rearranged_terms(T, n), Fraction(0))
+                expected = f"{total.numerator}/{total.denominator}"
+                assert json.loads(out)["partial_sum"] == expected, (T, n)
+
+    def test_rearranged_partial_sum_beyond_int_str_limit(self, capsys):
+        code, out, err = run_capture(capsys, ["rearranged", "--T", "2", "--n", "20000"])
+        assert code == 0, err
+        total = sum(rearranged_terms(2, 20000), Fraction(0))
+        assert len(str(Decimal(total.denominator))) > 4300
+        expected = f"{Decimal(total.numerator)}/{Decimal(total.denominator)}"
+        assert json.loads(out)["partial_sum"] == expected
 
     def test_gamma(self, capsys):
         _, out, _ = run_capture(capsys, ["gamma", "--n", "2"])
@@ -147,6 +173,98 @@ class TestTextOutput:
         code, out, _ = run_capture(capsys, ["ln", "2", "--format", "text"])
         assert code == 0
         assert "0.6931471805" in out
+
+
+GOLDEN_FILE = pathlib.Path(__file__).with_name("cli_goldens.json")
+
+# (argv, output fields whose digits come from numpy's Gauss-Legendre
+# nodes or from libm's atan, so other numpy or libm builds may move them)
+GOLDEN_CASES = [
+    (["eval", "--T", "3", "--coeffs", "1,1,-2", "--method", "raw", "--abs-err", "1e-5"], ()),
+    (["eval", "--T", "4", "--coeffs", "1,-1,1,-1", "--abs-err", "1e-20"], ()),
+    (["ln", "7", "--abs-err", "1e-25"], ()),
+    (["lnq", "5/3", "--abs-err", "1e-12"], ()),
+    (["pi", "--abs-err", "1e-12"], ("arctan_cross_check",)),
+    (["gamma", "--n", "100"], ()),
+    (["integral-check", "--T", "4", "--j", "2"], ("value", "discrepancy")),
+    (["decompose", "--T", "3"], ("value", "abs_error_vs_reference")),
+    (["relations", "--T", "6"], ()),
+    (["rearranged", "--T", "1", "--n", "7"], ()),
+    (["rearranged", "--T", "3", "--n", "11"], ()),
+]
+
+
+def capture(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    return code, out.getvalue()
+
+
+def golden_outputs():
+    """Every golden case in both formats, keyed by its command line."""
+    goldens = {}
+    for argv, _ in GOLDEN_CASES:
+        code, out = capture(argv + ["--format", "json"])
+        assert code == 0, argv
+        payload = json.loads(out)
+        payload.pop("wall_time_micros")
+        code, text = capture(argv + ["--format", "text"])
+        assert code == 0, argv
+        goldens[" ".join(argv)] = {"json": payload, "text": text.splitlines()}
+    return goldens
+
+
+def close(expected: str, actual: str) -> bool:
+    # the fields compared this way are O(1) values or differences of
+    # O(1) values, hence the absolute floor
+    return math.isclose(float(expected), float(actual), rel_tol=1e-15, abs_tol=1e-15)
+
+
+class TestGolden:
+    """The CLI surface, field by field and line by line, against a capture."""
+
+    @pytest.mark.parametrize(
+        "argv, approx", GOLDEN_CASES, ids=[" ".join(a) for a, _ in GOLDEN_CASES]
+    )
+    def test_output_matches_golden(self, argv, approx):
+        golden = json.loads(GOLDEN_FILE.read_text())[" ".join(argv)]
+        code, out = capture(argv + ["--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert isinstance(payload.pop("wall_time_micros"), int)
+        assert payload.keys() == golden["json"].keys()
+        for key, expected in golden["json"].items():
+            if key in approx:
+                assert close(expected, payload[key]), key
+            else:
+                assert payload[key] == expected, key
+        code, out = capture(argv + ["--format", "text"])
+        assert code == 0
+        loose = {golden["json"][key] for key in approx}
+        lines = out.splitlines()
+        assert len(lines) == len(golden["text"])
+        for expected, actual in zip(golden["text"], lines):
+            want, got = expected.split(" "), actual.split(" ")
+            assert len(want) == len(got), expected
+            for w, g in zip(want, got):
+                assert w == g or (w in loose and close(w, g)), expected
+
+
+class TestEntryPoint:
+    def test_module_main_in_a_subprocess(self):
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "logser.cli", "ln", "2", "--abs-err", "1e-9"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["command"] == "ln"
 
 
 class TestBlockBudgetEnv:
@@ -199,6 +317,21 @@ class TestBench:
         rows = bench("pi", ["quadrature"], [4])
         assert rows[0].abs_error_vs_reference <= 1e-10
 
+    @pytest.mark.parametrize("T", [1, 2, 3, 7])
+    def test_rearranged_rows_bound_their_error(self, T):
+        schedule = [1, T, T + 1, T + 2, 1000, 10**5]
+        rows = bench(f"ln:{T}", ["rearranged"], schedule)
+        assert [row.work for row in rows] == schedule
+        for row in rows:
+            assert abs(row.value - math.log(T)) <= row.error_bound, row
+
+    def test_negative_ln_target_is_domain_error(self, capsys):
+        code, _, err = run_capture(
+            capsys, ["bench", "--target", "ln:-2", "--methods", "raw", "--work", "10"]
+        )
+        assert code == 1
+        assert "modulus must be >= 1" in err
+
     def test_rearranged_requires_ln_target(self):
         with pytest.raises(Exception):
             bench("pi", ["rearranged"], [10])
@@ -218,3 +351,9 @@ class TestBench:
             ["bench", "--target", "ln:2", "--methods", "psychic", "--work", "10"],
         )
         assert code == 1
+
+
+if __name__ == "__main__":
+    # `python tests/test_cli.py --write-goldens` recaptures the goldens
+    if sys.argv[1:] == ["--write-goldens"]:
+        GOLDEN_FILE.write_text(json.dumps(golden_outputs(), indent=2) + "\n")
