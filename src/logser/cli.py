@@ -32,7 +32,7 @@ from .evaluation import (
     DEFAULT_BLOCK_BUDGET,
     evaluate,
     gamma_partial,
-    partial_sum_exact,
+    harmonic,
     partial_sum_float,
     rearranged_terms,
     tail_bound,
@@ -314,21 +314,12 @@ def _cmd_relations(args) -> int:
     return 0
 
 
-def _rearranged_sum(T: int, n: int, block_sum):
-    """Sum of the first n terms of the rearranged stream for ln T.
-
-    Each whole group of T + 1 terms is one block of ln_vector(T), so with
-    n = c (T + 1) + r the sum is block_sum(ln_vector(T), c) plus the
-    r <= T leftover terms 1/(cT + j), j = 1..r.
-    """
-    c, r = divmod(n, T + 1)
-    leftover = sum(Fraction(1, c * T + j) for j in range(1, r + 1))
-    return block_sum(ln_vector(T), c) + leftover
-
-
 def _cmd_rearranged(args) -> int:
     terms, micros = _timed(rearranged_terms, args.T, args.n)
-    total, sum_micros = _timed(_rearranged_sum, args.T, args.n, partial_sum_exact)
+    # whole groups of T + 1 terms are blocks of ln_vector(T), which sum to
+    # H_{cT} - H_c; the r <= T leftover terms 1/(cT + j) extend H_{cT}
+    c, r = divmod(args.n, args.T + 1)
+    total, sum_micros = _timed(lambda: harmonic(c * args.T + r) - harmonic(c))
     value = float(total)
     payload = {
         "command": "rearranged",
@@ -338,7 +329,7 @@ def _cmd_rearranged(args) -> int:
         # the partial sum itself is exact; only the decimal rendering rounds
         "error_bound": repr(math.ldexp(abs(value) + 1.0, -52)),
         "bound_is_heuristic": False,
-        "blocks_used": args.n // (args.T + 1),
+        "blocks_used": c,
         # Decimal prints integers of any length; str(int) stops at 4300 digits
         "partial_sum": f"{Decimal(total.numerator)}/{Decimal(total.denominator)}",
         "terms": [f"{t.numerator}/{t.denominator}" for t in terms],
@@ -373,15 +364,22 @@ def _bench_target(target: str, block_budget: int):
     raise SeriesError(f"unknown bench target {target!r}; use ln:T, pi, or vector:T:c1,...")
 
 
-def _rearranged_prefix(T: int, count: int) -> tuple[float, float]:
-    """(float prefix sum of the stream, rigorous error bound vs ln T)."""
-    total = float(_rearranged_sum(T, count, partial_sum_float))
-    complete = count // (T + 1)
-    bound = tail_bound(ln_vector(T), max(2, complete))
+def _rearranged_prefix(vec, count: int) -> tuple[float, float]:
+    """(float prefix sum of the stream, rigorous error bound vs ln T).
+
+    The first `complete` groups of T + 1 terms are blocks of vec =
+    ln_vector(T); the leftover terms are 1/(complete * T + j).
+    """
+    T = vec.modulus
+    complete, leftover = divmod(count, T + 1)
+    total = float(partial_sum_float(vec, complete)) + math.fsum(
+        1.0 / (complete * T + j) for j in range(1, leftover + 1)
+    )
+    bound = tail_bound(vec, max(2, complete))
     if complete < 2:
         # the tail bound starts at two blocks; charge the skipped ones whole
         bound += 2.0 * (math.log(T + 1) + 2.0)
-    elif count % (T + 1):
+    elif leftover:
         # partial block k: its terms sum to less than 2(T+1)/(kT)
         bound += 2.0 * (T + 1) / (complete * T)
     return total, bound + 1e-12 * (1.0 + abs(total))
@@ -404,7 +402,7 @@ def _bench_value(method, work, vec, scale, kind, block_budget) -> tuple[float, f
         )
         return scale * float(result.value), scale * result.error_bound
     if method == "rearranged":
-        return _rearranged_prefix(T, work)
+        return _rearranged_prefix(vec, work)
     # quadrature: the step to work + 1 panels estimates the error
     if kind == "pi":
         value = scale * quadrature.fixed_panel_integral(3, 1, work)

@@ -137,6 +137,15 @@ class TestJsonOutput:
         expected = f"{Decimal(total.numerator)}/{Decimal(total.denominator)}"
         assert json.loads(out)["partial_sum"] == expected
 
+    def test_rearranged_cost_does_not_grow_with_modulus(self, capsys):
+        # the exact sum needs only the n terms, never a vector of length T
+        code, out, err = run_capture(
+            capsys, ["rearranged", "--T", "1000000000", "--n", "5"]
+        )
+        assert code == 0, err
+        total = sum(rearranged_terms(10**9, 5), Fraction(0))
+        assert json.loads(out)["partial_sum"] == f"{total.numerator}/{total.denominator}"
+
     def test_gamma(self, capsys):
         _, out, _ = run_capture(capsys, ["gamma", "--n", "2"])
         payload = json.loads(out)
@@ -324,6 +333,10 @@ class TestBench:
         assert [row.work for row in rows] == schedule
         for row in rows:
             assert abs(row.value - math.log(T)) <= row.error_bound, row
+            if row.work <= 1000:
+                # the bound is loose; pin the value to the stream's own sum
+                exact = float(sum(rearranged_terms(T, row.work), Fraction(0)))
+                assert row.value == pytest.approx(exact, rel=1e-14, abs=1e-15), row
 
     def test_negative_ln_target_is_domain_error(self, capsys):
         code, _, err = run_capture(
