@@ -28,21 +28,22 @@ rearranged form live here as well, all in exact rational arithmetic.
 Partial sums and harmonic numbers are both weighted harmonic sums
 sum_m w_m / m with periodic integer weights, and one kernel sums them
 by balanced splitting rather than adding one term at a time to an
-ever larger running rational.
-Values are carried at a working precision of at least 96 bits; requests
-below the supported precision floor raise Unachievable instead of
-silently degrading.
+ever larger running rational.  The floating-point kernel computes psi
+in integers scaled by 2^(prec+10), prec >= 96 by default, and reads no
+mpmath context: no precision set elsewhere in the process changes a
+result, concurrent calls need no lock, and values become mpmath.mpf only
+on the way out.  Requests below the precision floor raise Unachievable.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp
+from mpmath import libmp, mp
 
 from .errors import BudgetExceeded, Unachievable
 from .vectors import CoefficientVector
@@ -52,10 +53,6 @@ TERM_LIMIT = 10**6
 
 _MIN_PREC = 96
 _MAX_PREC = 1024
-
-# mpmath's working precision is process-global mutable state; a lock
-# keeps concurrent callers from trampling each other's contexts.
-_MP_LOCK = threading.RLock()
 
 _METHODS = ("raw", "accelerated")
 
@@ -143,9 +140,14 @@ def partial_sum_exact(
             f"{blocks} blocks over modulus {v.modulus} exceed the budget of "
             f"{block_budget} block-terms"
         )
-    scale = math.lcm(*(a.denominator for a in v.coeffs))
-    weights = [int(a * scale) for a in v.coeffs]
+    weights, scale = _integer_weights(v)
     return _weighted_harmonic(weights, blocks * v.modulus) / scale
+
+
+def _integer_weights(v: CoefficientVector) -> tuple[list[int], int]:
+    """(a_j * D for each j, D) with D the lcm of the coefficient denominators."""
+    scale = math.lcm(*(a.denominator for a in v.coeffs))
+    return [int(a * scale) for a in v.coeffs], scale
 
 
 def harmonic(n: int) -> Fraction:
@@ -241,87 +243,93 @@ def gamma_partial(n: int) -> GammaPartial:
         raise ValueError("n must be >= 1")
     if n > TERM_LIMIT:
         raise BudgetExceeded(f"n={n} exceeds the term limit of {TERM_LIMIT}")
-    h = harmonic(n)
-    with _MP_LOCK, mp.workprec(_MIN_PREC):
-        value = mp.mpf(h.numerator) / h.denominator - mp.ln(n)
-    return GammaPartial(n=n, value=value)
+    h, wp = harmonic(n), _MIN_PREC + 10
+    value = (h.numerator << wp) // h.denominator - _ln_fixed(n, 1, wp)
+    return GammaPartial(n=n, value=_mpf(value, _MIN_PREC))
 
 
 # ----------------------------------------------------------------------
-# the floating-point kernel (digamma)
+# the floating-point kernel (digamma in fixed point)
 # ----------------------------------------------------------------------
 
 
 def _shift_threshold(prec: int) -> int:
-    """Smallest argument at which _digamma needs no upward recurrence."""
+    """Smallest argument at which _psi needs no upward recurrence."""
     return max(32, prec // 3)
 
 
-def _digamma(x, prec: int):
-    """psi(x) for x > 0 via upward recurrence plus the asymptotic series.
+@functools.lru_cache(maxsize=None)
+def _stirling(prec: int) -> tuple[int, ...]:
+    """B_2n/(2n) for n = 1..N, scaled by 2^(prec+10) and floored.
 
-    The asymptotic series psi(x) ~ ln x - 1/(2x) - sum B_{2n}/(2n x^{2n})
-    (DLMF 5.11.2) envelopes its limit for real x > 0, so truncating at the
-    smallest term bounds the remainder by that term; the shift threshold
-    keeps the smallest term below 2^-(prec+8).
+    N stops before the first n whose term B_2n/(2n x^2n) is at most
+    2^-(prec+8) at x = the shift threshold, hence at every x past it.
     """
-    with mp.workprec(prec + 10):
-        x = mp.mpf(x)
-        shifted = mp.mpf(0)
-        threshold = _shift_threshold(prec)
-        while x < threshold:
-            shifted += 1 / x
-            x += 1
-        result = mp.ln(x) - 1 / (2 * x)
-        inv2 = 1 / (x * x)
-        power = inv2
-        floor = mp.ldexp(1, -(prec + 8))
-        last = None
-        n = 1
-        while True:
-            term = mp.bernoulli(2 * n) / (2 * n) * power
-            mag = abs(term)
-            if last is not None and mag >= last:
-                break
-            result -= term
-            if mag <= floor:
-                break
-            last = mag
-            power *= inv2
-            n += 1
-        return result - shifted
+    x = _shift_threshold(prec)
+    out: list[int] = []
+    while True:
+        n = 2 * len(out) + 2
+        p, q = map(int, mpmath.bernfrac(n))
+        if abs(p) << (prec + 8) <= n * q * x**n:
+            return tuple(out)
+        out.append((p << (prec + 10)) // (n * q))
 
 
-def _psi_tail(v: CoefficientVector, blocks: int, prec: int):
+def _ln_fixed(p: int, q: int, wp: int) -> int:
+    """ln(p/q) scaled by 2^wp, within two units for p/q < e^(2^18)."""
+    log = libmp.mpf_log(libmp.from_rational(p, q, wp + 20), wp + 20)
+    return int(libmp.to_fixed(log, wp))
+
+
+def _psi(p: int, T: int, prec: int) -> int:
+    """psi(p/T) for p, T >= 1, scaled by 2^(prec+10).
+
+    Upward recurrence psi(x) = psi(x+1) - 1/x to the shift threshold, then
+    psi(x) ~ ln x - 1/(2x) - sum_n B_2n/(2n x^2n) (DLMF 5.11.2) by Horner's
+    rule in 1/x^2.  For real x > 0 the series envelopes psi, so the
+    remainder after N terms is at most the first omitted term.
+    """
+    wp = prec + 10
+    threshold = _shift_threshold(prec) * T
+    shifted = 0
+    while p < threshold:
+        shifted += (T << wp) // p
+        p += T
+    z = (T * T << wp) // (p * p)
+    series = 0
+    for c in reversed(_stirling(prec)):
+        series = (series + c) * z >> wp
+    return _ln_fixed(p, T, wp) - (T << wp) // (2 * p) - series - shifted
+
+
+def _psi_tail(v: CoefficientVector, blocks: int, prec: int) -> tuple[int, int]:
     """(tail, magnitude) of the series after its first `blocks` blocks.
 
     The next N blocks sum to (1/T) sum_j a_j (psi(blocks + N + j/T) -
     psi(blocks + j/T)); balance cancels the ln N growth of the first psi,
     so as N grows the tail is exactly -(1/T) sum_j a_j psi(blocks + j/T).
     `magnitude` is (1/T) sum_j |a_j psi(blocks + j/T)|, the scale against
-    which rounding allowances are charged.
+    which rounding allowances are charged.  Both are scaled by 2^(prec+10).
     """
     T = v.modulus
-    with mp.workprec(prec + 10):
-        total = mp.mpf(0)
-        magnitude = mp.mpf(0)
-        start = mp.mpf(blocks)
-        for j, a in enumerate(v.coeffs, start=1):
-            if not a:
-                continue
-            psi = _digamma(start + mp.mpf(j) / T, prec)
-            term = mp.mpf(a.numerator) / a.denominator * psi
+    weights, scale = _integer_weights(v)
+    total = magnitude = 0
+    for j, w in enumerate(weights, start=1):
+        if w:
+            term = w * _psi(blocks * T + j, T, prec)
             total -= term
             magnitude += abs(term)
-        return total / T, magnitude / T
+    return total // (scale * T), magnitude // (scale * T)
 
 
-def _psi_block_sum(v: CoefficientVector, blocks: int, prec: int):
-    """(sum, magnitude) of the first `blocks` blocks: the series minus its tail."""
-    whole, whole_mag = _psi_tail(v, 0, prec)
-    tail, tail_mag = _psi_tail(v, blocks, prec)
-    with mp.workprec(prec + 10):
-        return whole - tail, whole_mag + tail_mag
+def _mpf(fixed: int, prec: int) -> mpmath.mpf:
+    """A value scaled by 2^(prec+10), rounded to a prec-bit mpf."""
+    return mp.make_mpf(libmp.from_man_exp(fixed, -(prec + 10), prec, libmp.round_nearest))
+
+
+def _allowance(scale: int, prec: int) -> float:
+    """2^-(prec-20) (scale + 1) for a scale given scaled by 2^(prec+10)."""
+    return (scale + (1 << (prec + 10))) / (1 << (2 * prec - 10))
 
 
 def partial_sum_float(v: CoefficientVector, blocks: int, prec: int = _MIN_PREC):
@@ -333,11 +341,7 @@ def partial_sum_float(v: CoefficientVector, blocks: int, prec: int = _MIN_PREC):
     """
     if blocks < 0:
         raise ValueError("blocks must be >= 0")
-    if blocks == 0:
-        return mpmath.mpf(0)
-    with _MP_LOCK:
-        total, _ = _psi_block_sum(v, blocks, prec)
-        return total
+    return _mpf(_psi_tail(v, 0, prec)[0] - _psi_tail(v, blocks, prec)[0], prec)
 
 
 # ----------------------------------------------------------------------
@@ -379,15 +383,12 @@ def _evaluate_raw(v, abs_err, block_budget, prec) -> EvalResult:
             f"raw evaluation at abs_err={abs_err} needs {blocks} blocks, over "
             f"the budget of {block_budget}"
         )
-    with _MP_LOCK:
-        total, magnitude = _psi_block_sum(v, blocks, prec)
-        with mp.workprec(prec):
-            allowance = float(mp.ldexp(magnitude + 1, -(prec - 20)))
-            value = +total
-    bound = tail_bound(v, blocks) + allowance
+    # the first `blocks` blocks are the series minus its tail after them
+    whole, whole_mag = _psi_tail(v, 0, prec)
+    tail, tail_mag = _psi_tail(v, blocks, prec)
     return EvalResult(
-        value=value,
-        error_bound=bound,
+        value=_mpf(whole - tail, prec),
+        error_bound=tail_bound(v, blocks) + _allowance(whole_mag + tail_mag, prec),
         blocks_used=blocks,
         method="raw",
         bound_is_heuristic=False,
@@ -404,20 +405,15 @@ def _evaluate_accelerated(v, abs_err, block_budget, prefix_blocks, prec) -> Eval
             f"block budget {block_budget} cannot host an exact prefix over modulus {T}"
         )
     prefix = partial_sum_exact(v, blocks, block_budget=block_budget)
-    with _MP_LOCK:
-        tail, magnitude = _psi_tail(v, blocks, prec)
-        with mp.workprec(prec + 10):
-            head = mp.mpf(prefix.numerator) / prefix.denominator
-            allowance = float(mp.ldexp(abs(head) + magnitude + 1, -(prec - 20)))
-            total = head + tail
-        with mp.workprec(prec):
-            value = +total
+    tail, magnitude = _psi_tail(v, blocks, prec)
+    head = (prefix.numerator << (prec + 10)) // prefix.denominator
+    allowance = _allowance(abs(head) + magnitude, prec)
     if allowance > abs_err:
         raise Unachievable(
             f"{prec} bits of working precision cannot reach abs_err={abs_err}"
         )
     return EvalResult(
-        value=value,
+        value=_mpf(head + tail, prec),
         error_bound=allowance,
         blocks_used=blocks,
         method="accelerated",
@@ -442,17 +438,20 @@ def evaluate(
     max(32, prec // 3) at the working precision, capped at `block_budget`
     block-terms) and adds the exact tail -(1/T) sum_j a_j psi(K0 + j/T).
 
-    Error of the accelerated value: the prefix and the tail identity are
-    exact, so only floating-point work errs.  Each psi(x), x = K0 + j/T
-    >= 2, is computed at prec + 10 bits: the asymptotic-series remainder
-    is below 2^-(prec+8), and the recurrence and the series take fewer
-    than 2^12 rounded operations on numbers below 20, so psi(x) errs by
-    less than 2^-(prec-8), which is below 2^-(prec-10) |psi(x)| because
-    psi(x) >= psi(2) > 0.4.  The conversions of the coefficients and of
-    the prefix, the products, the sums and the final rounding to prec
-    bits add a few units of 2^-(prec+10) relative to the scale
-    |prefix| + (1/T) sum_j |a_j psi(x)|.  The reported bound,
-    2^-(prec-20) (scale + 1), exceeds the total by a factor above 2^9.
+    Error, in units u = 2^-(prec+10) of the fixed-point kernel: the
+    prefix and the tail identity are exact and each floor division errs
+    by under u.  psi(x) costs at most threshold + N + 6 units: threshold
+    recurrence steps, 1/(2x), N Horner steps, under one unit each for the
+    floored 1/x^2 and Stirling coefficients carried through the sum
+    (x^-2 <= 2^-10), and two for ln x; the series remainder adds
+    2^-(prec+8) = 4u.  With threshold <= 341 and N <= 108 (prec <= 1024)
+    that is under 460u < 2^11 u |psi(x)|, as |psi(x)| >= 0.42 for x >= 2
+    (>= gamma on (0, 1] for raw).  The tail, weighted by a_j/T and floored
+    once, errs by under 2^11 u (1/T) sum_j |a_j psi(x)| + u; the prefix
+    adds u and rounding to prec bits 2^9 u |value|.  So with scale =
+    |prefix| + (1/T) sum_j |a_j psi(x)| the total is under 2^12 u
+    (scale + 1), 2^18 times below the reported 2^-(prec-20) (scale + 1).
+    raw adds its tail bound; its scale is the two tails' magnitudes.
 
     Unachievable signals that abs_err sits below the working-precision
     floor.

@@ -2,13 +2,16 @@
 
 import math
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp
+from mpmath import libmp, mp
 
 from logser import (
     BudgetExceeded,
@@ -190,6 +193,21 @@ class TestEvaluateRaw:
         via_oracle = float_block_oracle(v, 300)
         assert via_psi == pytest.approx(via_oracle, abs=5e-13)
 
+    def test_partial_sum_float_at_1024_bits(self):
+        # the largest Stirling table; K = 1 and 2 also take the upward
+        # recurrence on the tail side, K = 500 only on the j/T side
+        v = make_vector(7, [3, -1, Fraction(5, 2), 0, -4, 1, Fraction(-3, 2)])
+        for K in (1, 2, 500):
+            value = partial_sum_float(v, K, prec=1024)
+            with mp.workprec(2200):
+                identity = sum(
+                    mp.mpf(a.numerator) / a.denominator
+                    * (mp.digamma(K + mp.mpf(j) / 7) - mp.digamma(mp.mpf(j) / 7))
+                    for j, a in enumerate(v.coeffs, start=1)
+                    if a
+                ) / 7
+                assert abs(value - identity) <= mp.mpf(2) ** -1000, K
+
 
 class TestEvaluateAccelerated:
     def test_modulus3_difference_series(self):
@@ -230,6 +248,12 @@ class TestEvaluateAccelerated:
         result = evaluate(ln_vector(2), 1e-60)
         with mp.workprec(400):
             assert abs(result.value - mp.ln(2)) <= result.error_bound <= 1e-60
+
+    def test_ln7_at_the_precision_ceiling(self):
+        # 983 bits of working precision, near the 1024-bit ceiling
+        result = evaluate(ln_vector(7), 1e-280)
+        with mp.workprec(2200):
+            assert abs(result.value - mp.ln(7)) <= result.error_bound <= 1e-280
 
     def test_ln64_at_1e30_uses_a_short_prefix(self):
         result = evaluate(ln_vector(64), 1e-30)
@@ -364,3 +388,53 @@ def test_eval_result_value_is_high_precision():
         err = abs(result.value - mp.ln(2))
     assert err < 1e-20
     assert isinstance(result.value, mpmath.mpf)
+
+
+def _fraction(x):
+    """The exact value of an mpf, read from its raw tuple."""
+    p, q = libmp.to_rational(x._mpf_)
+    return Fraction(int(p), int(q))
+
+
+class TestConcurrency:
+    def test_threads_and_a_precision_flipper_leave_results_unchanged(self):
+        moduli = range(2, 10)
+        vectors = {T: ln_vector(T) for T in moduli}
+        with mp.workprec(400):
+            logs = {T: _fraction(mp.ln(T)) for T in moduli}
+
+        def work():
+            evals = [evaluate(vectors[T], e) for T in moduli for e in (1e-12, 1e-30)]
+            sums = [partial_sum_float(vectors[T], 1000)._mpf_ for T in moduli]
+            return evals, sums
+
+        expected = work()
+        stop = threading.Event()
+
+        def flip_precision():
+            while not stop.is_set():
+                mp.prec = 20
+                mp.prec = 53
+
+        saved_prec, saved_interval = mp.prec, sys.getswitchinterval()
+        flipper = threading.Thread(target=flip_precision)
+        sys.setswitchinterval(1e-5)
+        try:
+            flipper.start()
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                futures = [pool.submit(work) for _ in range(6)]
+                outcomes = [f.result(timeout=120) for f in futures]
+        finally:
+            stop.set()
+            flipper.join(timeout=10)
+            sys.setswitchinterval(saved_interval)
+            mp.prec = saved_prec
+        assert not flipper.is_alive()
+        for evals, sums in [expected] + outcomes:
+            assert sums == expected[1]
+            for result, want in zip(evals, expected[0]):
+                assert result.value._mpf_ == want.value._mpf_
+                assert result.error_bound == want.error_bound
+            for result, T in zip(evals, (T for T in moduli for _ in range(2))):
+                error = abs(_fraction(result.value) - logs[T])
+                assert error <= Fraction(result.error_bound), (T, result.error_bound)
