@@ -14,6 +14,7 @@ LOGSER_BLOCK_BUDGET overrides the default block budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -487,6 +488,7 @@ def _add_shared(parser, *, abs_err_default=1e-9) -> None:
     parser.add_argument("--format", choices=("json", "text"), default="json")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="logser",

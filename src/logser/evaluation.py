@@ -16,12 +16,11 @@ Two evaluation routes are provided:
   the K-block partial sum in floating point through the digamma
   identity sum_{k<K} 1/(kT+j) = (psi(K + j/T) - psi(j/T)) / T.  The
   reported bound (tail bound plus a rounding allowance) is rigorous.
-* accelerated: sum a short prefix of K0 blocks exactly, then add the
-  tail after it, which balance makes exactly
-  -(1/T) sum_j a_j psi(K0 + j/T).  The default K0 is the digamma
-  kernel's shift threshold, so the tail needs no upward recurrence.
-  The series itself is not truncated, so the reported bound is a
-  rounding allowance alone, and it is rigorous.
+* accelerated: balance makes the series exactly -(1/T) sum_j a_j psi(j/T),
+  the tail from block 0, so by default no block is summed.  An explicit
+  prefix of K0 blocks is summed exactly, plus the tail
+  -(1/T) sum_j a_j psi(K0 + j/T).  Nothing is truncated, so the
+  reported bound is a rounding allowance alone, and it is rigorous.
 
 Exact partial sums, harmonic numbers and the term stream of the
 rearranged form live here as well, all in exact rational arithmetic.
@@ -396,17 +395,12 @@ def _evaluate_raw(v, abs_err, block_budget, prec) -> EvalResult:
 
 
 def _evaluate_accelerated(v, abs_err, block_budget, prefix_blocks, prec) -> EvalResult:
-    T = v.modulus
-    if prefix_blocks is None:
-        prefix_blocks = _shift_threshold(prec)
-    blocks = min(prefix_blocks, block_budget // T)
-    if blocks < 2:
-        raise BudgetExceeded(
-            f"block budget {block_budget} cannot host an exact prefix over modulus {T}"
-        )
-    prefix = partial_sum_exact(v, blocks, block_budget=block_budget)
+    blocks = head = 0
+    if prefix_blocks:
+        blocks = min(prefix_blocks, block_budget // v.modulus)
+        prefix = partial_sum_exact(v, blocks, block_budget=block_budget)
+        head = (prefix.numerator << (prec + 10)) // prefix.denominator
     tail, magnitude = _psi_tail(v, blocks, prec)
-    head = (prefix.numerator << (prec + 10)) // prefix.denominator
     allowance = _allowance(abs(head) + magnitude, prec)
     if allowance > abs_err:
         raise Unachievable(
@@ -434,37 +428,43 @@ def evaluate(
 
     Both routes report a rigorous bound.  raw mode raises BudgetExceeded
     when the required truncation exceeds `block_budget` blocks.
-    accelerated mode sums K0 = `prefix_blocks` blocks exactly (default
-    max(32, prec // 3) at the working precision, capped at `block_budget`
-    block-terms) and adds the exact tail -(1/T) sum_j a_j psi(K0 + j/T).
+    accelerated mode sums no block and returns -(1/T) sum_j a_j psi(j/T).
+    An explicit `prefix_blocks` K0 > 0, capped at `block_budget` block-
+    terms, sums K0 blocks exactly and adds -(1/T) sum_j a_j psi(K0 + j/T).
 
-    Error, in units u = 2^-(prec+10) of the fixed-point kernel: the
-    prefix and the tail identity are exact and each floor division errs
-    by under u.  psi(x) costs at most threshold + N + 6 units: threshold
-    recurrence steps, 1/(2x), N Horner steps, under one unit each for the
-    floored 1/x^2 and Stirling coefficients carried through the sum
-    (x^-2 <= 2^-10), and two for ln x; the series remainder adds
-    2^-(prec+8) = 4u.  With threshold <= 341 and N <= 108 (prec <= 1024)
-    that is under 460u < 2^11 u |psi(x)|, as |psi(x)| >= 0.42 for x >= 2
-    (>= gamma on (0, 1] for raw).  The tail, weighted by a_j/T and floored
-    once, errs by under 2^11 u (1/T) sum_j |a_j psi(x)| + u; the prefix
-    adds u and rounding to prec bits 2^9 u |value|.  So with scale =
-    |prefix| + (1/T) sum_j |a_j psi(x)| the total is under 2^12 u
-    (scale + 1), 2^18 times below the reported 2^-(prec-20) (scale + 1).
+    Error, in units u = 2^-(prec+10) of the fixed-point kernel: the tail
+    identity is exact and each floor division errs by under u.  psi(x)
+    costs at most threshold + N + 6 units: threshold recurrence steps
+    (all of them for x = j/T < 1), 1/(2x), N Horner steps, under one
+    unit each for the floored 1/x^2 and Stirling coefficients carried
+    through the sum (x^-2 <= 2^-10), and two for ln x; the series
+    remainder adds 2^-(prec+8) = 4u.  With threshold <= 341 and N <= 108
+    (prec <= 1024) that is under 460u < 2^11 u |psi(x)|, as |psi(x)| >=
+    gamma on (0, 1], where the default route and raw's whole term
+    evaluate it, and >= 0.42 for x >= 2.  The tail, weighted by a_j/T
+    and floored once, errs by under 2^11 u (1/T) sum_j |a_j psi(x)| + u,
+    and rounding to prec bits adds 2^9 u |value|.  So with scale =
+    (1/T) sum_j |a_j psi(x)| the total is under 2^12 u (scale + 1),
+    2^18 times below the reported 2^-(prec-20) (scale + 1).  A prefix
+    adds u, and |prefix| to the scale.  K0 = 1 puts x in (1, 2], where
+    psi' > 0.64 and psi has one zero; one x at most is within 1/(2T) of
+    it, and balance bounds its a_j by the others, so 460u still fits the
+    margin if T <= 1.8e5 or mean |a_j| <= 1e6.
     raw adds its tail bound; its scale is the two tails' magnitudes.
 
-    Unachievable signals that abs_err sits below the working-precision
-    floor.
+    Unachievable signals that abs_err sits below the working-precision floor.
     """
     if not abs_err > 0:
         raise ValueError("abs_err must be positive")
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
+    if prefix_blocks is not None and prefix_blocks < 0:
+        raise ValueError("prefix_blocks must be >= 0")
     if v.is_zero():
         return EvalResult(
             value=mpmath.mpf(0),
             error_bound=0.0,
-            blocks_used=2,
+            blocks_used=2 if method == "raw" else 0,
             method=method,
             bound_is_heuristic=False,
         )

@@ -175,9 +175,9 @@ def kernel(family: Sequence[CoefficientVector]) -> KernelBasis:
 def verify_zero(v: CoefficientVector, eps: float) -> tuple[bool, EvalResult]:
     """Evaluate v with a rigorous bound and test whether 0 is inside it.
 
-    The accelerated route sums a short exact prefix and the exact digamma
-    tail, so its cost does not grow as eps shrinks and no block budget
-    limits which witnesses can be checked.
+    The accelerated route takes the exact digamma tail from block 0 and
+    sums no block, so its cost does not grow as eps shrinks and no block
+    budget limits which witnesses can be checked.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")

@@ -278,6 +278,31 @@ class TestEntryPoint:
         assert json.loads(proc.stdout)["command"] == "ln"
 
 
+class TestCachedParser:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_no_option_carries_over_to_the_next_call(self, capsys):
+        code, out, _ = run_capture(
+            capsys,
+            ["eval", "--T", "2", "--coeffs", "1,-1", "--method", "raw",
+             "--abs-err", "1e-5", "--format", "text"],
+        )
+        assert code == 0 and "method=raw" in out
+        code, out, _ = run_capture(capsys, ["ln", "2"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["inputs"] == {"T": 2, "abs_err": "1e-09", "method": "accelerated"}
+
+    def test_valid_call_after_a_usage_error(self, capsys):
+        assert run_capture(capsys, ["lnq", "5/3", "--no-such-flag"])[0] == 2
+        code, out, _ = run_capture(capsys, ["lnq", "5/3", "--abs-err", "1e-12"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["inputs"]["M"] == 5 and payload["inputs"]["L"] == 3
+        assert payload["value"].startswith("0.510825623765990")
+
+
 class TestBlockBudgetEnv:
     def test_budget_env_is_honoured(self, capsys, monkeypatch):
         monkeypatch.setenv("LOGSER_BLOCK_BUDGET", "100")
@@ -292,6 +317,14 @@ class TestBlockBudgetEnv:
         code, _, err = run_capture(capsys, ["ln", "2"])
         assert code == 1
         assert "LOGSER_BLOCK_BUDGET" in err
+
+    def test_budget_env_is_read_on_every_call(self, capsys, monkeypatch):
+        argv = ["ln", "2", "--abs-err", "1e-5", "--method", "raw"]
+        assert run_capture(capsys, argv)[0] == 0
+        monkeypatch.setenv("LOGSER_BLOCK_BUDGET", "100")
+        assert run_capture(capsys, argv)[0] == 1
+        monkeypatch.delenv("LOGSER_BLOCK_BUDGET")
+        assert run_capture(capsys, argv)[0] == 0
 
 
 class TestBench:

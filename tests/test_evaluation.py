@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import libmp, mp
 
+from logser import evaluation
 from logser import (
     BudgetExceeded,
     Unachievable,
@@ -22,6 +23,7 @@ from logser import (
     harmonic,
     lift,
     linear_combine,
+    ln_rational_vector,
     ln_vector,
     make_vector,
     moments,
@@ -232,13 +234,16 @@ class TestEvaluateAccelerated:
         assert abs(float(result.value) - LN2) <= result.error_bound
 
     @pytest.mark.parametrize("abs_err", [1e-10, 1e-20, 1e-30, 1e-45, 1e-60])
-    def test_bound_is_rigorous_vs_digamma_limit(self, abs_err):
+    def test_bound_is_rigorous_vs_digamma_limit(self, abs_err, monkeypatch):
+        # the default route is the digamma tail from block 0 alone
+        monkeypatch.setattr(evaluation, "partial_sum_exact", _no_exact_prefix)
         rng = random.Random(round(-math.log10(abs_err)))
         # at least twice the working precision the evaluator picks for these vectors
         bits = 2 * (math.ceil(-math.log2(abs_err)) + 64)
         for _ in range(8):
             v = random_balanced(rng, max_modulus=12)
             result = evaluate(v, abs_err)
+            assert result.blocks_used == 0
             assert result.error_bound <= abs_err
             with mp.workprec(bits):
                 gap = abs(result.value - _digamma_limit(v))
@@ -264,12 +269,36 @@ class TestEvaluateAccelerated:
     def test_explicit_prefixes_agree_within_bounds(self):
         rng = random.Random(31)
         for v in (ln_vector(5), random_balanced(rng, modulus=7)):
-            results = [evaluate(v, 1e-25, prefix_blocks=k) for k in (2, 10, 1000)]
-            assert [r.blocks_used for r in results] == [2, 10, 1000]
+            prefixes = [0, 1, 2, 10, 1000]
+            results = [evaluate(v, 1e-25, prefix_blocks=k) for k in prefixes]
+            assert [r.blocks_used for r in results] == prefixes
             with mp.workprec(200):
                 for a in results:
                     for b in results:
                         assert abs(a.value - b.value) <= a.error_bound + b.error_bound
+
+    def test_budget_caps_an_explicit_prefix(self):
+        result = evaluate(ln_vector(5), 1e-20, prefix_blocks=1000, block_budget=14)
+        assert result.blocks_used == 2
+        result = evaluate(ln_vector(5), 1e-20, prefix_blocks=1000, block_budget=4)
+        assert result.blocks_used == 0
+        with mp.workprec(200):
+            assert abs(result.value - mp.ln(5)) <= result.error_bound
+
+    def test_lnq_1001_1000_needs_no_exact_prefix(self):
+        # modulus 10010: even a 32-block exact prefix is 320,320 Fraction terms
+        v = ln_rational_vector(1001, 1000)
+        result = evaluate(v, 1e-12)
+        assert result.blocks_used == 0
+        with mp.workprec(300):
+            gap = abs(result.value - mp.log(mp.mpf(1001) / 1000))
+        assert gap <= result.error_bound <= 1e-12
+
+    def test_zero_vector_sums_no_blocks(self):
+        result = evaluate(make_vector(3, [0, 0, 0]), 1e-9)
+        assert result.value == 0
+        assert result.error_bound == 0.0
+        assert result.blocks_used == 0
 
     def test_linearity_within_bounds(self):
         rng = random.Random(23)
@@ -303,6 +332,12 @@ class TestEvaluateAccelerated:
             evaluate(ln_vector(2), 0.0)
         with pytest.raises(ValueError):
             evaluate(ln_vector(2), 1e-6, "fancy")
+        with pytest.raises(ValueError):
+            evaluate(ln_vector(2), 1e-6, prefix_blocks=-1)
+
+
+def _no_exact_prefix(*args, **kwargs):
+    raise AssertionError("the default accelerated route summed an exact prefix")
 
 
 def _digamma_limit(v):
