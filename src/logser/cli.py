@@ -275,12 +275,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_relations(args) -> int:
-    basis, micros = _timed(relations.divisor_relations, args.T)
-    witnesses, witness_micros = _timed(relations.relation_witnesses, args.T, basis)
-    micros += witness_micros
+    (basis, checks), micros = _timed(relations._checked_relations, args.T, 1e-6)
     entries = []
-    for rel, witness in zip(basis.vectors, witnesses):
-        ok, result = relations.verify_zero(witness, 1e-6)
+    for rel, (witness, ok, result) in zip(basis.vectors, checks):
         entries.append(
             {
                 "relation": [str(c) for c in rel],

@@ -4,8 +4,9 @@ The values of all balanced series over a fixed modulus T form a vector
 space over the rationals spanned by the T-1 difference vectors
 (1,-1,0,...), (0,1,-1,...), ..., (0,...,1,-1); expressing a vector in
 that basis is a telescoping prefix sum.  Exact kernels of vector
-families are computed by fraction-free (Bareiss) elimination so that
-every returned relation combines its family to the exact zero vector.
+families are computed in integers, by fraction-free (Bareiss)
+elimination and back-substitution, so that every returned relation
+combines its family to the exact zero vector.
 
 For composite moduli, logarithm vectors lifted from the proper divisors
 collide in value without colliding coefficient-wise (for instance
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import ModulusMismatch, NotComposite
@@ -37,6 +39,7 @@ from .vectors import (
 )
 
 _MAX_DIVISOR_MODULUS = 64
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -61,17 +64,18 @@ class KernelBasis:
         return len(self.vectors)
 
 
+def _difference(modulus: int, i: int) -> CoefficientVector:
+    """The difference vector over modulus with 1 at index i, -1 at i + 1."""
+    coeffs = [_ZERO] * modulus
+    coeffs[i], coeffs[i + 1] = Fraction(1), Fraction(-1)
+    return CoefficientVector(modulus, tuple(coeffs))
+
+
 def spanning_basis(modulus: int) -> list[CoefficientVector]:
     """The T-1 difference vectors spanning the balanced space over T."""
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
-    out = []
-    for i in range(modulus - 1):
-        coeffs = [Fraction(0)] * modulus
-        coeffs[i] = Fraction(1)
-        coeffs[i + 1] = Fraction(-1)
-        out.append(CoefficientVector(modulus, tuple(coeffs)))
-    return out
+    return [_difference(modulus, i) for i in range(modulus - 1)]
 
 
 def express_in_basis(v: CoefficientVector) -> list[Fraction]:
@@ -80,73 +84,73 @@ def express_in_basis(v: CoefficientVector) -> list[Fraction]:
     Always solvable for balanced input; recombining the basis with the
     returned coordinates reproduces v exactly.
     """
-    coords = []
-    running = Fraction(0)
-    for a in v.coeffs[:-1]:
-        running += a
-        coords.append(running)
-    return coords
+    return list(accumulate(v.coeffs[:-1]))
 
 
-def _normalize_relation(entries: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Scale to coprime integers with the first nonzero entry positive."""
-    mult = math.lcm(*(e.denominator for e in entries))
-    ints = [int(e * mult) for e in entries]
-    g = math.gcd(*ints)
-    if g > 1:
-        ints = [i // g for i in ints]
-    lead = next((i for i in ints if i), 0)
-    if lead < 0:
-        ints = [-i for i in ints]
-    return tuple(Fraction(i) for i in ints)
+def _normalize_relation(ints: Sequence[int]) -> tuple[Fraction, ...]:
+    """Divide out the gcd and make the first nonzero entry positive."""
+    g = math.gcd(*ints) * (1 if next(i for i in ints if i) > 0 else -1)
+    return tuple(Fraction(i // g) if i else _ZERO for i in ints)
 
 
 def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
     """Exact nullspace basis of a rational matrix given by rows.
 
-    Rows are cleared to integers, reduced to echelon form by Bareiss
+    Rows are cleared to integers and reduced to echelon form by Bareiss
     fraction-free elimination (pivot: first nonzero entry, scanning
-    columns left to right), and the free columns are back-substituted.
-    Deterministic, so repeated runs return identical bases.
+    columns left to right).  Each free column is back-substituted with
+    integer numerators over one running denominator: at a pivot p whose
+    row sums to s right of it, the numerators are scaled by p/gcd(s, p)
+    and the pivot's entry is -s/gcd(s, p).  The final normalization
+    (coprime, first nonzero entry positive) removes every scale, so the
+    denominator is never stored, and the result is the unique normalized
+    RREF basis for this pivot order (Bareiss 1968; Nakos, Turner and
+    Williams 1997, "Fraction-free algorithms for linear and polynomial
+    equations").
     """
     matrix = []
     for row in rows:
         mult = math.lcm(*(e.denominator for e in row))
-        matrix.append([int(e * mult) for e in row])
+        matrix.append([e.numerator * (mult // e.denominator) for e in row])
     nrows = len(matrix)
     pivot_cols: list[int] = []
-    prev = 1
-    r = 0
+    prev, r = 1, 0
     for c in range(ncols):
         pr = next((i for i in range(r, nrows) if matrix[i][c]), None)
         if pr is None:
             continue
         matrix[r], matrix[pr] = matrix[pr], matrix[r]
-        p = matrix[r][c]
+        pivot_row = matrix[r][c:]
+        p, pivot_sum = pivot_row[0], sum(pivot_row)
         for i in range(r + 1, nrows):
-            f = matrix[i][c]
-            for cc in range(c, ncols):
-                q, rem = divmod(p * matrix[i][cc] - f * matrix[r][cc], prev)
-                if rem:
-                    raise ArithmeticError("fraction-free elimination lost exactness")
-                matrix[i][cc] = q
+            row = matrix[i]
+            f = row[c]
+            quotients = [(p * a - f * b) // prev for a, b in zip(row[c:], pivot_row)]
+            # every floor remainder has the sign of prev, so all of them
+            # are 0 exactly when they sum to 0
+            if p * sum(row[c:]) - f * pivot_sum != prev * sum(quotients):
+                raise ArithmeticError("fraction-free elimination lost exactness")
+            row[c:] = quotients
         prev = p
         pivot_cols.append(c)
         r += 1
-        if r == nrows:
-            break
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    # (pivot column, pivot, nonzero entries right of the pivot) per pivot row
+    pivots = [
+        (c, matrix[i][c], [(cc, matrix[i][cc]) for cc in range(c + 1, ncols) if matrix[i][cc]])
+        for i, c in enumerate(pivot_cols)
+    ]
     basis = []
-    for fc in free_cols:
-        x = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
-        for i in reversed(range(len(pivot_cols))):
-            c = pivot_cols[i]
-            s = sum(
-                (Fraction(matrix[i][cc]) * x[cc] for cc in range(c + 1, ncols) if x[cc]),
-                Fraction(0),
-            )
-            x[c] = -s / matrix[i][c]
+    for fc in sorted(set(range(ncols)) - set(pivot_cols)):
+        x = [0] * ncols
+        x[fc] = 1
+        for c, p, tail in reversed(pivots):
+            s = sum(m * x[cc] for cc, m in tail)
+            if s:
+                g = math.gcd(s, p)
+                if p != g:
+                    scale = p // g
+                    x = [scale * e for e in x]
+                x[c] = -s // g
         basis.append(_normalize_relation(x))
     return basis
 
@@ -166,10 +170,7 @@ def kernel(family: Sequence[CoefficientVector]) -> KernelBasis:
                 f"family mixes moduli {modulus} and {vec.modulus}; lift first"
             )
     rows = [[vec.coeffs[slot] for vec in family] for slot in range(modulus)]
-    return KernelBasis(
-        vectors=tuple(_nullspace(rows, len(family))),
-        family_size=len(family),
-    )
+    return KernelBasis(tuple(_nullspace(rows, len(family))), len(family))
 
 
 def verify_zero(v: CoefficientVector, eps: float) -> tuple[bool, EvalResult]:
@@ -206,13 +207,49 @@ def divisor_family(T: int) -> list[CoefficientVector]:
 
 def _log_positions(T: int) -> list[tuple[int, int]]:
     """(label, family index) of each logarithm vector in divisor_family."""
-    out = []
-    idx = T - 1
+    out, idx = [], T - 1
     for d in _proper_divisors(T):
         out.append((d, idx))
         idx += d  # the lift of ln_vector(d) plus d-1 lifted difference vectors
     out.append((T, idx))
     return out
+
+
+def _checked_relations(T: int, eps: float) -> tuple[KernelBasis, list[tuple]]:
+    """divisor_relations(T), and per relation its (witness, ok, EvalResult)."""
+    if not 1 <= T <= _MAX_DIVISOR_MODULUS:
+        raise ValueError(f"T must be in [1, {_MAX_DIVISOR_MODULUS}]")
+    logs = _log_positions(T)
+    if len(logs) == 1:
+        raise NotComposite(f"T={T} has no proper divisor >= 2")
+    size = logs[-1][1] + 1  # ln_vector(T) is the family's last member
+    labels = [d for d, _ in logs]
+    exponent_rows = [[_factorize(d).get(p, 0) for d in labels] for p in factor_radical(T)]
+    # lift(ln_vector(d), T // d) holds 1 - d at multiples of d, 1 elsewhere
+    slots = [[1 - d if s % d == 0 else 1 for d in labels] for s in range(1, T + 1)]
+    relations, checks = [], []
+    for rel in _nullspace(exponent_rows, len(labels)):
+        rel = [int(c) for c in rel]
+        coeffs = [sum(c * a for c, a in zip(rel, slot)) for slot in slots]
+        lead = next((a for a in coeffs if a), 0)
+        if not lead:
+            continue
+        # the relation's first nonzero entry is -lead, a prefix sum, and rel
+        # is coprime, so normalizing the relation only fixes that sign
+        sign = -1 if lead > 0 else 1
+        witness = make_vector(T, [sign * a for a in coeffs])
+        ok, result = verify_zero(witness, eps)
+        if not ok:
+            raise ArithmeticError(
+                f"witness {witness} failed its zero check: value {result.value} "
+                f"outside bound {result.error_bound}"
+            )
+        full = [-coord for coord in express_in_basis(witness)] + [_ZERO] * (size - T + 1)
+        for c, (_, pos) in zip(rel, logs):
+            full[pos] = Fraction(sign * c)
+        relations.append(tuple(full))
+        checks.append((witness, ok, result))
+    return KernelBasis(vectors=tuple(relations), family_size=size), checks
 
 
 def divisor_relations(T: int, *, eps: float = 1e-6) -> KernelBasis:
@@ -221,67 +258,43 @@ def divisor_relations(T: int, *, eps: float = 1e-6) -> KernelBasis:
     Multiplicative relations among the proper divisors of T and T itself
     (for instance 4 = 2^2 or 6 = 2*3) are found exactly from the prime
     exponent matrix, using the same fraction-free nullspace engine as
-    ``kernel``.  Each relation is embedded over ``divisor_family(T)``:
-    its entries over the logarithm vectors combine to a balanced vector
-    with nonzero coefficients whose series value is 0 (checked here via
-    ``verify_zero`` at eps), and the difference-basis entries cancel
-    that witness exactly, so the full tuple is a genuine kernel relation
-    of the family.  Use ``relation_witnesses`` to recover the witnesses.
-
-    No completeness is claimed; the basis exposes what the divisor
-    structure provides.
+    ``kernel``.  Each is written in closed form as a kernel relation of
+    ``divisor_family(T)``, which is not built: over the logarithm vectors
+    it is the exponent relation, combining their lifts into a balanced
+    witness with nonzero coefficients and series value 0; over the
+    difference basis it is minus the witness's prefix sums
+    (``express_in_basis``), cancelling it exactly; elsewhere it is 0.
+    The witness, the one vector built and the one ``relation_witnesses``
+    returns, is checked once via ``verify_zero`` at eps.  No
+    completeness is claimed.
     """
-    if not 1 <= T <= _MAX_DIVISOR_MODULUS:
-        raise ValueError(f"T must be in [1, {_MAX_DIVISOR_MODULUS}]")
-    divisors = _proper_divisors(T)
-    if not divisors:
-        raise NotComposite(f"T={T} has no proper divisor >= 2")
-    family = divisor_family(T)
-    logs = _log_positions(T)
-    labels = [label for label, _ in logs]
-    primes = factor_radical(T)
-    exponent_rows = [
-        [Fraction(_factorize(label).get(p, 0)) for label in labels] for p in primes
-    ]
-    relations = []
-    for rel in _nullspace(exponent_rows, len(labels)):
-        terms = [(rel[i], family[pos]) for i, (_, pos) in enumerate(logs) if rel[i]]
-        witness = linear_combine(terms)
-        if witness.is_zero():
-            continue
-        ok, result = verify_zero(witness, eps)
-        if not ok:
-            raise ArithmeticError(
-                f"witness {witness} failed its zero check: value {result.value} "
-                f"outside bound {result.error_bound}"
-            )
-        full = [Fraction(0)] * len(family)
-        for i, coord in enumerate(express_in_basis(witness)):
-            full[i] = -coord
-        for i, (_, pos) in enumerate(logs):
-            full[pos] = rel[i]
-        relations.append(_normalize_relation(full))
-    return KernelBasis(vectors=tuple(relations), family_size=len(family))
+    return _checked_relations(T, eps)[0]
 
 
 def relation_witnesses(
     T: int, basis: KernelBasis | None = None
 ) -> list[CoefficientVector]:
-    """Zero-series witnesses carried by divisor_relations(T).
+    """Zero-series witnesses carried by relations over divisor_family(T).
 
-    Each witness recombines the non-basis part of one relation; it is a
-    balanced vector with nonzero coefficients whose series value is 0.
+    Each witness recombines the non-basis part of one relation; for
+    divisor_relations(T) it has nonzero coefficients and series value 0.
+    Only the family members at nonzero non-basis entries are built, and
+    any basis over divisor_family(T) works, kernel(divisor_family(T))
+    included.
     """
     if basis is None:
         basis = divisor_relations(T)
-    family = divisor_family(T)
-    if basis.family_size != len(family):
+    logs = _log_positions(T)
+    if T < 2 or basis.family_size != logs[-1][1] + 1:
         raise ValueError("basis does not belong to divisor_family(T)")
+    members = {}
+    for i in range(T - 1, basis.family_size):
+        if any(rel[i] for rel in basis.vectors):
+            d, start = next(log for log in reversed(logs) if log[1] <= i)
+            base = ln_vector(d) if i == start else _difference(d, i - start - 1)
+            members[i] = lift(base, T // d)
     out = []
     for rel in basis.vectors:
-        terms = [(rel[i], family[i]) for i in range(T - 1, len(family)) if rel[i]]
-        if terms:
-            out.append(linear_combine(terms))
-        else:
-            out.append(make_vector(T, [0] * T))
+        terms = [(rel[i], member) for i, member in members.items() if rel[i]]
+        out.append(linear_combine(terms) if terms else make_vector(T, [0] * T))
     return out

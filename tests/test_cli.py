@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 from mpmath import mp
 
-from logser import cli, evaluate, make_vector, rearranged_terms
+from logser import cli, evaluate, make_vector, rearranged_terms, relations
 from logser.cli import CSV_HEADER, bench, run
 
 
@@ -172,6 +172,22 @@ class TestJsonOutput:
             payload = json.loads(out)
             assert payload["relation_count"] >= 1
             assert all(entry["verified_zero"] for entry in payload["relations"])
+
+    def test_relations_checks_each_witness_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(v, eps):
+            calls.append(v)
+            return verify_zero(v, eps)
+
+        verify_zero = relations.verify_zero
+        monkeypatch.setattr(relations, "verify_zero", counting)
+        code, out, _ = run_capture(capsys, ["relations", "--T", "12"])
+        assert code == 0
+        payload = json.loads(out)
+        assert len(calls) == payload["relation_count"] >= 1
+        printed = [[Fraction(c) for c in e["witness_coeffs"]] for e in payload["relations"]]
+        assert [list(v.coeffs) for v in calls] == printed
 
     def test_value_carries_more_than_double_precision(self, capsys):
         _, out, _ = run_capture(capsys, ["ln", "2", "--abs-err", "1e-25"])

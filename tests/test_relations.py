@@ -1,5 +1,6 @@
 """Spanning basis, exact kernels, zero-series verification."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -24,6 +25,63 @@ from logser import (
 )
 
 from conftest import random_balanced
+
+COMPOSITES = [T for T in range(4, 65) if any(T % d == 0 for d in range(2, T))]
+
+
+def gauss_jordan_kernel(family):
+    """Normalized nullspace of the family's columns, by Gauss-Jordan over Fraction.
+
+    An independent reference for ``kernel``: it reduces to RREF with the
+    same pivot order (first nonzero entry, columns left to right), reads
+    each free column's solution off the reduced rows and scales it to
+    coprime integers with a positive first nonzero entry.
+    """
+    ncols = len(family)
+    rows = [[v.coeffs[slot] for v in family] for slot in range(family[0].modulus)]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [e / rows[r][c] for e in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [a - row[c] * b for a, b in zip(row, rows[r])]
+        pivots.append(c)
+    out = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(0)] * ncols
+        x[fc] = Fraction(1)
+        for i, c in enumerate(pivots):
+            x[c] = -rows[i][fc]
+        scale = math.lcm(*(e.denominator for e in x))
+        ints = [int(e * scale) for e in x]
+        g = math.gcd(*ints)
+        if next(i for i in ints if i) < 0:
+            g = -g
+        out.append(tuple(Fraction(i, g) for i in ints))
+    return tuple(out)
+
+
+@st.composite
+def rational_families(draw):
+    """Small families of balanced rational vectors, with zero and duplicate columns."""
+    T = draw(st.integers(2, 6))
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    family = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(("random", "zero", "duplicate")))
+        if kind == "zero":
+            family.append(make_vector(T, [0] * T))
+        elif kind == "duplicate" and family:
+            family.append(draw(st.sampled_from(family)))
+        else:
+            head = draw(st.lists(coeff, min_size=T - 1, max_size=T - 1))
+            family.append(make_vector(T, head + [-sum(head)]))
+    return family
 
 
 class TestSpanningBasis:
@@ -102,6 +160,16 @@ class TestKernel:
             combo = linear_combine(list(zip(rel, family)))
             assert combo.is_zero()
 
+    @pytest.mark.parametrize("T", [12, 24, 36])
+    def test_divisor_family_matches_gauss_jordan(self, T):
+        family = divisor_family(T)
+        assert kernel(family).vectors == gauss_jordan_kernel(family)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_families())
+    def test_matches_gauss_jordan(self, family):
+        assert kernel(family).vectors == gauss_jordan_kernel(family)
+
     def test_rational_coefficients_handled_exactly(self):
         family = [
             make_vector(2, [Fraction(1, 3), Fraction(-1, 3)]),
@@ -144,9 +212,7 @@ class TestDivisorRelations:
                 matches.append(w)
         assert matches, f"no witness proportional to {target} in {witnesses}"
 
-    @pytest.mark.parametrize(
-        "T", [T for T in range(4, 65) if any(T % d == 0 for d in range(2, T))]
-    )
+    @pytest.mark.parametrize("T", COMPOSITES)
     def test_composite_moduli_have_verified_witnesses(self, T):
         basis = divisor_relations(T)
         assert len(basis) >= 1
@@ -156,11 +222,14 @@ class TestDivisorRelations:
             assert ok
 
     def test_relations_are_exact_kernel_elements(self):
-        for T in (4, 6, 9, 10):
+        # divisor_relations never builds divisor_family; this ties the two
+        for T in COMPOSITES:
             family = divisor_family(T)
             basis = divisor_relations(T)
             assert basis.family_size == len(family)
             for rel in basis.vectors:
+                assert next(c for c in rel if c) > 0
+                assert math.gcd(*(int(c) for c in rel)) == 1
                 combo = linear_combine(list(zip(rel, family)))
                 assert combo.is_zero()
 
@@ -179,3 +248,27 @@ class TestDivisorRelations:
         assert family[5] == lift(ln_vector(2), 3)
         assert family[7] == lift(ln_vector(3), 2)
         assert family[-1] == ln_vector(6)
+
+    @pytest.mark.parametrize("T", [6, 12, 24])
+    def test_witnesses_of_a_kernel_basis(self, T):
+        family = divisor_family(T)
+        basis = kernel(family)
+        expected = []
+        for rel in basis.vectors:
+            terms = [(c, v) for c, v in zip(rel[T - 1 :], family[T - 1 :]) if c]
+            expected.append(linear_combine(terms) if terms else make_vector(T, [0] * T))
+        assert relation_witnesses(T, basis) == expected
+        # these relations also use the lifted difference vectors
+        logs, idx = {T - 1}, T - 1
+        for d in range(2, T):
+            if T % d == 0:
+                idx += d
+                logs.add(idx)
+        lifted_differences = set(range(T - 1, len(family))) - logs
+        assert any(rel[i] for rel in basis.vectors for i in lifted_differences)
+
+    def test_witnesses_reject_a_basis_of_another_family(self):
+        with pytest.raises(ValueError):
+            relation_witnesses(12, divisor_relations(6))
+        with pytest.raises(ValueError):
+            relation_witnesses(6, kernel(spanning_basis(6) + [ln_vector(6)]))
