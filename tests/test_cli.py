@@ -175,12 +175,12 @@ class TestJsonOutput:
 
     def test_relations_checks_each_witness_once(self, capsys, monkeypatch):
         calls = []
+        verify_zero = relations.verify_zero
 
         def counting(v, eps):
             calls.append(v)
             return verify_zero(v, eps)
 
-        verify_zero = relations.verify_zero
         monkeypatch.setattr(relations, "verify_zero", counting)
         code, out, _ = run_capture(capsys, ["relations", "--T", "12"])
         assert code == 0
