@@ -275,9 +275,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_relations(args) -> int:
-    (basis, checks), micros = _timed(relations._checked_relations, args.T, 1e-6)
+    (basis, checks), micros = _timed(relations._checked_relations, args.T)
     entries = []
-    for rel, (witness, ok, result) in zip(basis.vectors, checks):
+    for rel, (witness, result) in zip(basis.vectors, checks):
         entries.append(
             {
                 "relation": [str(c) for c in rel],
@@ -285,7 +285,7 @@ def _cmd_relations(args) -> int:
                 "witness_coeffs": [str(c) for c in witness.coeffs],
                 "witness_value": _real(result.value, 17),
                 "witness_bound": repr(result.error_bound),
-                "verified_zero": ok,
+                "verified_zero": True,
             }
         )
     payload = {

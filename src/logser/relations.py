@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Sequence
 
 from .errors import ModulusMismatch, NotComposite
@@ -64,18 +63,17 @@ class KernelBasis:
         return len(self.vectors)
 
 
-def _difference(modulus: int, i: int) -> CoefficientVector:
-    """The difference vector over modulus with 1 at index i, -1 at i + 1."""
-    coeffs = [_ZERO] * modulus
-    coeffs[i], coeffs[i + 1] = Fraction(1), Fraction(-1)
-    return CoefficientVector(modulus, tuple(coeffs))
-
-
 def spanning_basis(modulus: int) -> list[CoefficientVector]:
     """The T-1 difference vectors spanning the balanced space over T."""
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
-    return [_difference(modulus, i) for i in range(modulus - 1)]
+    out = []
+    for i in range(modulus - 1):
+        coeffs = [Fraction(0)] * modulus
+        coeffs[i] = Fraction(1)
+        coeffs[i + 1] = Fraction(-1)
+        out.append(CoefficientVector(modulus, tuple(coeffs)))
+    return out
 
 
 def express_in_basis(v: CoefficientVector) -> list[Fraction]:
@@ -84,7 +82,12 @@ def express_in_basis(v: CoefficientVector) -> list[Fraction]:
     Always solvable for balanced input; recombining the basis with the
     returned coordinates reproduces v exactly.
     """
-    return list(accumulate(v.coeffs[:-1]))
+    coords = []
+    running = Fraction(0)
+    for a in v.coeffs[:-1]:
+        running += a
+        coords.append(running)
+    return coords
 
 
 def _normalize_relation(ints: Sequence[int]) -> tuple[Fraction, ...]:
@@ -98,15 +101,12 @@ def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, .
 
     Rows are cleared to integers and reduced to echelon form by Bareiss
     fraction-free elimination (pivot: first nonzero entry, scanning
-    columns left to right).  Each free column is back-substituted with
-    integer numerators over one running denominator: at a pivot p whose
-    row sums to s right of it, the numerators are scaled by p/gcd(s, p)
-    and the pivot's entry is -s/gcd(s, p).  The final normalization
-    (coprime, first nonzero entry positive) removes every scale, so the
-    denominator is never stored, and the result is the unique normalized
-    RREF basis for this pivot order (Bareiss 1968; Nakos, Turner and
-    Williams 1997, "Fraction-free algorithms for linear and polynomial
-    equations").
+    columns left to right).  Each free column is back-substituted in
+    integers: at a pivot p whose row sums to s right of it, the entries
+    are scaled by p/gcd(s, p) and the pivot's entry is -s/gcd(s, p).
+    Normalizing once at the end (coprime, first nonzero entry positive)
+    gives the unique normalized RREF basis for this pivot order (Bareiss
+    1968; Nakos, Turner and Williams 1997).
     """
     matrix = []
     for row in rows:
@@ -114,7 +114,8 @@ def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, .
         matrix.append([e.numerator * (mult // e.denominator) for e in row])
     nrows = len(matrix)
     pivot_cols: list[int] = []
-    prev, r = 1, 0
+    prev = 1
+    r = 0
     for c in range(ncols):
         pr = next((i for i in range(r, nrows) if matrix[i][c]), None)
         if pr is None:
@@ -170,7 +171,10 @@ def kernel(family: Sequence[CoefficientVector]) -> KernelBasis:
                 f"family mixes moduli {modulus} and {vec.modulus}; lift first"
             )
     rows = [[vec.coeffs[slot] for vec in family] for slot in range(modulus)]
-    return KernelBasis(tuple(_nullspace(rows, len(family))), len(family))
+    return KernelBasis(
+        vectors=tuple(_nullspace(rows, len(family))),
+        family_size=len(family),
+    )
 
 
 def verify_zero(v: CoefficientVector, eps: float) -> tuple[bool, EvalResult]:
@@ -207,7 +211,8 @@ def divisor_family(T: int) -> list[CoefficientVector]:
 
 def _log_positions(T: int) -> list[tuple[int, int]]:
     """(label, family index) of each logarithm vector in divisor_family."""
-    out, idx = [], T - 1
+    out = []
+    idx = T - 1
     for d in _proper_divisors(T):
         out.append((d, idx))
         idx += d  # the lift of ln_vector(d) plus d-1 lifted difference vectors
@@ -215,28 +220,30 @@ def _log_positions(T: int) -> list[tuple[int, int]]:
     return out
 
 
-def _checked_relations(T: int, eps: float) -> tuple[KernelBasis, list[tuple]]:
-    """divisor_relations(T), and per relation its (witness, ok, EvalResult)."""
+def _checked_relations(T: int, eps: float = 1e-6) -> tuple[KernelBasis, list[tuple]]:
+    """divisor_relations(T), and per relation its (witness, EvalResult)."""
     if not 1 <= T <= _MAX_DIVISOR_MODULUS:
         raise ValueError(f"T must be in [1, {_MAX_DIVISOR_MODULUS}]")
     logs = _log_positions(T)
     if len(logs) == 1:
         raise NotComposite(f"T={T} has no proper divisor >= 2")
     size = logs[-1][1] + 1  # ln_vector(T) is the family's last member
-    labels = [d for d, _ in logs]
-    exponent_rows = [[_factorize(d).get(p, 0) for d in labels] for p in factor_radical(T)]
+    labels = [label for label, _ in logs]
     # lift(ln_vector(d), T // d) holds 1 - d at multiples of d, 1 elsewhere
     slots = [[1 - d if s % d == 0 else 1 for d in labels] for s in range(1, T + 1)]
-    relations, checks = [], []
+    exponent_rows = [
+        [_factorize(label).get(p, 0) for label in labels] for p in factor_radical(T)
+    ]
+    relations = []
+    checks = []
     for rel in _nullspace(exponent_rows, len(labels)):
         rel = [int(c) for c in rel]
         coeffs = [sum(c * a for c, a in zip(rel, slot)) for slot in slots]
-        lead = next((a for a in coeffs if a), 0)
-        if not lead:
+        if not any(coeffs):
             continue
-        # the relation's first nonzero entry is -lead, a prefix sum, and rel
-        # is coprime, so normalizing the relation only fixes that sign
-        sign = -1 if lead > 0 else 1
+        # normalized, the relation's first nonzero entry is minus the
+        # witness's first nonzero coefficient, and rel is already coprime
+        sign = -1 if next(a for a in coeffs if a) > 0 else 1
         witness = make_vector(T, [sign * a for a in coeffs])
         ok, result = verify_zero(witness, eps)
         if not ok:
@@ -244,11 +251,12 @@ def _checked_relations(T: int, eps: float) -> tuple[KernelBasis, list[tuple]]:
                 f"witness {witness} failed its zero check: value {result.value} "
                 f"outside bound {result.error_bound}"
             )
-        full = [-coord for coord in express_in_basis(witness)] + [_ZERO] * (size - T + 1)
+        full = [-coord for coord in express_in_basis(witness)]
+        full += [_ZERO] * (size - T + 1)
         for c, (_, pos) in zip(rel, logs):
             full[pos] = Fraction(sign * c)
         relations.append(tuple(full))
-        checks.append((witness, ok, result))
+        checks.append((witness, result))
     return KernelBasis(vectors=tuple(relations), family_size=size), checks
 
 
@@ -256,17 +264,14 @@ def divisor_relations(T: int, *, eps: float = 1e-6) -> KernelBasis:
     """Exact relations witnessing value collisions for a composite modulus.
 
     Multiplicative relations among the proper divisors of T and T itself
-    (for instance 4 = 2^2 or 6 = 2*3) are found exactly from the prime
-    exponent matrix, using the same fraction-free nullspace engine as
-    ``kernel``.  Each is written in closed form as a kernel relation of
-    ``divisor_family(T)``, which is not built: over the logarithm vectors
-    it is the exponent relation, combining their lifts into a balanced
-    witness with nonzero coefficients and series value 0; over the
-    difference basis it is minus the witness's prefix sums
-    (``express_in_basis``), cancelling it exactly; elsewhere it is 0.
-    The witness, the one vector built and the one ``relation_witnesses``
-    returns, is checked once via ``verify_zero`` at eps.  No
-    completeness is claimed.
+    (for instance 4 = 2^2 or 6 = 2*3) come exactly from the prime
+    exponent matrix, via the nullspace engine of ``kernel``.  Each is a
+    kernel relation of ``divisor_family(T)`` in closed form, and only its
+    witness is built: the exponent relation over the logarithm vectors
+    combines their lifts into a witness of series value 0, checked once
+    via ``verify_zero`` at eps; over the difference basis the relation is
+    minus the witness's prefix sums, and elsewhere 0.  No completeness
+    is claimed.
     """
     return _checked_relations(T, eps)[0]
 
@@ -276,25 +281,20 @@ def relation_witnesses(
 ) -> list[CoefficientVector]:
     """Zero-series witnesses carried by relations over divisor_family(T).
 
-    Each witness recombines the non-basis part of one relation; for
-    divisor_relations(T) it has nonzero coefficients and series value 0.
-    Only the family members at nonzero non-basis entries are built, and
-    any basis over divisor_family(T) works, kernel(divisor_family(T))
-    included.
+    Each witness recombines the non-basis part of one relation over the
+    family, which is built here; for divisor_relations(T) it has nonzero
+    coefficients and series value 0.
     """
     if basis is None:
         basis = divisor_relations(T)
-    logs = _log_positions(T)
-    if T < 2 or basis.family_size != logs[-1][1] + 1:
+    family = divisor_family(T)
+    if basis.family_size != len(family):
         raise ValueError("basis does not belong to divisor_family(T)")
-    members = {}
-    for i in range(T - 1, basis.family_size):
-        if any(rel[i] for rel in basis.vectors):
-            d, start = next(log for log in reversed(logs) if log[1] <= i)
-            base = ln_vector(d) if i == start else _difference(d, i - start - 1)
-            members[i] = lift(base, T // d)
     out = []
     for rel in basis.vectors:
-        terms = [(rel[i], member) for i, member in members.items() if rel[i]]
-        out.append(linear_combine(terms) if terms else make_vector(T, [0] * T))
+        terms = [(rel[i], family[i]) for i in range(T - 1, len(family)) if rel[i]]
+        if terms:
+            out.append(linear_combine(terms))
+        else:
+            out.append(make_vector(T, [0] * T))
     return out
