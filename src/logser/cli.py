@@ -226,7 +226,7 @@ def _cmd_gamma(args) -> int:
         # (0, 1/(n(n+1))) and telescope to at most 1/n
         "error_bound": repr(1.0 / args.n),
         "bound_is_heuristic": False,
-        "blocks_used": args.n,
+        "blocks_used": 0,
         "wall_time_micros": micros,
     }
     _emit(payload, args.format)

@@ -24,14 +24,17 @@ Two evaluation routes are provided:
 
 Exact partial sums, harmonic numbers and the term stream of the
 rearranged form live here as well, all in exact rational arithmetic.
+The Euler-Mascheroni partials H_n - ln n live here too, computed by the
+floating-point kernel as psi(n+1) + gamma - ln n, with no harmonic sum.
 Partial sums and harmonic numbers are both weighted harmonic sums
 sum_m w_m / m with periodic integer weights, and one kernel sums them
 by balanced splitting rather than adding one term at a time to an
 ever larger running rational.  The floating-point kernel computes psi
 in integers scaled by 2^(prec+10), prec >= 96 by default, and reads no
 mpmath context: no precision set elsewhere in the process changes a
-result, concurrent calls need no lock, and values become mpmath.mpf only
-on the way out.  Requests below the precision floor raise Unachievable.
+result, concurrent calls need no lock (mpmath's memos of ln 2 and gamma
+leave the window described in _euler), and values become mpmath.mpf
+only on the way out.  Requests below the precision floor raise Unachievable.
 """
 
 from __future__ import annotations
@@ -47,7 +50,14 @@ from mpmath import libmp, mp
 from .errors import BudgetExceeded, Unachievable
 from .vectors import CoefficientVector
 
+# counts block-terms.  It bounds the cost of exact prefixes; in raw mode it
+# bounds the truncation only, as the K-block sum is two psi tails whatever K is
 DEFAULT_BLOCK_BUDGET = 10**6
+# bounds harmonic, rearranged_terms and `logser rearranged`, whose exact
+# sums grow with n.  Single runs (2-vCPU x86_64, CPython 3.11, no gmpy2) at
+# n = 1e4 / 1e5 / 2e5 / 5e5 / 1e6: harmonic(n) 0.008 / 0.26 / 0.87 / 4.6 /
+# 17 s, rearranged_terms(2, n) 0.008 / 0.08 / 0.17 / 0.49 / 1.0 s.
+# gamma_partial keeps the limit as a domain contract only.
 TERM_LIMIT = 10**6
 
 _MIN_PREC = 96
@@ -150,7 +160,13 @@ def _integer_weights(v: CoefficientVector) -> tuple[list[int], int]:
 
 
 def harmonic(n: int) -> Fraction:
-    """Exact harmonic number H_n = 1 + 1/2 + ... + 1/n, with H_0 = 0."""
+    """Exact harmonic number H_n = 1 + 1/2 + ... + 1/n, with H_0 = 0.
+
+    The cost grows faster than n, as the exact sum's numerator and
+    denominator grow: single runs at n = 1e4 / 1e5 / 2e5 / 5e5 / 1e6 took
+    0.008 / 0.26 / 0.87 / 4.6 / 17 s (2-vCPU x86_64, CPython 3.11, no
+    gmpy2), so n stops at TERM_LIMIT.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > TERM_LIMIT:
@@ -233,17 +249,29 @@ def rearranged_terms(modulus: int, count: int) -> list[Fraction]:
 
 
 def gamma_partial(n: int) -> GammaPartial:
-    """A_n = H_n - ln n with the harmonic part exact.
+    """A_n = H_n - ln n, from H_n = psi(n+1) + gamma (DLMF 5.4.14).
 
-    The sequence decreases to the Euler-Mascheroni constant, each step
-    satisfying -1/(n(n+1)) < A_{n+1} - A_n < 0.
+    The sequence decreases to the Euler-Mascheroni constant gamma, each
+    step satisfying -1/(n(n+1)) < A_{n+1} - A_n < 0.  No harmonic sum is
+    formed, so the cost does not grow with n: TERM_LIMIT bounds n as a
+    domain contract only, not as a cost bound.
+
+    Error, in units u = 2^-(prec+10) at prec = 96: psi(n+1) at T = 1
+    takes at most 30 upward recurrence steps (threshold 32, n + 1 >= 2),
+    each a floor division that errs by under u.  Under u more for
+    1/(2x), N = 11 Horner steps, under u for the floored 1/x^2 and
+    Stirling coefficients, two units for ln x and 4u of series remainder
+    make under 49u in all.  ln n is within two units and gamma is floored
+    once, so the fixed-point sum is within 52u < 2^-100 of A_n.  Rounding
+    it to 96 bits comes last and adds at most 2^-97, as gamma < A_n <= 1:
+    under 7e-30 in total.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > TERM_LIMIT:
         raise BudgetExceeded(f"n={n} exceeds the term limit of {TERM_LIMIT}")
-    h, wp = harmonic(n), _MIN_PREC + 10
-    value = (h.numerator << wp) // h.denominator - _ln_fixed(n, 1, wp)
+    wp = _MIN_PREC + 10
+    value = _psi(n + 1, 1, _MIN_PREC) + _euler(_MIN_PREC) - _ln_fixed(n, 1, wp)
     return GammaPartial(n=n, value=_mpf(value, _MIN_PREC))
 
 
@@ -274,8 +302,30 @@ def _stirling(prec: int) -> tuple[int, ...]:
         out.append((p << (prec + 10)) // (n * q))
 
 
+@functools.lru_cache(maxsize=None)
+def _euler(prec: int) -> int:
+    """Euler's constant gamma scaled by 2^(prec+10) and floored.
+
+    libmp.mpf_euler memoises through mpmath's constant_memo, which stores
+    memo_val before memo_prec when a caller asks for more precision than
+    the memo holds.  A read of the pair by another thread that falls
+    between those two stores pairs the new value with the old precision
+    and returns gamma shifted by a power of two.  The cache reads the
+    memo once per precision, so that window remains open only on the
+    first call at each precision; a value read in it would be kept.
+    """
+    wp = prec + 10
+    return int(libmp.to_fixed(libmp.mpf_euler(wp, libmp.round_floor), wp))
+
+
 def _ln_fixed(p: int, q: int, wp: int) -> int:
-    """ln(p/q) scaled by 2^wp, within two units for p/q < e^(2^18)."""
+    """ln(p/q) scaled by 2^wp, within two units for p/q < e^(2^18).
+
+    mpf_log reads mpmath's ln 2 memo, which has the window described in
+    _euler, on every call.  Below 2500 bits it takes no other constant:
+    pi enters only its AGM branch above that, which no precision here
+    reaches.
+    """
     log = libmp.mpf_log(libmp.from_rational(p, q, wp + 20), wp + 20)
     return int(libmp.to_fixed(log, wp))
 

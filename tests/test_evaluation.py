@@ -15,6 +15,7 @@ from mpmath import libmp, mp
 
 from logser import evaluation
 from logser import (
+    TERM_LIMIT,
     BudgetExceeded,
     Unachievable,
     block_term,
@@ -398,16 +399,26 @@ class TestGammaPartial:
         assert a == pytest.approx(gamma_ref + 1 / 20000, abs=1e-8)
 
     def test_bracket_on_consecutive_partials(self):
-        previous = None
-        running = Fraction(0)
-        for n in range(1, 400):
-            running += Fraction(1, n)
-            with mp.workprec(96):
-                current = mp.mpf(running.numerator) / running.denominator - mp.ln(n)
-            if previous is not None:
-                step = float(current - previous)
-                assert -1.0 / ((n - 1) * n) - 1e-12 < step < 1e-12
-            previous = current
+        # -1/(n(n+1)) < A_{n+1} - A_n < 0, with a margin of about 1/(2n^2)
+        # against an error under 1e-29 in each partial
+        sampled = random.Random(8).sample(range(400, TERM_LIMIT), 60)
+        for n in [*range(1, 401), *sampled, TERM_LIMIT - 1]:
+            step = _fraction(gamma_partial(n + 1).value) - _fraction(
+                gamma_partial(n).value
+            )
+            assert Fraction(-1, n * (n + 1)) < step < 0, n
+
+    def test_within_1e25_of_reference_without_a_harmonic_sum(self, monkeypatch):
+        def no_harmonic(n):
+            raise AssertionError("gamma_partial summed a harmonic number")
+
+        monkeypatch.setattr(evaluation, "harmonic", no_harmonic)
+        # psi(n+1) recurs up to its threshold 32 for n <= 30 and not past it
+        sampled = random.Random(9).sample(range(65, 10**6), 40)
+        with mp.workprec(300):
+            for n in [*range(1, 65), *sampled, 10**6]:
+                reference = mp.harmonic(n) - mp.log(n)
+                assert abs(gamma_partial(n).value - reference) <= 1e-25, n
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -473,3 +484,48 @@ class TestConcurrency:
             for result, T in zip(evals, (T for T in moduli for _ in range(2))):
                 error = abs(_fraction(result.value) - logs[T])
                 assert error <= Fraction(result.error_bound), (T, result.error_bound)
+
+    def test_threads_and_a_gamma_memo_writer_leave_partials_unchanged(self):
+        # gamma and ln 2 come from mpmath's constant memos, which a thread
+        # evaluating mpmath.euler at rising precision keeps rewriting
+        ns = [*range(1, 65), 999, 10**4, 123457, 10**6]
+
+        def work():
+            return [gamma_partial(n).value._mpf_ for n in ns]
+
+        expected = work()
+        risen = threading.Event()
+
+        def raise_memo_and_flip_precision():
+            prec = 128
+            while prec <= 4096:
+                mp.prec = prec
+                +mpmath.euler
+                mp.prec = 20
+                prec += prec // 8
+            risen.set()
+
+        def work_while_rising():
+            outcomes = [work()]
+            while not risen.is_set():
+                outcomes.append(work())
+            return outcomes
+
+        saved_prec, saved_interval = mp.prec, sys.getswitchinterval()
+        writer = threading.Thread(target=raise_memo_and_flip_precision)
+        # the first call at a precision reads the gamma memo, so clear the cache
+        evaluation._euler.cache_clear()
+        sys.setswitchinterval(1e-5)
+        try:
+            writer.start()
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                futures = [pool.submit(work_while_rising) for _ in range(3)]
+                outcomes = [o for f in futures for o in f.result(timeout=120)]
+        finally:
+            writer.join(timeout=60)
+            sys.setswitchinterval(saved_interval)
+            mp.prec = saved_prec
+        assert not writer.is_alive()
+        assert risen.is_set()
+        for outcome in outcomes:
+            assert outcome == expected
