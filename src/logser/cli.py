@@ -31,9 +31,9 @@ from . import quadrature, relations
 from .errors import SeriesError
 from .evaluation import (
     DEFAULT_BLOCK_BUDGET,
+    _weighted_harmonic,
     evaluate,
     gamma_partial,
-    harmonic,
     partial_sum_float,
     rearranged_terms,
     tail_bound,
@@ -315,9 +315,10 @@ def _cmd_relations(args) -> int:
 def _cmd_rearranged(args) -> int:
     terms, micros = _timed(rearranged_terms, args.T, args.n)
     # whole groups of T + 1 terms are blocks of ln_vector(T), which sum to
-    # H_{cT} - H_c; the r <= T leftover terms 1/(cT + j) extend H_{cT}
+    # H_{cT} - H_c; the r <= T leftover terms 1/(cT + j) extend H_{cT}, so
+    # the partial sum is 1/(c+1) + ... + 1/(cT+r)
     c, r = divmod(args.n, args.T + 1)
-    total, sum_micros = _timed(lambda: harmonic(c * args.T + r) - harmonic(c))
+    total, sum_micros = _timed(_weighted_harmonic, [1], c * args.T + r, c)
     value = float(total)
     payload = {
         "command": "rearranged",

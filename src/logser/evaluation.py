@@ -30,11 +30,13 @@ Partial sums and harmonic numbers are both weighted harmonic sums
 sum_m w_m / m with periodic integer weights, and one kernel sums them
 by balanced splitting rather than adding one term at a time to an
 ever larger running rational.  The floating-point kernel computes psi
-in integers scaled by 2^(prec+10), prec >= 96 by default, and reads no
-mpmath context: no precision set elsewhere in the process changes a
-result, concurrent calls need no lock (mpmath's memos of ln 2 and gamma
-leave the window described in _euler), and values become mpmath.mpf
-only on the way out.  Requests below the precision floor raise Unachievable.
+in integers scaled by 2^(prec+10), prec >= 96 by default, with ln x as
+a cached ln c plus a short atanh series, c the integer part of x after
+the recurrence.  It reads no mpmath context: no precision set elsewhere
+in the process changes a result, concurrent calls need no lock
+(mpmath's memos of ln 2 and gamma leave the window described in
+_euler), and values become mpmath.mpf only on the way out.  Requests
+below the precision floor raise Unachievable.
 """
 
 from __future__ import annotations
@@ -100,10 +102,10 @@ def block_term(v: CoefficientVector, k: int) -> Fraction:
     )
 
 
-def _weighted_harmonic(weights: list[int], n: int) -> Fraction:
-    """Exact sum_{m=1..n} weights[(m-1) mod len(weights)] / m.
+def _weighted_harmonic(weights: list[int], n: int, start: int = 0) -> Fraction:
+    """Exact sum_{m=start+1..n} weights[(m-1) mod len(weights)] / m.
 
-    Balanced splitting (Haible and Papanikolaou 1998): [1, n] is halved
+    Balanced splitting (Haible and Papanikolaou 1998): [start+1, n] is halved
     recursively down to leaves of at most 32 terms.  A leaf is summed as
     one unreduced integer pair and reduced once; halves merge by Fraction
     addition, so every gcd runs on operands of balanced size.  Reducing
@@ -125,7 +127,7 @@ def _weighted_harmonic(weights: list[int], n: int) -> Fraction:
         mid = (lo + hi) // 2
         return split(lo, mid) + split(mid, hi)
 
-    return split(1, n + 1)
+    return split(start + 1, n + 1)
 
 
 def partial_sum_exact(
@@ -156,7 +158,7 @@ def partial_sum_exact(
 def _integer_weights(v: CoefficientVector) -> tuple[list[int], int]:
     """(a_j * D for each j, D) with D the lcm of the coefficient denominators."""
     scale = math.lcm(*(a.denominator for a in v.coeffs))
-    return [int(a * scale) for a in v.coeffs], scale
+    return [a.numerator * (scale // a.denominator) for a in v.coeffs], scale
 
 
 def harmonic(n: int) -> Fraction:
@@ -260,18 +262,19 @@ def gamma_partial(n: int) -> GammaPartial:
     takes at most 30 upward recurrence steps (threshold 32, n + 1 >= 2),
     each a floor division that errs by under u.  Under u more for
     1/(2x), N = 11 Horner steps, under u for the floored 1/x^2 and
-    Stirling coefficients, two units for ln x and 4u of series remainder
-    make under 49u in all.  ln n is within two units and gamma is floored
-    once, so the fixed-point sum is within 52u < 2^-100 of A_n.  Rounding
-    it to 96 bits comes last and adds at most 2^-97, as gamma < A_n <= 1:
-    under 7e-30 in total.
+    Stirling coefficients, two units for ln x (at T = 1, x is an integer
+    c and takes no atanh term) and 4u of series remainder make under 49u
+    in all.  ln n is within two units and gamma is floored once, so the
+    fixed-point sum is within 52u < 2^-100 of A_n.  Rounding it to 96
+    bits comes last and adds at most 2^-97, as gamma < A_n <= 1: under
+    7e-30 in total.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > TERM_LIMIT:
         raise BudgetExceeded(f"n={n} exceeds the term limit of {TERM_LIMIT}")
     wp = _MIN_PREC + 10
-    value = _psi(n + 1, 1, _MIN_PREC) + _euler(_MIN_PREC) - _ln_fixed(n, 1, wp)
+    value = _psi(n + 1, 1, _MIN_PREC) + _euler(_MIN_PREC) - _ln_fixed(n, wp)
     return GammaPartial(n=n, value=_mpf(value, _MIN_PREC))
 
 
@@ -313,20 +316,25 @@ def _euler(prec: int) -> int:
     and returns gamma shifted by a power of two.  The cache reads the
     memo once per precision, so that window remains open only on the
     first call at each precision; a value read in it would be kept.
+    _ln_fixed reads the ln 2 memo the same way, once per cached (n, wp)
+    rather than once per psi.
     """
     wp = prec + 10
     return int(libmp.to_fixed(libmp.mpf_euler(wp, libmp.round_floor), wp))
 
 
-def _ln_fixed(p: int, q: int, wp: int) -> int:
-    """ln(p/q) scaled by 2^wp, within two units for p/q < e^(2^18).
+@functools.lru_cache(maxsize=256)
+def _ln_fixed(n: int, wp: int) -> int:
+    """ln n scaled by 2^wp, within two units for n < e^(2^18).
 
     mpf_log reads mpmath's ln 2 memo, which has the window described in
-    _euler, on every call.  Below 2500 bits it takes no other constant:
-    pi enters only its AGM branch above that, which no precision here
-    reaches.
+    _euler.  The bounded cache reads it once per cached (n, wp), not once
+    per psi: every psi of the default route shares n = the shift
+    threshold, while raw, partial_sum_float and gamma_partial reach any n.
+    Below 2500 bits mpf_log takes no other constant: pi enters only its
+    AGM branch above that, which no precision here reaches.
     """
-    log = libmp.mpf_log(libmp.from_rational(p, q, wp + 20), wp + 20)
+    log = libmp.mpf_log(libmp.from_int(n, wp + 20), wp + 20)
     return int(libmp.to_fixed(log, wp))
 
 
@@ -336,7 +344,10 @@ def _psi(p: int, T: int, prec: int) -> int:
     Upward recurrence psi(x) = psi(x+1) - 1/x to the shift threshold, then
     psi(x) ~ ln x - 1/(2x) - sum_n B_2n/(2n x^2n) (DLMF 5.11.2) by Horner's
     rule in 1/x^2.  For real x > 0 the series envelopes psi, so the
-    remainder after N terms is at most the first omitted term.
+    remainder after N terms is at most the first omitted term.  With
+    c, r = divmod(p, T), ln x = ln c + 2 atanh(y), y = r/(2cT + r) < 1/(2c+1);
+    ln c is cached and 2 atanh(y) = sum_k 2y y^2k/(2k+1) is summed with
+    each term floored until the powers of y vanish.
     """
     wp = prec + 10
     threshold = _shift_threshold(prec) * T
@@ -346,9 +357,20 @@ def _psi(p: int, T: int, prec: int) -> int:
         p += T
     z = (T * T << wp) // (p * p)
     series = 0
-    for c in reversed(_stirling(prec)):
-        series = (series + c) * z >> wp
-    return _ln_fixed(p, T, wp) - (T << wp) // (2 * p) - series - shifted
+    for b in reversed(_stirling(prec)):
+        series = (series + b) * z >> wp
+    c, r = divmod(p, T)
+    ln_x = _ln_fixed(c, wp)
+    if r:
+        power = (r << (wp + 1)) // (2 * c * T + r)
+        y2 = power * power >> (wp + 2)
+        ln_x += power
+        k = 1
+        while power:
+            power = power * y2 >> wp
+            k += 2
+            ln_x += power // k
+    return ln_x - (T << wp) // (2 * p) - series - shifted
 
 
 def _psi_tail(v: CoefficientVector, blocks: int, prec: int) -> tuple[int, int]:
@@ -484,22 +506,29 @@ def evaluate(
 
     Error, in units u = 2^-(prec+10) of the fixed-point kernel: the tail
     identity is exact and each floor division errs by under u.  psi(x)
-    costs at most threshold + N + 6 units: threshold recurrence steps
-    (all of them for x = j/T < 1), 1/(2x), N Horner steps, under one
-    unit each for the floored 1/x^2 and Stirling coefficients carried
-    through the sum (x^-2 <= 2^-10), and two for ln x; the series
-    remainder adds 2^-(prec+8) = 4u.  With threshold <= 341 and N <= 108
-    (prec <= 1024) that is under 460u < 2^11 u |psi(x)|, as |psi(x)| >=
-    gamma on (0, 1], where the default route and raw's whole term
-    evaluate it, and >= 0.42 for x >= 2.  The tail, weighted by a_j/T
-    and floored once, errs by under 2^11 u (1/T) sum_j |a_j psi(x)| + u,
-    and rounding to prec bits adds 2^9 u |value|.  So with scale =
+    costs at most threshold + N + K + 10 units: threshold recurrence
+    steps (all of them for x = j/T < 1), 1/(2x), N Horner steps, under
+    one unit each for the floored 1/x^2 and Stirling coefficients carried
+    through the sum (x^-2 <= 2^-10), two for ln c and K + 4 for
+    2 atanh(y) = ln(x/c).  That series takes its first term 2y and K
+    more, where K is the largest k with (2 threshold + 1)^(2k+1) <
+    2^(prec+11), since y < 1/(2 threshold + 1) and a smaller power floors
+    to zero.  Each of its K + 1 floored terms errs by under u; each
+    floored power is under 1.04u low, which its divisor 2k+1 shrinks to
+    under 2.08u over all k <= K + 1, the dropped remainder included.  The
+    Stirling remainder adds 2^-(prec+8) = 4u.  With threshold <= 341,
+    N <= 108 and K <= 54 (prec <= 1024) that is under 520u <
+    2^11 u |psi(x)|, as |psi(x)| >= gamma on (0, 1], where the default
+    route and raw's whole term evaluate it, and >= 0.42 for x >= 2.
+    The tail, weighted by a_j/T and floored once, errs by under
+    2^11 u (1/T) sum_j |a_j psi(x)| + u, and rounding to prec bits adds
+    2^9 u |value|.  So with scale =
     (1/T) sum_j |a_j psi(x)| the total is under 2^12 u (scale + 1),
     2^18 times below the reported 2^-(prec-20) (scale + 1).  A prefix
     adds u, and |prefix| to the scale.  K0 = 1 puts x in (1, 2], where
     psi' > 0.64 and psi has one zero; one x at most is within 1/(2T) of
-    it, and balance bounds its a_j by the others, so 460u still fits the
-    margin if T <= 1.8e5 or mean |a_j| <= 1e6.
+    it, and balance bounds its a_j by the others, so 520u still fits the
+    margin if T <= 1.6e5 or mean |a_j| <= 1e6.
     raw adds its tail bound; its scale is the two tails' magnitudes.
 
     Unachievable signals that abs_err sits below the working-precision floor.

@@ -45,16 +45,18 @@ class CoefficientVector:
     def __post_init__(self) -> None:
         if not isinstance(self.modulus, int) or self.modulus < 1:
             raise ValueError(f"modulus must be a positive integer, got {self.modulus!r}")
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
         if len(coeffs) != self.modulus:
             raise LengthMismatch(
                 f"expected {self.modulus} coefficients, got {len(coeffs)}"
             )
-        total = sum(coeffs)
-        if total != 0:
+        # the sum in integers over the lcm of the denominators
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        total = sum(c.numerator * (scale // c.denominator) for c in coeffs)
+        if total:
             raise UnbalancedCoefficients(
                 "coefficients must sum to zero for the series to converge; "
-                f"got sum {total}"
+                f"got sum {Fraction(total, scale)}"
             )
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -73,7 +75,7 @@ def make_vector(modulus: int, coeffs: Iterable[RationalLike]) -> CoefficientVect
     Raises LengthMismatch on a length disagreement and
     UnbalancedCoefficients when the coefficients do not sum to zero.
     """
-    return CoefficientVector(modulus, tuple(Fraction(c) for c in coeffs))
+    return CoefficientVector(modulus, tuple(coeffs))
 
 
 def ln_vector(modulus: int) -> CoefficientVector:

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 from mpmath import mp
 
-from logser import cli, evaluate, make_vector, rearranged_terms, relations
+from logser import cli, evaluate, evaluation, make_vector, rearranged_terms, relations
 from logser.cli import CSV_HEADER, bench, run
 
 
@@ -145,6 +145,19 @@ class TestJsonOutput:
         assert code == 0, err
         total = sum(rearranged_terms(10**9, 5), Fraction(0))
         assert json.loads(out)["partial_sum"] == f"{total.numerator}/{total.denominator}"
+
+    def test_rearranged_sums_each_term_once(self, capsys, monkeypatch):
+        # the partial sum is 1/(c+1) + ... + 1/(cT+r), not H_{cT+r} - H_c
+        def no_harmonic(n):
+            raise AssertionError("harmonic called")
+
+        monkeypatch.setattr(evaluation, "harmonic", no_harmonic)
+        monkeypatch.setattr(cli, "harmonic", no_harmonic, raising=False)
+        # T = 1, n = 20001: c = 10000 whole blocks 1 - 1/(k+1) and the
+        # leftover 1/10001, which is all that survives
+        code, out, err = run_capture(capsys, ["rearranged", "--T", "1", "--n", "20001"])
+        assert code == 0, err
+        assert json.loads(out)["partial_sum"] == "1/10001"
 
     def test_gamma(self, capsys):
         _, out, _ = run_capture(capsys, ["gamma", "--n", "2"])

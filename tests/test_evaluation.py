@@ -427,6 +427,47 @@ class TestGammaPartial:
             gamma_partial(10**6 + 1)
 
 
+def _psi_unit_bound(prec):
+    """threshold + N + K + 14, the per-psi error that evaluate's docstring states."""
+    threshold = evaluation._shift_threshold(prec)
+    terms = len(evaluation._stirling(prec))
+    # K counts the powers 2y^(2k+1), k >= 1, that can reach one unit,
+    # as y < 1/(2 threshold + 1)
+    k = 0
+    while (2 * threshold + 1) ** (2 * k + 3) < 2 ** (prec + 11):
+        k += 1
+    return threshold + terms + k + 14
+
+
+class TestPsiKernel:
+    @pytest.mark.parametrize("prec", [96, 200, 512, 1024])
+    def test_units_of_error_against_digamma(self, prec):
+        points = [(j, T) for T in range(1, 25) for j in range(1, T + 1)]
+        # T = 1 as gamma_partial calls it, below and past the threshold
+        points += [(n, 1) for n in (2, 31, 32, 33, 342, 10**6 + 1)]
+        # r = 0 past the threshold, where ln x is ln c alone
+        points += [(c * T, T) for T in (2, 7, 24) for c in (341, 1000)]
+        # large c, as partial_sum_float reaches it
+        points += [(10**5 * T + j, T) for T in (3, 24, 1000) for j in (1, T // 2, T - 1)]
+        unit = mpmath.mpf(2) ** -(prec + 10)
+        bound = _psi_unit_bound(prec)
+        with mp.workprec(2 * prec + 64):
+            reference = {}
+            for p, T in points:
+                x = Fraction(p, T)
+                if x not in reference:
+                    w = 1 - x
+                    if w in reference:
+                        # reflection, psi(1 - w) = psi(w) + pi cot(pi w), halves
+                        # the digamma calls on (0, 1)
+                        w_mpf = mpmath.mpf(w.numerator) / w.denominator
+                        reference[x] = reference[w] + mp.pi * mp.cot(mp.pi * w_mpf)
+                    else:
+                        reference[x] = mp.digamma(mpmath.mpf(p) / T)
+                error = abs(evaluation._psi(p, T, prec) * unit - reference[x]) / unit
+                assert error <= bound, (p, T, float(error))
+
+
 def test_eval_result_value_is_high_precision():
     # more working precision than a double carries
     result = evaluate(ln_vector(2), 1e-12)

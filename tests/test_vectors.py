@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logser import (
+    CoefficientVector,
     LengthMismatch,
     ModulusMismatch,
     UnbalancedCoefficients,
@@ -18,6 +19,7 @@ from logser import (
     ln_vector,
     make_vector,
 )
+from logser.evaluation import _integer_weights
 from logser.vectors import _factorize
 
 from conftest import exact_block_oracle, random_balanced
@@ -64,6 +66,34 @@ class TestMakeVector:
     def test_accepts_rational_strings(self):
         v = make_vector(2, ["1/3", "-1/3"])
         assert v.coeffs == (Fraction(1, 3), Fraction(-1, 3))
+
+    def test_mixed_inputs_become_plain_fractions(self):
+        class Half(Fraction):
+            pass
+
+        exact = Fraction(-3, 2)
+        mixed = [1, "1/2", True, exact, Half(-1)]
+        for v in (make_vector(5, mixed), CoefficientVector(5, mixed)):
+            assert v.coeffs == (1, Fraction(1, 2), 1, Fraction(-3, 2), -1)
+            assert all(type(c) is Fraction for c in v.coeffs)
+            # an input that is already a Fraction is kept as it is
+            assert v.coeffs[3] is exact
+
+    def test_rejects_imbalance_of_one_part_in_2_120(self):
+        # coprime denominators near 2^61: the sum is 1/(pq), about 2^-122
+        p, q = 2**61 - 1, 2**61 + 1
+        head = [Fraction(1, p), Fraction(-1, q)]
+        make_vector(3, head + [-sum(head)])
+        with pytest.raises(UnbalancedCoefficients, match=f"got sum 1/{p * q}$"):
+            make_vector(3, head + [-sum(head) + Fraction(1, p * q)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(max_denominator=10**20), min_size=1, max_size=12))
+def test_integer_weights_match_fraction_products(head):
+    v = make_vector(len(head) + 1, head + [-sum(head)])
+    weights, scale = _integer_weights(v)
+    assert weights == [int(a * scale) for a in v.coeffs]
 
 
 class TestLnVector:
