@@ -1,10 +1,11 @@
 """Command-line surface: `logser <subcommand> ...`.
 
 Every library capability is reachable from here with machine-readable
-output.  Results are emitted as JSON (default) or text; `bench` emits
-CSV convergence tables.  Rationals cross the boundary as "p/q" strings
-and reals as decimal strings with an explicit precision field, so
-goldens never depend on binary float formatting.
+output: JSON (default) or text, and CSV tables from `bench`.  Rationals
+cross as "p/q" strings and reals as decimal strings with a precision
+field, so goldens never depend on binary float formatting.  Reals are
+rounded by mpmath.libmp at explicit precisions; no mpmath context is
+read or set, so concurrent calls print what single calls print.
 
 Exit codes: 0 success, 1 domain error (for example unbalanced
 coefficients), 2 usage error.  The environment variable
@@ -25,7 +26,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp
+from mpmath import libmp
 
 from . import quadrature, relations
 from .errors import SeriesError
@@ -86,9 +87,16 @@ def _digits_for(abs_err: float) -> int:
 
 
 def _real(value, digits: int) -> str:
-    # convert with enough bits for every printed digit, not mpmath's default 53
-    with mp.workprec(math.ceil(digits * math.log2(10)) + 16):
-        return mpmath.nstr(mpmath.mpf(value), digits)
+    # round to enough bits for every printed digit, not mpmath's default 53
+    raw = value._mpf_ if isinstance(value, mpmath.mpf) else libmp.from_float(value)
+    bits = math.ceil(digits * math.log2(10)) + 16
+    return libmp.to_str(libmp.mpf_pos(raw, bits, libmp.round_nearest), digits)
+
+
+def _ln_float(n: int, prec: int) -> float:
+    # round to nearest, as float(mpf) does; to_float's default round_fast may not
+    raw = libmp.mpf_log(libmp.from_int(n), prec, libmp.round_nearest)
+    return libmp.to_float(raw, rnd=libmp.round_nearest)
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -256,8 +264,7 @@ def _cmd_integral_check(args) -> int:
 def _cmd_decompose(args) -> int:
     value, micros = _timed(quadrature.decomposition_check, args.T, args.tol)
     digits = _digits_for(args.tol)
-    with mp.workprec(96):
-        reference = float(mp.ln(args.T))
+    reference = _ln_float(args.T, 96)
     payload = {
         "command": "decompose",
         "inputs": {"T": args.T, "tol": repr(args.tol)},
@@ -346,15 +353,13 @@ def _cmd_rearranged(args) -> int:
 def _bench_target(target: str, block_budget: int):
     """Returns (vector, scale, reference, kind)."""
     if target == "pi":
-        with mp.workprec(120):
-            reference = float(mp.pi)
+        pi = libmp.mpf_pi(120, libmp.round_nearest)
+        reference = libmp.to_float(pi, rnd=libmp.round_nearest)
         return make_vector(3, (1, -1, 0)), 3.0 * math.sqrt(3.0), reference, "pi"
     if target.startswith("ln:"):
-        # build the vector first: it rejects T < 1, where mp.ln is complex
+        # build the vector first: it rejects T < 1, where ln is complex
         vec = ln_vector(int(target.split(":", 1)[1]))
-        with mp.workprec(120):
-            reference = float(mp.ln(vec.modulus))
-        return vec, 1.0, reference, "ln"
+        return vec, 1.0, _ln_float(vec.modulus, 120), "ln"
     if target.startswith("vector:"):
         _, T, coeffs = target.split(":", 2)
         vec = make_vector(int(T), _parse_coeffs(coeffs))
@@ -478,14 +483,6 @@ def _cmd_bench(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _add_shared(parser, *, abs_err_default=1e-9) -> None:
-    parser.add_argument("--abs-err", type=float, default=abs_err_default)
-    parser.add_argument(
-        "--method", choices=("raw", "accelerated"), default="accelerated"
-    )
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -495,58 +492,55 @@ def _build_parser() -> argparse.ArgumentParser:
             "balanced cyclic harmonic series, with exact rational algebra."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    add = parser.add_subparsers(dest="command", required=True).add_parser
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "text"), default="json")
+    err = argparse.ArgumentParser(add_help=False, parents=[fmt])
+    err.add_argument("--abs-err", type=float, default=1e-9)
+    series = argparse.ArgumentParser(add_help=False, parents=[err])
+    series.add_argument("--method", choices=("raw", "accelerated"), default="accelerated")
 
-    p = sub.add_parser("eval", help="evaluate a coefficient vector")
+    p = add("eval", parents=[series], help="evaluate a coefficient vector")
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--coeffs", type=str, required=True)
-    _add_shared(p)
     p.set_defaults(handler=_cmd_series, vector=_eval_vector)
 
-    p = sub.add_parser("ln", help="ln of a natural number")
+    p = add("ln", parents=[series], help="ln of a natural number")
     p.add_argument("T", type=int)
-    _add_shared(p)
     p.set_defaults(handler=_cmd_series, vector=_ln_vector)
 
-    p = sub.add_parser("lnq", help="ln of a positive rational M/L")
+    p = add("lnq", parents=[series], help="ln of a positive rational M/L")
     p.add_argument("ratio", type=str, metavar="M/L")
-    _add_shared(p)
     p.set_defaults(handler=_cmd_series, vector=_lnq_vector)
 
-    p = sub.add_parser("pi", help="pi from the modulus-3 difference series")
-    _add_shared(p)
+    p = add("pi", parents=[err], help="pi from the modulus-3 difference series")
     p.set_defaults(handler=_cmd_pi)
 
-    p = sub.add_parser("gamma", help="partial H_n - ln n of the Euler-Mascheroni limit")
+    p = add("gamma", parents=[fmt], help="partial H_n - ln n of the Euler-Mascheroni limit")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(handler=_cmd_gamma)
 
-    p = sub.add_parser("integral-check", help="integral vs series agreement")
+    p = add("integral-check", parents=[fmt], help="integral vs series agreement")
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(handler=_cmd_integral_check)
 
-    p = sub.add_parser("decompose", help="rebuild ln T from weighted integrals")
+    p = add("decompose", parents=[fmt], help="rebuild ln T from weighted integrals")
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(handler=_cmd_decompose)
 
-    p = sub.add_parser("relations", help="zero-series relations for a composite modulus")
+    p = add("relations", parents=[fmt], help="zero-series relations for a composite modulus")
     p.add_argument("--T", type=int, required=True)
-    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(handler=_cmd_relations)
 
-    p = sub.add_parser("rearranged", help="terms of the rearranged stream")
+    p = add("rearranged", parents=[fmt], help="terms of the rearranged stream")
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(handler=_cmd_rearranged)
 
-    p = sub.add_parser("bench", help="convergence benchmark (CSV to stdout)")
+    p = add("bench", help="convergence benchmark (CSV to stdout)")
     p.add_argument("--target", type=str, required=True, metavar="ln:T|pi|vector:T:c1,...")
     p.add_argument("--methods", type=str, required=True)
     p.add_argument("--work", type=str, required=True)

@@ -30,7 +30,7 @@ Partial sums and harmonic numbers are both weighted harmonic sums
 sum_m w_m / m with periodic integer weights, and one kernel sums them
 by balanced splitting rather than adding one term at a time to an
 ever larger running rational.  The floating-point kernel computes psi
-in integers scaled by 2^(prec+10), prec >= 96 by default, with ln x as
+in integers scaled by 2^(prec+10), prec >= 96, with ln x as
 a cached ln c plus a short atanh series, c the integer part of x after
 the recurrence.  It reads no mpmath context: no precision set elsewhere
 in the process changes a result, concurrent calls need no lock
@@ -420,15 +420,8 @@ def partial_sum_float(v: CoefficientVector, blocks: int, prec: int = _MIN_PREC):
 # ----------------------------------------------------------------------
 
 
-def _working_prec(abs_err: float, v: CoefficientVector, prec) -> int:
-    if prec is not None:
-        if prec > _MAX_PREC:
-            raise Unachievable(f"precision {prec} exceeds the ceiling of {_MAX_PREC}")
-        return max(64, int(prec))
-    if math.isinf(abs_err):
-        err_bits = 0
-    else:
-        err_bits = max(0, -math.floor(math.log2(abs_err)))
+def _working_prec(abs_err: float, v: CoefficientVector) -> int:
+    err_bits = 0 if math.isinf(abs_err) else max(0, -math.floor(math.log2(abs_err)))
     coeff_bits = max(
         (a.numerator.bit_length() + a.denominator.bit_length() for a in v.coeffs),
         default=1,
@@ -447,7 +440,9 @@ def _evaluate_raw(v, abs_err, block_budget, prec) -> EvalResult:
     if math.isinf(abs_err):
         blocks = 2
     else:
-        needed = _weighted_mass(v) / (Fraction(T * T) * Fraction(abs_err))
+        # the tail gets abs_err less 2^-20 of it; the rest is for the allowance
+        tail_err = Fraction(abs_err) * (1 - Fraction(1, 1 << 20))
+        needed = _weighted_mass(v) / (Fraction(T * T) * tail_err)
         blocks = max(2, math.ceil(needed) + 1)
     if blocks > block_budget:
         raise BudgetExceeded(
@@ -466,21 +461,16 @@ def _evaluate_raw(v, abs_err, block_budget, prec) -> EvalResult:
     )
 
 
-def _evaluate_accelerated(v, abs_err, block_budget, prefix_blocks, prec) -> EvalResult:
+def _evaluate_accelerated(v, block_budget, prefix_blocks, prec) -> EvalResult:
     blocks = head = 0
     if prefix_blocks:
         blocks = min(prefix_blocks, block_budget // v.modulus)
         prefix = partial_sum_exact(v, blocks, block_budget=block_budget)
         head = (prefix.numerator << (prec + 10)) // prefix.denominator
     tail, magnitude = _psi_tail(v, blocks, prec)
-    allowance = _allowance(abs(head) + magnitude, prec)
-    if allowance > abs_err:
-        raise Unachievable(
-            f"{prec} bits of working precision cannot reach abs_err={abs_err}"
-        )
     return EvalResult(
         value=_mpf(head + tail, prec),
-        error_bound=allowance,
+        error_bound=_allowance(abs(head) + magnitude, prec),
         blocks_used=blocks,
         method="accelerated",
         bound_is_heuristic=False,
@@ -494,12 +484,13 @@ def evaluate(
     *,
     block_budget: int = DEFAULT_BLOCK_BUDGET,
     prefix_blocks: int | None = None,
-    prec: int | None = None,
 ) -> EvalResult:
     """Evaluate the series of v to within abs_err (see module docstring).
 
-    Both routes report a rigorous bound.  raw mode raises BudgetExceeded
-    when the required truncation exceeds `block_budget` blocks.
+    Both routes report a rigorous bound within abs_err, at a precision
+    prec >= 96 set by abs_err and the coefficients.  raw mode keeps 2^-20
+    of abs_err for rounding when it picks the truncation, and raises
+    BudgetExceeded when that exceeds `block_budget` blocks.
     accelerated mode sums no block and returns -(1/T) sum_j a_j psi(j/T).
     An explicit `prefix_blocks` K0 > 0, capped at `block_budget` block-
     terms, sums K0 blocks exactly and adds -(1/T) sum_j a_j psi(K0 + j/T).
@@ -531,7 +522,8 @@ def evaluate(
     margin if T <= 1.6e5 or mean |a_j| <= 1e6.
     raw adds its tail bound; its scale is the two tails' magnitudes.
 
-    Unachievable signals that abs_err sits below the working-precision floor.
+    Unachievable signals that abs_err sits below the working-precision
+    floor, or that rounding would push the bound past it.
     """
     if not abs_err > 0:
         raise ValueError("abs_err must be positive")
@@ -547,7 +539,13 @@ def evaluate(
             method=method,
             bound_is_heuristic=False,
         )
-    prec_bits = _working_prec(abs_err, v, prec)
+    prec = _working_prec(abs_err, v)
     if method == "raw":
-        return _evaluate_raw(v, abs_err, block_budget, prec_bits)
-    return _evaluate_accelerated(v, abs_err, block_budget, prefix_blocks, prec_bits)
+        result = _evaluate_raw(v, abs_err, block_budget, prec)
+    else:
+        result = _evaluate_accelerated(v, block_budget, prefix_blocks, prec)
+    if result.error_bound > abs_err:
+        raise Unachievable(
+            f"{prec} bits of working precision cannot reach abs_err={abs_err}"
+        )
+    return result

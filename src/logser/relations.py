@@ -30,6 +30,7 @@ from .evaluation import EvalResult, evaluate
 from .vectors import (
     CoefficientVector,
     _factorize,
+    _lifted_logs,
     factor_radical,
     lift,
     linear_combine,
@@ -229,8 +230,6 @@ def _checked_relations(T: int, eps: float = 1e-6) -> tuple[KernelBasis, list[tup
         raise NotComposite(f"T={T} has no proper divisor >= 2")
     size = logs[-1][1] + 1  # ln_vector(T) is the family's last member
     labels = [label for label, _ in logs]
-    # lift(ln_vector(d), T // d) holds 1 - d at multiples of d, 1 elsewhere
-    slots = [[1 - d if s % d == 0 else 1 for d in labels] for s in range(1, T + 1)]
     exponent_rows = [
         [_factorize(label).get(p, 0) for label in labels] for p in factor_radical(T)
     ]
@@ -238,7 +237,7 @@ def _checked_relations(T: int, eps: float = 1e-6) -> tuple[KernelBasis, list[tup
     checks = []
     for rel in _nullspace(exponent_rows, len(labels)):
         rel = [int(c) for c in rel]
-        coeffs = [sum(c * a for c, a in zip(rel, slot)) for slot in slots]
+        coeffs = _lifted_logs(T, dict(zip(labels, rel)))
         if not any(coeffs):
             continue
         # normalized, the relation's first nonzero entry is minus the

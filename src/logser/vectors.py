@@ -159,17 +159,31 @@ def factor_radical(n: int) -> list[int]:
     return sorted(_factorize(n))
 
 
+def _lifted_logs(modulus: int, weights: dict[int, int]) -> list[int]:
+    """sum_d w_d * lift(ln_vector(d), T/d) over divisors d of T, in integers.
+
+    That lift is 1 - d at the multiples of d and 1 elsewhere, so slot s
+    holds sum_d w_d - sum_{d | s} w_d * d.
+    """
+    out = [sum(weights.values())] * modulus
+    for d, w in weights.items():
+        for s in range(d - 1, modulus, d):
+            out[s] -= w * d
+    return out
+
+
 def ln_rational_vector(numerator: int, denominator: int) -> CoefficientVector:
     """A balanced vector whose series value is ln(numerator/denominator).
 
     The modulus is the radical of numerator*denominator (the product of
     the distinct primes involved), which is the smallest modulus that
-    hosts all the prime logarithms at once.  The vector is assembled as
+    hosts all the prime logarithms at once.  The vector is
 
         sum_p (e_p(numerator) - e_p(denominator)) * lift(ln_vector(p), T/p)
 
-    over those primes p, where e_p gives the prime exponent.  For equal
-    arguments the T = 1 zero vector is returned (ln 1 = 0).
+    over those primes p, where e_p gives the prime exponent, built in
+    integers by one closed form.  For equal arguments the T = 1 zero
+    vector is returned (ln 1 = 0).
     """
     if numerator < 1 or denominator < 1:
         raise ValueError("numerator and denominator must be positive integers")
@@ -179,11 +193,6 @@ def ln_rational_vector(numerator: int, denominator: int) -> CoefficientVector:
         return CoefficientVector(1, (Fraction(0),))
     top = _factorize(numerator)
     bottom = _factorize(denominator)
-    primes = sorted(set(top) | set(bottom))
-    modulus = math.prod(primes)
-    terms = []
-    for p in primes:
-        exponent = top.get(p, 0) - bottom.get(p, 0)
-        if exponent:
-            terms.append((Fraction(exponent), lift(ln_vector(p), modulus // p)))
-    return linear_combine(terms)
+    exponents = {p: top.get(p, 0) - bottom.get(p, 0) for p in top.keys() | bottom.keys()}
+    modulus = math.prod(exponents)
+    return make_vector(modulus, _lifted_logs(modulus, exponents))

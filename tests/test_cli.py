@@ -1,5 +1,6 @@
 """CLI contract: exit codes, JSON schema, CSV benchmark output."""
 
+import builtins
 import contextlib
 import io
 import json
@@ -8,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
@@ -44,6 +46,10 @@ class TestExitCodes:
     def test_malformed_flag_is_usage_error(self, capsys):
         code, _, _ = run_capture(capsys, ["ln", "2", "--no-such-flag"])
         assert code == 2
+
+    def test_pi_takes_no_method(self, capsys):
+        assert run_capture(capsys, ["pi", "--method", "raw"])[0] == 2
+        assert run_capture(capsys, ["pi", "--abs-err", "1e-9", "--format", "text"])[0] == 0
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert run_capture(capsys, [])[0] == 2
@@ -330,6 +336,61 @@ class TestCachedParser:
         payload = json.loads(out)
         assert payload["inputs"]["M"] == 5 and payload["inputs"]["L"] == 3
         assert payload["value"].startswith("0.510825623765990")
+
+
+THREAD_CASES = [
+    ["ln", "2", "--abs-err", "1e-25"],
+    ["ln", "3"],
+    ["lnq", "5/3", "--abs-err", "1e-30"],
+    ["decompose", "--T", "3"],
+    ["pi"],
+]
+
+
+class TestThreads:
+    def test_concurrent_calls_print_what_one_call_prints(self, monkeypatch):
+        expected = []
+        for argv in THREAD_CASES:
+            code, out = capture(argv)
+            assert code == 0, argv
+            payload = json.loads(out)
+            payload.pop("wall_time_micros")
+            expected.append(payload)
+        prec = mp.prec
+        # redirect_stdout is process-wide, so each thread prints to its own buffer
+        local = threading.local()
+
+        def thread_print(*args, **kwargs):
+            kwargs.setdefault("file", local.out)
+            builtins.print(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "print", thread_print, raising=False)
+        results = []
+
+        def worker():
+            for i in range(150):
+                case = i % len(THREAD_CASES)
+                local.out = io.StringIO()
+                code = run(THREAD_CASES[case])
+                results.append((case, code, local.out.getvalue()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 450
+        for case, code, out in results:
+            assert code == 0, THREAD_CASES[case]
+            payload = json.loads(out)
+            payload.pop("wall_time_micros")
+            assert payload == expected[case], THREAD_CASES[case]
+        assert mp.prec == prec
 
 
 class TestBlockBudgetEnv:

@@ -1,5 +1,6 @@
 """Construction and exact algebra of balanced vectors."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -255,6 +256,24 @@ class TestLnRationalVector:
             for p in sorted(primes):
                 expected *= p
             assert ln_rational_vector(m, l).modulus == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), max_size=5).map(math.prod),
+        st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), max_size=5).map(math.prod),
+    )
+    def test_matches_lifted_prime_logs(self, m, l):
+        # the construction the docstring states, lift by lift in Fractions
+        top, bottom = _factorize(m), _factorize(l)
+        primes = sorted(set(top) | set(bottom))
+        modulus = math.prod(primes)
+        terms = [
+            (top.get(p, 0) - bottom.get(p, 0), lift(ln_vector(p), modulus // p))
+            for p in primes
+            if top.get(p, 0) != bottom.get(p, 0)
+        ]
+        expected = linear_combine(terms) if terms else make_vector(1, [0])
+        assert ln_rational_vector(m, l) == expected
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
