@@ -26,7 +26,6 @@ from .evaluation import (
     evaluate,
     gamma_partial,
     harmonic,
-    moments,
     partial_sum_exact,
     partial_sum_float,
     rearranged_terms,
@@ -99,7 +98,6 @@ __all__ = [
     "ln_rational_vector",
     "ln_vector",
     "make_vector",
-    "moments",
     "partial_sum_exact",
     "partial_sum_float",
     "pi_arctan",

@@ -209,21 +209,6 @@ def tail_bound(v: CoefficientVector, blocks: int) -> float:
     return _float_upper(mass / (T * T * (blocks - 1)))
 
 
-def moments(v: CoefficientVector, m_max: int) -> list[Fraction]:
-    """Exact moments mu_m = sum_j a_j j^m for m = 1..m_max (m_max <= 16)."""
-    if not 1 <= m_max <= 16:
-        raise ValueError("m_max must be in [1, 16]")
-    out = []
-    for m in range(1, m_max + 1):
-        out.append(
-            sum(
-                (a * Fraction(j) ** m for j, a in enumerate(v.coeffs, start=1) if a),
-                Fraction(0),
-            )
-        )
-    return out
-
-
 def rearranged_terms(modulus: int, count: int) -> list[Fraction]:
     """First `count` terms of the rearranged stream for ln T.
 

@@ -9,24 +9,35 @@ j-th integral over j = 1..T-1 reconstructs ln T, and the T = 3, j = 1
 instance yields pi = 3*sqrt(3) * S_3(1, -1, 0).
 
 Quadrature is adaptive Gauss-Legendre: 15-point panels refined by
-bisection against an absolute-error target.
+bisection against an absolute-error target.  The rule's nodes and
+weights are literals, each the double nearest the true value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-
-import numpy as np
 
 from .errors import NoConvergence
 from .evaluation import EvalResult, evaluate
 from .vectors import make_vector
 
-_PANEL_POINTS = 15
 _PANEL_LIMIT = 20000
 _MIN_TOL = 1e-13
+
+# (node, weight) of the 15-point rule on [-1, 1] for its non-negative nodes
+_HALF_RULE = (
+    (0.0, 0.2025782419255613),
+    (0.20119409399743451, 0.19843148532711158),
+    (0.3941513470775634, 0.1861610000155622),
+    (0.5709721726085388, 0.16626920581699392),
+    (0.7244177313601701, 0.13957067792615432),
+    (0.8482065834104272, 0.10715922046717194),
+    (0.937273392400706, 0.07036604748810812),
+    (0.9879925180204854, 0.03075324199611727),
+)
+_NODES = tuple(-x for x, _ in _HALF_RULE[:0:-1]) + tuple(x for x, _ in _HALF_RULE)
+_WEIGHTS = tuple(w for _, w in _HALF_RULE[:0:-1] + _HALF_RULE)
 
 
 @dataclass(frozen=True)
@@ -64,18 +75,11 @@ def integrand(T: int, j: int, u: float) -> float:
     return u ** (j - 1) / den
 
 
-@lru_cache(maxsize=None)
-def _panel_rule() -> tuple[tuple[float, ...], tuple[float, ...]]:
-    nodes, weights = np.polynomial.legendre.leggauss(_PANEL_POINTS)
-    return tuple(nodes.tolist()), tuple(weights.tolist())
-
-
 def _panel(T: int, j: int, a: float, b: float) -> float:
-    nodes, weights = _panel_rule()
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     return half * math.fsum(
-        w * integrand(T, j, mid + half * x) for x, w in zip(nodes, weights)
+        w * integrand(T, j, mid + half * x) for x, w in zip(_NODES, _WEIGHTS)
     )
 
 

@@ -269,8 +269,12 @@ def divisor_relations(T: int, *, eps: float = 1e-6) -> KernelBasis:
     witness is built: the exponent relation over the logarithm vectors
     combines their lifts into a witness of series value 0, checked once
     via ``verify_zero`` at eps; over the difference basis the relation is
-    minus the witness's prefix sums, and elsewhere 0.  No completeness
-    is claimed.
+    minus the witness's prefix sums, and elsewhere 0.  Only these
+    prime-exponent relations are found.  For T <= 64 their witnesses lie
+    in the span of the zero series D_{p,i} - D_{p,1}, where D_{p,i} =
+    sum_{k<p} e_{i+kT/p} - p e_{pi} for a prime p | T (Gauss's
+    multiplication formula); that span has dimension T - phi(T) - omega(T),
+    and the witnesses fill 8 of its 41 dimensions at T = 60.
     """
     return _checked_relations(T, eps)[0]
 

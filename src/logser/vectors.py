@@ -175,24 +175,23 @@ def _lifted_logs(modulus: int, weights: dict[int, int]) -> list[int]:
 def ln_rational_vector(numerator: int, denominator: int) -> CoefficientVector:
     """A balanced vector whose series value is ln(numerator/denominator).
 
-    The modulus is the radical of numerator*denominator (the product of
-    the distinct primes involved), which is the smallest modulus that
-    hosts all the prime logarithms at once.  The vector is
+    The modulus T is the product of the primes whose exponent in
+    numerator/denominator is nonzero, so the ratio need not be in lowest
+    terms: 12/3 gives (2, -2) over 2, as 4/1 does.  The vector is
 
         sum_p (e_p(numerator) - e_p(denominator)) * lift(ln_vector(p), T/p)
 
     over those primes p, where e_p gives the prime exponent, built in
-    integers by one closed form.  For equal arguments the T = 1 zero
-    vector is returned (ln 1 = 0).
+    integers by one closed form.  Equal arguments leave no prime, and
+    the result is the T = 1 zero vector (ln 1 = 0).
     """
     if numerator < 1 or denominator < 1:
         raise ValueError("numerator and denominator must be positive integers")
     if not (numerator <= _FACTOR_LIMIT and denominator <= _FACTOR_LIMIT):
         raise ValueError("arguments must fit in 63 bits")
-    if numerator == denominator:
-        return CoefficientVector(1, (Fraction(0),))
     top = _factorize(numerator)
     bottom = _factorize(denominator)
     exponents = {p: top.get(p, 0) - bottom.get(p, 0) for p in top.keys() | bottom.keys()}
+    exponents = {p: e for p, e in exponents.items() if e}
     modulus = math.prod(exponents)
     return make_vector(modulus, _lifted_logs(modulus, exponents))

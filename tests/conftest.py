@@ -2,16 +2,18 @@
 
 The oracles here deliberately avoid the package's own summation paths:
 ``exact_block_oracle`` is a plain nested Fraction loop and
-``float_block_oracle`` is literal vectorized float64 summation, so they
-can referee the library's exact and floating routes.
+``float_block_oracle`` sums the float64 terms 1/(kT+j) literally with
+``math.fsum``, so they can referee the library's exact and floating
+routes.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
-
-import numpy as np
+from itertools import repeat
+from operator import truediv
 
 from logser import CoefficientVector, make_vector
 
@@ -41,11 +43,10 @@ def exact_block_oracle(v: CoefficientVector, blocks: int) -> Fraction:
 
 
 def float_block_oracle(v: CoefficientVector, blocks: int) -> float:
-    """Float64 partial sum by literal vectorized summation over blocks."""
+    """Float64 partial sum: an fsum of each coefficient's terms 1/(kT+j)."""
     T = v.modulus
-    ks = np.arange(blocks, dtype=np.float64) * T
-    total = 0.0
-    for j, a in enumerate(v.coeffs, start=1):
-        if a:
-            total += float(a) * float(np.sum(1.0 / (ks + j)))
-    return total
+    return math.fsum(
+        float(a) * math.fsum(map(truediv, repeat(1.0), range(j, j + blocks * T, T)))
+        for j, a in enumerate(v.coeffs, start=1)
+        if a
+    )

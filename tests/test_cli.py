@@ -223,8 +223,9 @@ class TestTextOutput:
 
 GOLDEN_FILE = pathlib.Path(__file__).with_name("cli_goldens.json")
 
-# (argv, output fields whose digits come from numpy's Gauss-Legendre
-# nodes or from libm's atan, so other numpy or libm builds may move them)
+# (argv, output fields whose digits come from the quadrature's literal
+# Gauss-Legendre rule applied through libm's pow, or from libm's atan, so
+# other libm builds may move them)
 GOLDEN_CASES = [
     (["eval", "--T", "3", "--coeffs", "1,1,-2", "--method", "raw", "--abs-err", "1e-5"], ()),
     (["eval", "--T", "4", "--coeffs", "1,-1,1,-1", "--abs-err", "1e-20"], ()),

@@ -27,7 +27,6 @@ from logser import (
     ln_rational_vector,
     ln_vector,
     make_vector,
-    moments,
     partial_sum_exact,
     partial_sum_float,
     rearranged_terms,
@@ -142,23 +141,6 @@ class TestTailBound:
         v = random_balanced(random.Random(seed))
         reference = float_block_oracle(v, K * 200)
         assert abs(reference - float(partial_sum_exact(v, K))) <= tail_bound(v, K)
-
-
-class TestMoments:
-    def test_ln2_first_moment(self):
-        assert moments(ln_vector(2), 1) == [Fraction(-1)]
-
-    def test_ln3_two_moments(self):
-        assert moments(ln_vector(3), 2) == [Fraction(-3), Fraction(-13)]
-
-    def test_zero_vector(self):
-        assert moments(make_vector(4, [0] * 4), 5) == [Fraction(0)] * 5
-
-    def test_order_limits(self):
-        with pytest.raises(ValueError):
-            moments(ln_vector(2), 0)
-        with pytest.raises(ValueError):
-            moments(ln_vector(2), 17)
 
 
 class TestEvaluateRaw:

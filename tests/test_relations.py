@@ -14,6 +14,7 @@ from logser import (
     divisor_family,
     divisor_relations,
     express_in_basis,
+    factor_radical,
     kernel,
     lift,
     linear_combine,
@@ -23,6 +24,8 @@ from logser import (
     spanning_basis,
     verify_zero,
 )
+
+from logser.relations import _nullspace
 
 from conftest import random_balanced
 
@@ -272,3 +275,43 @@ class TestDivisorRelations:
             relation_witnesses(12, divisor_relations(6))
         with pytest.raises(ValueError):
             relation_witnesses(6, kernel(spanning_basis(6) + [ln_vector(6)]))
+
+
+def _distribution_differences(T):
+    """D_{p,i} - D_{p,1} for each prime p | T and i = 2..T/p, as slot columns.
+
+    D_{p,i} = sum_{k<p} e_{i+k*T/p} - p*e_{p*i} is Gauss's multiplication
+    formula for psi at z = i/T; its series is (p/T) ln p for every i, so
+    each difference is a zero series.
+    """
+    def gauss(p, i):
+        col = [0] * T
+        for k in range(p):
+            col[i + k * (T // p) - 1] += 1
+        col[p * i - 1] -= p
+        return col
+
+    return [
+        [a - b for a, b in zip(gauss(p, i), gauss(p, 1))]
+        for p in factor_radical(T)
+        for i in range(2, T // p + 1)
+    ]
+
+
+def _rank(columns, T):
+    rows = [[Fraction(col[s]) for col in columns] for s in range(T)]
+    return len(columns) - len(_nullspace(rows, len(columns)))
+
+
+class TestZeroSeriesSpace:
+    def test_distribution_differences_span_the_expected_dimension(self):
+        # the rank is T - phi(T) - omega(T) for every T <= 64, and the
+        # divisor_relations witnesses lie in that span
+        for T in range(2, 65):
+            columns = _distribution_differences(T)
+            phi = sum(1 for j in range(1, T + 1) if math.gcd(j, T) == 1)
+            rank = _rank(columns, T)
+            assert rank == T - phi - len(factor_radical(T)), T
+            if T in COMPOSITES:
+                witnesses = [list(w.coeffs) for w in relation_witnesses(T)]
+                assert _rank(columns + witnesses, T) == rank, T

@@ -215,6 +215,10 @@ class TestLnRationalVector:
         v = ln_rational_vector(5, 5)
         assert v.modulus == 1 and v.is_zero()
 
+    def test_ratio_not_in_lowest_terms(self):
+        assert ln_rational_vector(12, 3) == ln_rational_vector(4, 1)
+        assert ln_rational_vector(12, 3).modulus == 2
+
     def test_prime_matches_ln_vector(self):
         for p in (2, 3, 5, 7, 11, 13):
             assert ln_rational_vector(p, 1) == ln_vector(p)
@@ -245,16 +249,18 @@ class TestLnRationalVector:
             assert tuple(-c for c in forward.coeffs) == backward.coeffs
 
     def test_modulus_is_radical(self):
+        # the product of the primes whose exponents in m and l differ
         rng = random.Random(11)
         for _ in range(30):
             m = rng.randint(1, 60)
             l = rng.randint(1, 60)
             if m == l:
                 continue
-            primes = set(factor_radical(m)) | set(factor_radical(l))
+            top, bottom = _factorize(m), _factorize(l)
             expected = 1
-            for p in sorted(primes):
-                expected *= p
+            for p in sorted(set(factor_radical(m)) | set(factor_radical(l))):
+                if top.get(p, 0) != bottom.get(p, 0):
+                    expected *= p
             assert ln_rational_vector(m, l).modulus == expected
 
     @settings(max_examples=40, deadline=None)
@@ -265,12 +271,11 @@ class TestLnRationalVector:
     def test_matches_lifted_prime_logs(self, m, l):
         # the construction the docstring states, lift by lift in Fractions
         top, bottom = _factorize(m), _factorize(l)
-        primes = sorted(set(top) | set(bottom))
+        primes = sorted(p for p in set(top) | set(bottom) if top.get(p, 0) != bottom.get(p, 0))
         modulus = math.prod(primes)
         terms = [
             (top.get(p, 0) - bottom.get(p, 0), lift(ln_vector(p), modulus // p))
             for p in primes
-            if top.get(p, 0) != bottom.get(p, 0)
         ]
         expected = linear_combine(terms) if terms else make_vector(1, [0])
         assert ln_rational_vector(m, l) == expected
