@@ -8,8 +8,9 @@ rounded by mpmath.libmp at explicit precisions; no mpmath context is
 read or set, so concurrent calls print what single calls print.
 
 Exit codes: 0 success, 1 domain error (for example unbalanced
-coefficients), 2 usage error.  The environment variable
-LOGSER_BLOCK_BUDGET overrides the default block budget.
+coefficients), 2 usage error.  `--method raw` reaches every abs_err
+that the precision ceiling admits, at a cost that does not grow with
+its truncation.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -31,7 +31,6 @@ from mpmath import libmp
 from . import quadrature, relations
 from .errors import SeriesError
 from .evaluation import (
-    DEFAULT_BLOCK_BUDGET,
     _weighted_harmonic,
     evaluate,
     gamma_partial,
@@ -40,8 +39,6 @@ from .evaluation import (
     tail_bound,
 )
 from .vectors import ln_rational_vector, ln_vector, make_vector
-
-_ENV_BUDGET = "LOGSER_BLOCK_BUDGET"
 
 CSV_HEADER = "method,work,value,error_bound,abs_error_vs_reference,wall_time_micros"
 
@@ -65,19 +62,6 @@ class ConvergenceRow:
             f"{self.method},{self.work},{self.value!r},{self.error_bound!r},"
             f"{self.abs_error_vs_reference!r},{self.wall_time_micros}"
         )
-
-
-def _block_budget() -> int:
-    raw = os.environ.get(_ENV_BUDGET)
-    if raw is None:
-        return DEFAULT_BLOCK_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise SeriesError(f"{_ENV_BUDGET} must be an integer, got {raw!r}") from exc
-    if value < 2:
-        raise SeriesError(f"{_ENV_BUDGET} must be >= 2, got {value}")
-    return value
 
 
 def _digits_for(abs_err: float) -> int:
@@ -178,9 +162,7 @@ def _lnq_vector(args):
 def _cmd_series(args) -> int:
     """eval, ln and lnq: evaluate the vector that `args.vector` builds."""
     vec, inputs = args.vector(args)
-    result, micros = _timed(
-        evaluate, vec, args.abs_err, args.method, block_budget=_block_budget()
-    )
+    result, micros = _timed(evaluate, vec, args.abs_err, args.method)
     digits = _digits_for(args.abs_err)
     payload = {
         "command": args.command,
@@ -350,7 +332,7 @@ def _cmd_rearranged(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _bench_target(target: str, block_budget: int):
+def _bench_target(target: str):
     """Returns (vector, scale, reference, kind)."""
     if target == "pi":
         pi = libmp.mpf_pi(120, libmp.round_nearest)
@@ -363,7 +345,7 @@ def _bench_target(target: str, block_budget: int):
     if target.startswith("vector:"):
         _, T, coeffs = target.split(":", 2)
         vec = make_vector(int(T), _parse_coeffs(coeffs))
-        reference = float(evaluate(vec, 1e-30, block_budget=block_budget).value)
+        reference = float(evaluate(vec, 1e-30).value)
         return vec, 1.0, reference, "vector"
     raise SeriesError(f"unknown bench target {target!r}; use ln:T, pi, or vector:T:c1,...")
 
@@ -389,7 +371,7 @@ def _rearranged_prefix(vec, count: int) -> tuple[float, float]:
     return total, bound + 1e-12 * (1.0 + abs(total))
 
 
-def _bench_value(method, work, vec, scale, kind, block_budget) -> tuple[float, float]:
+def _bench_value(method, work, vec, scale, kind) -> tuple[float, float]:
     """(value, error bound) of one bench row."""
     T = vec.modulus
     if method == "raw":
@@ -397,13 +379,7 @@ def _bench_value(method, work, vec, scale, kind, block_budget) -> tuple[float, f
         value = scale * float(partial_sum_float(vec, blocks))
         return value, scale * (tail_bound(vec, blocks) + 1e-15 * (1.0 + abs(value)))
     if method == "accelerated":
-        result = evaluate(
-            vec,
-            float("inf"),
-            "accelerated",
-            block_budget=block_budget,
-            prefix_blocks=max(2, work),
-        )
+        result = evaluate(vec, float("inf"), prefix_blocks=max(2, work))
         return scale * float(result.value), scale * result.error_bound
     if method == "rearranged":
         return _rearranged_prefix(vec, work)
@@ -421,13 +397,7 @@ def _bench_value(method, work, vec, scale, kind, block_budget) -> tuple[float, f
     return value, abs(value - finer) + 1e-15 * (1.0 + abs(value))
 
 
-def bench(
-    target: str,
-    methods: list[str],
-    work_schedule: list[int],
-    *,
-    block_budget: int = DEFAULT_BLOCK_BUDGET,
-) -> list[ConvergenceRow]:
+def bench(target: str, methods: list[str], work_schedule: list[int]) -> list[ConvergenceRow]:
     """One ConvergenceRow per (method, work) pair, in schedule order.
 
     Each row is computed three times; wall_time_micros is the fastest.
@@ -441,7 +411,7 @@ def bench(
             raise SeriesError(
                 f"unknown method {method!r}; choose from {', '.join(_BENCH_METHODS)}"
             )
-    vec, scale, reference, kind = _bench_target(target, block_budget)
+    vec, scale, reference, kind = _bench_target(target)
     rows = []
     for method in methods:
         if method == "rearranged" and kind != "ln":
@@ -451,7 +421,7 @@ def bench(
         for work in work_schedule:
             # the first run of a row pays cold caches; report the fastest
             runs = [
-                _timed(_bench_value, method, work, vec, scale, kind, block_budget)
+                _timed(_bench_value, method, work, vec, scale, kind)
                 for _ in range(_BENCH_RUNS)
             ]
             value, bound = runs[0][0]
@@ -471,7 +441,7 @@ def bench(
 def _cmd_bench(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     schedule = [int(w) for w in args.work.split(",") if w.strip()]
-    rows = bench(args.target, methods, schedule, block_budget=_block_budget())
+    rows = bench(args.target, methods, schedule)
     print(CSV_HEADER)
     for row in rows:
         print(row.as_csv())

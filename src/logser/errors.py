@@ -22,7 +22,11 @@ class ModulusMismatch(SeriesError):
 
 
 class BudgetExceeded(SeriesError):
-    """The requested computation exceeds the configured block budget."""
+    """The request exceeds a fixed cost limit of the package.
+
+    DEFAULT_BLOCK_BUDGET bounds the block-terms of an exact prefix and
+    TERM_LIMIT the terms of the exact sums that grow with n.
+    """
 
 
 class Unachievable(SeriesError):

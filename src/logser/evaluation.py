@@ -14,8 +14,9 @@ Two evaluation routes are provided:
 
 * raw: pick the smallest K whose tail bound meets the target, then form
   the K-block partial sum in floating point through the digamma
-  identity sum_{k<K} 1/(kT+j) = (psi(K + j/T) - psi(j/T)) / T.  The
-  reported bound (tail bound plus a rounding allowance) is rigorous.
+  identity sum_{k<K} 1/(kT+j) = (psi(K + j/T) - psi(j/T)) / T, whose
+  cost does not grow with K.  The reported bound (tail bound plus a
+  rounding allowance) is rigorous.
 * accelerated: balance makes the series exactly -(1/T) sum_j a_j psi(j/T),
   the tail from block 0, so by default no block is summed.  An explicit
   prefix of K0 blocks is summed exactly, plus the tail
@@ -52,8 +53,9 @@ from mpmath import libmp, mp
 from .errors import BudgetExceeded, Unachievable
 from .vectors import CoefficientVector
 
-# counts block-terms.  It bounds the cost of exact prefixes; in raw mode it
-# bounds the truncation only, as the K-block sum is two psi tails whatever K is
+# counts block-terms (blocks * modulus) and bounds partial_sum_exact, the one
+# sum whose cost grows with its block count; raw's K-block sum is two psi
+# tails whatever K is, so no budget limits it
 DEFAULT_BLOCK_BUDGET = 10**6
 # bounds harmonic, rearranged_terms and `logser rearranged`, whose exact
 # sums grow with n.  Single runs (2-vCPU x86_64, CPython 3.11, no gmpy2) at
@@ -130,26 +132,22 @@ def _weighted_harmonic(weights: list[int], n: int, start: int = 0) -> Fraction:
     return split(start + 1, n + 1)
 
 
-def partial_sum_exact(
-    v: CoefficientVector,
-    blocks: int,
-    *,
-    block_budget: int = DEFAULT_BLOCK_BUDGET,
-) -> Fraction:
+def partial_sum_exact(v: CoefficientVector, blocks: int) -> Fraction:
     """Exact rational sum of the first `blocks` blocks.
 
-    The budget counts individual block-terms (blocks * modulus), which
-    is what the cost grows with.  Block k's term j is a_j / m with
-    m = kT + j, so the sum is a weighted harmonic sum up to blocks * T
-    with the coefficients, scaled to integers by the lcm D of their
-    denominators, as periodic weights.
+    DEFAULT_BLOCK_BUDGET, read at call time, bounds the block-terms
+    (blocks * modulus), which is what the cost grows with; a larger
+    request raises BudgetExceeded before summing.  Block k's term j is
+    a_j / m with m = kT + j, so the sum is a weighted harmonic sum up to
+    blocks * T with the coefficients, scaled to integers by the lcm D of
+    their denominators, as periodic weights.
     """
     if blocks < 0:
         raise ValueError("blocks must be >= 0")
-    if blocks * v.modulus > block_budget:
+    if blocks * v.modulus > DEFAULT_BLOCK_BUDGET:
         raise BudgetExceeded(
             f"{blocks} blocks over modulus {v.modulus} exceed the budget of "
-            f"{block_budget} block-terms"
+            f"{DEFAULT_BLOCK_BUDGET} block-terms"
         )
     weights, scale = _integer_weights(v)
     return _weighted_harmonic(weights, blocks * v.modulus) / scale
@@ -420,7 +418,7 @@ def _working_prec(abs_err: float, v: CoefficientVector) -> int:
     return wanted
 
 
-def _evaluate_raw(v, abs_err, block_budget, prec) -> EvalResult:
+def _evaluate_raw(v, abs_err, prec) -> EvalResult:
     T = v.modulus
     if math.isinf(abs_err):
         blocks = 2
@@ -429,11 +427,6 @@ def _evaluate_raw(v, abs_err, block_budget, prec) -> EvalResult:
         tail_err = Fraction(abs_err) * (1 - Fraction(1, 1 << 20))
         needed = _weighted_mass(v) / (Fraction(T * T) * tail_err)
         blocks = max(2, math.ceil(needed) + 1)
-    if blocks > block_budget:
-        raise BudgetExceeded(
-            f"raw evaluation at abs_err={abs_err} needs {blocks} blocks, over "
-            f"the budget of {block_budget}"
-        )
     # the first `blocks` blocks are the series minus its tail after them
     whole, whole_mag = _psi_tail(v, 0, prec)
     tail, tail_mag = _psi_tail(v, blocks, prec)
@@ -446,11 +439,10 @@ def _evaluate_raw(v, abs_err, block_budget, prec) -> EvalResult:
     )
 
 
-def _evaluate_accelerated(v, block_budget, prefix_blocks, prec) -> EvalResult:
-    blocks = head = 0
-    if prefix_blocks:
-        blocks = min(prefix_blocks, block_budget // v.modulus)
-        prefix = partial_sum_exact(v, blocks, block_budget=block_budget)
+def _evaluate_accelerated(v, prefix_blocks, prec) -> EvalResult:
+    blocks, head = prefix_blocks or 0, 0
+    if blocks:
+        prefix = partial_sum_exact(v, blocks)
         head = (prefix.numerator << (prec + 10)) // prefix.denominator
     tail, magnitude = _psi_tail(v, blocks, prec)
     return EvalResult(
@@ -467,18 +459,18 @@ def evaluate(
     abs_err: float,
     method: str = "accelerated",
     *,
-    block_budget: int = DEFAULT_BLOCK_BUDGET,
     prefix_blocks: int | None = None,
 ) -> EvalResult:
     """Evaluate the series of v to within abs_err (see module docstring).
 
     Both routes report a rigorous bound within abs_err, at a precision
     prec >= 96 set by abs_err and the coefficients.  raw mode keeps 2^-20
-    of abs_err for rounding when it picks the truncation, and raises
-    BudgetExceeded when that exceeds `block_budget` blocks.
-    accelerated mode sums no block and returns -(1/T) sum_j a_j psi(j/T).
-    An explicit `prefix_blocks` K0 > 0, capped at `block_budget` block-
-    terms, sums K0 blocks exactly and adds -(1/T) sum_j a_j psi(K0 + j/T).
+    of abs_err for rounding when it picks the truncation K; its K-block
+    sum is two psi tails, so its cost does not grow with K and no budget
+    limits it.  accelerated mode sums no block and returns
+    -(1/T) sum_j a_j psi(j/T).  An explicit `prefix_blocks` K0 > 0 sums
+    K0 blocks exactly and adds -(1/T) sum_j a_j psi(K0 + j/T); K0 T over
+    DEFAULT_BLOCK_BUDGET raises BudgetExceeded, as partial_sum_exact does.
 
     Error, in units u = 2^-(prec+10) of the fixed-point kernel: the tail
     identity is exact and each floor division errs by under u.  psi(x)
@@ -526,9 +518,9 @@ def evaluate(
         )
     prec = _working_prec(abs_err, v)
     if method == "raw":
-        result = _evaluate_raw(v, abs_err, block_budget, prec)
+        result = _evaluate_raw(v, abs_err, prec)
     else:
-        result = _evaluate_accelerated(v, block_budget, prefix_blocks, prec)
+        result = _evaluate_accelerated(v, prefix_blocks, prec)
     if result.error_bound > abs_err:
         raise Unachievable(
             f"{prec} bits of working precision cannot reach abs_err={abs_err}"

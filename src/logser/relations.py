@@ -39,6 +39,9 @@ from .vectors import (
 )
 
 _MAX_DIVISOR_MODULUS = 64
+# the abs_err at which divisor_relations checks each witness through
+# verify_zero; the accelerated route's cost does not depend on it
+_WITNESS_EPS = 1e-6
 _ZERO = Fraction(0)
 
 
@@ -221,7 +224,7 @@ def _log_positions(T: int) -> list[tuple[int, int]]:
     return out
 
 
-def _checked_relations(T: int, eps: float = 1e-6) -> tuple[KernelBasis, list[tuple]]:
+def _checked_relations(T: int) -> tuple[KernelBasis, list[tuple]]:
     """divisor_relations(T), and per relation its (witness, EvalResult)."""
     if not 1 <= T <= _MAX_DIVISOR_MODULUS:
         raise ValueError(f"T must be in [1, {_MAX_DIVISOR_MODULUS}]")
@@ -244,7 +247,7 @@ def _checked_relations(T: int, eps: float = 1e-6) -> tuple[KernelBasis, list[tup
         # witness's first nonzero coefficient, and rel is already coprime
         sign = -1 if next(a for a in coeffs if a) > 0 else 1
         witness = make_vector(T, [sign * a for a in coeffs])
-        ok, result = verify_zero(witness, eps)
+        ok, result = verify_zero(witness, _WITNESS_EPS)
         if not ok:
             raise ArithmeticError(
                 f"witness {witness} failed its zero check: value {result.value} "
@@ -259,7 +262,7 @@ def _checked_relations(T: int, eps: float = 1e-6) -> tuple[KernelBasis, list[tup
     return KernelBasis(vectors=tuple(relations), family_size=size), checks
 
 
-def divisor_relations(T: int, *, eps: float = 1e-6) -> KernelBasis:
+def divisor_relations(T: int) -> KernelBasis:
     """Exact relations witnessing value collisions for a composite modulus.
 
     Multiplicative relations among the proper divisors of T and T itself
@@ -268,15 +271,15 @@ def divisor_relations(T: int, *, eps: float = 1e-6) -> KernelBasis:
     kernel relation of ``divisor_family(T)`` in closed form, and only its
     witness is built: the exponent relation over the logarithm vectors
     combines their lifts into a witness of series value 0, checked once
-    via ``verify_zero`` at eps; over the difference basis the relation is
-    minus the witness's prefix sums, and elsewhere 0.  Only these
+    via ``verify_zero`` at 1e-6; over the difference basis the relation
+    is minus the witness's prefix sums, and elsewhere 0.  Only these
     prime-exponent relations are found.  For T <= 64 their witnesses lie
     in the span of the zero series D_{p,i} - D_{p,1}, where D_{p,i} =
     sum_{k<p} e_{i+kT/p} - p e_{pi} for a prime p | T (Gauss's
     multiplication formula); that span has dimension T - phi(T) - omega(T),
     and the witnesses fill 8 of its 41 dimensions at T = 60.
     """
-    return _checked_relations(T, eps)[0]
+    return _checked_relations(T)[0]
 
 
 def relation_witnesses(

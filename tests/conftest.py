@@ -9,6 +9,7 @@ routes.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -46,7 +47,13 @@ def float_block_oracle(v: CoefficientVector, blocks: int) -> float:
     """Float64 partial sum: an fsum of each coefficient's terms 1/(kT+j)."""
     T = v.modulus
     return math.fsum(
-        float(a) * math.fsum(map(truediv, repeat(1.0), range(j, j + blocks * T, T)))
+        float(a) * _column_sum(T, j, blocks)
         for j, a in enumerate(v.coeffs, start=1)
         if a
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _column_sum(T: int, j: int, blocks: int) -> float:
+    """fsum of 1/(kT+j) for k < blocks; random vectors share most (T, j, blocks)."""
+    return math.fsum(map(truediv, repeat(1.0), range(j, j + blocks * T, T)))

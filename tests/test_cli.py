@@ -184,7 +184,7 @@ class TestJsonOutput:
         assert float(payload["abs_error_vs_reference"]) <= 1e-8
 
     def test_relations(self, capsys):
-        # T = 8 is past the block budget that a raw witness check would need
+        # each witness is checked on the accelerated route, which sums no block
         for T in ("4", "8"):
             code, out, _ = run_capture(capsys, ["relations", "--T", T])
             assert code == 0
@@ -207,6 +207,17 @@ class TestJsonOutput:
         assert len(calls) == payload["relation_count"] >= 1
         printed = [[Fraction(c) for c in e["witness_coeffs"]] for e in payload["relations"]]
         assert [list(v.coeffs) for v in calls] == printed
+
+    def test_raw_truncates_past_the_block_budget(self, capsys):
+        # ln 2 at 1e-9 truncates after about 2.5e8 blocks, summed as two psi tails
+        code, out, _ = run_capture(
+            capsys, ["ln", "2", "--method", "raw", "--abs-err", "1e-9"]
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["blocks_used"] > evaluation.DEFAULT_BLOCK_BUDGET
+        with mp.workprec(200):
+            assert abs(mp.mpf(payload["value"]) - mp.ln(2)) <= 1e-9
 
     def test_value_carries_more_than_double_precision(self, capsys):
         _, out, _ = run_capture(capsys, ["ln", "2", "--abs-err", "1e-25"])
@@ -392,30 +403,6 @@ class TestThreads:
             payload.pop("wall_time_micros")
             assert payload == expected[case], THREAD_CASES[case]
         assert mp.prec == prec
-
-
-class TestBlockBudgetEnv:
-    def test_budget_env_is_honoured(self, capsys, monkeypatch):
-        monkeypatch.setenv("LOGSER_BLOCK_BUDGET", "100")
-        code, _, err = run_capture(
-            capsys, ["ln", "2", "--abs-err", "1e-9", "--method", "raw"]
-        )
-        assert code == 1
-        assert "budget" in err
-
-    def test_bad_budget_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("LOGSER_BLOCK_BUDGET", "many")
-        code, _, err = run_capture(capsys, ["ln", "2"])
-        assert code == 1
-        assert "LOGSER_BLOCK_BUDGET" in err
-
-    def test_budget_env_is_read_on_every_call(self, capsys, monkeypatch):
-        argv = ["ln", "2", "--abs-err", "1e-5", "--method", "raw"]
-        assert run_capture(capsys, argv)[0] == 0
-        monkeypatch.setenv("LOGSER_BLOCK_BUDGET", "100")
-        assert run_capture(capsys, argv)[0] == 1
-        monkeypatch.delenv("LOGSER_BLOCK_BUDGET")
-        assert run_capture(capsys, argv)[0] == 0
 
 
 class TestBench:

@@ -70,10 +70,12 @@ class TestPartialSumExact:
         lifted = lift(ln_vector(2), 2)
         assert partial_sum_exact(lifted, 1) == Fraction(7, 12)
 
-    def test_budget_counts_block_terms(self):
+    def test_budget_counts_block_terms(self, monkeypatch):
+        # the budget is read at call time, so a small one checks both sides cheaply
+        monkeypatch.setattr(evaluation, "DEFAULT_BLOCK_BUDGET", 100)
         with pytest.raises(BudgetExceeded):
-            partial_sum_exact(ln_vector(10), 11, block_budget=100)
-        assert partial_sum_exact(ln_vector(10), 10, block_budget=100) is not None
+            partial_sum_exact(ln_vector(10), 11)
+        assert partial_sum_exact(ln_vector(10), 10) is not None
 
     def test_matches_independent_oracle(self):
         rng = random.Random(5)
@@ -157,12 +159,11 @@ class TestEvaluateRaw:
         assert result.error_bound == 0.0
         assert result.blocks_used == 2
 
-    def test_budget_counts_blocks(self):
-        # ln 2 at 1e-9 needs ~2.5e8 blocks, over the default budget
-        with pytest.raises(BudgetExceeded):
-            evaluate(ln_vector(2), 1e-9, "raw")
-        result = evaluate(ln_vector(2), 1e-9, "raw", block_budget=10**9)
-        assert abs(float(result.value) - LN2) <= 1e-9
+    def test_truncation_past_the_block_budget(self):
+        # ln 2 at 1e-9 needs ~2.5e8 blocks; the K-block sum is two psi tails
+        result = evaluate(ln_vector(2), 1e-9, "raw")
+        assert result.blocks_used > evaluation.DEFAULT_BLOCK_BUDGET
+        assert abs(float(result.value) - LN2) <= result.error_bound <= 1e-9
 
     def test_bound_is_rigorous_vs_oracle(self):
         rng = random.Random(17)
@@ -219,24 +220,33 @@ class TestEvaluateAccelerated:
     def test_agrees_with_raw(self):
         for T in range(2, 11):
             accel = evaluate(ln_vector(T), 1e-9, "accelerated")
-            raw = evaluate(ln_vector(T), 1e-9, "raw", block_budget=10**10)
+            raw = evaluate(ln_vector(T), 1e-9, "raw")
             assert abs(float(accel.value) - float(raw.value)) <= 2e-9
 
     def test_small_prefix_still_honest(self):
         result = evaluate(ln_vector(2), 1e-8, prefix_blocks=10)
         assert abs(float(result.value) - LN2) <= result.error_bound
 
-    @pytest.mark.parametrize("abs_err", [1e-10, 1e-20, 1e-30, 1e-45, 1e-60])
-    def test_bound_is_rigorous_vs_digamma_limit(self, abs_err, monkeypatch):
-        # the default route is the digamma tail from block 0 alone
+    @pytest.mark.parametrize(
+        "abs_err, method",
+        [
+            pytest.param(e, m, id=f"{e:g}" if m == "accelerated" else f"{e:g}-raw")
+            for m in ("accelerated", "raw")
+            for e in (1e-10, 1e-20, 1e-30, 1e-45, 1e-60)
+        ],
+    )
+    def test_bound_is_rigorous_vs_digamma_limit(self, abs_err, method, monkeypatch):
+        # the default route is the digamma tail from block 0 alone, and raw's
+        # truncation, up to 1e62 blocks here, is two digamma tails
         monkeypatch.setattr(evaluation, "partial_sum_exact", _no_exact_prefix)
         rng = random.Random(round(-math.log10(abs_err)))
         # at least twice the working precision the evaluator picks for these vectors
         bits = 2 * (math.ceil(-math.log2(abs_err)) + 64)
         for _ in range(8):
             v = random_balanced(rng, max_modulus=12)
-            result = evaluate(v, abs_err)
-            assert result.blocks_used == 0
+            result = evaluate(v, abs_err, method)
+            if method == "accelerated":
+                assert result.blocks_used == 0
             assert result.error_bound <= abs_err
             with mp.workprec(bits):
                 gap = abs(result.value - _digamma_limit(v))
@@ -271,12 +281,9 @@ class TestEvaluateAccelerated:
                         assert abs(a.value - b.value) <= a.error_bound + b.error_bound
 
     def test_budget_caps_an_explicit_prefix(self):
-        result = evaluate(ln_vector(5), 1e-20, prefix_blocks=1000, block_budget=14)
-        assert result.blocks_used == 2
-        result = evaluate(ln_vector(5), 1e-20, prefix_blocks=1000, block_budget=4)
-        assert result.blocks_used == 0
-        with mp.workprec(200):
-            assert abs(result.value - mp.ln(5)) <= result.error_bound
+        # 200,001 blocks over modulus 5 are 1,000,005 block-terms
+        with pytest.raises(BudgetExceeded):
+            evaluate(ln_vector(5), 1e-20, prefix_blocks=200_001)
 
     def test_lnq_1001_1000_needs_no_exact_prefix(self):
         # modulus 10010: even a 32-block exact prefix is 320,320 Fraction terms
