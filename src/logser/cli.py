@@ -1,7 +1,11 @@
 """Command-line surface: `logser <subcommand> ...`.
 
 Every library capability is reachable from here with machine-readable
-output: JSON (default) or text, and CSV tables from `bench`.  Rationals
+output: JSON (default) or text, and CSV tables from `bench`.  Every
+subcommand but `relations` and `bench` prints one value payload, built
+by `_cmd_value`: command, inputs, value, precision, error_bound,
+bound_is_heuristic, blocks_used, the subcommand's extra fields, then
+wall_time_micros, which times the library calls alone.  Rationals
 cross as "p/q" strings and reals as decimal strings with a precision
 field, so goldens never depend on binary float formatting.  Reals are
 rounded by mpmath.libmp at explicit precisions; no mpmath context is
@@ -21,7 +25,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 
@@ -83,54 +87,11 @@ def _ln_float(n: int, prec: int) -> float:
     return libmp.to_float(raw, rnd=libmp.round_nearest)
 
 
-def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        parts = [f"{payload['command']}"]
-        inputs = payload.get("inputs", {})
-        if inputs:
-            parts.append("(" + ", ".join(f"{k}={v}" for k, v in inputs.items()) + ")")
-        if "value" in payload:
-            parts.append(f"= {payload['value']}")
-        if "error_bound" in payload:
-            kind = "heuristic" if payload.get("bound_is_heuristic") else "rigorous"
-            parts.append(f"+- {payload['error_bound']} ({kind})")
-        if "blocks_used" in payload:
-            parts.append(f"[{payload['blocks_used']} blocks]")
-        print(" ".join(parts))
-        for key, value in payload.items():
-            if key in {
-                "command",
-                "inputs",
-                "value",
-                "error_bound",
-                "bound_is_heuristic",
-                "blocks_used",
-                "precision",
-                "wall_time_micros",
-            }:
-                continue
-            print(f"  {key}: {value}")
-
-
 def _parse_coeffs(raw: str) -> list[Fraction]:
     try:
         return [Fraction(part.strip()) for part in raw.split(",") if part.strip()]
     except (ValueError, ZeroDivisionError) as exc:
         raise SeriesError(f"cannot parse coefficient list {raw!r}: {exc}") from exc
-
-
-def _parse_ratio(raw: str) -> tuple[int, int]:
-    parts = raw.split("/")
-    try:
-        if len(parts) == 1:
-            return int(parts[0]), 1
-        if len(parts) == 2:
-            return int(parts[0]), int(parts[1])
-    except ValueError:
-        pass
-    raise SeriesError(f"expected M/L with positive integers, got {raw!r}")
 
 
 # ----------------------------------------------------------------------
@@ -154,31 +115,46 @@ def _ln_vector(args):
 
 
 def _lnq_vector(args):
-    top, bottom = _parse_ratio(args.ratio)
+    top, slash, bottom = args.ratio.partition("/")
+    try:
+        top, bottom = int(top), int(bottom) if slash else 1
+    except ValueError:
+        raise SeriesError(f"expected M/L with positive integers, got {args.ratio!r}") from None
     vec = ln_rational_vector(top, bottom)
     return vec, {"M": top, "L": bottom, "modulus": vec.modulus}
 
 
-def _cmd_series(args) -> int:
+@dataclass
+class _Reading:
+    """What one value subcommand computed; `_cmd_value` prints it.
+
+    `micros` times the library calls alone, and `extras` holds the
+    subcommand's own fields, already rendered.
+    """
+
+    inputs: dict
+    value: mpmath.mpf | float
+    digits: int
+    error_bound: float
+    bound_is_heuristic: bool
+    micros: int
+    blocks_used: int = 0
+    extras: dict = field(default_factory=dict)
+
+
+def _read_series(args) -> _Reading:
     """eval, ln and lnq: evaluate the vector that `args.vector` builds."""
     vec, inputs = args.vector(args)
     result, micros = _timed(evaluate, vec, args.abs_err, args.method)
-    digits = _digits_for(args.abs_err)
-    payload = {
-        "command": args.command,
-        "inputs": {**inputs, "abs_err": repr(args.abs_err), "method": args.method},
-        "value": _real(result.value, digits),
-        "precision": digits,
-        "error_bound": repr(result.error_bound),
-        "bound_is_heuristic": result.bound_is_heuristic,
-        "blocks_used": result.blocks_used,
-        "wall_time_micros": micros,
-    }
-    _emit(payload, args.format)
-    return 0
+    return _Reading(
+        inputs={**inputs, "abs_err": repr(args.abs_err), "method": args.method},
+        value=result.value, digits=_digits_for(args.abs_err),
+        error_bound=result.error_bound, bound_is_heuristic=result.bound_is_heuristic,
+        micros=micros, blocks_used=result.blocks_used,
+    )
 
 
-def _cmd_pi(args) -> int:
+def _read_pi(args) -> _Reading:
     (value, series), micros = _timed(quadrature.pi_with_series, args.abs_err)
     digits = _digits_for(args.abs_err)
     # pi = 3 sqrt(3) S exactly, and value = fl(fl(3 fl(sqrt 3)) float(S~))
@@ -189,77 +165,99 @@ def _cmd_pi(args) -> int:
     # significant digits adds at most 0.5e-16 |value| < 0.46u |value|.
     # 5.2 > 3 sqrt(3), and 2^-50 = 8u leaves room for rounding this sum.
     bound = 5.2 * series.error_bound + 2.0**-50 * abs(value)
-    payload = {
-        "command": "pi",
-        "inputs": {"abs_err": repr(args.abs_err)},
-        "value": _real(value, digits),
-        "precision": digits,
-        "error_bound": repr(bound),
-        "bound_is_heuristic": False,
-        "blocks_used": series.blocks_used,
-        "wall_time_micros": micros,
-        "arctan_cross_check": _real(quadrature.pi_arctan(), digits),
-    }
-    _emit(payload, args.format)
-    return 0
+    return _Reading(
+        inputs={"abs_err": repr(args.abs_err)}, value=value, digits=digits,
+        error_bound=bound, bound_is_heuristic=False,
+        micros=micros, blocks_used=series.blocks_used,
+        extras={"arctan_cross_check": _real(quadrature.pi_arctan(), digits)},
+    )
 
 
-def _cmd_gamma(args) -> int:
+def _read_gamma(args) -> _Reading:
     partial, micros = _timed(gamma_partial, args.n)
-    digits = 17
-    payload = {
-        "command": "gamma",
-        "inputs": {"n": args.n},
-        "value": _real(partial.value, digits),
-        "precision": digits,
-        # distance to the limit: the steps A_n - A_{n+1} lie in
-        # (0, 1/(n(n+1))) and telescope to at most 1/n
-        "error_bound": repr(1.0 / args.n),
-        "bound_is_heuristic": False,
-        "blocks_used": 0,
-        "wall_time_micros": micros,
-    }
-    _emit(payload, args.format)
-    return 0
+    # distance to the limit: the steps A_n - A_{n+1} lie in
+    # (0, 1/(n(n+1))) and telescope to at most 1/n
+    return _Reading(
+        inputs={"n": args.n}, value=partial.value, digits=17,
+        error_bound=1.0 / args.n, bound_is_heuristic=False, micros=micros,
+    )
 
 
-def _cmd_integral_check(args) -> int:
+def _read_integral_check(args) -> _Reading:
     check, micros = _timed(quadrature.integral_series_check, args.T, args.j, args.tol)
     digits = _digits_for(args.tol)
-    payload = {
-        "command": "integral-check",
-        "inputs": {"T": args.T, "j": args.j, "tol": repr(args.tol)},
-        "value": _real(check.integral_value, digits),
-        "precision": digits,
-        "error_bound": repr(check.tolerance),
-        "bound_is_heuristic": True,
-        "blocks_used": 0,
-        "series_value": _real(check.series_value, digits),
-        "discrepancy": repr(check.discrepancy),
-        "tolerance": repr(check.tolerance),
-        "wall_time_micros": micros,
-    }
-    _emit(payload, args.format)
-    return 0
+    return _Reading(
+        inputs={"T": args.T, "j": args.j, "tol": repr(args.tol)},
+        value=check.integral_value, digits=digits,
+        error_bound=check.tolerance, bound_is_heuristic=True, micros=micros,
+        extras={
+            "series_value": _real(check.series_value, digits),
+            "discrepancy": repr(check.discrepancy),
+            "tolerance": repr(check.tolerance),
+        },
+    )
 
 
-def _cmd_decompose(args) -> int:
+def _read_decompose(args) -> _Reading:
     value, micros = _timed(quadrature.decomposition_check, args.T, args.tol)
     digits = _digits_for(args.tol)
     reference = _ln_float(args.T, 96)
+    return _Reading(
+        inputs={"T": args.T, "tol": repr(args.tol)}, value=value, digits=digits,
+        error_bound=args.tol, bound_is_heuristic=True, micros=micros,
+        extras={
+            "reference_log": _real(reference, digits),
+            "abs_error_vs_reference": repr(abs(value - reference)),
+        },
+    )
+
+
+def _read_rearranged(args) -> _Reading:
+    terms, micros = _timed(rearranged_terms, args.T, args.n)
+    # whole groups of T + 1 terms are blocks of ln_vector(T), which sum to
+    # H_{cT} - H_c; the r <= T leftover terms 1/(cT + j) extend H_{cT}, so
+    # the partial sum is 1/(c+1) + ... + 1/(cT+r)
+    c, r = divmod(args.n, args.T + 1)
+    total, sum_micros = _timed(_weighted_harmonic, [1], c * args.T + r, c)
+    value = float(total)
+    return _Reading(
+        inputs={"T": args.T, "n": args.n}, value=value, digits=17,
+        # the partial sum itself is exact; only the decimal rendering rounds
+        error_bound=math.ldexp(abs(value) + 1.0, -52), bound_is_heuristic=False,
+        micros=micros + sum_micros, blocks_used=c,
+        extras={
+            # Decimal prints integers of any length; str(int) stops at 4300 digits
+            "partial_sum": f"{Decimal(total.numerator)}/{Decimal(total.denominator)}",
+            "terms": [f"{t.numerator}/{t.denominator}" for t in terms],
+        },
+    )
+
+
+def _cmd_value(args) -> int:
+    """Every value subcommand: print the reading that `args.reading` takes."""
+    reading = args.reading(args)
     payload = {
-        "command": "decompose",
-        "inputs": {"T": args.T, "tol": repr(args.tol)},
-        "value": _real(value, digits),
-        "precision": digits,
-        "error_bound": repr(args.tol),
-        "bound_is_heuristic": True,
-        "blocks_used": 0,
-        "reference_log": _real(reference, digits),
-        "abs_error_vs_reference": repr(abs(value - reference)),
-        "wall_time_micros": micros,
+        "command": args.command,
+        "inputs": reading.inputs,
+        "value": _real(reading.value, reading.digits),
+        "precision": reading.digits,
+        "error_bound": repr(reading.error_bound),
+        "bound_is_heuristic": reading.bound_is_heuristic,
+        "blocks_used": reading.blocks_used,
+        **reading.extras,
+        "wall_time_micros": reading.micros,
     }
-    _emit(payload, args.format)
+    if args.format == "json":
+        print(json.dumps(payload, indent=2))
+        return 0
+    inputs = ", ".join(f"{k}={v}" for k, v in reading.inputs.items())
+    kind = "heuristic" if reading.bound_is_heuristic else "rigorous"
+    print(
+        f"{args.command} ({inputs}) = {payload['value']} "
+        f"+- {payload['error_bound']} ({kind}) [{reading.blocks_used} blocks]"
+    )
+    for key, value in reading.extras.items():
+        print(f"  {key}: {value}")
     return 0
 
 
@@ -298,32 +296,6 @@ def _cmd_relations(args) -> int:
                 f"  zero series ({coeffs}) value={entry['witness_value']} "
                 f"verified={entry['verified_zero']}"
             )
-    return 0
-
-
-def _cmd_rearranged(args) -> int:
-    terms, micros = _timed(rearranged_terms, args.T, args.n)
-    # whole groups of T + 1 terms are blocks of ln_vector(T), which sum to
-    # H_{cT} - H_c; the r <= T leftover terms 1/(cT + j) extend H_{cT}, so
-    # the partial sum is 1/(c+1) + ... + 1/(cT+r)
-    c, r = divmod(args.n, args.T + 1)
-    total, sum_micros = _timed(_weighted_harmonic, [1], c * args.T + r, c)
-    value = float(total)
-    payload = {
-        "command": "rearranged",
-        "inputs": {"T": args.T, "n": args.n},
-        "value": _real(value, 17),
-        "precision": 17,
-        # the partial sum itself is exact; only the decimal rendering rounds
-        "error_bound": repr(math.ldexp(abs(value) + 1.0, -52)),
-        "bound_is_heuristic": False,
-        "blocks_used": c,
-        # Decimal prints integers of any length; str(int) stops at 4300 digits
-        "partial_sum": f"{Decimal(total.numerator)}/{Decimal(total.denominator)}",
-        "terms": [f"{t.numerator}/{t.denominator}" for t in terms],
-        "wall_time_micros": micros + sum_micros,
-    }
-    _emit(payload, args.format)
     return 0
 
 
@@ -473,33 +445,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("eval", parents=[series], help="evaluate a coefficient vector")
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--coeffs", type=str, required=True)
-    p.set_defaults(handler=_cmd_series, vector=_eval_vector)
+    p.set_defaults(handler=_cmd_value, reading=_read_series, vector=_eval_vector)
 
     p = add("ln", parents=[series], help="ln of a natural number")
     p.add_argument("T", type=int)
-    p.set_defaults(handler=_cmd_series, vector=_ln_vector)
+    p.set_defaults(handler=_cmd_value, reading=_read_series, vector=_ln_vector)
 
     p = add("lnq", parents=[series], help="ln of a positive rational M/L")
     p.add_argument("ratio", type=str, metavar="M/L")
-    p.set_defaults(handler=_cmd_series, vector=_lnq_vector)
+    p.set_defaults(handler=_cmd_value, reading=_read_series, vector=_lnq_vector)
 
     p = add("pi", parents=[err], help="pi from the modulus-3 difference series")
-    p.set_defaults(handler=_cmd_pi)
+    p.set_defaults(handler=_cmd_value, reading=_read_pi)
 
     p = add("gamma", parents=[fmt], help="partial H_n - ln n of the Euler-Mascheroni limit")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_gamma)
+    p.set_defaults(handler=_cmd_value, reading=_read_gamma)
 
     p = add("integral-check", parents=[fmt], help="integral vs series agreement")
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(handler=_cmd_integral_check)
+    p.set_defaults(handler=_cmd_value, reading=_read_integral_check)
 
     p = add("decompose", parents=[fmt], help="rebuild ln T from weighted integrals")
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(handler=_cmd_decompose)
+    p.set_defaults(handler=_cmd_value, reading=_read_decompose)
 
     p = add("relations", parents=[fmt], help="zero-series relations for a composite modulus")
     p.add_argument("--T", type=int, required=True)
@@ -508,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("rearranged", parents=[fmt], help="terms of the rearranged stream")
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_rearranged)
+    p.set_defaults(handler=_cmd_value, reading=_read_rearranged)
 
     p = add("bench", help="convergence benchmark (CSV to stdout)")
     p.add_argument("--target", type=str, required=True, metavar="ln:T|pi|vector:T:c1,...")
@@ -528,10 +500,7 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except SeriesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (SeriesError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -199,8 +199,6 @@ def tail_bound(v: CoefficientVector, blocks: int) -> float:
     if blocks < 2:
         raise ValueError("tail bound requires at least 2 blocks")
     T = v.modulus
-    if T == 1:
-        return 0.0
     mass = _weighted_mass(v)
     if not mass:
         return 0.0

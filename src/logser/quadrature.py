@@ -86,7 +86,7 @@ def _panel(T: int, j: int, a: float, b: float) -> float:
 def integrate(T: int, j: int, tol: float) -> float:
     """Adaptive quadrature of the integrand over [0, 1], |error| <~ tol."""
     _validate_pair(T, j)
-    if tol < _MIN_TOL:
+    if not tol >= _MIN_TOL:  # also rejects NaN
         raise ValueError(f"tol must be >= {_MIN_TOL}")
     total = 0.0
     panels = 0
@@ -147,7 +147,7 @@ def decomposition_check(T: int, tol: float) -> float:
     """
     if T < 2:
         raise ValueError("T must be >= 2")
-    if tol < 1e-12:
+    if not tol >= 1e-12:  # also rejects NaN
         raise ValueError("tol must be >= 1e-12")
     inner = max(tol / T, _MIN_TOL)
     return math.fsum(j * integrate(T, j, inner) for j in range(1, T))
@@ -155,7 +155,7 @@ def decomposition_check(T: int, tol: float) -> float:
 
 def pi_with_series(tol: float) -> tuple[float, EvalResult]:
     """pi_estimate(tol) together with the series evaluation it came from."""
-    if tol < 1e-12:
+    if not tol >= 1e-12:  # also rejects NaN
         raise ValueError("tol must be >= 1e-12")
     series = evaluate(make_vector(3, (1, -1, 0)), tol / 6, "accelerated")
     return 3.0 * math.sqrt(3.0) * float(series.value), series

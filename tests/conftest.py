@@ -1,10 +1,11 @@
 """Shared helpers: random balanced vectors and independent oracles.
 
 The oracles here deliberately avoid the package's own summation paths:
-``exact_block_oracle`` is a plain nested Fraction loop and
+``exact_block_oracle`` is a plain nested Fraction loop,
 ``float_block_oracle`` sums the float64 terms 1/(kT+j) literally with
-``math.fsum``, so they can referee the library's exact and floating
-routes.
+``math.fsum`` and ``gauss_digamma_limit`` takes the series limit from
+Gauss's digamma theorem, so they can referee the library's exact and
+floating routes.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import random
 from fractions import Fraction
 from itertools import repeat
 from operator import truediv
+
+from mpmath import mp
 
 from logser import CoefficientVector, make_vector
 
@@ -57,3 +60,28 @@ def float_block_oracle(v: CoefficientVector, blocks: int) -> float:
 def _column_sum(T: int, j: int, blocks: int) -> float:
     """fsum of 1/(kT+j) for k < blocks; random vectors share most (T, j, blocks)."""
     return math.fsum(map(truediv, repeat(1.0), range(j, j + blocks * T, T)))
+
+
+def gauss_digamma_limit(v: CoefficientVector):
+    """The series limit -(1/T) sum_j a_j psi(j/T) at the current mpmath precision.
+
+    psi(j/T) comes from Gauss's digamma theorem (DLMF 5.4.19), not from a
+    digamma routine: for 0 < j < T, psi(j/T) + gamma = -ln T
+    - (pi/2) cot(pi j/T) + sum_{k=1}^{T-1} cos(2 pi j k/T) ln(2 sin(pi k/T)),
+    and psi(1) + gamma = 0.  The coefficients sum to zero, so gamma drops out.
+    """
+    T = v.modulus
+    log_sines = [mp.log(2 * mp.sin(mp.pi * k / T)) for k in range(1, T)]
+
+    def psi_plus_gamma(j: int):
+        if j == T:
+            return mp.zero
+        return -mp.log(T) - mp.pi / 2 * mp.cot(mp.pi * j / T) + mp.fsum(
+            mp.cos(2 * mp.pi * j * k / T) * s for k, s in enumerate(log_sines, start=1)
+        )
+
+    return -mp.fsum(
+        mp.mpf(a.numerator) / a.denominator * psi_plus_gamma(j)
+        for j, a in enumerate(v.coeffs, start=1)
+        if a
+    ) / T

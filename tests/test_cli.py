@@ -96,19 +96,22 @@ class TestJsonOutput:
         ],
     )
     def test_schema_fields_present(self, capsys, argv):
+        # the shared fields lead in this order, the extras follow, and
+        # wall_time_micros closes every value payload
         code, out, _ = run_capture(capsys, argv)
         assert code == 0
         payload = json.loads(out)
-        for key in (
+        keys = list(payload)
+        assert keys[:7] == [
             "command",
             "inputs",
             "value",
+            "precision",
             "error_bound",
             "bound_is_heuristic",
             "blocks_used",
-            "wall_time_micros",
-        ):
-            assert key in payload, f"{argv}: missing {key}"
+        ], argv
+        assert keys[-1] == "wall_time_micros", argv
         assert isinstance(payload["value"], str)
         assert isinstance(payload["error_bound"], str)
 

@@ -5,6 +5,7 @@ import math
 import pytest
 from mpmath import mp
 
+from logser import quadrature
 from logser import (
     decomposition_check,
     evaluate,
@@ -134,3 +135,24 @@ class TestPi:
     def test_tolerance_floor(self):
         with pytest.raises(ValueError):
             pi_estimate(1e-13)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("a NaN tolerance reached the quadrature or the series")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tol: quadrature.integrate(3, 1, tol),
+        lambda tol: quadrature.decomposition_check(5, tol),
+        quadrature.pi_with_series,
+    ],
+    ids=["integrate", "decomposition_check", "pi_with_series"],
+)
+def test_nan_tolerance_is_rejected_before_any_panel(call, monkeypatch):
+    # NaN compares false both ways, so a guard written as tol < floor lets it in
+    monkeypatch.setattr(quadrature, "_panel", _no_work)
+    monkeypatch.setattr(quadrature, "evaluate", _no_work)
+    with pytest.raises(ValueError):
+        call(math.nan)
