@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import ModulusMismatch, NotComposite
@@ -111,6 +112,13 @@ def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, .
     Normalizing once at the end (coprime, first nonzero entry positive)
     gives the unique normalized RREF basis for this pivot order (Bareiss
     1968; Nakos, Turner and Williams 1997).
+
+    A row below the pivot updates to (p a - f b) / prev, f its entry in
+    the pivot column.  When f = 0 and p equals the previous pivot prev,
+    that is the row itself, so the row is skipped; in divisor families
+    most rows are.  Every row that is updated still runs its division
+    and the exactness check below; a skipped row runs no division, so
+    none can lose exactness.
     """
     matrix = []
     for row in rows:
@@ -130,6 +138,8 @@ def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, .
         for i in range(r + 1, nrows):
             row = matrix[i]
             f = row[c]
+            if not f and p == prev:
+                continue
             quotients = [(p * a - f * b) // prev for a, b in zip(row[c:], pivot_row)]
             # every floor remainder has the sign of prev, so all of them
             # are 0 exactly when they sum to 0
@@ -253,7 +263,8 @@ def _checked_relations(T: int) -> tuple[KernelBasis, list[tuple]]:
                 f"witness {witness} failed its zero check: value {result.value} "
                 f"outside bound {result.error_bound}"
             )
-        full = [-coord for coord in express_in_basis(witness)]
+        # minus the witness's prefix sums, its difference-basis coordinates
+        full = [Fraction(-sign * s) if s else _ZERO for s in accumulate(coeffs[:-1])]
         full += [_ZERO] * (size - T + 1)
         for c, (_, pos) in zip(rel, logs):
             full[pos] = Fraction(sign * c)

@@ -471,6 +471,40 @@ class TestPsiKernel:
                 error = abs(evaluation._psi(p, T, prec) * unit - reference[x]) / unit
                 assert error <= bound, (p, T, float(error))
 
+    @pytest.mark.parametrize("prec", [96, 1024])
+    def test_lowest_terms_change_no_bit(self, prec):
+        # the memo's key is p/T in lowest terms; the uncached body on the
+        # unreduced arguments must give the same integer
+        body = evaluation._psi_lowest.__wrapped__
+        for T in range(1, 25):
+            for j in range(1, T + 1):
+                want = evaluation._psi(j, T, prec)
+                for g in (2, 3, 7):
+                    assert evaluation._psi(g * j, g * T, prec) == want, (j, T, g)
+                    assert body(g * j, g * T, prec) == want, (j, T, g)
+
+    def test_memo_is_bounded(self):
+        assert evaluation._psi_lowest.cache_info().maxsize == 1024
+
+    def test_memo_changes_no_result(self):
+        rng = random.Random(14)
+        vectors = [ln_vector(T) for T in (2, 6, 12, 24)]
+        vectors += [ln_rational_vector(5, 3), random_balanced(rng, modulus=9)]
+
+        def grid():
+            return [
+                (r.value._mpf_, r.error_bound, r.blocks_used)
+                for v in vectors
+                for method in ("raw", "accelerated")
+                for eps in (1e-6, 1e-20, 1e-60)
+                for r in [evaluate(v, eps, method)]
+            ]
+
+        grid()
+        warm = grid()
+        evaluation._psi_lowest.cache_clear()
+        assert grid() == warm
+
 
 def test_eval_result_value_is_high_precision():
     # more working precision than a double carries
@@ -500,6 +534,8 @@ class TestConcurrency:
             return evals, sums
 
         expected = work()
+        # the threads below race to fill the psi memo
+        evaluation._psi_lowest.cache_clear()
         stop = threading.Event()
 
         def flip_precision():

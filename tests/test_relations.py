@@ -163,7 +163,8 @@ class TestKernel:
             combo = linear_combine(list(zip(rel, family)))
             assert combo.is_zero()
 
-    @pytest.mark.parametrize("T", [12, 24, 36])
+    # at T = 48, 60 and 64 elimination leaves most rows as they are
+    @pytest.mark.parametrize("T", COMPOSITES)
     def test_divisor_family_matches_gauss_jordan(self, T):
         family = divisor_family(T)
         assert kernel(family).vectors == gauss_jordan_kernel(family)
