@@ -100,11 +100,8 @@ def block_term(v: CoefficientVector, k: int) -> Fraction:
     """Exact value of block k: sum_j a_j / (k*T + j)."""
     if k < 0:
         raise ValueError("block index must be >= 0")
-    base = k * v.modulus
-    return sum(
-        (a / (base + j) for j, a in enumerate(v.coeffs, start=1) if a),
-        Fraction(0),
-    )
+    weights, scale = _integer_weights(v)
+    return _weighted_harmonic(weights, (k + 1) * v.modulus, k * v.modulus) / scale
 
 
 def _weighted_harmonic(weights: list[int], n: int, start: int = 0) -> Fraction:
@@ -491,6 +488,8 @@ def evaluate(
     -(1/T) sum_j a_j psi(j/T).  An explicit `prefix_blocks` K0 > 0 sums
     K0 blocks exactly and adds -(1/T) sum_j a_j psi(K0 + j/T); K0 T over
     DEFAULT_BLOCK_BUDGET raises BudgetExceeded, as partial_sum_exact does.
+    raw mode picks its own K, so passing `prefix_blocks` with it raises
+    ValueError.
 
     Error, in units u = 2^-(prec+10) of the fixed-point kernel: the tail
     identity is exact and each floor division errs by under u.  psi(x)
@@ -526,8 +525,11 @@ def evaluate(
         raise ValueError("abs_err must be positive")
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
-    if prefix_blocks is not None and prefix_blocks < 0:
-        raise ValueError("prefix_blocks must be >= 0")
+    if prefix_blocks is not None:
+        if method == "raw":
+            raise ValueError("prefix_blocks applies to the accelerated method only")
+        if prefix_blocks < 0:
+            raise ValueError("prefix_blocks must be >= 0")
     if v.is_zero():
         return EvalResult(
             value=mpmath.mpf(0),

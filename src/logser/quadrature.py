@@ -141,15 +141,16 @@ def integral_series_check(T: int, j: int, tol: float) -> IntegralCheck:
 def decomposition_check(T: int, tol: float) -> float:
     """sum_j j * integral(T, j) over j = 1..T-1; converges to ln T.
 
-    The caller compares the result against a reference logarithm.  Each
-    inner integral gets tol/T of the error budget (clamped at the
-    quadrature floor).
+    The caller compares the result against a reference logarithm.  The
+    weights j sum to T(T-1)/2, so each inner integral gets 2 tol/(T(T-1))
+    of the error budget (clamped at the quadrature floor), and the
+    weighted errors add up to tol.
     """
     if T < 2:
         raise ValueError("T must be >= 2")
     if not tol >= 1e-12:  # also rejects NaN
         raise ValueError("tol must be >= 1e-12")
-    inner = max(tol / T, _MIN_TOL)
+    inner = max(2 * tol / (T * (T - 1)), _MIN_TOL)
     return math.fsum(j * integrate(T, j, inner) for j in range(1, T))
 
 

@@ -4,9 +4,10 @@ The values of all balanced series over a fixed modulus T form a vector
 space over the rationals spanned by the T-1 difference vectors
 (1,-1,0,...), (0,1,-1,...), ..., (0,...,1,-1); expressing a vector in
 that basis is a telescoping prefix sum.  Exact kernels of vector
-families are computed in integers, by fraction-free (Bareiss)
-elimination and back-substitution, so that every returned relation
-combines its family to the exact zero vector.
+families are computed in integers, by fraction-free Gauss-Jordan
+elimination whose reduced matrix, a multiple of the RREF, carries the
+basis, so that every returned relation combines its family to the exact
+zero vector.
 
 For composite moduli, logarithm vectors lifted from the proper divisors
 collide in value without colliding coefficient-wise (for instance
@@ -104,68 +105,54 @@ def _normalize_relation(ints: Sequence[int]) -> tuple[Fraction, ...]:
 def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
     """Exact nullspace basis of a rational matrix given by rows.
 
-    Rows are cleared to integers and reduced to echelon form by Bareiss
-    fraction-free elimination (pivot: first nonzero entry, scanning
-    columns left to right).  Each free column is back-substituted in
-    integers: at a pivot p whose row sums to s right of it, the entries
-    are scaled by p/gcd(s, p) and the pivot's entry is -s/gcd(s, p).
-    Normalizing once at the end (coprime, first nonzero entry positive)
-    gives the unique normalized RREF basis for this pivot order (Bareiss
-    1968; Nakos, Turner and Williams 1997).
+    Rows are cleared to integers and reduced by fraction-free
+    Gauss-Jordan elimination (pivot: first nonzero entry, scanning
+    columns left to right).  At pivot p, every other row, above the
+    pivot row or below it, updates to (p a - f b) / prev, f its entry in
+    the pivot column and prev the previous pivot.  The matrix ends as
+    d times its RREF, d the last pivot, so each free column fc gives the
+    kernel vector with d at fc and minus its column entry at each pivot
+    column.  Normalizing (coprime, first nonzero entry positive) gives
+    the unique normalized RREF basis for this pivot order (Bareiss 1968;
+    Nakos, Turner and Williams 1997).
 
-    A row below the pivot updates to (p a - f b) / prev, f its entry in
-    the pivot column.  When f = 0 and p equals the previous pivot prev,
-    that is the row itself, so the row is skipped; in divisor families
-    most rows are.  Every row that is updated still runs its division
-    and the exactness check below; a skipped row runs no division, so
-    none can lose exactness.
+    When f = 0 and p equals prev, the update is the row itself, so the
+    row is skipped; in divisor families most rows are.  Every row that
+    is updated still runs its division and the exactness check below; a
+    skipped row runs no division, so none can lose exactness.
     """
     matrix = []
     for row in rows:
         mult = math.lcm(*(e.denominator for e in row))
         matrix.append([e.numerator * (mult // e.denominator) for e in row])
-    nrows = len(matrix)
     pivot_cols: list[int] = []
     prev = 1
-    r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if matrix[i][c]), None)
+        r = len(pivot_cols)
+        pr = next((i for i in range(r, len(matrix)) if matrix[i][c]), None)
         if pr is None:
             continue
         matrix[r], matrix[pr] = matrix[pr], matrix[r]
-        pivot_row = matrix[r][c:]
-        p, pivot_sum = pivot_row[0], sum(pivot_row)
-        for i in range(r + 1, nrows):
-            row = matrix[i]
+        pivot_row = matrix[r]
+        p, pivot_sum = pivot_row[c], sum(pivot_row)
+        for i, row in enumerate(matrix):
             f = row[c]
-            if not f and p == prev:
+            if i == r or (not f and p == prev):
                 continue
-            quotients = [(p * a - f * b) // prev for a, b in zip(row[c:], pivot_row)]
+            quotients = [(p * a - f * b) // prev for a, b in zip(row, pivot_row)]
             # every floor remainder has the sign of prev, so all of them
             # are 0 exactly when they sum to 0
-            if p * sum(row[c:]) - f * pivot_sum != prev * sum(quotients):
+            if p * sum(row) - f * pivot_sum != prev * sum(quotients):
                 raise ArithmeticError("fraction-free elimination lost exactness")
-            row[c:] = quotients
+            row[:] = quotients
         prev = p
         pivot_cols.append(c)
-        r += 1
-    # (pivot column, pivot, nonzero entries right of the pivot) per pivot row
-    pivots = [
-        (c, matrix[i][c], [(cc, matrix[i][cc]) for cc in range(c + 1, ncols) if matrix[i][cc]])
-        for i, c in enumerate(pivot_cols)
-    ]
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivot_cols)):
         x = [0] * ncols
-        x[fc] = 1
-        for c, p, tail in reversed(pivots):
-            s = sum(m * x[cc] for cc, m in tail)
-            if s:
-                g = math.gcd(s, p)
-                if p != g:
-                    scale = p // g
-                    x = [scale * e for e in x]
-                x[c] = -s // g
+        x[fc] = prev
+        for row, c in zip(matrix, pivot_cols):
+            x[c] = -row[fc]
         basis.append(_normalize_relation(x))
     return basis
 

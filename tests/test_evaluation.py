@@ -340,6 +340,13 @@ class TestEvaluateAccelerated:
         with pytest.raises(ValueError):
             evaluate(ln_vector(2), 1e-6, prefix_blocks=-1)
 
+    def test_raw_rejects_prefix_blocks(self):
+        # raw picks its own truncation, so it cannot honour a prefix_blocks request
+        with pytest.raises(ValueError, match="prefix_blocks"):
+            evaluate(ln_vector(2), 1e-6, "raw", prefix_blocks=50)
+        with pytest.raises(ValueError, match="prefix_blocks"):
+            evaluate(make_vector(3, [0, 0, 0]), 1e-6, "raw", prefix_blocks=0)
+
 
 def _no_exact_prefix(*args, **kwargs):
     raise AssertionError("the default accelerated route summed an exact prefix")

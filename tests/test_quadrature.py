@@ -116,6 +116,21 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             decomposition_check(3, 1e-13)
 
+    @pytest.mark.parametrize("T", [4, 12])
+    def test_weighted_budget_is_tol(self, T, monkeypatch):
+        # the result is sum_j j * integral_j, so integral j's error counts j times
+        calls = []
+        real = quadrature.integrate
+
+        def recording(T_, j, tol):
+            calls.append((j, tol))
+            return real(T_, j, tol)
+
+        monkeypatch.setattr(quadrature, "integrate", recording)
+        decomposition_check(T, 1e-8)
+        assert [j for j, _ in calls] == list(range(1, T))
+        assert math.fsum(j * inner for j, inner in calls) <= 1e-8
+
 
 class TestPi:
     def test_estimate(self):

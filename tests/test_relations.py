@@ -87,6 +87,22 @@ def rational_families(draw):
     return family
 
 
+@st.composite
+def unit_families(draw):
+    """Families of balanced vectors with entries in {-1, 0, 1}.
+
+    Their elimination often meets a pivot equal to the previous one with
+    a nonzero entry above it, which rational families rarely do.
+    """
+    T = draw(st.integers(2, 6))
+    family = []
+    for _ in range(draw(st.integers(1, 7))):
+        k = draw(st.integers(0, T // 2))
+        entries = [1] * k + [-1] * k + [0] * (T - 2 * k)
+        family.append(make_vector(T, draw(st.permutations(entries))))
+    return family
+
+
 class TestSpanningBasis:
     def test_small_moduli(self):
         assert [[int(c) for c in b.coeffs] for b in spanning_basis(2)] == [[1, -1]]
@@ -172,6 +188,21 @@ class TestKernel:
     @settings(max_examples=150, deadline=None)
     @given(rational_families())
     def test_matches_gauss_jordan(self, family):
+        assert kernel(family).vectors == gauss_jordan_kernel(family)
+
+    def test_update_above_an_equal_pivot(self):
+        # the second pivot equals the first, and the row above it has a
+        # nonzero entry in the second pivot column that must be cleared
+        family = [
+            make_vector(3, [1, -1, 0]),
+            make_vector(3, [1, 0, -1]),
+            make_vector(3, [0, 1, -1]),
+        ]
+        assert kernel(family).vectors == ((Fraction(1), Fraction(-1), Fraction(1)),)
+
+    @settings(max_examples=150, deadline=None)
+    @given(unit_families())
+    def test_unit_families_match_gauss_jordan(self, family):
         assert kernel(family).vectors == gauss_jordan_kernel(family)
 
     def test_rational_coefficients_handled_exactly(self):
