@@ -218,7 +218,7 @@ def _read_rearranged(args) -> _Reading:
     # H_{cT} - H_c; the r <= T leftover terms 1/(cT + j) extend H_{cT}, so
     # the partial sum is 1/(c+1) + ... + 1/(cT+r)
     c, r = divmod(args.n, args.T + 1)
-    total, sum_micros = _timed(_weighted_harmonic, [1], c * args.T + r, c)
+    total, sum_micros = _timed(_weighted_harmonic, (1,), c * args.T + r, c)
     value = float(total)
     return _Reading(
         inputs={"T": args.T, "n": args.n}, value=value, digits=17,

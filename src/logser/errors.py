@@ -24,8 +24,10 @@ class ModulusMismatch(SeriesError):
 class BudgetExceeded(SeriesError):
     """The request exceeds a fixed cost limit of the package.
 
-    DEFAULT_BLOCK_BUDGET bounds the block-terms of an exact prefix and
-    TERM_LIMIT the terms of the exact sums that grow with n.
+    DEFAULT_BLOCK_BUDGET bounds the block-terms of an exact prefix,
+    TERM_LIMIT the terms of the exact sums that grow with n and the
+    modulus of ln(M/L), and the panel limit of adaptive quadrature the
+    panels of the fixed rule as well.
     """
 
 

@@ -54,18 +54,12 @@ import mpmath
 from mpmath import libmp, mp
 
 from .errors import BudgetExceeded, Unachievable
-from .vectors import CoefficientVector
+from .vectors import TERM_LIMIT, CoefficientVector
 
 # counts block-terms (blocks * modulus) and bounds partial_sum_exact, the one
 # sum whose cost grows with its block count; raw's K-block sum is two psi
 # tails whatever K is, so no budget limits it
 DEFAULT_BLOCK_BUDGET = 10**6
-# bounds harmonic, rearranged_terms and `logser rearranged`, whose exact
-# sums grow with n.  Single runs (2-vCPU x86_64, CPython 3.11, no gmpy2) at
-# n = 1e4 / 1e5 / 2e5 / 5e5 / 1e6: harmonic(n) 0.008 / 0.26 / 0.87 / 4.6 /
-# 17 s, rearranged_terms(2, n) 0.008 / 0.08 / 0.17 / 0.49 / 1.0 s.
-# gamma_partial keeps the limit as a domain contract only.
-TERM_LIMIT = 10**6
 
 _MIN_PREC = 96
 _MAX_PREC = 1024
@@ -100,11 +94,10 @@ def block_term(v: CoefficientVector, k: int) -> Fraction:
     """Exact value of block k: sum_j a_j / (k*T + j)."""
     if k < 0:
         raise ValueError("block index must be >= 0")
-    weights, scale = _integer_weights(v)
-    return _weighted_harmonic(weights, (k + 1) * v.modulus, k * v.modulus) / scale
+    return _weighted_harmonic(v.weights, (k + 1) * v.modulus, k * v.modulus) / v.scale
 
 
-def _weighted_harmonic(weights: list[int], n: int, start: int = 0) -> Fraction:
+def _weighted_harmonic(weights: tuple[int, ...], n: int, start: int = 0) -> Fraction:
     """Exact sum_{m=start+1..n} weights[(m-1) mod len(weights)] / m.
 
     Balanced splitting (Haible and Papanikolaou 1998): [start+1, n] is halved
@@ -139,8 +132,8 @@ def partial_sum_exact(v: CoefficientVector, blocks: int) -> Fraction:
     (blocks * modulus), which is what the cost grows with; a larger
     request raises BudgetExceeded before summing.  Block k's term j is
     a_j / m with m = kT + j, so the sum is a weighted harmonic sum up to
-    blocks * T with the coefficients, scaled to integers by the lcm D of
-    their denominators, as periodic weights.
+    blocks * T with the vector's integer weights a_j D as periodic
+    weights, divided by D once at the end.
     """
     if blocks < 0:
         raise ValueError("blocks must be >= 0")
@@ -149,14 +142,7 @@ def partial_sum_exact(v: CoefficientVector, blocks: int) -> Fraction:
             f"{blocks} blocks over modulus {v.modulus} exceed the budget of "
             f"{DEFAULT_BLOCK_BUDGET} block-terms"
         )
-    weights, scale = _integer_weights(v)
-    return _weighted_harmonic(weights, blocks * v.modulus) / scale
-
-
-def _integer_weights(v: CoefficientVector) -> tuple[list[int], int]:
-    """(a_j * D for each j, D) with D the lcm of the coefficient denominators."""
-    scale = math.lcm(*(a.denominator for a in v.coeffs))
-    return [a.numerator * (scale // a.denominator) for a in v.coeffs], scale
+    return _weighted_harmonic(v.weights, blocks * v.modulus) / v.scale
 
 
 def harmonic(n: int) -> Fraction:
@@ -171,16 +157,14 @@ def harmonic(n: int) -> Fraction:
         raise ValueError("n must be >= 0")
     if n > TERM_LIMIT:
         raise BudgetExceeded(f"n={n} exceeds the term limit of {TERM_LIMIT}")
-    return _weighted_harmonic([1], n)
+    return _weighted_harmonic((1,), n)
 
 
 def _weighted_mass(v: CoefficientVector) -> Fraction:
     """M = sum_j |a_j| (T - j), the constant of the truncation bound."""
     T = v.modulus
-    return sum(
-        (abs(a) * (T - j) for j, a in enumerate(v.coeffs, start=1) if a),
-        Fraction(0),
-    )
+    mass = sum(abs(w) * (T - j) for j, w in enumerate(v.weights, start=1))
+    return Fraction(mass, v.scale)
 
 
 def _float_upper(x: Fraction) -> float:
@@ -383,14 +367,13 @@ def _psi_tail(v: CoefficientVector, blocks: int, prec: int) -> tuple[int, int]:
     which rounding allowances are charged.  Both are scaled by 2^(prec+10).
     """
     T = v.modulus
-    weights, scale = _integer_weights(v)
     total = magnitude = 0
-    for j, w in enumerate(weights, start=1):
+    for j, w in enumerate(v.weights, start=1):
         if w:
             term = w * _psi(blocks * T + j, T, prec)
             total -= term
             magnitude += abs(term)
-    return total // (scale * T), magnitude // (scale * T)
+    return total // (v.scale * T), magnitude // (v.scale * T)
 
 
 def _mpf(fixed: int, prec: int) -> mpmath.mpf:
@@ -408,10 +391,13 @@ def partial_sum_float(v: CoefficientVector, blocks: int, prec: int = _MIN_PREC):
 
     Computed through the exact digamma identity rather than term by
     term, so the cost is independent of `blocks`.  Accurate to roughly
-    the working precision; use partial_sum_exact for exactness.
+    the working precision; use partial_sum_exact for exactness.  prec
+    must lie in [96, 1024], the range evaluate's error analysis covers.
     """
     if blocks < 0:
         raise ValueError("blocks must be >= 0")
+    if not _MIN_PREC <= prec <= _MAX_PREC:
+        raise ValueError(f"prec must be in [{_MIN_PREC}, {_MAX_PREC}], got {prec}")
     return _mpf(_psi_tail(v, 0, prec)[0] - _psi_tail(v, blocks, prec)[0], prec)
 
 

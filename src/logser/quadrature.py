@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import NoConvergence
+from .errors import BudgetExceeded, NoConvergence
 from .evaluation import EvalResult, evaluate
 from .vectors import make_vector
 
@@ -110,10 +110,16 @@ def integrate(T: int, j: int, tol: float) -> float:
 
 
 def fixed_panel_integral(T: int, j: int, panels: int) -> float:
-    """Non-adaptive composite rule on `panels` equal panels (for benchmarks)."""
+    """Non-adaptive composite rule on `panels` equal panels (for benchmarks).
+
+    At most _PANEL_LIMIT panels, the limit of `integrate`; more raises
+    BudgetExceeded before any panel is built.
+    """
     _validate_pair(T, j)
     if panels < 1:
         raise ValueError("panels must be >= 1")
+    if panels > _PANEL_LIMIT:
+        raise BudgetExceeded(f"{panels} panels exceed the limit of {_PANEL_LIMIT}")
     edges = [i / panels for i in range(panels + 1)]
     return math.fsum(_panel(T, j, a, b) for a, b in zip(edges, edges[1:]))
 

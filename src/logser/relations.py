@@ -25,13 +25,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ModulusMismatch, NotComposite
 from .evaluation import EvalResult, evaluate
 from .vectors import (
     CoefficientVector,
     _factorize,
+    _from_weights,
     _lifted_logs,
     factor_radical,
     lift,
@@ -73,13 +74,10 @@ def spanning_basis(modulus: int) -> list[CoefficientVector]:
     """The T-1 difference vectors spanning the balanced space over T."""
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
-    out = []
-    for i in range(modulus - 1):
-        coeffs = [Fraction(0)] * modulus
-        coeffs[i] = Fraction(1)
-        coeffs[i + 1] = Fraction(-1)
-        out.append(CoefficientVector(modulus, tuple(coeffs)))
-    return out
+    return [
+        _from_weights(modulus, (0,) * i + (1, -1) + (0,) * (modulus - 2 - i))
+        for i in range(modulus - 1)
+    ]
 
 
 def express_in_basis(v: CoefficientVector) -> list[Fraction]:
@@ -88,12 +86,7 @@ def express_in_basis(v: CoefficientVector) -> list[Fraction]:
     Always solvable for balanced input; recombining the basis with the
     returned coordinates reproduces v exactly.
     """
-    coords = []
-    running = Fraction(0)
-    for a in v.coeffs[:-1]:
-        running += a
-        coords.append(running)
-    return coords
+    return [Fraction(s, v.scale) for s in accumulate(v.weights[:-1])]
 
 
 def _normalize_relation(ints: Sequence[int]) -> tuple[Fraction, ...]:
@@ -102,29 +95,26 @@ def _normalize_relation(ints: Sequence[int]) -> tuple[Fraction, ...]:
     return tuple(Fraction(i // g) if i else _ZERO for i in ints)
 
 
-def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Exact nullspace basis of a rational matrix given by rows.
+def _nullspace(rows: Iterable[Sequence[int]], ncols: int) -> list[tuple[Fraction, ...]]:
+    """Exact nullspace basis of an integer matrix given by rows.
 
-    Rows are cleared to integers and reduced by fraction-free
-    Gauss-Jordan elimination (pivot: first nonzero entry, scanning
-    columns left to right).  At pivot p, every other row, above the
-    pivot row or below it, updates to (p a - f b) / prev, f its entry in
-    the pivot column and prev the previous pivot.  The matrix ends as
-    d times its RREF, d the last pivot, so each free column fc gives the
-    kernel vector with d at fc and minus its column entry at each pivot
-    column.  Normalizing (coprime, first nonzero entry positive) gives
-    the unique normalized RREF basis for this pivot order (Bareiss 1968;
-    Nakos, Turner and Williams 1997).
+    A copy of the rows is reduced by fraction-free Gauss-Jordan
+    elimination (pivot: first nonzero entry, scanning columns left to
+    right).  At pivot p, every other row, above the pivot row or below
+    it, updates to (p a - f b) / prev, f its entry in the pivot column
+    and prev the previous pivot.  The matrix ends as d times its RREF,
+    d the last pivot, so each free column fc gives the kernel vector
+    with d at fc and minus its column entry at each pivot column.
+    Normalizing (coprime, first nonzero entry positive) gives the unique
+    normalized RREF basis for this pivot order (Bareiss 1968; Nakos,
+    Turner and Williams 1997).
 
     When f = 0 and p equals prev, the update is the row itself, so the
     row is skipped; in divisor families most rows are.  Every row that
     is updated still runs its division and the exactness check below; a
     skipped row runs no division, so none can lose exactness.
     """
-    matrix = []
-    for row in rows:
-        mult = math.lcm(*(e.denominator for e in row))
-        matrix.append([e.numerator * (mult // e.denominator) for e in row])
+    matrix = [list(row) for row in rows]
     pivot_cols: list[int] = []
     prev = 1
     for c in range(ncols):
@@ -162,6 +152,8 @@ def kernel(family: Sequence[CoefficientVector]) -> KernelBasis:
 
     Returns every tuple (c_1, ..., c_r), up to basis choice, with
     sum_i c_i v_i equal to the zero vector, coefficient by coefficient.
+    The nullspace runs on integers: each vector's weights, scaled to the
+    lcm of the family's scales, form one column.
     """
     if not family:
         raise ValueError("family must not be empty")
@@ -171,9 +163,10 @@ def kernel(family: Sequence[CoefficientVector]) -> KernelBasis:
             raise ModulusMismatch(
                 f"family mixes moduli {modulus} and {vec.modulus}; lift first"
             )
-    rows = [[vec.coeffs[slot] for vec in family] for slot in range(modulus)]
+    scale = math.lcm(*(vec.scale for vec in family))
+    columns = [[w * (scale // vec.scale) for w in vec.weights] for vec in family]
     return KernelBasis(
-        vectors=tuple(_nullspace(rows, len(family))),
+        vectors=tuple(_nullspace(zip(*columns), len(family))),
         family_size=len(family),
     )
 
@@ -243,15 +236,15 @@ def _checked_relations(T: int) -> tuple[KernelBasis, list[tuple]]:
         # normalized, the relation's first nonzero entry is minus the
         # witness's first nonzero coefficient, and rel is already coprime
         sign = -1 if next(a for a in coeffs if a) > 0 else 1
-        witness = make_vector(T, [sign * a for a in coeffs])
+        witness = _from_weights(T, [sign * a for a in coeffs])
         ok, result = verify_zero(witness, _WITNESS_EPS)
         if not ok:
             raise ArithmeticError(
                 f"witness {witness} failed its zero check: value {result.value} "
                 f"outside bound {result.error_bound}"
             )
-        # minus the witness's prefix sums, its difference-basis coordinates
-        full = [Fraction(-sign * s) if s else _ZERO for s in accumulate(coeffs[:-1])]
+        # minus the witness's difference-basis coordinates
+        full = [-c for c in express_in_basis(witness)]
         full += [_ZERO] * (size - T + 1)
         for c, (_, pos) in zip(rel, logs):
             full[pos] = Fraction(sign * c)

@@ -12,23 +12,38 @@ here too: (1, 1, ..., 1, -(T-1)) over T sums to ln T, and lifting plus
 prime decomposition extends that to ln(M/L) for any positive rationals.
 
 All coefficients are `fractions.Fraction` values, kept canonical by the
-Fraction type itself; nothing in this module touches floating point.
-Vectors are immutable, so every operation is a pure function that is
-safe to call concurrently.
+Fraction type itself, and each vector also carries them as integers over
+one denominator, on which its checks run and its exact readers work.
+Nothing in this module touches floating point.  Vectors are immutable,
+so every operation is a pure function that is safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import LengthMismatch, ModulusMismatch, UnbalancedCoefficients
+from .errors import (
+    BudgetExceeded,
+    LengthMismatch,
+    ModulusMismatch,
+    UnbalancedCoefficients,
+)
 
 RationalLike = Union[Fraction, int, str]
 
 _FACTOR_LIMIT = 2**63 - 1
+# bounds harmonic, rearranged_terms and `logser rearranged`, whose exact
+# sums grow with n, and the modulus of ln_rational_vector, which has one
+# slot per unit of it.  Single runs (2-vCPU x86_64, CPython 3.11, no gmpy2)
+# at n = 1e4 / 1e5 / 2e5 / 5e5 / 1e6: harmonic(n) 0.008 / 0.26 / 0.87 / 4.6 /
+# 17 s, rearranged_terms(2, n) 0.008 / 0.08 / 0.17 / 0.49 / 1.0 s;
+# ln_rational_vector(M, 1) built and evaluated at 1e-9, cold psi memo, best
+# of 5, at modulus M = 10007 / 100003: 0.11 / 1.3 s.  gamma_partial keeps
+# the limit as a domain contract only.
+TERM_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -36,29 +51,21 @@ class CoefficientVector:
     """Immutable balanced coefficient vector over a positive modulus.
 
     Invariants (checked at construction): ``len(coeffs) == modulus`` and
-    ``sum(coeffs) == 0`` exactly.
+    ``sum(coeffs) == 0`` exactly.  ``weights`` holds the integers a_j D and
+    ``scale`` their D, the lcm of the reduced denominators; neither takes
+    part in equality, hashing or repr.
     """
 
     modulus: int
     coeffs: tuple[Fraction, ...]
+    weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.modulus, int) or self.modulus < 1:
-            raise ValueError(f"modulus must be a positive integer, got {self.modulus!r}")
         coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
-        if len(coeffs) != self.modulus:
-            raise LengthMismatch(
-                f"expected {self.modulus} coefficients, got {len(coeffs)}"
-            )
-        # the sum in integers over the lcm of the denominators
         scale = math.lcm(*(c.denominator for c in coeffs))
-        total = sum(c.numerator * (scale // c.denominator) for c in coeffs)
-        if total:
-            raise UnbalancedCoefficients(
-                "coefficients must sum to zero for the series to converge; "
-                f"got sum {Fraction(total, scale)}"
-            )
-        object.__setattr__(self, "coeffs", coeffs)
+        weights = tuple(c.numerator * (scale // c.denominator) for c in coeffs)
+        _settle(self, self.modulus, coeffs, weights, scale)
 
     def is_zero(self) -> bool:
         """True when every coefficient vanishes."""
@@ -67,6 +74,36 @@ class CoefficientVector:
     def __str__(self) -> str:
         body = ", ".join(str(c) for c in self.coeffs)
         return f"S_{self.modulus}({body})"
+
+
+def _settle(v, modulus, coeffs, weights, scale) -> CoefficientVector:
+    """Check length and balance in integers, then fill in v's fields."""
+    if not isinstance(modulus, int) or modulus < 1:
+        raise ValueError(f"modulus must be >= 1 and an integer, got {modulus!r}")
+    if len(weights) != modulus:
+        raise LengthMismatch(f"expected {modulus} coefficients, got {len(weights)}")
+    total = sum(weights)
+    if total:
+        raise UnbalancedCoefficients(
+            "coefficients must sum to zero for the series to converge; "
+            f"got sum {Fraction(total, scale)}"
+        )
+    vars(v).update(modulus=modulus, coeffs=coeffs, weights=weights, scale=scale)
+    return v
+
+
+def _from_weights(
+    modulus: int, weights: Iterable[int], scale: int = 1
+) -> CoefficientVector:
+    """The vector with coefficients w / scale over integer weights w.
+
+    scale is the lcm of the reduced denominators, 1 for integer
+    coefficients; each distinct w makes one Fraction, shared by its slots.
+    """
+    weights = tuple(weights)
+    shared = {w: Fraction(w, scale) for w in set(weights)}
+    coeffs = tuple(map(shared.__getitem__, weights))
+    return _settle(object.__new__(CoefficientVector), modulus, coeffs, weights, scale)
 
 
 def make_vector(modulus: int, coeffs: Iterable[RationalLike]) -> CoefficientVector:
@@ -83,12 +120,7 @@ def ln_vector(modulus: int) -> CoefficientVector:
 
     For T = 1 the only balanced vector is (0,), matching ln 1 = 0.
     """
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
-    if modulus == 1:
-        return CoefficientVector(1, (Fraction(0),))
-    coeffs = (Fraction(1),) * (modulus - 1) + (Fraction(-(modulus - 1)),)
-    return CoefficientVector(modulus, coeffs)
+    return _from_weights(modulus, (1,) * (modulus - 1) + (1 - modulus,))
 
 
 def lift(v: CoefficientVector, repeats: int) -> CoefficientVector:
@@ -103,7 +135,7 @@ def lift(v: CoefficientVector, repeats: int) -> CoefficientVector:
         raise ValueError("repeats must be >= 1")
     if repeats == 1:
         return v
-    return CoefficientVector(repeats * v.modulus, v.coeffs * repeats)
+    return _from_weights(repeats * v.modulus, v.weights * repeats, v.scale)
 
 
 def linear_combine(
@@ -183,7 +215,8 @@ def ln_rational_vector(numerator: int, denominator: int) -> CoefficientVector:
 
     over those primes p, where e_p gives the prime exponent, built in
     integers by one closed form.  Equal arguments leave no prime, and
-    the result is the T = 1 zero vector (ln 1 = 0).
+    the result is the T = 1 zero vector (ln 1 = 0).  A modulus above
+    TERM_LIMIT raises BudgetExceeded before any slot is built.
     """
     if numerator < 1 or denominator < 1:
         raise ValueError("numerator and denominator must be positive integers")
@@ -194,4 +227,9 @@ def ln_rational_vector(numerator: int, denominator: int) -> CoefficientVector:
     exponents = {p: top.get(p, 0) - bottom.get(p, 0) for p in top.keys() | bottom.keys()}
     exponents = {p: e for p, e in exponents.items() if e}
     modulus = math.prod(exponents)
-    return make_vector(modulus, _lifted_logs(modulus, exponents))
+    if modulus > TERM_LIMIT:
+        raise BudgetExceeded(
+            f"modulus {modulus} of ln({numerator}/{denominator}) exceeds the term "
+            f"limit of {TERM_LIMIT}"
+        )
+    return _from_weights(modulus, _lifted_logs(modulus, exponents))

@@ -57,6 +57,17 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run_capture(capsys, ["--help"])[0] == 0
 
+    def test_lnq_modulus_over_the_term_limit_is_domain_error(self, capsys):
+        code, _, err = run_capture(capsys, ["lnq", "1000003/1"])
+        assert code == 1
+        assert "term limit" in err
+
+    def test_bench_quadrature_over_the_panel_limit_is_domain_error(self, capsys):
+        argv = ["bench", "--target", "ln:3", "--methods", "quadrature", "--work", "20001"]
+        code, out, err = run_capture(capsys, argv)
+        assert code == 1
+        assert out == "" and "panels exceed" in err
+
     def test_prime_modulus_relations_is_domain_error(self, capsys):
         code, _, err = run_capture(capsys, ["relations", "--T", "7"])
         assert code == 1

@@ -196,6 +196,12 @@ class TestEvaluateRaw:
         via_oracle = float_block_oracle(v, 300)
         assert via_psi == pytest.approx(via_oracle, abs=5e-13)
 
+    @pytest.mark.parametrize("prec", [95, 1025, -20])
+    def test_partial_sum_float_rejects_prec_outside_the_analysed_range(self, prec):
+        # [96, 1024] is the range the kernel's error analysis covers
+        with pytest.raises(ValueError, match="prec must be in"):
+            partial_sum_float(ln_vector(3), 10, prec=prec)
+
     def test_partial_sum_float_at_1024_bits(self):
         # the largest Stirling table; K = 1 and 2 also take the upward
         # recurrence on the tail side, K = 500 only on the j/T side

@@ -7,6 +7,7 @@ from mpmath import mp
 
 from logser import quadrature
 from logser import (
+    BudgetExceeded,
     decomposition_check,
     evaluate,
     fixed_panel_integral,
@@ -93,6 +94,11 @@ class TestFixedPanels:
     def test_validation(self):
         with pytest.raises(ValueError):
             fixed_panel_integral(2, 1, 0)
+
+    def test_panel_limit(self):
+        # integrate's limit; the fixed rule stops there too
+        with pytest.raises(BudgetExceeded, match="20001 panels"):
+            fixed_panel_integral(2, 1, quadrature._PANEL_LIMIT + 1)
 
 
 class TestIntegralSeriesCheck:

@@ -1,5 +1,6 @@
 """Construction and exact algebra of balanced vectors."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logser import (
+    BudgetExceeded,
     CoefficientVector,
     LengthMismatch,
     ModulusMismatch,
@@ -19,9 +21,11 @@ from logser import (
     ln_rational_vector,
     ln_vector,
     make_vector,
+    relation_witnesses,
+    spanning_basis,
 )
-from logser.evaluation import _integer_weights
-from logser.vectors import _factorize
+from logser.relations import _checked_relations
+from logser.vectors import _factorize, _from_weights
 
 from conftest import exact_block_oracle, random_balanced
 
@@ -93,8 +97,63 @@ class TestMakeVector:
 @given(st.lists(st.fractions(max_denominator=10**20), min_size=1, max_size=12))
 def test_integer_weights_match_fraction_products(head):
     v = make_vector(len(head) + 1, head + [-sum(head)])
-    weights, scale = _integer_weights(v)
-    assert weights == [int(a * scale) for a in v.coeffs]
+    assert v.weights == tuple(a * v.scale for a in v.coeffs)
+    assert all(type(w) is int for w in v.weights)
+
+
+@functools.cache
+def _witnesses(T):
+    """relation_witnesses(T) and the witnesses divisor_relations checks."""
+    return relation_witnesses(T) + [w for w, _ in _checked_relations(T)[1]]
+
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+every_constructor = st.one_of(
+    balanced_vectors(),
+    balanced_vectors().map(lambda v: CoefficientVector(v.modulus, list(map(str, v.coeffs)))),
+    st.integers(1, 40).map(ln_vector),
+    st.builds(lift, balanced_vectors(max_modulus=6), st.integers(1, 4)),
+    st.builds(
+        lambda v, a, b: linear_combine([(a, v), (b, ln_vector(v.modulus))]),
+        balanced_vectors(), small_fractions, small_fractions,
+    ),
+    st.integers(2, 12).flatmap(lambda T: st.sampled_from(spanning_basis(T))),
+    st.builds(ln_rational_vector, st.integers(1, 200), st.integers(1, 200)),
+    st.sampled_from([4, 6, 12, 30, 64]).flatmap(lambda T: st.sampled_from(_witnesses(T))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(every_constructor)
+def test_every_constructor_carries_its_integer_form(v):
+    assert v.weights == tuple(a * v.scale for a in v.coeffs)
+    assert all(type(w) is int for w in v.weights)
+    assert v.scale == math.lcm(*(a.denominator for a in v.coeffs))
+    rebuilt = make_vector(v.modulus, v.coeffs)
+    assert v == rebuilt and hash(v) == hash(rebuilt)
+    assert (rebuilt.weights, rebuilt.scale) == (v.weights, v.scale)
+    assert all(type(c) is Fraction for c in v.coeffs)
+
+
+class TestIntegerConstructor:
+    def test_rejects_unbalanced(self):
+        with pytest.raises(UnbalancedCoefficients, match="got sum 1$"):
+            _from_weights(3, [1, 1, -1])
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            _from_weights(3, [1, -1])
+
+    def test_rejects_bad_modulus(self):
+        with pytest.raises(ValueError):
+            _from_weights(0, [])
+
+    def test_shares_one_fraction_per_distinct_weight(self):
+        v = ln_vector(50)
+        assert len({id(c) for c in v.coeffs}) == 2
+        lifted = lift(make_vector(3, ["1/2", "-1/3", "-1/6"]), 4)
+        assert all(a is b for a, b in zip(lifted.coeffs, lifted.coeffs[3:]))
+        assert (lifted.weights, lifted.scale) == ((3, -2, -1) * 4, 6)
 
 
 class TestLnVector:
@@ -279,6 +338,13 @@ class TestLnRationalVector:
         ]
         expected = linear_combine(terms) if terms else make_vector(1, [0])
         assert ln_rational_vector(m, l) == expected
+
+    def test_modulus_limit(self):
+        # one slot per unit of the modulus: 1000003 is a prime past TERM_LIMIT
+        with pytest.raises(BudgetExceeded, match="term limit"):
+            ln_rational_vector(1000003, 1)
+        v = ln_rational_vector(1000003, 1000003)
+        assert v.modulus == 1 and v.is_zero()
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
