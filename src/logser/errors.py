@@ -26,8 +26,8 @@ class BudgetExceeded(SeriesError):
 
     DEFAULT_BLOCK_BUDGET bounds the block-terms of an exact prefix,
     TERM_LIMIT the terms of the exact sums that grow with n and the
-    modulus of ln(M/L), and the panel limit of adaptive quadrature the
-    panels of the fixed rule as well.
+    modulus of ln_vector, lift and ln_rational_vector, and the panel
+    limit of adaptive quadrature the panels of the fixed rule as well.
     """
 
 

@@ -6,8 +6,8 @@ space over the rationals spanned by the T-1 difference vectors
 that basis is a telescoping prefix sum.  Exact kernels of vector
 families are computed in integers, by fraction-free Gauss-Jordan
 elimination whose reduced matrix, a multiple of the RREF, carries the
-basis, so that every returned relation combines its family to the exact
-zero vector.
+basis, so that every returned relation, a tuple of coprime ints,
+combines its family to the exact zero vector.
 
 For composite moduli, logarithm vectors lifted from the proper divisors
 collide in value without colliding coefficient-wise (for instance
@@ -16,7 +16,8 @@ whose series is 0).  ``divisor_relations`` discovers those collisions
 exactly, from the multiplicative structure of the divisors, and returns
 them as kernel relations over a family that also carries the difference
 basis, so each relation's non-basis part is a numeric witness of a zero
-series.
+series; ``relation_witnesses`` reads it off the relation's difference
+part without building the family.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .vectors import (
     _lifted_logs,
     factor_radical,
     lift,
-    linear_combine,
     ln_vector,
     make_vector,
 )
@@ -45,7 +45,6 @@ _MAX_DIVISOR_MODULUS = 64
 # the abs_err at which divisor_relations checks each witness through
 # verify_zero; the accelerated route's cost does not depend on it
 _WITNESS_EPS = 1e-6
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -53,10 +52,11 @@ class KernelBasis:
     """Basis of exact relations over an ordered family of vectors.
 
     Every tuple combines the family to the exact zero vector; tuples are
-    normalized to coprime integers with a positive leading entry.
+    normalized to coprime ints with a positive leading entry.  An int
+    compares and hashes equal to the Fraction of the same value.
     """
 
-    vectors: tuple[tuple[Fraction, ...], ...]
+    vectors: tuple[tuple[int, ...], ...]
     family_size: int
 
     def __post_init__(self) -> None:
@@ -89,13 +89,13 @@ def express_in_basis(v: CoefficientVector) -> list[Fraction]:
     return [Fraction(s, v.scale) for s in accumulate(v.weights[:-1])]
 
 
-def _normalize_relation(ints: Sequence[int]) -> tuple[Fraction, ...]:
+def _normalize_relation(ints: Sequence[int]) -> tuple[int, ...]:
     """Divide out the gcd and make the first nonzero entry positive."""
     g = math.gcd(*ints) * (1 if next(i for i in ints if i) > 0 else -1)
-    return tuple(Fraction(i // g) if i else _ZERO for i in ints)
+    return tuple(i // g for i in ints)
 
 
-def _nullspace(rows: Iterable[Sequence[int]], ncols: int) -> list[tuple[Fraction, ...]]:
+def _nullspace(rows: Iterable[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
     """Exact nullspace basis of an integer matrix given by rows.
 
     A copy of the rows is reduced by fraction-free Gauss-Jordan
@@ -215,7 +215,7 @@ def _log_positions(T: int) -> list[tuple[int, int]]:
 
 
 def _checked_relations(T: int) -> tuple[KernelBasis, list[tuple]]:
-    """divisor_relations(T), and per relation its (witness, EvalResult)."""
+    """divisor_relations(T), and per relation (witness, verify_zero's pair)."""
     if not 1 <= T <= _MAX_DIVISOR_MODULUS:
         raise ValueError(f"T must be in [1, {_MAX_DIVISOR_MODULUS}]")
     logs = _log_positions(T)
@@ -229,7 +229,6 @@ def _checked_relations(T: int) -> tuple[KernelBasis, list[tuple]]:
     relations = []
     checks = []
     for rel in _nullspace(exponent_rows, len(labels)):
-        rel = [int(c) for c in rel]
         coeffs = _lifted_logs(T, dict(zip(labels, rel)))
         if not any(coeffs):
             continue
@@ -243,13 +242,13 @@ def _checked_relations(T: int) -> tuple[KernelBasis, list[tuple]]:
                 f"witness {witness} failed its zero check: value {result.value} "
                 f"outside bound {result.error_bound}"
             )
-        # minus the witness's difference-basis coordinates
-        full = [-c for c in express_in_basis(witness)]
-        full += [_ZERO] * (size - T + 1)
+        # minus the witness's difference-basis coordinates, its prefix sums
+        full = [-s for s in accumulate(witness.weights[:-1])]
+        full += [0] * (size - T + 1)
         for c, (_, pos) in zip(rel, logs):
-            full[pos] = Fraction(sign * c)
+            full[pos] = sign * c
         relations.append(tuple(full))
-        checks.append((witness, result))
+        checks.append((witness, (ok, result)))
     return KernelBasis(vectors=tuple(relations), family_size=size), checks
 
 
@@ -278,20 +277,19 @@ def relation_witnesses(
 ) -> list[CoefficientVector]:
     """Zero-series witnesses carried by relations over divisor_family(T).
 
-    Each witness recombines the non-basis part of one relation over the
-    family, which is built here; for divisor_relations(T) it has nonzero
-    coefficients and series value 0.
+    Each witness is the non-basis part of one relation recombined over
+    the family, that is minus the part over the T-1 difference vectors,
+    so slot j is r_{j-1} - r_j with r_0 = r_T = 0 and no family member is
+    built; for divisor_relations(T) it has nonzero coefficients and
+    series value 0.
     """
     if basis is None:
         basis = divisor_relations(T)
-    family = divisor_family(T)
-    if basis.family_size != len(family):
+    # T < 2 has no divisor_family
+    if T < 2 or basis.family_size != _log_positions(T)[-1][1] + 1:
         raise ValueError("basis does not belong to divisor_family(T)")
     out = []
     for rel in basis.vectors:
-        terms = [(rel[i], family[i]) for i in range(T - 1, len(family)) if rel[i]]
-        if terms:
-            out.append(linear_combine(terms))
-        else:
-            out.append(make_vector(T, [0] * T))
+        padded = (0, *rel[: T - 1], 0)
+        out.append(make_vector(T, [a - b for a, b in zip(padded, padded[1:])]))
     return out

@@ -36,13 +36,15 @@ RationalLike = Union[Fraction, int, str]
 
 _FACTOR_LIMIT = 2**63 - 1
 # bounds harmonic, rearranged_terms and `logser rearranged`, whose exact
-# sums grow with n, and the modulus of ln_rational_vector, which has one
-# slot per unit of it.  Single runs (2-vCPU x86_64, CPython 3.11, no gmpy2)
-# at n = 1e4 / 1e5 / 2e5 / 5e5 / 1e6: harmonic(n) 0.008 / 0.26 / 0.87 / 4.6 /
-# 17 s, rearranged_terms(2, n) 0.008 / 0.08 / 0.17 / 0.49 / 1.0 s;
-# ln_rational_vector(M, 1) built and evaluated at 1e-9, cold psi memo, best
-# of 5, at modulus M = 10007 / 100003: 0.11 / 1.3 s.  gamma_partial keeps
-# the limit as a domain contract only.
+# sums grow with n, and the modulus of ln_vector, lift and
+# ln_rational_vector, which have one slot per unit of it.  Single runs
+# (2-vCPU x86_64, CPython 3.11, no gmpy2) at n = 1e4 / 1e5 / 2e5 / 5e5 /
+# 1e6: harmonic(n) 0.008 / 0.26 / 0.87 / 4.6 / 17 s, rearranged_terms(2, n)
+# 0.008 / 0.08 / 0.17 / 0.49 / 1.0 s; ln_rational_vector(M, 1) built and
+# evaluated at 1e-9, cold psi memo, best of 5, at modulus M = 10007 /
+# 100003: 0.11 / 1.3 s; ln_vector(T) the same way, best of 3, at T = 1e4 /
+# 1e5: 0.18 / 1.9 s.  gamma_partial keeps the limit as a domain contract
+# only.
 TERM_LIMIT = 10**6
 
 
@@ -106,6 +108,14 @@ def _from_weights(
     return _settle(object.__new__(CoefficientVector), modulus, coeffs, weights, scale)
 
 
+def _check_term_limit(modulus: int, what: str) -> None:
+    """Raise BudgetExceeded for a modulus above TERM_LIMIT, before any slot."""
+    if modulus > TERM_LIMIT:
+        raise BudgetExceeded(
+            f"modulus {modulus} of {what} exceeds the term limit of {TERM_LIMIT}"
+        )
+
+
 def make_vector(modulus: int, coeffs: Iterable[RationalLike]) -> CoefficientVector:
     """Validate and build a balanced vector from any rational-like inputs.
 
@@ -118,8 +128,10 @@ def make_vector(modulus: int, coeffs: Iterable[RationalLike]) -> CoefficientVect
 def ln_vector(modulus: int) -> CoefficientVector:
     """The vector (1, 1, ..., 1, -(T-1)) over T, whose series is ln T.
 
-    For T = 1 the only balanced vector is (0,), matching ln 1 = 0.
+    For T = 1 the only balanced vector is (0,), matching ln 1 = 0.  A
+    modulus above TERM_LIMIT raises BudgetExceeded.
     """
+    _check_term_limit(modulus, f"ln {modulus}")
     return _from_weights(modulus, (1,) * (modulus - 1) + (1 - modulus,))
 
 
@@ -130,11 +142,13 @@ def lift(v: CoefficientVector, repeats: int) -> CoefficientVector:
     lifted series regroups exactly into `repeats` consecutive blocks of
     the original, so partial sums satisfy
     partial_sum(lift(v, m), K) == partial_sum(v, m*K) as exact rationals.
+    A lifted modulus above TERM_LIMIT raises BudgetExceeded.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     if repeats == 1:
         return v
+    _check_term_limit(repeats * v.modulus, f"a {repeats}-fold lift")
     return _from_weights(repeats * v.modulus, v.weights * repeats, v.scale)
 
 
@@ -227,9 +241,5 @@ def ln_rational_vector(numerator: int, denominator: int) -> CoefficientVector:
     exponents = {p: top.get(p, 0) - bottom.get(p, 0) for p in top.keys() | bottom.keys()}
     exponents = {p: e for p, e in exponents.items() if e}
     modulus = math.prod(exponents)
-    if modulus > TERM_LIMIT:
-        raise BudgetExceeded(
-            f"modulus {modulus} of ln({numerator}/{denominator}) exceeds the term "
-            f"limit of {TERM_LIMIT}"
-        )
+    _check_term_limit(modulus, f"ln({numerator}/{denominator})")
     return _from_weights(modulus, _lifted_logs(modulus, exponents))

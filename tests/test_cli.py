@@ -2,6 +2,7 @@
 
 import builtins
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -59,6 +60,11 @@ class TestExitCodes:
 
     def test_lnq_modulus_over_the_term_limit_is_domain_error(self, capsys):
         code, _, err = run_capture(capsys, ["lnq", "1000003/1"])
+        assert code == 1
+        assert "term limit" in err
+
+    def test_ln_modulus_over_the_term_limit_is_domain_error(self, capsys):
+        code, _, err = run_capture(capsys, ["ln", "1000001"])
         assert code == 1
         assert "term limit" in err
 
@@ -444,6 +450,16 @@ class TestBench:
     def test_vector_reference_is_the_limit(self):
         row = bench("vector:3:1,-1,0", ["accelerated"], [1000])[0]
         assert row.abs_error_vs_reference <= row.error_bound + 1e-15
+
+    def test_vector_reference_is_independent_of_evaluate(self, monkeypatch):
+        # an evaluate that is off by 1e-6 must show in the error column, by 1e-6
+        def shifted(*args, **kwargs):
+            result = evaluate(*args, **kwargs)
+            return dataclasses.replace(result, value=result.value + 1e-6)
+
+        monkeypatch.setattr(cli, "evaluate", shifted)
+        row = bench("vector:3:1/2,-1/3,-1/6", ["accelerated"], [100])[0]
+        assert row.abs_error_vs_reference == pytest.approx(1e-6, rel=1e-6)
 
     def test_zero_vector_target(self):
         rows = bench("vector:4:1,-3,1,1", ["raw"], [100])

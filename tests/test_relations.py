@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logser import (
+    KernelBasis,
     ModulusMismatch,
     NotComposite,
     divisor_family,
@@ -187,12 +188,16 @@ class TestKernel:
     @pytest.mark.parametrize("T", COMPOSITES)
     def test_divisor_family_matches_gauss_jordan(self, T):
         family = divisor_family(T)
-        assert kernel(family).vectors == gauss_jordan_kernel(family)
+        basis = kernel(family)
+        assert basis.vectors == gauss_jordan_kernel(family)
+        assert all(type(c) is int for rel in basis.vectors for c in rel)
 
     @settings(max_examples=150, deadline=None)
     @given(rational_families())
     def test_matches_gauss_jordan(self, family):
-        assert kernel(family).vectors == gauss_jordan_kernel(family)
+        basis = kernel(family)
+        assert basis.vectors == gauss_jordan_kernel(family)
+        assert all(type(c) is int for rel in basis.vectors for c in rel)
 
     def test_update_above_an_equal_pivot(self):
         # the second pivot equals the first, and the row above it has a
@@ -267,8 +272,9 @@ class TestDivisorRelations:
             basis = divisor_relations(T)
             assert basis.family_size == len(family)
             for rel in basis.vectors:
+                assert all(type(c) is int for c in rel)
                 assert next(c for c in rel if c) > 0
-                assert math.gcd(*(int(c) for c in rel)) == 1
+                assert math.gcd(*rel) == 1
                 combo = linear_combine(list(zip(rel, family)))
                 assert combo.is_zero()
 
@@ -288,15 +294,14 @@ class TestDivisorRelations:
         assert family[7] == lift(ln_vector(3), 2)
         assert family[-1] == ln_vector(6)
 
-    @pytest.mark.parametrize("T", [6, 12, 24])
+    @pytest.mark.parametrize("T", COMPOSITES)
     def test_witnesses_of_a_kernel_basis(self, T):
+        # the reference recombines each relation's non-basis part over the family
         family = divisor_family(T)
         basis = kernel(family)
-        expected = []
-        for rel in basis.vectors:
-            terms = [(c, v) for c, v in zip(rel[T - 1 :], family[T - 1 :]) if c]
-            expected.append(linear_combine(terms) if terms else make_vector(T, [0] * T))
-        assert relation_witnesses(T, basis) == expected
+        for rels in (basis, divisor_relations(T)):
+            expected = [_recombined(rel, family, T) for rel in rels.vectors]
+            assert relation_witnesses(T, rels) == expected
         # these relations also use the lifted difference vectors
         logs, idx = {T - 1}, T - 1
         for d in range(2, T):
@@ -306,11 +311,38 @@ class TestDivisorRelations:
         lifted_differences = set(range(T - 1, len(family))) - logs
         assert any(rel[i] for rel in basis.vectors for i in lifted_differences)
 
+    def test_witnesses_of_a_rational_basis(self):
+        # half of each relation is still a relation, with Fraction entries
+        family = divisor_family(12)
+        basis = divisor_relations(12)
+        half = KernelBasis(
+            vectors=tuple(tuple(Fraction(c, 2) for c in rel) for rel in basis.vectors),
+            family_size=basis.family_size,
+        )
+        witnesses = relation_witnesses(12, half)
+        assert witnesses == [_recombined(rel, family, 12) for rel in half.vectors]
+        assert any(c.denominator == 2 for w in witnesses for c in w.coeffs)
+
     def test_witnesses_reject_a_basis_of_another_family(self):
         with pytest.raises(ValueError):
             relation_witnesses(12, divisor_relations(6))
         with pytest.raises(ValueError):
             relation_witnesses(6, kernel(spanning_basis(6) + [ln_vector(6)]))
+
+    def test_witnesses_need_a_modulus_of_two(self):
+        with pytest.raises(NotComposite):
+            relation_witnesses(1)
+        # these bases have the sizes that T = 1 and T = 0 would give
+        with pytest.raises(ValueError):
+            relation_witnesses(1, KernelBasis(vectors=((1,),), family_size=1))
+        with pytest.raises(ValueError):
+            relation_witnesses(0, KernelBasis(vectors=(), family_size=0))
+
+
+def _recombined(rel, family, T):
+    """The non-basis part of rel recombined over family by linear_combine."""
+    terms = [(c, v) for c, v in zip(rel[T - 1 :], family[T - 1 :]) if c]
+    return linear_combine(terms) if terms else make_vector(T, [0] * T)
 
 
 def _distribution_differences(T):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logser import (
+    TERM_LIMIT,
     BudgetExceeded,
     CoefficientVector,
     LengthMismatch,
@@ -170,6 +171,11 @@ class TestLnVector:
     def test_always_balanced(self, T):
         assert sum(ln_vector(T).coeffs) == 0
 
+    def test_modulus_limit(self):
+        # one slot per unit of the modulus, refused before any is built
+        with pytest.raises(BudgetExceeded, match="term limit"):
+            ln_vector(TERM_LIMIT + 1)
+
 
 class TestLift:
     def test_doubling_ln2(self):
@@ -191,6 +197,10 @@ class TestLift:
     def test_partial_sums_regroup_exactly(self, v, m, K):
         # blocks of the lifted series regroup into blocks of the original
         assert exact_block_oracle(lift(v, m), K) == exact_block_oracle(v, m * K)
+
+    def test_modulus_limit(self):
+        with pytest.raises(BudgetExceeded, match="term limit"):
+            lift(ln_vector(2), TERM_LIMIT // 2 + 1)
 
 
 class TestLinearCombine:
