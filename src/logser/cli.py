@@ -361,18 +361,20 @@ def _bench_value(method, work, vec, scale, kind) -> tuple[float, float]:
         return scale * float(result.value), scale * result.error_bound
     if method == "rearranged":
         return _rearranged_prefix(vec, work)
-    # quadrature: the step to work + 1 panels estimates the error
+    # quadrature: the step to work + 1 panels estimates the error, or to
+    # work - 1 at the panel limit, which work + 1 would pass
+    step = work + 1 if work < quadrature._PANEL_LIMIT else work - 1
     if kind == "pi":
         value = scale * quadrature.fixed_panel_integral(3, 1, work)
-        finer = scale * quadrature.fixed_panel_integral(3, 1, work + 1)
+        other = scale * quadrature.fixed_panel_integral(3, 1, step)
     else:
         value = math.fsum(
             j * quadrature.fixed_panel_integral(T, j, work) for j in range(1, T)
         )
-        finer = math.fsum(
-            j * quadrature.fixed_panel_integral(T, j, work + 1) for j in range(1, T)
+        other = math.fsum(
+            j * quadrature.fixed_panel_integral(T, j, step) for j in range(1, T)
         )
-    return value, abs(value - finer) + 1e-15 * (1.0 + abs(value))
+    return value, abs(value - other) + 1e-15 * (1.0 + abs(value))
 
 
 def bench(target: str, methods: list[str], work_schedule: list[int]) -> list[ConvergenceRow]:

@@ -33,10 +33,13 @@ by balanced splitting rather than adding one term at a time to an
 ever larger running rational.  The floating-point kernel computes psi
 in integers scaled by 2^(prec+10), prec >= 96, with ln x as
 a cached ln c plus a short atanh series, c the integer part of x after
-the recurrence.  psi is memoised by its argument in lowest terms and its
-precision, in an LRU memo of 1024 entries (0.20-0.33 MB full; see
-_psi).  It reads no mpmath context: no precision set elsewhere in the
-process changes a result, concurrent calls need no lock (two threads
+the recurrence.  psi below the shift threshold, where it pays the
+recurrence, is memoised by its argument in lowest terms and its
+precision, in an LRU memo of 1024 entries (0.20-0.33 MB full); the
+tails psi(K + j/T) past it are not, so they evict nothing, and a warm
+pass of the bench's rigorous cycle fills 928 entries and misses none
+(see _psi).  It reads no mpmath context: no precision set elsewhere in
+the process changes a result, concurrent calls need no lock (two threads
 may compute the same psi entry, with identical results; mpmath's memos
 of ln 2 and gamma leave the window described in _euler), and values
 become mpmath.mpf only on the way out.  Requests below the precision
@@ -306,19 +309,29 @@ def _ln_fixed(n: int, wp: int) -> int:
 def _psi(p: int, T: int, prec: int) -> int:
     """psi(p/T) for p, T >= 1, scaled by 2^(prec+10).
 
-    p/T is reduced to lowest terms and read through the memo _psi_lowest,
-    so psi(j/T) is shared by every equal fraction: the witnesses of one
-    divisor_relations call, the divisors of T and later calls.  The memo
-    keeps the 1024 entries used last; full, it held 0.20 MB at prec 96 and
-    0.33 MB at prec 1024 (tracemalloc), and divisor_relations over every
-    composite T <= 64 fills 926 entries at 96 bits.  Two threads that miss
-    on the same key both compute it, with identical results.  The value is
-    bit-identical to the unreduced computation: every floor division in
-    _psi_lowest has g = gcd(p, T) in both its numerator and its
-    denominator, and the recurrence takes the same number of steps.
+    p/T is reduced to lowest terms.  An argument below the shift threshold
+    is read through the memo _psi_lowest, so its upward recurrence runs
+    once for every equal fraction: the witnesses of one divisor_relations
+    call, the divisors of T and later calls.  An argument at or past the
+    threshold runs no recurrence and goes to the uncached body: mostly
+    the tails psi(K + j/T) of raw and partial_sum_float, each K seldom
+    seen twice, which would otherwise evict the entries that pay.  The
+    memo keeps the 1024 entries used last; full, it held 0.20 MB at prec
+    96 and 0.33 MB at prec 1024 (tracemalloc).  divisor_relations over
+    every composite T <= 64 fills 926 entries at 96 bits, and a warm pass
+    of the bench's rigorous cycle, tails included, fills 928 and misses
+    none; with the tails cached too it missed 1657 of 7038 calls.  Two
+    threads that miss on the same key both compute it, with identical
+    results.  The value is bit-identical to the unreduced computation:
+    every floor division in _psi_lowest has g = gcd(p, T) in both its
+    numerator and its denominator, and the recurrence takes the same
+    number of steps.
     """
     g = math.gcd(p, T)
-    return _psi_lowest(p // g, T // g, prec)
+    p, T = p // g, T // g
+    if p >= _shift_threshold(prec) * T:
+        return _psi_lowest.__wrapped__(p, T, prec)
+    return _psi_lowest(p, T, prec)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -408,9 +421,12 @@ def partial_sum_float(v: CoefficientVector, blocks: int, prec: int = _MIN_PREC):
 
 def _working_prec(abs_err: float, v: CoefficientVector) -> int:
     err_bits = 0 if math.isinf(abs_err) else max(0, -math.floor(math.log2(abs_err)))
+    # bits of each distinct coefficient w/D in lowest terms, read off the weights
+    D = v.scale
     coeff_bits = max(
-        (a.numerator.bit_length() + a.denominator.bit_length() for a in v.coeffs),
-        default=1,
+        (w // g).bit_length() + (D // g).bit_length()
+        for w in set(v.weights)
+        for g in [math.gcd(w, D)]
     )
     wanted = max(_MIN_PREC, err_bits + coeff_bits + 48)
     if wanted > _MAX_PREC:

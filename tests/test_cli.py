@@ -465,6 +465,22 @@ class TestBench:
         rows = bench("vector:4:1,-3,1,1", ["raw"], [100])
         assert abs(rows[0].value) <= rows[0].error_bound
 
+    def test_quadrature_at_the_panel_limit_steps_down(self, monkeypatch):
+        # the error estimate takes work + 1 panels, or work - 1 where work + 1
+        # would pass the limit; each row runs three times
+        panels = []
+
+        def record(T, j, n):
+            panels.append(n)
+            return 1.0 / n
+
+        monkeypatch.setattr(cli.quadrature, "fixed_panel_integral", record)
+        bench("pi", ["quadrature"], [19999, 20000])
+        assert panels == [19999, 20000] * 3 + [20000, 19999] * 3
+        panels.clear()
+        bench("ln:3", ["quadrature"], [20000])
+        assert panels == [20000, 20000, 19999, 19999] * 3
+
     def test_pi_target_quadrature(self):
         rows = bench("pi", ["quadrature"], [4])
         assert rows[0].abs_error_vs_reference <= 1e-10

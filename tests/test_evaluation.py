@@ -19,6 +19,7 @@ from logser import (
     BudgetExceeded,
     Unachievable,
     block_term,
+    divisor_relations,
     evaluate,
     gamma_partial,
     harmonic,
@@ -30,6 +31,7 @@ from logser import (
     partial_sum_exact,
     partial_sum_float,
     rearranged_terms,
+    relation_witnesses,
     tail_bound,
 )
 
@@ -43,6 +45,7 @@ from conftest import (
 LN2 = 0.6931471805599453094
 # pi / (3 sqrt 3), the series value of (1, -1, 0) over modulus 3
 S3_DIFF = 0.6045997880780726169
+COMPOSITES = [T for T in range(4, 65) if any(T % d == 0 for d in range(2, T))]
 
 
 class TestBlockTerm:
@@ -517,6 +520,77 @@ class TestPsiKernel:
         warm = grid()
         evaluation._psi_lowest.cache_clear()
         assert grid() == warm
+
+    def test_tails_past_the_threshold_add_no_memo_entry(self):
+        # psi(K + j/T) past the threshold runs no recurrence, so raw's tail
+        # and partial_sum_float's leave the memo as the whole term psi(j/T) left it
+        v = ln_rational_vector(5, 3)
+        evaluation._psi_lowest.cache_clear()
+        evaluate(v, 1e-60, "accelerated")
+        partial_sum_float(v, 0)
+        filled = evaluation._psi_lowest.cache_info().currsize
+        # one entry per nonzero slot at each of two precisions
+        assert filled == 2 * sum(1 for w in v.weights if w)
+        evaluate(v, 1e-60, "raw")
+        partial_sum_float(v, 10**7)
+        assert evaluation._psi_lowest.cache_info().currsize == filled
+
+    def test_one_off_tails_evict_no_recurrence(self):
+        # raw tails at hundreds of block counts between two divisor_relations
+        # sweeps must not push the sweep's entries out of the memo
+        evaluation._psi_lowest.cache_clear()
+        for T in COMPOSITES:
+            divisor_relations(T)
+        v = ln_vector(12)
+        blocks = {evaluate(v, 1e-6 * (1 + k / 100), "raw").blocks_used for k in range(220)}
+        assert len(blocks) > 200
+        before = evaluation._psi_lowest.cache_info()
+        for T in COMPOSITES:
+            divisor_relations(T)
+        after = evaluation._psi_lowest.cache_info()
+        assert after.misses == before.misses
+        assert after.hits > before.hits
+
+
+def _fraction_working_prec(abs_err, v):
+    """The working precision read off the Fraction coefficients: the reference."""
+    err_bits = 0 if math.isinf(abs_err) else max(0, -math.floor(math.log2(abs_err)))
+    coeff_bits = max(
+        a.numerator.bit_length() + a.denominator.bit_length() for a in v.coeffs
+    )
+    return max(96, err_bits + coeff_bits + 48)
+
+
+@st.composite
+def _prec_vectors(draw):
+    """Random vectors with zero slots and 30-digit coefficients, ln(M/L), witnesses."""
+    kind = draw(st.sampled_from(("random", "ln_rational", "witness")))
+    if kind == "ln_rational":
+        return ln_rational_vector(draw(st.integers(1, 60)), draw(st.integers(1, 60)))
+    if kind == "witness":
+        return draw(st.sampled_from(relation_witnesses(draw(st.sampled_from(COMPOSITES)))))
+    big = 10**30
+    coeff = st.one_of(
+        st.just(0),
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+        st.builds(Fraction, st.integers(-big, big), st.integers(1, big)),
+    )
+    head = draw(st.lists(coeff, max_size=7))
+    return make_vector(len(head) + 1, head + [-sum(head)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    v=_prec_vectors(),
+    abs_err=st.one_of(st.just(math.inf), st.floats(min_value=1e-300, max_value=1e3)),
+)
+def test_working_prec_matches_the_fraction_reference(v, abs_err):
+    want = _fraction_working_prec(abs_err, v)
+    if want > 1024:
+        with pytest.raises(Unachievable):
+            evaluation._working_prec(abs_err, v)
+    else:
+        assert evaluation._working_prec(abs_err, v) == want
 
 
 def test_eval_result_value_is_high_precision():
