@@ -4,10 +4,13 @@ The values of all balanced series over a fixed modulus T form a vector
 space over the rationals spanned by the T-1 difference vectors
 (1,-1,0,...), (0,1,-1,...), ..., (0,...,1,-1); expressing a vector in
 that basis is a telescoping prefix sum.  Exact kernels of vector
-families are computed in integers, by fraction-free Gauss-Jordan
-elimination whose reduced matrix, a multiple of the RREF, carries the
-basis, so that every returned relation, a tuple of coprime ints,
-combines its family to the exact zero vector.
+families are computed in integers, over those coordinates, by
+fraction-free Gauss-Jordan elimination whose reduced matrix, a multiple
+of the RREF, carries the basis, so that every returned relation, a
+tuple of coprime ints, combines its family to the exact zero vector.
+A family that starts with the difference basis, as every divisor family
+does, starts with T-1 identity columns, so its elimination updates no
+row.
 
 For composite moduli, logarithm vectors lifted from the proper divisors
 collide in value without colliding coefficient-wise (for instance
@@ -38,7 +41,6 @@ from .vectors import (
     factor_radical,
     lift,
     ln_vector,
-    make_vector,
 )
 
 _MAX_DIVISOR_MODULUS = 64
@@ -70,29 +72,41 @@ class KernelBasis:
         return len(self.vectors)
 
 
+def _difference_vectors(modulus: int, repeats: int = 1) -> list[CoefficientVector]:
+    """The difference vectors over modulus, each lifted `repeats` times."""
+    return [
+        _from_weights(
+            modulus * repeats,
+            ((0,) * i + (1, -1) + (0,) * (modulus - 2 - i)) * repeats,
+        )
+        for i in range(modulus - 1)
+    ]
+
+
 def spanning_basis(modulus: int) -> list[CoefficientVector]:
     """The T-1 difference vectors spanning the balanced space over T."""
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
-    return [
-        _from_weights(modulus, (0,) * i + (1, -1) + (0,) * (modulus - 2 - i))
-        for i in range(modulus - 1)
-    ]
+    return _difference_vectors(modulus)
 
 
 def express_in_basis(v: CoefficientVector) -> list[Fraction]:
     """Coordinates of v in the difference basis: the prefix sums of a.
 
     Always solvable for balanced input; recombining the basis with the
-    returned coordinates reproduces v exactly.
+    returned coordinates reproduces v exactly.  The last prefix sum is 0
+    by balance and is not a coordinate.  ``kernel`` reduces the same
+    prefix sums, taken over the integer weights.
     """
     return [Fraction(s, v.scale) for s in accumulate(v.weights[:-1])]
 
 
 def _normalize_relation(ints: Sequence[int]) -> tuple[int, ...]:
     """Divide out the gcd and make the first nonzero entry positive."""
-    g = math.gcd(*ints) * (1 if next(i for i in ints if i) > 0 else -1)
-    return tuple(i // g for i in ints)
+    g = math.gcd(*ints)
+    if next(filter(None, ints)) < 0:
+        g = -g
+    return tuple(ints) if g == 1 else tuple(i // g for i in ints)
 
 
 def _nullspace(rows: Iterable[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
@@ -103,32 +117,37 @@ def _nullspace(rows: Iterable[Sequence[int]], ncols: int) -> list[tuple[int, ...
     right).  At pivot p, every other row, above the pivot row or below
     it, updates to (p a - f b) / prev, f its entry in the pivot column
     and prev the previous pivot.  The matrix ends as d times its RREF,
-    d the last pivot, so each free column fc gives the kernel vector
-    with d at fc and minus its column entry at each pivot column.
-    Normalizing (coprime, first nonzero entry positive) gives the unique
-    normalized RREF basis for this pivot order (Bareiss 1968; Nakos,
-    Turner and Williams 1997).
+    d the last pivot, so each free column fc gives a kernel vector with
+    -d at fc and its column entry at each pivot column.  Normalizing
+    (coprime, first nonzero entry positive) gives the unique normalized
+    RREF basis for this pivot order (Bareiss 1968; Nakos, Turner and
+    Williams 1997); the sign of the vector read off does not matter.
 
     When f = 0 and p equals prev, the update is the row itself, so the
-    row is skipped; in divisor families most rows are.  Every row that
-    is updated still runs its division and the exactness check below; a
-    skipped row runs no division, so none can lose exactness.
+    row is skipped.  Over identity columns, as ``kernel`` meets first in
+    a divisor family, every pivot is 1 and every other entry in its
+    column is 0, so no row is updated.  Every row that is updated still
+    runs its division and the exactness check below; a skipped row runs
+    no division, so none can lose exactness.
     """
     matrix = [list(row) for row in rows]
     pivot_cols: list[int] = []
     prev = 1
     for c in range(ncols):
         r = len(pivot_cols)
+        if r == len(matrix):
+            break  # every row holds a pivot, so the remaining columns are free
         pr = next((i for i in range(r, len(matrix)) if matrix[i][c]), None)
         if pr is None:
             continue
         matrix[r], matrix[pr] = matrix[pr], matrix[r]
         pivot_row = matrix[r]
         p, pivot_sum = pivot_row[c], sum(pivot_row)
-        for i, row in enumerate(matrix):
+        stale = [
+            row for row in matrix if (row[c] or p != prev) and row is not pivot_row
+        ]
+        for row in stale:
             f = row[c]
-            if i == r or (not f and p == prev):
-                continue
             quotients = [(p * a - f * b) // prev for a, b in zip(row, pivot_row)]
             # every floor remainder has the sign of prev, so all of them
             # are 0 exactly when they sum to 0
@@ -140,9 +159,9 @@ def _nullspace(rows: Iterable[Sequence[int]], ncols: int) -> list[tuple[int, ...
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivot_cols)):
         x = [0] * ncols
-        x[fc] = prev
+        x[fc] = -prev
         for row, c in zip(matrix, pivot_cols):
-            x[c] = -row[fc]
+            x[c] = row[fc]
         basis.append(_normalize_relation(x))
     return basis
 
@@ -152,8 +171,14 @@ def kernel(family: Sequence[CoefficientVector]) -> KernelBasis:
 
     Returns every tuple (c_1, ..., c_r), up to basis choice, with
     sum_i c_i v_i equal to the zero vector, coefficient by coefficient.
-    The nullspace runs on integers: each vector's weights, scaled to the
-    lcm of the family's scales, form one column.
+    The nullspace runs on integers: each column holds a vector's
+    coordinates in the difference basis, the prefix sums of its weights
+    scaled to the lcm of the family's scales, less the last one, 0 by
+    balance.  The prefix-sum map is unimodular, so the rows span the
+    same space as the weights themselves would, and the RREF, hence the
+    pivot columns and the normalized basis, is the same.  In a divisor
+    family the first T-1 columns, the difference basis, become identity
+    columns, and elimination updates no row.
     """
     if not family:
         raise ValueError("family must not be empty")
@@ -164,7 +189,10 @@ def kernel(family: Sequence[CoefficientVector]) -> KernelBasis:
                 f"family mixes moduli {modulus} and {vec.modulus}; lift first"
             )
     scale = math.lcm(*(vec.scale for vec in family))
-    columns = [[w * (scale // vec.scale) for w in vec.weights] for vec in family]
+    columns = [
+        accumulate(map((scale // vec.scale).__mul__, vec.weights[:-1]))
+        for vec in family
+    ]
     return KernelBasis(
         vectors=tuple(_nullspace(zip(*columns), len(family))),
         family_size=len(family),
@@ -195,10 +223,10 @@ def divisor_family(T: int) -> list[CoefficientVector]:
     (ascending) the lift of ln_vector(d) followed by the lifts of d's
     difference vectors, and finally ln_vector(T).
     """
-    family = list(spanning_basis(T))
+    family = spanning_basis(T)
     for d in _proper_divisors(T):
         family.append(lift(ln_vector(d), T // d))
-        family.extend(lift(b, T // d) for b in spanning_basis(d))
+        family.extend(_difference_vectors(d, T // d))
     family.append(ln_vector(T))
     return family
 
@@ -291,5 +319,9 @@ def relation_witnesses(
     out = []
     for rel in basis.vectors:
         padded = (0, *rel[: T - 1], 0)
-        out.append(make_vector(T, [a - b for a, b in zip(padded, padded[1:])]))
+        slots = [a - b for a, b in zip(padded, padded[1:])]
+        # ints have denominator 1, so an int relation gives scale 1
+        scale = math.lcm(*(a.denominator for a in slots))
+        weights = [a.numerator * (scale // a.denominator) for a in slots]
+        out.append(_from_weights(T, weights, scale))
     return out

@@ -36,13 +36,22 @@ COMPOSITES = [T for T in range(4, 65) if any(T % d == 0 for d in range(2, T))]
 def gauss_jordan_kernel(family):
     """Normalized nullspace of the family's columns, by Gauss-Jordan over Fraction.
 
-    An independent reference for ``kernel``: it reduces to RREF with the
-    same pivot order (first nonzero entry, columns left to right), reads
-    each free column's solution off the reduced rows and scales it to
-    coprime integers with a positive first nonzero entry.
+    An independent reference for ``kernel``, over the coefficients
+    themselves rather than difference-basis coordinates.
     """
-    ncols = len(family)
     rows = [[v.coeffs[slot] for v in family] for slot in range(family[0].modulus)]
+    return gauss_jordan_nullspace(rows, len(family))
+
+
+def gauss_jordan_nullspace(rows, ncols):
+    """Normalized nullspace of a rational matrix given by rows, over Fraction.
+
+    An independent reference for ``_nullspace``: it reduces to RREF with
+    the same pivot order (first nonzero entry, columns left to right),
+    reads each free column's solution off the reduced rows and scales it
+    to coprime integers with a positive first nonzero entry.
+    """
+    rows = [[Fraction(e) for e in row] for row in rows]
     pivots = []
     for c in range(ncols):
         r = len(pivots)
@@ -68,6 +77,56 @@ def gauss_jordan_kernel(family):
             g = -g
         out.append(tuple(Fraction(i, g) for i in ints))
     return tuple(out)
+
+
+def weight_row_kernel(family):
+    """``_nullspace`` over the family's scaled weights, one row per slot.
+
+    These rows span the same space as the difference-basis coordinates
+    that ``kernel`` reduces, so the normalized bases must be equal.
+    """
+    scale = math.lcm(*(v.scale for v in family))
+    columns = [[w * (scale // v.scale) for w in v.weights] for v in family]
+    return tuple(_nullspace(zip(*columns), len(family)))
+
+
+def lifted_family(T):
+    """divisor_family(T) built by lifting each divisor's spanning basis.
+
+    The difference vectors come from make_vector, so this shares no
+    integer constructor with ``spanning_basis`` or ``divisor_family``.
+    """
+    def differences(d):
+        return [
+            make_vector(d, [0] * i + [1, -1] + [0] * (d - 2 - i)) for i in range(d - 1)
+        ]
+
+    family = differences(T)
+    for d in range(2, T):
+        if T % d == 0:
+            family.append(lift(ln_vector(d), T // d))
+            family.extend(lift(b, T // d) for b in differences(d))
+    family.append(ln_vector(T))
+    return family
+
+
+@st.composite
+def integer_matrices(draw):
+    """(rows, ncols) of unbalanced integer matrices, often with more rows than rank.
+
+    Pivots are rarely 1, and the rows added as integer combinations of
+    drawn rows, the zero row among them, add no rank, so elimination
+    meets rows that vanish and divisions by non-unit pivots.
+    """
+    ncols = draw(st.integers(1, 7))
+    entry = st.one_of(st.integers(-6, 6), st.integers(-(10**12), 10**12))
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        k, m = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows.append([k * x + m * y for x, y in zip(a, b)])
+    return draw(st.permutations(rows)), ncols
 
 
 @st.composite
@@ -214,6 +273,24 @@ class TestKernel:
     def test_unit_families_match_gauss_jordan(self, family):
         assert kernel(family).vectors == gauss_jordan_kernel(family)
 
+    @settings(max_examples=300, deadline=None)
+    @given(integer_matrices())
+    def test_nullspace_matches_gauss_jordan(self, matrix):
+        rows, ncols = matrix
+        basis = _nullspace(rows, ncols)
+        assert tuple(basis) == gauss_jordan_nullspace(rows, ncols)
+        assert all(type(c) is int for rel in basis for c in rel)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(rational_families(), unit_families()))
+    def test_coordinates_match_the_weight_rows(self, family):
+        assert kernel(family).vectors == weight_row_kernel(family)
+
+    @pytest.mark.parametrize("T", COMPOSITES)
+    def test_divisor_family_coordinates_match_the_weight_rows(self, T):
+        family = divisor_family(T)
+        assert kernel(family).vectors == weight_row_kernel(family)
+
     def test_rational_coefficients_handled_exactly(self):
         family = [
             make_vector(2, [Fraction(1, 3), Fraction(-1, 3)]),
@@ -286,6 +363,15 @@ class TestDivisorRelations:
         with pytest.raises(ValueError):
             divisor_relations(66)
 
+    @pytest.mark.parametrize("T", COMPOSITES)
+    def test_family_matches_the_lifted_construction(self, T):
+        def members(family):
+            return [(v, v.weights, v.scale) for v in family]
+
+        reference = lifted_family(T)
+        assert members(divisor_family(T)) == members(reference)
+        assert members(spanning_basis(T)) == members(reference[: T - 1])
+
     def test_family_layout(self):
         family = divisor_family(6)
         # 5 difference vectors, ln lift and diffs for d = 2 and d = 3, ln 6
@@ -301,7 +387,11 @@ class TestDivisorRelations:
         basis = kernel(family)
         for rels in (basis, divisor_relations(T)):
             expected = [_recombined(rel, family, T) for rel in rels.vectors]
-            assert relation_witnesses(T, rels) == expected
+            witnesses = relation_witnesses(T, rels)
+            assert witnesses == expected
+            assert [(w.weights, w.scale) for w in witnesses] == [
+                (w.weights, w.scale) for w in expected
+            ]
         # these relations also use the lifted difference vectors
         logs, idx = {T - 1}, T - 1
         for d in range(2, T):
@@ -320,7 +410,11 @@ class TestDivisorRelations:
             family_size=basis.family_size,
         )
         witnesses = relation_witnesses(12, half)
-        assert witnesses == [_recombined(rel, family, 12) for rel in half.vectors]
+        expected = [_recombined(rel, family, 12) for rel in half.vectors]
+        assert witnesses == expected
+        assert [(w.weights, w.scale) for w in witnesses] == [
+            (w.weights, w.scale) for w in expected
+        ]
         assert any(c.denominator == 2 for w in witnesses for c in w.coeffs)
 
     def test_witnesses_reject_a_basis_of_another_family(self):
