@@ -15,19 +15,25 @@ Exit codes: 0 success, 1 domain error (for example unbalanced
 coefficients), 2 usage error.  `--method raw` reaches every abs_err
 that the precision ceiling admits, at a cost that does not grow with
 its truncation.
+
+`run` hands a known subcommand's arguments straight to its own parser
+and everything else to the top-level one, with the top-level parser's
+messages and exit codes (see _parse).  JSON is printed by
+_indented_json, the bytes of json.dumps(payload, indent=2) without its
+pure-Python encoder.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 import time
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import mpmath
 from mpmath import libmp
@@ -92,6 +98,41 @@ def _parse_coeffs(raw: str) -> list[Fraction]:
         return [Fraction(part.strip()) for part in raw.split(",") if part.strip()]
     except (ValueError, ZeroDivisionError) as exc:
         raise SeriesError(f"cannot parse coefficient list {raw!r}: {exc}") from exc
+
+
+def _indented_json(obj, indent: str = "") -> str:
+    """Exactly what json.dumps(obj, indent=2) prints, for the payload types.
+
+    dumps falls back to json's pure-Python encoder whenever it indents;
+    this prints the same bytes for dicts with str keys, lists, str, int
+    and bool, and raises TypeError on any other type.
+    """
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
+    if type(obj) is bool:
+        return "true" if obj else "false"
+    if type(obj) is int:
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if type(obj) is dict:
+        items = [
+            f"{encode_basestring_ascii(k)}: {_indented_json(v, inner)}"
+            for k, v in obj.items()
+        ]
+        brackets = "{}"
+    elif type(obj) is list:
+        # the long lists are of strings, which then take no call each
+        items = [
+            encode_basestring_ascii(v) if type(v) is str else _indented_json(v, inner)
+            for v in obj
+        ]
+        brackets = "[]"
+    else:
+        raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+    if not items:
+        return brackets
+    body = f",\n{inner}".join(items)
+    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +289,7 @@ def _cmd_value(args) -> int:
         "wall_time_micros": reading.micros,
     }
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(_indented_json(payload))
         return 0
     inputs = ", ".join(f"{k}={v}" for k, v in reading.inputs.items())
     kind = "heuristic" if reading.bound_is_heuristic else "rigorous"
@@ -284,7 +325,7 @@ def _cmd_relations(args) -> int:
         "wall_time_micros": micros,
     }
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(_indented_json(payload))
     else:
         print(
             f"relations (T={args.T}) found {len(entries)} over a family of "
@@ -434,7 +475,8 @@ def _cmd_bench(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="logser",
         description=(
@@ -442,7 +484,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "balanced cyclic harmonic series, with exact rational algebra."
         ),
     )
-    add = parser.add_subparsers(dest="command", required=True).add_parser
+    commands = parser.add_subparsers(dest="command", required=True)
+    add = commands.add_parser
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("json", "text"), default="json")
     err = argparse.ArgumentParser(add_help=False, parents=[fmt])
@@ -496,14 +539,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--work", type=str, required=True)
     p.set_defaults(handler=_cmd_bench)
 
-    return parser
+    return parser, commands.choices
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """What the top-level parser's parse_args(argv) returns, or raises.
+
+    A known subcommand's own parser takes the rest of argv, as the
+    top-level parser would hand it over, and leftovers go to the
+    top-level error, so output and exit codes are the same; anything
+    else (no arguments, --help, an unknown command) goes to the
+    top-level parser.
+    """
+    parser, commands = _parsers()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error("unrecognized arguments: %s" % " ".join(extras))
+    return args
 
 
 def run(argv: list[str] | None = None) -> int:
     """Parse argv, dispatch, and return the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -36,20 +36,24 @@ a cached ln c plus a short atanh series, c the integer part of x after
 the recurrence.  psi below the shift threshold, where it pays the
 recurrence, is memoised by its argument in lowest terms and its
 precision, in an LRU memo of 1024 entries (0.20-0.33 MB full); the
-tails psi(K + j/T) past it are not, so they evict nothing, and a warm
-pass of the bench's rigorous cycle fills 928 entries and misses none
-(see _psi).  It reads no mpmath context: no precision set elsewhere in
+tails psi(K + j/T) past it are not, so they evict nothing (see _psi).
+The whole series over a modulus T <= 64, the default route's sum, is
+the dot product of the weights with one memoised row psi(j/T), j = 1..T,
+per (T, prec), in an LRU memo of 128 rows; a warm pass of the bench's
+rigorous cycle uses 51 rows and misses no row and no psi (see
+_psi_tail).  It reads no mpmath context: no precision set elsewhere in
 the process changes a result, concurrent calls need no lock (two threads
-may compute the same psi entry, with identical results; mpmath's memos
-of ln 2 and gamma leave the window described in _euler), and values
-become mpmath.mpf only on the way out.  Requests below the precision
-floor raise Unachievable.
+may compute the same psi entry or row, with identical results; mpmath's
+memos of ln 2 and gamma leave the window described in _euler), and
+values become mpmath.mpf only on the way out.  Requests below the
+precision floor raise Unachievable.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,6 +70,10 @@ DEFAULT_BLOCK_BUDGET = 10**6
 
 _MIN_PREC = 96
 _MAX_PREC = 1024
+
+# the whole-series psi rows: moduli up to _ROW_MODULUS, the _ROW_LIMIT used last
+_ROW_MODULUS = 64
+_ROW_LIMIT = 128
 
 _METHODS = ("raw", "accelerated")
 
@@ -317,15 +325,17 @@ def _psi(p: int, T: int, prec: int) -> int:
     the tails psi(K + j/T) of raw and partial_sum_float, each K seldom
     seen twice, which would otherwise evict the entries that pay.  The
     memo keeps the 1024 entries used last; full, it held 0.20 MB at prec
-    96 and 0.33 MB at prec 1024 (tracemalloc).  divisor_relations over
-    every composite T <= 64 fills 926 entries at 96 bits, and a warm pass
-    of the bench's rigorous cycle, tails included, fills 928 and misses
-    none; with the tails cached too it missed 1657 of 7038 calls.  Two
-    threads that miss on the same key both compute it, with identical
-    results.  The value is bit-identical to the unreduced computation:
-    every floor division in _psi_lowest has g = gcd(p, T) in both its
-    numerator and its denominator, and the recurrence takes the same
-    number of steps.
+    96 and 0.33 MB at prec 1024 (tracemalloc).  The rows of _psi_row are
+    built through it, every slot of a row included, so one equal
+    fraction's recurrence serves every modulus it appears over.
+    divisor_relations over every composite T <= 64 fills 926 entries at
+    96 bits, and a warm pass of the bench's rigorous cycle, tails
+    included, fills 928 and misses none; with the tails cached too it
+    missed 1657 of 7038 calls.  Two threads that miss on the same key
+    both compute it, with identical results.  The value is bit-identical
+    to the unreduced computation: every floor division in _psi_lowest has
+    g = gcd(p, T) in both its numerator and its denominator, and the
+    recurrence takes the same number of steps.
     """
     g = math.gcd(p, T)
     p, T = p // g, T // g
@@ -370,6 +380,12 @@ def _psi_lowest(p: int, T: int, prec: int) -> int:
     return ln_x - (T << wp) // (2 * p) - series - shifted
 
 
+@functools.lru_cache(maxsize=_ROW_LIMIT)
+def _psi_row(T: int, prec: int) -> tuple[int, ...]:
+    """psi(j/T) for j = 1..T, scaled by 2^(prec+10), through _psi."""
+    return tuple(_psi(j, T, prec) for j in range(1, T + 1))
+
+
 def _psi_tail(v: CoefficientVector, blocks: int, prec: int) -> tuple[int, int]:
     """(tail, magnitude) of the series after its first `blocks` blocks.
 
@@ -378,15 +394,30 @@ def _psi_tail(v: CoefficientVector, blocks: int, prec: int) -> tuple[int, int]:
     so as N grows the tail is exactly -(1/T) sum_j a_j psi(blocks + j/T).
     `magnitude` is (1/T) sum_j |a_j psi(blocks + j/T)|, the scale against
     which rounding allowances are charged.  Both are scaled by 2^(prec+10).
+
+    The whole series (blocks = 0) over T <= _ROW_MODULUS is the dot
+    product of the weights with the memoised row _psi_row(T, prec), built
+    once through _psi for every slot, zero weights included, so a warm
+    call makes no Python call per slot.  The memo keeps the _ROW_LIMIT
+    rows used last: all 64 rows of T <= 64 held 0.08 MB at prec 96 and
+    0.24 MB at prec 1024 (tracemalloc, ints included), and a warm pass of
+    the bench's cycles uses 59 rows on accel, 51 on rigorous and 2 on
+    exact (seed 7), with no row miss on a second pass.  Two threads that
+    miss on the same row both build it, with identical results.  Tails
+    after blocks > 0, the one-off psi(K + j/T) of raw and
+    partial_sum_float, and moduli past the cap take psi slot by slot, so
+    they add no row.  Either way the sums are the same integers.
     """
     T = v.modulus
-    total = magnitude = 0
-    for j, w in enumerate(v.weights, start=1):
-        if w:
-            term = w * _psi(blocks * T + j, T, prec)
-            total -= term
-            magnitude += abs(term)
-    return total // (v.scale * T), magnitude // (v.scale * T)
+    if blocks or T > _ROW_MODULUS:
+        terms = [
+            w * _psi(blocks * T + j, T, prec)
+            for j, w in enumerate(v.weights, start=1)
+            if w
+        ]
+    else:
+        terms = list(map(operator.mul, v.weights, _psi_row(T, prec)))
+    return -sum(terms) // (v.scale * T), sum(map(abs, terms)) // (v.scale * T)
 
 
 def _mpf(fixed: int, prec: int) -> mpmath.mpf:

@@ -31,13 +31,15 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .errors import ModulusMismatch, NotComposite
+from .errors import BudgetExceeded, ModulusMismatch, NotComposite
 from .evaluation import EvalResult, evaluate
 from .vectors import (
+    TERM_LIMIT,
     CoefficientVector,
     _factorize,
     _from_weights,
     _lifted_logs,
+    _settle,
     factor_radical,
     lift,
     ln_vector,
@@ -72,21 +74,48 @@ class KernelBasis:
         return len(self.vectors)
 
 
+# the coefficients 0, 1 and -1 of every difference vector, shared by all of them
+_UNIT_COEFFS = (Fraction(0), Fraction(1), Fraction(-1))
+
+
 def _difference_vectors(modulus: int, repeats: int = 1) -> list[CoefficientVector]:
-    """The difference vectors over modulus, each lifted `repeats` times."""
-    return [
-        _from_weights(
-            modulus * repeats,
-            ((0,) * i + (1, -1) + (0,) * (modulus - 2 - i)) * repeats,
+    """The difference vectors over modulus, each lifted `repeats` times.
+
+    Vector i is the pattern (0, ..., 0, 1, -1, 0, ..., 0), 1 at slot i,
+    repeated `repeats` times.  Its weights and its coefficients are both
+    built by that pattern, the coefficients over three Fractions shared
+    by every vector, so no Fraction is made per slot or per vector;
+    _settle still checks each vector's length and balance.
+    """
+    zero, one, minus_one = _UNIT_COEFFS
+    out = []
+    for i in range(modulus - 1):
+        after = modulus - 2 - i
+        weights = ((0,) * i + (1, -1) + (0,) * after) * repeats
+        coeffs = ((zero,) * i + (one, minus_one) + (zero,) * after) * repeats
+        vec = object.__new__(CoefficientVector)
+        out.append(_settle(vec, modulus * repeats, coeffs, weights, 1))
+    return out
+
+
+def _check_family(modulus: int, members: int) -> None:
+    """Validate the modulus, and bound the family's members * modulus slots."""
+    if modulus < 2:
+        raise ValueError("modulus must be >= 2")
+    if members * modulus > TERM_LIMIT:
+        raise BudgetExceeded(
+            f"{members} vectors of {modulus} slots exceed the term limit of "
+            f"{TERM_LIMIT} slots"
         )
-        for i in range(modulus - 1)
-    ]
 
 
 def spanning_basis(modulus: int) -> list[CoefficientVector]:
-    """The T-1 difference vectors spanning the balanced space over T."""
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
+    """The T-1 difference vectors spanning the balanced space over T.
+
+    Their (T-1) T slots are bounded by TERM_LIMIT, so T <= 1000 builds;
+    a larger modulus raises BudgetExceeded before any vector is built.
+    """
+    _check_family(modulus, modulus - 1)
     return _difference_vectors(modulus)
 
 
@@ -222,8 +251,17 @@ def divisor_family(T: int) -> list[CoefficientVector]:
     the T-1 difference vectors, then per proper divisor d >= 2
     (ascending) the lift of ln_vector(d) followed by the lifts of d's
     difference vectors, and finally ln_vector(T).
+
+    It has sigma(T) - 1 members of T slots each, sigma the divisor sum,
+    and a family of more than TERM_LIMIT slots raises BudgetExceeded
+    before any vector is built: every T <= 64 that divisor_relations
+    takes builds (at most 167 x 60 slots), a prime T up to 997, and a
+    highly composite one such as 720 (2417 x 720) does not.
     """
-    family = spanning_basis(T)
+    # the difference vectors alone bound T before its divisors are listed
+    _check_family(T, T - 1)
+    _check_family(T, _log_positions(T)[-1][1] + 1)
+    family = _difference_vectors(T)
     for d in _proper_divisors(T):
         family.append(lift(ln_vector(d), T // d))
         family.extend(_difference_vectors(d, T // d))

@@ -329,6 +329,77 @@ class TestGolden:
                 assert w == g or (w in loose and close(w, g)), expected
 
 
+class TestJsonLayout:
+    """The JSON writer prints exactly json.dumps(payload, indent=2)."""
+
+    @pytest.mark.parametrize("argv", [a for a, _ in GOLDEN_CASES], ids=" ".join)
+    def test_golden_output_is_the_indented_layout(self, argv):
+        code, out = capture(argv + ["--format", "json"])
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_payload_types_and_nesting(self):
+        payload = {
+            "s": "a\"b\\c\n\u00e9\U0001d11e",
+            "n": -(10**40),
+            "flags": [True, False],
+            "terms": ["1/2", "\u00e9\t\"", ""],
+            "empty": {},
+            "none": [],
+            "nested": {"rows": [{"x": [1, [2, []]], "y": "z"}], "k": 0},
+        }
+        assert cli._indented_json(payload) == json.dumps(payload, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, None, (1, 2), {1: "a"}, Fraction(1, 2)])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            cli._indented_json({"value": value})
+
+
+def parse_outcome(parse, argv):
+    """(namespace as a dict, or the exit code; stdout; stderr) of parse(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            outcome = vars(parse(argv))
+        except SystemExit as exc:
+            outcome = exc.code
+    return outcome, out.getvalue(), err.getvalue()
+
+
+def top_level(argv):
+    """The reference: the top-level parser's own parse_args."""
+    return cli._build_parser().parse_args(argv)
+
+
+USAGE_CASES = [
+    ["ln", "2", "--no-such-flag"],
+    ["ln"],
+    [],
+    ["nope", "2"],
+    ["--help"],
+    ["ln", "--help"],
+    ["ln", "2", "3"],
+    ["relations", "--T", "6", "--T"],
+    ["--format", "json", "ln", "2"],
+    ["ln", "--", "2"],
+    ["pi", "--method", "raw"],
+]
+
+
+class TestSubcommandDispatch:
+    @pytest.mark.parametrize("argv", USAGE_CASES, ids=" ".join)
+    def test_usage_paths_match_the_top_level_parser(self, argv):
+        assert parse_outcome(cli._parse, argv) == parse_outcome(top_level, argv)
+
+    @pytest.mark.parametrize("argv", [a for a, _ in GOLDEN_CASES], ids=" ".join)
+    def test_namespaces_match_the_top_level_parser(self, argv):
+        for fmt in ([], ["--format", "text"]):
+            direct = parse_outcome(cli._parse, argv + fmt)
+            assert isinstance(direct[0], dict)
+            assert direct == parse_outcome(top_level, argv + fmt)
+
+
 class TestEntryPoint:
     def test_module_main_in_a_subprocess(self):
         src = str(pathlib.Path(__file__).resolve().parents[1] / "src")

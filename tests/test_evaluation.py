@@ -519,37 +519,94 @@ class TestPsiKernel:
         grid()
         warm = grid()
         evaluation._psi_lowest.cache_clear()
+        evaluation._psi_row.cache_clear()
         assert grid() == warm
 
     def test_tails_past_the_threshold_add_no_memo_entry(self):
         # psi(K + j/T) past the threshold runs no recurrence, so raw's tail
-        # and partial_sum_float's leave the memo as the whole term psi(j/T) left it
+        # and partial_sum_float's leave both memos as the whole term psi(j/T) left them
         v = ln_rational_vector(5, 3)
+        assert 0 in v.weights
         evaluation._psi_lowest.cache_clear()
+        evaluation._psi_row.cache_clear()
         evaluate(v, 1e-60, "accelerated")
         partial_sum_float(v, 0)
         filled = evaluation._psi_lowest.cache_info().currsize
-        # one entry per nonzero slot at each of two precisions
-        assert filled == 2 * sum(1 for w in v.weights if w)
+        # one row at each of two precisions, whose every slot, zero weights
+        # included, is one entry: the fractions j/15 are distinct
+        assert evaluation._psi_row.cache_info().currsize == 2
+        assert filled == 2 * v.modulus
         evaluate(v, 1e-60, "raw")
         partial_sum_float(v, 10**7)
         assert evaluation._psi_lowest.cache_info().currsize == filled
+        assert evaluation._psi_row.cache_info().currsize == 2
 
     def test_one_off_tails_evict_no_recurrence(self):
         # raw tails at hundreds of block counts between two divisor_relations
-        # sweeps must not push the sweep's entries out of the memo
+        # sweeps must not push the sweep's rows or entries out of the memos
         evaluation._psi_lowest.cache_clear()
+        evaluation._psi_row.cache_clear()
         for T in COMPOSITES:
             divisor_relations(T)
         v = ln_vector(12)
         blocks = {evaluate(v, 1e-6 * (1 + k / 100), "raw").blocks_used for k in range(220)}
         assert len(blocks) > 200
         before = evaluation._psi_lowest.cache_info()
+        rows_before = evaluation._psi_row.cache_info()
         for T in COMPOSITES:
             divisor_relations(T)
         after = evaluation._psi_lowest.cache_info()
+        rows_after = evaluation._psi_row.cache_info()
         assert after.misses == before.misses
-        assert after.hits > before.hits
+        assert rows_after.misses == rows_before.misses
+        assert rows_after.hits > rows_before.hits
+
+    def test_row_memo_is_bounded(self):
+        assert evaluation._psi_row.cache_info().maxsize == 128
+        evaluation._psi_row.cache_clear()
+        evaluate(ln_vector(64), 1e-12)
+        assert evaluation._psi_row.cache_info().currsize == 1
+        # moduli past the cap take psi slot by slot and add no row
+        evaluate(ln_vector(65), 1e-12)
+        evaluate(ln_rational_vector(1001, 1000), 1e-12)
+        partial_sum_float(ln_vector(100), 0)
+        assert evaluation._psi_row.cache_info().currsize == 1
+
+
+def _slot_psi_tail(v, blocks, prec):
+    """The (tail, magnitude) pair summed slot by slot: the reference for _psi_tail."""
+    T = v.modulus
+    total = magnitude = 0
+    for j, w in enumerate(v.weights, start=1):
+        if w:
+            term = w * evaluation._psi(blocks * T + j, T, prec)
+            total -= term
+            magnitude += abs(term)
+    return total // (v.scale * T), magnitude // (v.scale * T)
+
+
+@st.composite
+def _row_vectors(draw):
+    """Vectors with zero slots over moduli on both sides of the row cap, ln(M/L), witnesses."""
+    kind = draw(st.sampled_from(("random", "ln_rational", "witness")))
+    if kind == "ln_rational":
+        return ln_rational_vector(draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    if kind == "witness":
+        return draw(st.sampled_from(relation_witnesses(draw(st.sampled_from(COMPOSITES)))))
+    T = draw(st.integers(1, 72))
+    coeff = st.one_of(
+        st.just(0),
+        st.integers(-9, 9),
+        st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6),
+    )
+    head = draw(st.lists(coeff, min_size=T - 1, max_size=T - 1))
+    return make_vector(T, head + [-sum(head)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=_row_vectors(), prec=st.sampled_from((96, 97, 200, 512, 1024)))
+def test_row_tail_matches_the_slot_loop(v, prec):
+    assert evaluation._psi_tail(v, 0, prec) == _slot_psi_tail(v, 0, prec)
 
 
 def _fraction_working_prec(abs_err, v):
@@ -621,8 +678,9 @@ class TestConcurrency:
             return evals, sums
 
         expected = work()
-        # the threads below race to fill the psi memo
+        # the threads below race to fill the psi memo and the row memo
         evaluation._psi_lowest.cache_clear()
+        evaluation._psi_row.cache_clear()
         stop = threading.Event()
 
         def flip_precision():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logser import (
+    BudgetExceeded,
     KernelBasis,
     ModulusMismatch,
     NotComposite,
@@ -26,6 +27,7 @@ from logser import (
     verify_zero,
 )
 
+from logser import relations
 from logser.relations import _nullspace
 
 from conftest import random_balanced
@@ -183,6 +185,43 @@ class TestSpanningBasis:
     def test_requires_modulus_two(self):
         with pytest.raises(ValueError):
             spanning_basis(1)
+        with pytest.raises(ValueError):
+            divisor_family(1)
+
+    def test_slots_are_bounded_by_the_term_limit(self):
+        # (T - 1) T slots: 999,000 at T = 1000, past the limit at 1001
+        assert len(spanning_basis(1000)) == 999
+        with pytest.raises(BudgetExceeded):
+            spanning_basis(1001)
+        # sigma(720) - 1 = 2417 members of 720 slots, though (T - 1) T fits
+        with pytest.raises(BudgetExceeded):
+            divisor_family(720)
+
+    def test_bound_is_checked_before_any_work(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("work began before the bound was checked")
+
+        monkeypatch.setattr(relations, "_difference_vectors", forbidden)
+        # past the limit only when every member is counted: divisors, no vector
+        with pytest.raises(BudgetExceeded):
+            divisor_family(720)
+        # past it by the difference vectors alone: no divisor is listed
+        monkeypatch.setattr(relations, "_proper_divisors", forbidden)
+        for build in (spanning_basis, divisor_family):
+            with pytest.raises(BudgetExceeded):
+                build(10**12)
+
+    def test_the_bound_counts_every_member(self, monkeypatch):
+        # divisor_family(60) has 167 members of 60 slots
+        monkeypatch.setattr(relations, "TERM_LIMIT", 167 * 60)
+        assert len(divisor_family(60)) == 167
+        assert len(spanning_basis(60)) == 59
+        monkeypatch.setattr(relations, "TERM_LIMIT", 167 * 60 - 1)
+        with pytest.raises(BudgetExceeded):
+            divisor_family(60)
+        monkeypatch.setattr(relations, "TERM_LIMIT", 59 * 60 - 1)
+        with pytest.raises(BudgetExceeded):
+            spanning_basis(60)
 
 
 class TestExpressInBasis:
@@ -371,6 +410,13 @@ class TestDivisorRelations:
         reference = lifted_family(T)
         assert members(divisor_family(T)) == members(reference)
         assert members(spanning_basis(T)) == members(reference[: T - 1])
+
+    @pytest.mark.parametrize("T", COMPOSITES)
+    def test_family_members_hold_fractions(self, T):
+        for v in divisor_family(T) + spanning_basis(T):
+            assert all(type(c) is Fraction for c in v.coeffs), v
+            assert all(type(w) is int for w in v.weights), v
+            assert type(v.scale) is int
 
     def test_family_layout(self):
         family = divisor_family(6)
