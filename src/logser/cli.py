@@ -310,7 +310,8 @@ def _cmd_relations(args) -> int:
             {
                 "relation": [str(c) for c in rel],
                 "witness_modulus": witness.modulus,
-                "witness_coeffs": [str(c) for c in witness.coeffs],
+                # every checked witness has scale 1, so its weights are its coefficients
+                "witness_coeffs": [str(w) for w in witness.weights],
                 "witness_value": _real(result.value, 17),
                 "witness_bound": repr(result.error_bound),
                 "verified_zero": ok,

@@ -26,27 +26,27 @@ Two evaluation routes are provided:
 Exact partial sums, harmonic numbers and the term stream of the
 rearranged form live here as well, all in exact rational arithmetic.
 The Euler-Mascheroni partials H_n - ln n live here too, computed by the
-floating-point kernel as psi(n+1) + gamma - ln n, with no harmonic sum.
+floating-point kernel as psi(n+1) - psi(1) - ln n, with no harmonic sum.
 Partial sums and harmonic numbers are both weighted harmonic sums
 sum_m w_m / m with periodic integer weights, and one kernel sums them
 by balanced splitting rather than adding one term at a time to an
 ever larger running rational.  The floating-point kernel computes psi
 in integers scaled by 2^(prec+10), prec >= 96, with ln x as
 a cached ln c plus a short atanh series, c the integer part of x after
-the recurrence.  psi below the shift threshold, where it pays the
-recurrence, is memoised by its argument in lowest terms and its
-precision, in an LRU memo of 1024 entries (0.20-0.33 MB full); the
-tails psi(K + j/T) past it are not, so they evict nothing (see _psi).
-The whole series over a modulus T <= 64, the default route's sum, is
-the dot product of the weights with one memoised row psi(j/T), j = 1..T,
-per (T, prec), in an LRU memo of 128 rows; a warm pass of the bench's
-rigorous cycle uses 51 rows and misses no row and no psi (see
-_psi_tail).  It reads no mpmath context: no precision set elsewhere in
-the process changes a result, concurrent calls need no lock (two threads
-may compute the same psi entry or row, with identical results; mpmath's
-memos of ln 2 and gamma leave the window described in _euler), and
-values become mpmath.mpf only on the way out.  Requests below the
-precision floor raise Unachievable.
+the recurrence.  It reads no mpmath context: no precision set elsewhere
+in the process changes a result, and values become mpmath.mpf only on
+the way out.  Requests below the precision floor raise Unachievable.
+
+Cache policy: the rows psi(j/T), j = 1..T, kept per (T, prec) for
+T <= _ROW_MODULUS in an LRU memo of _ROW_LIMIT rows, are the only psi
+cache.  The whole series over such a T, the default route's sum, is the
+dot product of the weights with its row, and gamma is -psi(1), the row
+of modulus 1.  Every other psi, the tails psi(K + j/T) of raw and
+partial_sum_float and every slot of a modulus past the cap, is computed
+afresh.  The other caches hold the Stirling coefficients per precision
+and ln n per (n, wp).  Concurrent calls need no lock: two threads may
+build the same row, with identical results, and mpmath's memo of ln 2
+leaves the window described in _ln_fixed.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ def rearranged_terms(modulus: int, count: int) -> list[Fraction]:
 
 
 def gamma_partial(n: int) -> GammaPartial:
-    """A_n = H_n - ln n, from H_n = psi(n+1) + gamma (DLMF 5.4.14).
+    """A_n = H_n - ln n, from H_n = psi(n+1) - psi(1) (DLMF 5.4.14, 5.4.12).
 
     The sequence decreases to the Euler-Mascheroni constant gamma, each
     step satisfying -1/(n(n+1)) < A_{n+1} - A_n < 0.  No harmonic sum is
@@ -240,17 +240,18 @@ def gamma_partial(n: int) -> GammaPartial:
     1/(2x), N = 11 Horner steps, under u for the floored 1/x^2 and
     Stirling coefficients, two units for ln x (at T = 1, x is an integer
     c and takes no atanh term) and 4u of series remainder make under 49u
-    in all.  ln n is within two units and gamma is floored once, so the
-    fixed-point sum is within 52u < 2^-100 of A_n.  Rounding it to 96
-    bits comes last and adds at most 2^-97, as gamma < A_n <= 1: under
-    7e-30 in total.
+    in all.  psi(1), read from the row of modulus 1, takes 31 steps and
+    so errs by under 50u.  ln n is within two units, so the fixed-point
+    sum is within 101u < 2^-99 of A_n.  Rounding it to 96 bits comes
+    last and adds at most 2^-97, as gamma < A_n <= 1: under 7.6e-30 in
+    total.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > TERM_LIMIT:
         raise BudgetExceeded(f"n={n} exceeds the term limit of {TERM_LIMIT}")
     wp = _MIN_PREC + 10
-    value = _psi(n + 1, 1, _MIN_PREC) + _euler(_MIN_PREC) - _ln_fixed(n, wp)
+    value = _psi(n + 1, 1, _MIN_PREC) - _psi_row(1, _MIN_PREC)[0] - _ln_fixed(n, wp)
     return GammaPartial(n=n, value=_mpf(value, _MIN_PREC))
 
 
@@ -281,72 +282,28 @@ def _stirling(prec: int) -> tuple[int, ...]:
         out.append((p << (prec + 10)) // (n * q))
 
 
-@functools.lru_cache(maxsize=None)
-def _euler(prec: int) -> int:
-    """Euler's constant gamma scaled by 2^(prec+10) and floored.
-
-    libmp.mpf_euler memoises through mpmath's constant_memo, which stores
-    memo_val before memo_prec when a caller asks for more precision than
-    the memo holds.  A read of the pair by another thread that falls
-    between those two stores pairs the new value with the old precision
-    and returns gamma shifted by a power of two.  The cache reads the
-    memo once per precision, so that window remains open only on the
-    first call at each precision; a value read in it would be kept.
-    _ln_fixed reads the ln 2 memo the same way, once per cached (n, wp)
-    rather than once per psi.
-    """
-    wp = prec + 10
-    return int(libmp.to_fixed(libmp.mpf_euler(wp, libmp.round_floor), wp))
-
-
 @functools.lru_cache(maxsize=256)
 def _ln_fixed(n: int, wp: int) -> int:
     """ln n scaled by 2^wp, within two units for n < e^(2^18).
 
-    mpf_log reads mpmath's ln 2 memo, which has the window described in
-    _euler.  The bounded cache reads it once per cached (n, wp), not once
-    per psi: every psi of the default route shares n = the shift
-    threshold, while raw, partial_sum_float and gamma_partial reach any n.
-    Below 2500 bits mpf_log takes no other constant: pi enters only its
-    AGM branch above that, which no precision here reaches.
+    mpf_log reads mpmath's memo of ln 2 (constant_memo), which stores
+    memo_val before memo_prec when a caller asks for more precision than
+    the memo holds.  A read of the pair by another thread that falls
+    between those two stores pairs the new value with the old precision,
+    so it takes ln 2 shifted by a power of two.  The bounded cache reads
+    the memo once per cached (n, wp), not once per psi, so that window
+    stays open only on a miss; a value read in it would be kept.  Every
+    psi of the default route shares n = the shift threshold, while raw,
+    partial_sum_float and gamma_partial reach any n.  Below 2500 bits
+    mpf_log takes no other constant: pi enters only its AGM branch above
+    that, which no precision here reaches.
     """
     log = libmp.mpf_log(libmp.from_int(n, wp + 20), wp + 20)
     return int(libmp.to_fixed(log, wp))
 
 
 def _psi(p: int, T: int, prec: int) -> int:
-    """psi(p/T) for p, T >= 1, scaled by 2^(prec+10).
-
-    p/T is reduced to lowest terms.  An argument below the shift threshold
-    is read through the memo _psi_lowest, so its upward recurrence runs
-    once for every equal fraction: the witnesses of one divisor_relations
-    call, the divisors of T and later calls.  An argument at or past the
-    threshold runs no recurrence and goes to the uncached body: mostly
-    the tails psi(K + j/T) of raw and partial_sum_float, each K seldom
-    seen twice, which would otherwise evict the entries that pay.  The
-    memo keeps the 1024 entries used last; full, it held 0.20 MB at prec
-    96 and 0.33 MB at prec 1024 (tracemalloc).  The rows of _psi_row are
-    built through it, every slot of a row included, so one equal
-    fraction's recurrence serves every modulus it appears over.
-    divisor_relations over every composite T <= 64 fills 926 entries at
-    96 bits, and a warm pass of the bench's rigorous cycle, tails
-    included, fills 928 and misses none; with the tails cached too it
-    missed 1657 of 7038 calls.  Two threads that miss on the same key
-    both compute it, with identical results.  The value is bit-identical
-    to the unreduced computation: every floor division in _psi_lowest has
-    g = gcd(p, T) in both its numerator and its denominator, and the
-    recurrence takes the same number of steps.
-    """
-    g = math.gcd(p, T)
-    p, T = p // g, T // g
-    if p >= _shift_threshold(prec) * T:
-        return _psi_lowest.__wrapped__(p, T, prec)
-    return _psi_lowest(p, T, prec)
-
-
-@functools.lru_cache(maxsize=1024)
-def _psi_lowest(p: int, T: int, prec: int) -> int:
-    """psi(p/T) for coprime p, T >= 1, scaled by 2^(prec+10).
+    """psi(p/T) for p, T >= 1, scaled by 2^(prec+10); not cached.
 
     Upward recurrence psi(x) = psi(x+1) - 1/x to the shift threshold, then
     psi(x) ~ ln x - 1/(2x) - sum_n B_2n/(2n x^2n) (DLMF 5.11.2) by Horner's
@@ -396,17 +353,13 @@ def _psi_tail(v: CoefficientVector, blocks: int, prec: int) -> tuple[int, int]:
     which rounding allowances are charged.  Both are scaled by 2^(prec+10).
 
     The whole series (blocks = 0) over T <= _ROW_MODULUS is the dot
-    product of the weights with the memoised row _psi_row(T, prec), built
-    once through _psi for every slot, zero weights included, so a warm
-    call makes no Python call per slot.  The memo keeps the _ROW_LIMIT
-    rows used last: all 64 rows of T <= 64 held 0.08 MB at prec 96 and
-    0.24 MB at prec 1024 (tracemalloc, ints included), and a warm pass of
-    the bench's cycles uses 59 rows on accel, 51 on rigorous and 2 on
-    exact (seed 7), with no row miss on a second pass.  Two threads that
-    miss on the same row both build it, with identical results.  Tails
-    after blocks > 0, the one-off psi(K + j/T) of raw and
-    partial_sum_float, and moduli past the cap take psi slot by slot, so
-    they add no row.  Either way the sums are the same integers.
+    product of the weights with the memoised row _psi_row(T, prec), which
+    holds every slot, zero weights included, so that one row serves every
+    vector over its modulus and a warm call makes no Python call per
+    slot.  The memo keeps the _ROW_LIMIT rows used last.  Tails after
+    blocks > 0, the one-off psi(K + j/T) of raw and partial_sum_float,
+    and moduli past the cap take psi slot by slot, so they add no row.
+    Either way the sums are the same integers.
     """
     T = v.modulus
     if blocks or T > _ROW_MODULUS:

@@ -41,7 +41,7 @@ _FACTOR_LIMIT = 2**63 - 1
 # (2-vCPU x86_64, CPython 3.11, no gmpy2) at n = 1e4 / 1e5 / 2e5 / 5e5 /
 # 1e6: harmonic(n) 0.008 / 0.26 / 0.87 / 4.6 / 17 s, rearranged_terms(2, n)
 # 0.008 / 0.08 / 0.17 / 0.49 / 1.0 s; ln_rational_vector(M, 1) built and
-# evaluated at 1e-9, cold psi memo, best of 5, at modulus M = 10007 /
+# evaluated at 1e-9, cold caches, best of 5, at modulus M = 10007 /
 # 100003: 0.11 / 1.3 s; ln_vector(T) the same way, best of 3, at T = 1e4 /
 # 1e5: 0.18 / 1.9 s, and at the limit, T = 1e6, a 0.08 s build and 15.4 s
 # of evaluate (two runs, 42 MB peak RSS), about as long as harmonic(1e6).

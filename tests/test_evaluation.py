@@ -438,7 +438,30 @@ class TestGammaPartial:
         with mp.workprec(300):
             for n in [*range(1, 65), *sampled, 10**6]:
                 reference = mp.harmonic(n) - mp.log(n)
-                assert abs(gamma_partial(n).value - reference) <= 1e-25, n
+                # the bound that gamma_partial's docstring derives
+                assert abs(gamma_partial(n).value - reference) <= 7.6e-30, n
+
+    def test_gamma_memo_window_changes_no_partial(self):
+        # mpmath's constant memo stores memo_val before memo_prec, so a reader
+        # between the two stores of a higher-precision call pairs a 2000-bit
+        # gamma with the old precision; gamma_partial takes gamma as -psi(1)
+        ns = (1, 10, 10**6)
+        expected = [gamma_partial(n).value._mpf_ for n in ns]
+        memo = libmp.gammazeta.euler_fixed
+        inner = memo.__closure__[0].cell_contents
+        saved = inner.memo_prec, inner.memo_val
+        try:
+            inner.memo_prec, inner.memo_val = -1, None
+            memo(300)
+            # the value a 2000-bit call computes, at 1.05 * 2000 + 10 bits
+            inner.memo_val = inner(2110)
+            # a cold kernel: every cache of the module
+            for cached in vars(evaluation).values():
+                if hasattr(cached, "cache_clear"):
+                    cached.cache_clear()
+            assert [gamma_partial(n).value._mpf_ for n in ns] == expected
+        finally:
+            inner.memo_prec, inner.memo_val = saved
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -489,18 +512,13 @@ class TestPsiKernel:
 
     @pytest.mark.parametrize("prec", [96, 1024])
     def test_lowest_terms_change_no_bit(self, prec):
-        # the memo's key is p/T in lowest terms; the uncached body on the
-        # unreduced arguments must give the same integer
-        body = evaluation._psi_lowest.__wrapped__
+        # psi of an unreduced fraction is the integer of its lowest terms,
+        # so the rows over T and g T agree bit for bit on their shared slots
         for T in range(1, 25):
             for j in range(1, T + 1):
                 want = evaluation._psi(j, T, prec)
                 for g in (2, 3, 7):
                     assert evaluation._psi(g * j, g * T, prec) == want, (j, T, g)
-                    assert body(g * j, g * T, prec) == want, (j, T, g)
-
-    def test_memo_is_bounded(self):
-        assert evaluation._psi_lowest.cache_info().maxsize == 1024
 
     def test_memo_changes_no_result(self):
         rng = random.Random(14)
@@ -518,46 +536,36 @@ class TestPsiKernel:
 
         grid()
         warm = grid()
-        evaluation._psi_lowest.cache_clear()
         evaluation._psi_row.cache_clear()
         assert grid() == warm
 
     def test_tails_past_the_threshold_add_no_memo_entry(self):
-        # psi(K + j/T) past the threshold runs no recurrence, so raw's tail
-        # and partial_sum_float's leave both memos as the whole term psi(j/T) left them
+        # raw's tail and partial_sum_float's take psi(K + j/T) slot by slot,
+        # so they leave the row memo as the whole term psi(j/T) left it
         v = ln_rational_vector(5, 3)
         assert 0 in v.weights
-        evaluation._psi_lowest.cache_clear()
         evaluation._psi_row.cache_clear()
         evaluate(v, 1e-60, "accelerated")
         partial_sum_float(v, 0)
-        filled = evaluation._psi_lowest.cache_info().currsize
-        # one row at each of two precisions, whose every slot, zero weights
-        # included, is one entry: the fractions j/15 are distinct
+        # one row at each of two precisions
         assert evaluation._psi_row.cache_info().currsize == 2
-        assert filled == 2 * v.modulus
         evaluate(v, 1e-60, "raw")
         partial_sum_float(v, 10**7)
-        assert evaluation._psi_lowest.cache_info().currsize == filled
         assert evaluation._psi_row.cache_info().currsize == 2
 
     def test_one_off_tails_evict_no_recurrence(self):
         # raw tails at hundreds of block counts between two divisor_relations
-        # sweeps must not push the sweep's rows or entries out of the memos
-        evaluation._psi_lowest.cache_clear()
+        # sweeps must not push the sweep's rows out of the memo
         evaluation._psi_row.cache_clear()
         for T in COMPOSITES:
             divisor_relations(T)
         v = ln_vector(12)
         blocks = {evaluate(v, 1e-6 * (1 + k / 100), "raw").blocks_used for k in range(220)}
         assert len(blocks) > 200
-        before = evaluation._psi_lowest.cache_info()
         rows_before = evaluation._psi_row.cache_info()
         for T in COMPOSITES:
             divisor_relations(T)
-        after = evaluation._psi_lowest.cache_info()
         rows_after = evaluation._psi_row.cache_info()
-        assert after.misses == before.misses
         assert rows_after.misses == rows_before.misses
         assert rows_after.hits > rows_before.hits
 
@@ -678,8 +686,7 @@ class TestConcurrency:
             return evals, sums
 
         expected = work()
-        # the threads below race to fill the psi memo and the row memo
-        evaluation._psi_lowest.cache_clear()
+        # the threads below race to fill the row memo
         evaluation._psi_row.cache_clear()
         stop = threading.Event()
 
@@ -712,8 +719,8 @@ class TestConcurrency:
                 assert error <= Fraction(result.error_bound), (T, result.error_bound)
 
     def test_threads_and_a_gamma_memo_writer_leave_partials_unchanged(self):
-        # gamma and ln 2 come from mpmath's constant memos, which a thread
-        # evaluating mpmath.euler at rising precision keeps rewriting
+        # a thread evaluating mpmath.euler at rising precision keeps rewriting
+        # mpmath's constant memos, and ln 2 still comes from one of them
         ns = [*range(1, 65), 999, 10**4, 123457, 10**6]
 
         def work():
@@ -739,8 +746,8 @@ class TestConcurrency:
 
         saved_prec, saved_interval = mp.prec, sys.getswitchinterval()
         writer = threading.Thread(target=raise_memo_and_flip_precision)
-        # the first call at a precision reads the gamma memo, so clear the cache
-        evaluation._euler.cache_clear()
+        # the threads below race to build the row of modulus 1, which holds psi(1)
+        evaluation._psi_row.cache_clear()
         sys.setswitchinterval(1e-5)
         try:
             writer.start()

@@ -380,6 +380,9 @@ class TestDivisorRelations:
             assert not witness.is_zero()
             ok, _ = verify_zero(witness, 1e-6)
             assert ok
+        # the CLI prints a checked witness's integer weights as its coefficients
+        _, checks = relations._checked_relations(T)
+        assert all(witness.scale == 1 for witness, _ in checks)
 
     def test_relations_are_exact_kernel_elements(self):
         # divisor_relations never builds divisor_family; this ties the two
