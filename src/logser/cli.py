@@ -88,7 +88,9 @@ def _real(value, digits: int) -> str:
 
 
 def _ln_float(n: int, prec: int) -> float:
-    # round to nearest, as float(mpf) does; to_float's default round_fast may not
+    # a reference, from mpmath and not the kernel.  mpf_log's ln 2 memo has
+    # the window evaluation._ln_fixed describes; nothing read in it is kept.
+    # Round to nearest, as float(mpf) does; to_float's default round_fast may not
     raw = libmp.mpf_log(libmp.from_int(n), prec, libmp.round_nearest)
     return libmp.to_float(raw, rnd=libmp.round_nearest)
 
@@ -347,7 +349,12 @@ def _cmd_relations(args) -> int:
 
 
 def _bench_target(target: str):
-    """Returns (vector, scale, reference, kind)."""
+    """Returns (vector, scale, reference, kind).
+
+    References come from mpmath, not the kernel they check.  Its memos of
+    pi and ln 2 and mpf_psi0's Bernoulli cache have the window that
+    evaluation._ln_fixed describes; nothing read in it is kept.
+    """
     if target == "pi":
         pi = libmp.mpf_pi(120, libmp.round_nearest)
         reference = libmp.to_float(pi, rnd=libmp.round_nearest)

@@ -39,7 +39,6 @@ from .vectors import (
     _factorize,
     _from_weights,
     _lifted_logs,
-    _settle,
     factor_radical,
     lift,
     ln_vector,
@@ -74,27 +73,17 @@ class KernelBasis:
         return len(self.vectors)
 
 
-# the coefficients 0, 1 and -1 of every difference vector, shared by all of them
-_UNIT_COEFFS = (Fraction(0), Fraction(1), Fraction(-1))
-
-
 def _difference_vectors(modulus: int, repeats: int = 1) -> list[CoefficientVector]:
     """The difference vectors over modulus, each lifted `repeats` times.
 
-    Vector i is the pattern (0, ..., 0, 1, -1, 0, ..., 0), 1 at slot i,
-    repeated `repeats` times.  Its weights and its coefficients are both
-    built by that pattern, the coefficients over three Fractions shared
-    by every vector, so no Fraction is made per slot or per vector;
-    _settle still checks each vector's length and balance.
+    Vector i is the weight pattern (0, ..., 0, 1, -1, 0, ..., 0), 1 at
+    slot i, repeated `repeats` times, built from those integers by
+    _from_weights, which checks its length and balance.
     """
-    zero, one, minus_one = _UNIT_COEFFS
     out = []
     for i in range(modulus - 1):
-        after = modulus - 2 - i
-        weights = ((0,) * i + (1, -1) + (0,) * after) * repeats
-        coeffs = ((zero,) * i + (one, minus_one) + (zero,) * after) * repeats
-        vec = object.__new__(CoefficientVector)
-        out.append(_settle(vec, modulus * repeats, coeffs, weights, 1))
+        pattern = (0,) * i + (1, -1) + (0,) * (modulus - 2 - i)
+        out.append(_from_weights(modulus * repeats, pattern * repeats))
     return out
 
 

@@ -11,17 +11,18 @@ circulation denotes a convergent series.  The natural-log vectors live
 here too: (1, 1, ..., 1, -(T-1)) over T sums to ln T, and lifting plus
 prime decomposition extends that to ln(M/L) for any positive rationals.
 
-All coefficients are `fractions.Fraction` values, kept canonical by the
-Fraction type itself, and each vector also carries them as integers over
-one denominator, on which its checks run and its exact readers work.
+A vector is its integers, the coefficients times the lcm of their
+reduced denominators: its checks and exact readers work on them, and
+the coefficients as `fractions.Fraction`s are derived on first read.
 Nothing in this module touches floating point.  Vectors are immutable,
 so every operation is a pure function that is safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -37,49 +38,51 @@ RationalLike = Union[Fraction, int, str]
 _FACTOR_LIMIT = 2**63 - 1
 # bounds harmonic, rearranged_terms and `logser rearranged`, whose exact
 # sums grow with n, and the modulus of ln_vector, lift and
-# ln_rational_vector, which have one slot per unit of it.  Single runs
-# (2-vCPU x86_64, CPython 3.11, no gmpy2) at n = 1e4 / 1e5 / 2e5 / 5e5 /
-# 1e6: harmonic(n) 0.008 / 0.26 / 0.87 / 4.6 / 17 s, rearranged_terms(2, n)
-# 0.008 / 0.08 / 0.17 / 0.49 / 1.0 s; ln_rational_vector(M, 1) built and
-# evaluated at 1e-9, cold caches, best of 5, at modulus M = 10007 /
-# 100003: 0.11 / 1.3 s; ln_vector(T) the same way, best of 3, at T = 1e4 /
-# 1e5: 0.18 / 1.9 s, and at the limit, T = 1e6, a 0.08 s build and 15.4 s
-# of evaluate (two runs, 42 MB peak RSS), about as long as harmonic(1e6).
+# ln_rational_vector, which have one slot per unit of it.  At the limit,
+# harmonic(n) and evaluate(ln_vector(T), 1e-9) each run for over ten
+# seconds in pure Python (measurements in CHANGES.md).
 # gamma_partial keeps the limit as a domain contract only.
 TERM_LIMIT = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CoefficientVector:
-    """Immutable balanced coefficient vector over a positive modulus.
+    """Immutable balanced vector over a positive modulus: it is its integers.
 
-    Invariants (checked at construction): ``len(coeffs) == modulus`` and
-    ``sum(coeffs) == 0`` exactly.  ``weights`` holds the integers a_j D and
-    ``scale`` their D, the lcm of the reduced denominators; neither takes
-    part in equality, hashing or repr.
+    ``weights`` holds a_j D and ``scale`` D, the lcm of the reduced
+    denominators, so equal vectors have equal fields.  Checked at
+    construction: ``len(weights) == modulus`` and ``sum(weights) == 0``.
+    ``coeffs``, the a_j, is built on first read, one Fraction per weight.
     """
 
     modulus: int
-    coeffs: tuple[Fraction, ...]
-    weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    scale: int = field(init=False, repr=False, compare=False)
+    weights: tuple[int, ...]
+    scale: int
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
+    def __init__(self, modulus: int, coeffs: Iterable[RationalLike]) -> None:
+        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         scale = math.lcm(*(c.denominator for c in coeffs))
         weights = tuple(c.numerator * (scale // c.denominator) for c in coeffs)
-        _settle(self, self.modulus, coeffs, weights, scale)
+        _settle(self, modulus, weights, scale)
+
+    @functools.cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        shared = {w: Fraction(w, self.scale) for w in set(self.weights)}
+        return tuple(map(shared.__getitem__, self.weights))
 
     def is_zero(self) -> bool:
         """True when every coefficient vanishes."""
-        return not any(self.coeffs)
+        return not any(self.weights)
+
+    def __repr__(self) -> str:
+        return f"CoefficientVector(modulus={self.modulus!r}, coeffs={self.coeffs!r})"
 
     def __str__(self) -> str:
         body = ", ".join(str(c) for c in self.coeffs)
         return f"S_{self.modulus}({body})"
 
 
-def _settle(v, modulus, coeffs, weights, scale) -> CoefficientVector:
+def _settle(v, modulus, weights, scale) -> CoefficientVector:
     """Check length and balance in integers, then fill in v's fields."""
     if not isinstance(modulus, int) or modulus < 1:
         raise ValueError(f"modulus must be >= 1 and an integer, got {modulus!r}")
@@ -91,22 +94,15 @@ def _settle(v, modulus, coeffs, weights, scale) -> CoefficientVector:
             "coefficients must sum to zero for the series to converge; "
             f"got sum {Fraction(total, scale)}"
         )
-    vars(v).update(modulus=modulus, coeffs=coeffs, weights=weights, scale=scale)
+    vars(v).update(modulus=modulus, weights=weights, scale=scale)
     return v
 
 
 def _from_weights(
     modulus: int, weights: Iterable[int], scale: int = 1
 ) -> CoefficientVector:
-    """The vector with coefficients w / scale over integer weights w.
-
-    scale is the lcm of the reduced denominators, 1 for integer
-    coefficients; each distinct w makes one Fraction, shared by its slots.
-    """
-    weights = tuple(weights)
-    shared = {w: Fraction(w, scale) for w in set(weights)}
-    coeffs = tuple(map(shared.__getitem__, weights))
-    return _settle(object.__new__(CoefficientVector), modulus, coeffs, weights, scale)
+    """The vector w / scale over integer weights w, with scale canonical."""
+    return _settle(object.__new__(CoefficientVector), modulus, tuple(weights), scale)
 
 
 def _check_term_limit(modulus: int, what: str) -> None:
@@ -123,7 +119,7 @@ def make_vector(modulus: int, coeffs: Iterable[RationalLike]) -> CoefficientVect
     Raises LengthMismatch on a length disagreement and
     UnbalancedCoefficients when the coefficients do not sum to zero.
     """
-    return CoefficientVector(modulus, tuple(coeffs))
+    return CoefficientVector(modulus, coeffs)
 
 
 def ln_vector(modulus: int) -> CoefficientVector:
@@ -164,18 +160,23 @@ def linear_combine(
     if not terms:
         raise ValueError("need at least one (scalar, vector) term")
     modulus = terms[0][1].modulus
-    acc = [Fraction(0)] * modulus
+    scaled = []
     for scalar, vec in terms:
         if vec.modulus != modulus:
             raise ModulusMismatch(
                 f"cannot combine vectors over moduli {modulus} and {vec.modulus}"
             )
         s = Fraction(scalar)
-        if s == 0:
-            continue
-        for i, c in enumerate(vec.coeffs):
-            acc[i] += s * c
-    return CoefficientVector(modulus, tuple(acc))
+        if s:
+            scaled.append((s, vec))
+    # sum the weights over one common scale, then reduce it to the canonical one
+    scale = math.lcm(*(s.denominator * vec.scale for s, vec in scaled))
+    acc = [0] * modulus
+    for s, vec in scaled:
+        f = s.numerator * (scale // (s.denominator * vec.scale))
+        acc = [a + f * w for a, w in zip(acc, vec.weights)]
+    g = math.gcd(scale, *acc)
+    return _from_weights(modulus, [a // g for a in acc], scale // g)
 
 
 def _factorize(n: int) -> dict[int, int]:

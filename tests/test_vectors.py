@@ -2,6 +2,7 @@
 
 import functools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from logser import (
     LengthMismatch,
     ModulusMismatch,
     UnbalancedCoefficients,
+    divisor_family,
     factor_radical,
     lift,
     linear_combine,
@@ -82,8 +84,6 @@ class TestMakeVector:
         for v in (make_vector(5, mixed), CoefficientVector(5, mixed)):
             assert v.coeffs == (1, Fraction(1, 2), 1, Fraction(-3, 2), -1)
             assert all(type(c) is Fraction for c in v.coeffs)
-            # an input that is already a Fraction is kept as it is
-            assert v.coeffs[3] is exact
 
     def test_rejects_imbalance_of_one_part_in_2_120(self):
         # coprime denominators near 2^61: the sum is 1/(pq), about 2^-122
@@ -155,6 +155,57 @@ class TestIntegerConstructor:
         lifted = lift(make_vector(3, ["1/2", "-1/3", "-1/6"]), 4)
         assert all(a is b for a, b in zip(lifted.coeffs, lifted.coeffs[3:]))
         assert (lifted.weights, lifted.scale) == ((3, -2, -1) * 4, 6)
+
+
+class TestStoredForm:
+    """A vector stores its modulus, weights and scale; coeffs is read off them."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ln_vector(24),
+            lambda: lift(make_vector(3, ["1/2", "-1/3", "-1/6"]), 4),
+            lambda: ln_rational_vector(1001, 1000),
+            lambda: spanning_basis(6)[2],
+            lambda: divisor_family(12)[-1],
+            lambda: divisor_family(12)[0],
+            lambda: _checked_relations(12)[1][0][0],
+            lambda: linear_combine([(Fraction(1, 3), ln_vector(4)), (2, lift(ln_vector(2), 2))]),
+        ],
+        ids=["ln_vector", "lift", "ln_rational_vector", "spanning_basis",
+             "divisor_family_log", "divisor_family_difference",
+             "divisor_relations_witness", "linear_combine"],
+    )
+    def test_coeffs_are_built_on_first_read(self, build):
+        v = build()
+        assert "coeffs" not in vars(v)
+        coeffs = v.coeffs
+        assert vars(v)["coeffs"] is coeffs
+        assert coeffs == tuple(Fraction(w, v.scale) for w in v.weights)
+
+    def test_linear_combine_builds_no_input_coeffs(self):
+        a, b = make_vector(3, ["1/2", "-1/3", "-1/6"]), ln_vector(3)
+        linear_combine([(Fraction(-2, 5), a), (3, b), (0, b)])
+        assert "coeffs" not in vars(a) and "coeffs" not in vars(b)
+
+    def test_repr_prints_the_coefficients(self):
+        assert repr(make_vector(3, ["1/2", "-1/3", "-1/6"])) == (
+            "CoefficientVector(modulus=3, coeffs=(Fraction(1, 2), Fraction(-1, 3), "
+            "Fraction(-1, 6)))"
+        )
+        assert repr(ln_vector(3)) == (
+            "CoefficientVector(modulus=3, coeffs=(Fraction(1, 1), Fraction(1, 1), "
+            "Fraction(-2, 1)))"
+        )
+
+    @pytest.mark.parametrize("read_coeffs", [False, True])
+    def test_pickle_round_trip_keeps_equality_and_hash(self, read_coeffs):
+        for v in (ln_vector(5), make_vector(3, ["1/2", "-1/3", "-1/6"])):
+            if read_coeffs:
+                v.coeffs
+            back = pickle.loads(pickle.dumps(v))
+            assert back == v and hash(back) == hash(v)
+            assert (back.weights, back.scale, back.coeffs) == (v.weights, v.scale, v.coeffs)
 
 
 class TestLnVector:
