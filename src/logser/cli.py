@@ -88,8 +88,10 @@ def _real(value, digits: int) -> str:
 
 
 def _ln_float(n: int, prec: int) -> float:
-    # a reference, from mpmath and not the kernel.  mpf_log's ln 2 memo has
-    # the window evaluation._ln_fixed describes; nothing read in it is kept.
+    # a reference, from mpmath and not the kernel.  mpf_log reads mpmath's
+    # memo of ln 2, which stores a new value before its precision; a read
+    # between the two stores takes ln 2 shifted by a power of two.  Only
+    # this request's displayed reference would be off: nothing is kept.
     # Round to nearest, as float(mpf) does; to_float's default round_fast may not
     raw = libmp.mpf_log(libmp.from_int(n), prec, libmp.round_nearest)
     return libmp.to_float(raw, rnd=libmp.round_nearest)
@@ -351,9 +353,11 @@ def _cmd_relations(args) -> int:
 def _bench_target(target: str):
     """Returns (vector, scale, reference, kind).
 
-    References come from mpmath, not the kernel they check.  Its memos of
-    pi and ln 2 and mpf_psi0's Bernoulli cache have the window that
-    evaluation._ln_fixed describes; nothing read in it is kept.
+    References come from mpmath, not the kernel they check.  mpmath's
+    memos of pi and ln 2, which mpf_pi, mpf_log and mpf_psi0 read, store
+    a new value before its precision, so a read from another thread
+    between the two stores takes the constant shifted by a power of two.
+    Only this request's reference would be off: nothing is kept.
     """
     if target == "pi":
         pi = libmp.mpf_pi(120, libmp.round_nearest)

@@ -24,34 +24,33 @@ Two evaluation routes are provided:
   reported bound is a rounding allowance alone, and it is rigorous.
 
 Exact partial sums, harmonic numbers and the term stream of the
-rearranged form live here as well, all in exact rational arithmetic.
-The Euler-Mascheroni partials H_n - ln n live here too, computed by the
-floating-point kernel as psi(n+1) - psi(1) - ln n, with no harmonic sum.
+rearranged form live here as well, all in exact rational arithmetic,
+and so do the Euler-Mascheroni partials H_n - ln n, computed by the
+floating-point kernel as psi(n+1) - psi(1) - ln n with no harmonic sum.
 Partial sums and harmonic numbers are both weighted harmonic sums
 sum_m w_m / m with periodic integer weights, and one kernel sums them
 by balanced splitting rather than adding one term at a time to an
-ever larger running rational.  The floating-point kernel computes psi
-in integers scaled by 2^(prec+10), prec >= 96, with ln x as
-a cached ln c plus a short atanh series, c the integer part of x after
-the recurrence.  It reads no mpmath context: no precision set elsewhere
-in the process changes a result, and values become mpmath.mpf only on
-the way out.  Requests below the precision floor raise Unachievable.
+ever larger running rational.  The floating-point kernel computes psi,
+less a logarithm ln a that balance cancels, in integers scaled by
+2^(prec+10), prec >= 96.  It reads no mpmath context or memo, so no
+precision set and no constant computed elsewhere in the process changes
+a result; values become mpmath.mpf only on the way out.  Requests below
+the precision floor raise Unachievable.
 
-Cache policy: the rows psi(j/T), j = 1..T, kept per (T, prec) for
-T <= _ROW_MODULUS in an LRU memo of _ROW_LIMIT rows, are the only psi
-cache.  The whole series over such a T, the default route's sum, is the
-dot product of the weights with its row, and gamma is -psi(1), the row
-of modulus 1.  Every other psi, the tails psi(K + j/T) of raw and
+Cache policy: the rows psi(j/T) - ln a, j = 1..T, kept per (T, prec)
+for T <= _ROW_MODULUS in an LRU memo of _ROW_LIMIT rows, are the only
+psi cache; the default route's sum over such a T is a dot product with
+its row.  Every other psi, the tails psi(K + j/T) of raw and
 partial_sum_float and every slot of a modulus past the cap, is computed
-afresh.  The other caches hold the Stirling coefficients per precision
-and ln n per (n, wp).  Concurrent calls need no lock: two threads may
-build the same row, with identical results, and mpmath's memo of ln 2
-leaves the window described in _ln_fixed.
+afresh.  The other cache holds the Stirling coefficients per precision.
+Concurrent calls need no lock: two threads may build the same row or
+table, with identical results.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -160,9 +159,7 @@ def harmonic(n: int) -> Fraction:
     """Exact harmonic number H_n = 1 + 1/2 + ... + 1/n, with H_0 = 0.
 
     The cost grows faster than n, as the exact sum's numerator and
-    denominator grow: single runs at n = 1e4 / 1e5 / 2e5 / 5e5 / 1e6 took
-    0.008 / 0.26 / 0.87 / 4.6 / 17 s (2-vCPU x86_64, CPython 3.11, no
-    gmpy2), so n stops at TERM_LIMIT.
+    denominator grow, so n stops at TERM_LIMIT.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -234,24 +231,31 @@ def gamma_partial(n: int) -> GammaPartial:
     formed, so the cost does not grow with n: TERM_LIMIT bounds n as a
     domain contract only, not as a cost bound.
 
-    Error, in units u = 2^-(prec+10) at prec = 96: psi(n+1) at T = 1
-    takes at most 30 upward recurrence steps (threshold 32, n + 1 >= 2),
-    each a floor division that errs by under u.  Under u more for
-    1/(2x), N = 11 Horner steps, under u for the floored 1/x^2 and
-    Stirling coefficients, two units for ln x (at T = 1, x is an integer
-    c and takes no atanh term) and 4u of series remainder make under 49u
-    in all.  psi(1), read from the row of modulus 1, takes 31 steps and
-    so errs by under 50u.  ln n is within two units, so the fixed-point
-    sum is within 101u < 2^-99 of A_n.  Rounding it to 96 bits comes
-    last and adds at most 2^-97, as gamma < A_n <= 1: under 7.6e-30 in
-    total.
+    The kernel's psi(x) leaves out ln a, with a = max(32, n) at x = n + 1
+    and a = 32 at x = 1 (prec = 96), so A_n is psi(n+1) - psi(1) -
+    ln min(n, 32) in its values.  ln m is the paper's series over
+    ln_vector(m), read off the row of modulus m at prec = 106.
+
+    Error, in units u = 2^-106: psi(n+1) takes at most 30 recurrence
+    steps and no atanh term for n <= 31, and for n >= 32 no step and an
+    atanh series of under 12u; with u for 1/(2x), N = 11 Horner steps,
+    2u for the floored 1/x^2 and Stirling coefficients and 4u of series
+    remainder, under 49u.  psi(1), from the row of modulus 1, takes 31
+    steps: under 50u.  ln m errs by under 2u: evaluate's count at
+    prec = 106 gives 67 (1/m) sum_j |a_j| < 134 units of 2^-116, and the
+    floor to 2^-106 adds under one more.  So the sum is within 101u <
+    2^-99 of A_n.  Rounding it to 96 bits adds at most 2^-97, as
+    gamma < A_n <= 1: under 7.6e-30 in total.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > TERM_LIMIT:
         raise BudgetExceeded(f"n={n} exceeds the term limit of {TERM_LIMIT}")
-    wp = _MIN_PREC + 10
-    value = _psi(n + 1, 1, _MIN_PREC) - _psi_row(1, _MIN_PREC)[0] - _ln_fixed(n, wp)
+    m = min(n, _shift_threshold(_MIN_PREC))
+    # ln_vector(m) is (1, ..., 1, -(m - 1)): the row's dot product, then the floor
+    row = _psi_row(m, _MIN_PREC + 10)
+    ln_m = ((m - 1) * row[-1] - sum(row[:-1])) // (m << 10)
+    value = _psi(n + 1, 1, _MIN_PREC) - _psi_row(1, _MIN_PREC)[0] - ln_m
     return GammaPartial(n=n, value=_mpf(value, _MIN_PREC))
 
 
@@ -269,108 +273,99 @@ def _shift_threshold(prec: int) -> int:
 def _stirling(prec: int) -> tuple[int, ...]:
     """B_2n/(2n) for n = 1..N, scaled by 2^(prec+10) and floored.
 
-    N stops before the first n whose term B_2n/(2n x^2n) is at most
-    2^-(prec+8) at x = the shift threshold, hence at every x past it.
+    B_2n/(2n) = (-1)^(n-1) t_n / (4^n (4^n - 1)), with the tangent
+    numbers t_n = 1, 2, 16, ... (Brent and Harvey 2011) read in exact
+    integers off Seidel's boustrophedon: row m + 1 is the running sums of
+    row m reversed, from 0, and row 2n - 1 ends with t_n.  No mpmath
+    state is read: mpmath's Bernoulli numbers past B_10 take pi from its
+    constant memo, and a read in that memo's window (see cli.py) would
+    alter a kept coefficient.  N stops before the first n whose term
+    B_2n/(2n x^2n) is at most 2^-(prec+8) at x = the shift threshold,
+    hence at every x past it.
     """
     x = _shift_threshold(prec)
-    out: list[int] = []
+    row, out = [1], []
     while True:
-        n = 2 * len(out) + 2
-        p, q = map(int, mpmath.bernfrac(n))
-        if abs(p) << (prec + 8) <= n * q * x**n:
+        n = len(out) + 1
+        while len(row) < 2 * n:
+            row = list(itertools.accumulate(reversed(row), initial=0))
+        den = (4**n - 1) << (2 * n)
+        if row[-1] << (prec + 8) <= den * x ** (2 * n):
             return tuple(out)
-        out.append((p << (prec + 10)) // (n * q))
-
-
-@functools.lru_cache(maxsize=256)
-def _ln_fixed(n: int, wp: int) -> int:
-    """ln n scaled by 2^wp, within two units for n < e^(2^18).
-
-    mpf_log reads mpmath's memo of ln 2 (constant_memo), which stores
-    memo_val before memo_prec when a caller asks for more precision than
-    the memo holds.  A read of the pair by another thread that falls
-    between those two stores pairs the new value with the old precision,
-    so it takes ln 2 shifted by a power of two.  The bounded cache reads
-    the memo once per cached (n, wp), not once per psi, so that window
-    stays open only on a miss; a value read in it would be kept.  Every
-    psi of the default route shares n = the shift threshold, while raw,
-    partial_sum_float and gamma_partial reach any n.  Below 2500 bits
-    mpf_log takes no other constant: pi enters only its AGM branch above
-    that, which no precision here reaches.
-    """
-    log = libmp.mpf_log(libmp.from_int(n, wp + 20), wp + 20)
-    return int(libmp.to_fixed(log, wp))
+        out.append(((-1) ** (n - 1) * row[-1] << (prec + 10)) // den)
 
 
 def _psi(p: int, T: int, prec: int) -> int:
-    """psi(p/T) for p, T >= 1, scaled by 2^(prec+10); not cached.
+    """psi(p/T) - ln a for p, T >= 1, scaled by 2^(prec+10); not cached.
 
-    Upward recurrence psi(x) = psi(x+1) - 1/x to the shift threshold, then
-    psi(x) ~ ln x - 1/(2x) - sum_n B_2n/(2n x^2n) (DLMF 5.11.2) by Horner's
-    rule in 1/x^2.  For real x > 0 the series envelopes psi, so the
-    remainder after N terms is at most the first omitted term.  With
-    c, r = divmod(p, T), ln x = ln c + 2 atanh(y), y = r/(2cT + r) < 1/(2c+1);
-    ln c is cached and 2 atanh(y) = sum_k 2y y^2k/(2k+1) is summed with
-    each term floored until the powers of y vanish.
+    The anchor is a = max(threshold, (p - 1) // T), so every slot of a
+    sum over j = 1..T shares it: a = threshold for the whole series
+    psi(j/T), and a = max(threshold, K) for the tail psi(K + j/T).  A
+    balanced sum cancels sum_j a_j ln a exactly, so no logarithm is
+    taken.  Upward recurrence psi(x) = psi(x+1) - 1/x to the threshold,
+    then psi(x) ~ ln x - 1/(2x) - sum_n B_2n/(2n x^2n) (DLMF 5.11.2) by
+    Horner's rule in 1/x^2.  For real x > 0 the series envelopes psi, so
+    the remainder after N terms is at most the first omitted term.  With
+    r = p - aT in [0, T] after the recurrence, ln(x/a) = 2 atanh(y),
+    y = r/(2aT + r) <= 1/(2a+1), and 2 atanh(y) = sum_k 2y y^2k/(2k+1) is
+    summed with each term floored until the powers of y vanish.
     """
     wp = prec + 10
-    threshold = _shift_threshold(prec) * T
+    threshold = _shift_threshold(prec)
+    a = max(threshold, (p - 1) // T)
+    limit = threshold * T
     shifted = 0
-    while p < threshold:
+    while p < limit:
         shifted += (T << wp) // p
         p += T
     z = (T * T << wp) // (p * p)
     series = 0
     for b in reversed(_stirling(prec)):
         series = (series + b) * z >> wp
-    c, r = divmod(p, T)
-    ln_x = _ln_fixed(c, wp)
-    if r:
-        power = (r << (wp + 1)) // (2 * c * T + r)
-        y2 = power * power >> (wp + 2)
-        ln_x += power
-        k = 1
-        while power:
-            power = power * y2 >> wp
-            k += 2
-            ln_x += power // k
-    return ln_x - (T << wp) // (2 * p) - series - shifted
+    r = p - a * T
+    ln_xa = power = (r << (wp + 1)) // (2 * a * T + r)
+    y2 = power * power >> (wp + 2)
+    k = 1
+    while power:
+        power = power * y2 >> wp
+        k += 2
+        ln_xa += power // k
+    return ln_xa - (T << wp) // (2 * p) - series - shifted
 
 
 @functools.lru_cache(maxsize=_ROW_LIMIT)
 def _psi_row(T: int, prec: int) -> tuple[int, ...]:
-    """psi(j/T) for j = 1..T, scaled by 2^(prec+10), through _psi."""
+    """psi(j/T) - ln a for j = 1..T, scaled by 2^(prec+10), through _psi."""
     return tuple(_psi(j, T, prec) for j in range(1, T + 1))
 
 
-def _psi_tail(v: CoefficientVector, blocks: int, prec: int) -> tuple[int, int]:
-    """(tail, magnitude) of the series after its first `blocks` blocks.
+def _psi_tail(v: CoefficientVector, blocks: int, prec: int) -> int:
+    """The series after its first `blocks` blocks, scaled by 2^(prec+10).
 
     The next N blocks sum to (1/T) sum_j a_j (psi(blocks + N + j/T) -
     psi(blocks + j/T)); balance cancels the ln N growth of the first psi,
     so as N grows the tail is exactly -(1/T) sum_j a_j psi(blocks + j/T).
-    `magnitude` is (1/T) sum_j |a_j psi(blocks + j/T)|, the scale against
-    which rounding allowances are charged.  Both are scaled by 2^(prec+10).
+    Balance also cancels the anchor ln a that every _psi of the sum
+    shares, and the sum is floored once.
 
     The whole series (blocks = 0) over T <= _ROW_MODULUS is the dot
-    product of the weights with the memoised row _psi_row(T, prec), which
-    holds every slot, zero weights included, so that one row serves every
-    vector over its modulus and a warm call makes no Python call per
-    slot.  The memo keeps the _ROW_LIMIT rows used last.  Tails after
-    blocks > 0, the one-off psi(K + j/T) of raw and partial_sum_float,
-    and moduli past the cap take psi slot by slot, so they add no row.
-    Either way the sums are the same integers.
+    product of the weights with the memoised row _psi_row(T, prec), zero
+    slots included, so one row serves every vector over its modulus and a
+    warm call makes no Python call per slot.  Tails after blocks > 0, the
+    one-off psi(K + j/T) of raw and partial_sum_float, and moduli past the
+    cap take psi slot by slot and add no row.  Either way the sum is the
+    same integer.
     """
     T = v.modulus
     if blocks or T > _ROW_MODULUS:
-        terms = [
+        total = sum([
             w * _psi(blocks * T + j, T, prec)
             for j, w in enumerate(v.weights, start=1)
             if w
-        ]
+        ])
     else:
-        terms = list(map(operator.mul, v.weights, _psi_row(T, prec)))
-    return -sum(terms) // (v.scale * T), sum(map(abs, terms)) // (v.scale * T)
+        total = sum(map(operator.mul, v.weights, _psi_row(T, prec)))
+    return -total // (v.scale * T)
 
 
 def _mpf(fixed: int, prec: int) -> mpmath.mpf:
@@ -378,9 +373,11 @@ def _mpf(fixed: int, prec: int) -> mpmath.mpf:
     return mp.make_mpf(libmp.from_man_exp(fixed, -(prec + 10), prec, libmp.round_nearest))
 
 
-def _allowance(scale: int, prec: int) -> float:
-    """2^-(prec-20) (scale + 1) for a scale given scaled by 2^(prec+10)."""
-    return (scale + (1 << (prec + 10))) / (1 << (2 * prec - 10))
+def _allowance(v: CoefficientVector, value: int, prec: int) -> float:
+    """2^-(prec-20) (A + |value| + 1), A = (1/T) sum_j |a_j|; value is scaled."""
+    wp = prec + 10
+    scale = (sum(map(abs, v.weights)) << wp) // (v.scale * v.modulus) + abs(value)
+    return (scale + (1 << wp)) / (1 << (2 * prec - 10))
 
 
 def partial_sum_float(v: CoefficientVector, blocks: int, prec: int = _MIN_PREC):
@@ -395,7 +392,7 @@ def partial_sum_float(v: CoefficientVector, blocks: int, prec: int = _MIN_PREC):
         raise ValueError("blocks must be >= 0")
     if not _MIN_PREC <= prec <= _MAX_PREC:
         raise ValueError(f"prec must be in [{_MIN_PREC}, {_MAX_PREC}], got {prec}")
-    return _mpf(_psi_tail(v, 0, prec)[0] - _psi_tail(v, blocks, prec)[0], prec)
+    return _mpf(_psi_tail(v, 0, prec) - _psi_tail(v, blocks, prec), prec)
 
 
 # ----------------------------------------------------------------------
@@ -431,11 +428,10 @@ def _evaluate_raw(v, abs_err, prec) -> EvalResult:
         needed = _weighted_mass(v) / (Fraction(T * T) * tail_err)
         blocks = max(2, math.ceil(needed) + 1)
     # the first `blocks` blocks are the series minus its tail after them
-    whole, whole_mag = _psi_tail(v, 0, prec)
-    tail, tail_mag = _psi_tail(v, blocks, prec)
+    value = _psi_tail(v, 0, prec) - _psi_tail(v, blocks, prec)
     return EvalResult(
-        value=_mpf(whole - tail, prec),
-        error_bound=tail_bound(v, blocks) + _allowance(whole_mag + tail_mag, prec),
+        value=_mpf(value, prec),
+        error_bound=tail_bound(v, blocks) + _allowance(v, value, prec),
         blocks_used=blocks,
         method="raw",
         bound_is_heuristic=False,
@@ -447,10 +443,10 @@ def _evaluate_accelerated(v, prefix_blocks, prec) -> EvalResult:
     if blocks:
         prefix = partial_sum_exact(v, blocks)
         head = (prefix.numerator << (prec + 10)) // prefix.denominator
-    tail, magnitude = _psi_tail(v, blocks, prec)
+    value = head + _psi_tail(v, blocks, prec)
     return EvalResult(
-        value=_mpf(head + tail, prec),
-        error_bound=_allowance(abs(head) + magnitude, prec),
+        value=_mpf(value, prec),
+        error_bound=_allowance(v, value, prec),
         blocks_used=blocks,
         method="accelerated",
         bound_is_heuristic=False,
@@ -478,31 +474,27 @@ def evaluate(
     ValueError.
 
     Error, in units u = 2^-(prec+10) of the fixed-point kernel: the tail
-    identity is exact and each floor division errs by under u.  psi(x)
-    costs at most threshold + N + K + 10 units: threshold recurrence
-    steps (all of them for x = j/T < 1), 1/(2x), N Horner steps, under
-    one unit each for the floored 1/x^2 and Stirling coefficients carried
-    through the sum (x^-2 <= 2^-10), two for ln c and K + 4 for
-    2 atanh(y) = ln(x/c).  That series takes its first term 2y and K
-    more, where K is the largest k with (2 threshold + 1)^(2k+1) <
-    2^(prec+11), since y < 1/(2 threshold + 1) and a smaller power floors
-    to zero.  Each of its K + 1 floored terms errs by under u; each
-    floored power is under 1.04u low, which its divisor 2k+1 shrinks to
-    under 2.08u over all k <= K + 1, the dropped remainder included.  The
-    Stirling remainder adds 2^-(prec+8) = 4u.  With threshold <= 341,
-    N <= 108 and K <= 54 (prec <= 1024) that is under 520u <
-    2^11 u |psi(x)|, as |psi(x)| >= gamma on (0, 1], where the default
-    route and raw's whole term evaluate it, and >= 0.42 for x >= 2.
-    The tail, weighted by a_j/T and floored once, errs by under
-    2^11 u (1/T) sum_j |a_j psi(x)| + u, and rounding to prec bits adds
-    2^9 u |value|.  So with scale =
-    (1/T) sum_j |a_j psi(x)| the total is under 2^12 u (scale + 1),
-    2^18 times below the reported 2^-(prec-20) (scale + 1).  A prefix
-    adds u, and |prefix| to the scale.  K0 = 1 puts x in (1, 2], where
-    psi' > 0.64 and psi has one zero; one x at most is within 1/(2T) of
-    it, and balance bounds its a_j by the others, so 520u still fits the
-    margin if T <= 1.6e5 or mean |a_j| <= 1e6.
-    raw adds its tail bound; its scale is the two tails' magnitudes.
+    identity is exact, balance cancels the anchor ln a exactly, and each
+    floor division errs by under u.  Every _psi value, for every x > 0,
+    is within threshold + N + K + 11 units of psi(x) - ln a: at most
+    threshold recurrence steps (all of them for x = j/T < 1), one for
+    1/(2x), N Horner steps, under one each for the floored 1/x^2 and the
+    floored Stirling coefficients carried through the sum (x^-2 <=
+    2^-10), K + 4 for 2 atanh(y) = ln(x/a), and 4 for the Stirling
+    remainder 2^-(prec+8).  The atanh series takes its first term 2y and
+    K more, where K is the largest k with (2 threshold + 1)^(2k+1) <
+    2^(prec+11), since y <= 1/(2 threshold + 1) and a smaller power
+    floors to zero.  Each of its K + 1 floored terms errs by under u;
+    each floored power is under 1.04u low, which its divisor 2k+1
+    shrinks to under 2.08u over all k <= K + 1, the dropped remainder
+    included.  With threshold <= 341, N <= 108 and K <= 54 (prec <= 1024)
+    that is under 520u < 2^10 u, whatever |psi(x)| is.  Weighted by a_j/T
+    and floored once, a tail errs by under 2^10 u A + u, with
+    A = (1/T) sum_j |a_j|; a prefix adds u, raw's two tails twice
+    2^10 u A + u, and rounding to prec bits adds 2^10 u |value|.  So the
+    total is under 2^11 u (A + |value| + 1), 2^19 times below the
+    reported 2^-(prec-20) (A + |value| + 1), for every prefix_blocks.
+    raw adds its tail bound.
 
     Unachievable signals that abs_err sits below the working-precision
     floor, or that rounding would push the bound past it.

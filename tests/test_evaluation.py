@@ -296,6 +296,26 @@ class TestEvaluateAccelerated:
                     for b in results:
                         assert abs(a.value - b.value) <= a.error_bound + b.error_bound
 
+    @pytest.mark.parametrize("T", [13, 1000, 10007])
+    def test_dominant_weight_at_the_zero_of_psi_within_bounds(self, T):
+        # one block puts slot s at x = 1 + s/T, next to psi's zero 1.4616...,
+        # so the dominant weight's psi is near 0 there; the allowance is
+        # charged against the weights, not against each |psi|
+        s = round(0.4616 * T)
+        for sign in (1, -1):
+            weights = [0] * T
+            weights[s - 1], weights[-1] = sign * 10**9, -sign * 10**9
+            v = make_vector(T, weights)
+            with mp.workprec(2200):
+                reference = _digamma_limit(v)
+            for abs_err in (1e-6, 1e-30, 1e-100, 1e-250):
+                results = [evaluate(v, abs_err, prefix_blocks=k) for k in (0, 1, 2)]
+                results.append(evaluate(v, abs_err, "raw"))
+                with mp.workprec(2200):
+                    for result in results:
+                        gap = abs(result.value - reference)
+                        assert gap <= result.error_bound <= abs_err, (sign, abs_err, result)
+
     def test_budget_caps_an_explicit_prefix(self):
         # 200,001 blocks over modulus 5 are 1,000,005 block-terms
         with pytest.raises(BudgetExceeded):
@@ -471,15 +491,15 @@ class TestGammaPartial:
 
 
 def _psi_unit_bound(prec):
-    """threshold + N + K + 14, the per-psi error that evaluate's docstring states."""
+    """threshold + N + K + 11, the per-psi error that evaluate's docstring states."""
     threshold = evaluation._shift_threshold(prec)
     terms = len(evaluation._stirling(prec))
     # K counts the powers 2y^(2k+1), k >= 1, that can reach one unit,
-    # as y < 1/(2 threshold + 1)
+    # as y <= 1/(2 threshold + 1)
     k = 0
     while (2 * threshold + 1) ** (2 * k + 3) < 2 ** (prec + 11):
         k += 1
-    return threshold + terms + k + 14
+    return threshold + terms + k + 11
 
 
 class TestPsiKernel:
@@ -488,12 +508,13 @@ class TestPsiKernel:
         points = [(j, T) for T in range(1, 25) for j in range(1, T + 1)]
         # T = 1 as gamma_partial calls it, below and past the threshold
         points += [(n, 1) for n in (2, 31, 32, 33, 342, 10**6 + 1)]
-        # r = 0 past the threshold, where ln x is ln c alone
+        # r = T past the threshold: x = a + 1, the largest atanh argument 1/(2a+1)
         points += [(c * T, T) for T in (2, 7, 24) for c in (341, 1000)]
         # large c, as partial_sum_float reaches it
         points += [(10**5 * T + j, T) for T in (3, 24, 1000) for j in (1, T // 2, T - 1)]
         unit = mpmath.mpf(2) ** -(prec + 10)
         bound = _psi_unit_bound(prec)
+        threshold = evaluation._shift_threshold(prec)
         with mp.workprec(2 * prec + 64):
             reference = {}
             for p, T in points:
@@ -507,8 +528,61 @@ class TestPsiKernel:
                         reference[x] = reference[w] + mp.pi * mp.cot(mp.pi * w_mpf)
                     else:
                         reference[x] = mp.digamma(mpmath.mpf(p) / T)
-                error = abs(evaluation._psi(p, T, prec) * unit - reference[x]) / unit
+                # _psi leaves out ln a, the anchor every slot of one sum shares
+                anchor = mp.log(max(threshold, (p - 1) // T))
+                error = abs(evaluation._psi(p, T, prec) * unit - reference[x] + anchor) / unit
                 assert error <= bound, (p, T, float(error))
+
+    @pytest.mark.parametrize("constant", ["ln2_fixed", "pi_fixed"])
+    def test_constant_memo_window_changes_no_result(self, constant):
+        # mpmath's constant memo stores memo_val before memo_prec, so a reader
+        # between the two stores of a higher-precision call pairs a 2000-bit
+        # constant with the old precision.  ln 2 would reach the kernel
+        # through mpf_log, pi through mpmath's Bernoulli numbers
+        vectors = [ln_vector(T) for T in (2, 7, 24)]
+
+        def results():
+            partials = [gamma_partial(n).value._mpf_ for n in (1, 10, 40, 10**6)]
+            evals = [
+                (r.value._mpf_, r.error_bound)
+                for v in vectors
+                for method in ("raw", "accelerated")
+                for r in [evaluate(v, 1e-20, method)]
+            ]
+            return partials, evals
+
+        def clear_caches():
+            for cached in vars(evaluation).values():
+                if hasattr(cached, "cache_clear"):
+                    cached.cache_clear()
+
+        expected = results()
+        memo = getattr(libmp.libelefun, constant)
+        inner = memo.__closure__[0].cell_contents
+        saved = inner.memo_prec, inner.memo_val
+        try:
+            inner.memo_prec, inner.memo_val = -1, None
+            memo(300)
+            # the value a 2000-bit call computes, at 1.05 * 2000 + 10 bits
+            inner.memo_val = inner(2110)
+            clear_caches()
+            assert results() == expected
+        finally:
+            inner.memo_prec, inner.memo_val = saved
+            clear_caches()
+
+    @pytest.mark.parametrize("prec", [96, 97, 200, 512, 1024])
+    def test_stirling_coefficients_match_bernfrac(self, prec):
+        # the tangent numbers give B_2n/(2n) exactly, so every floor agrees
+        threshold = evaluation._shift_threshold(prec)
+        want = []
+        while True:
+            n = 2 * len(want) + 2
+            p, q = map(int, mpmath.bernfrac(n))
+            if abs(p) << (prec + 8) <= n * q * threshold**n:
+                break
+            want.append((p << (prec + 10)) // (n * q))
+        assert evaluation._stirling(prec) == tuple(want)
 
     @pytest.mark.parametrize("prec", [96, 1024])
     def test_lowest_terms_change_no_bit(self, prec):
@@ -582,15 +656,13 @@ class TestPsiKernel:
 
 
 def _slot_psi_tail(v, blocks, prec):
-    """The (tail, magnitude) pair summed slot by slot: the reference for _psi_tail."""
+    """The tail summed slot by slot: the reference for _psi_tail."""
     T = v.modulus
-    total = magnitude = 0
+    total = 0
     for j, w in enumerate(v.weights, start=1):
         if w:
-            term = w * evaluation._psi(blocks * T + j, T, prec)
-            total -= term
-            magnitude += abs(term)
-    return total // (v.scale * T), magnitude // (v.scale * T)
+            total -= w * evaluation._psi(blocks * T + j, T, prec)
+    return total // (v.scale * T)
 
 
 @st.composite
