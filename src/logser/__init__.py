@@ -18,8 +18,6 @@ from .errors import (
     Unachievable,
 )
 from .evaluation import (
-    DEFAULT_BLOCK_BUDGET,
-    TERM_LIMIT,
     EvalResult,
     GammaPartial,
     block_term,
@@ -52,6 +50,7 @@ from .relations import (
     verify_zero,
 )
 from .vectors import (
+    TERM_LIMIT,
     CoefficientVector,
     factor_radical,
     lift,
@@ -62,6 +61,9 @@ from .vectors import (
 )
 
 __version__ = "0.1.0"
+
+# deprecated alias of TERM_LIMIT, which bounds an exact prefix; no code reads it
+DEFAULT_BLOCK_BUDGET = TERM_LIMIT
 
 __all__ = [
     "BudgetExceeded",

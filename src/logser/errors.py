@@ -24,10 +24,11 @@ class ModulusMismatch(SeriesError):
 class BudgetExceeded(SeriesError):
     """The request exceeds a fixed cost limit of the package.
 
-    DEFAULT_BLOCK_BUDGET bounds the block-terms of an exact prefix,
-    TERM_LIMIT the terms of the exact sums that grow with n and the
-    modulus of ln_vector, lift and ln_rational_vector, and the panel
-    limit of adaptive quadrature the panels of the fixed rule as well.
+    TERM_LIMIT bounds every count of terms summed or slots built: the
+    terms of the exact sums and of an exact prefix, the slots of a
+    vector or a relation family, and the Horner slots of quadrature.
+    The panel limit of adaptive quadrature bounds the panels of the
+    fixed rule as well.
     """
 
 

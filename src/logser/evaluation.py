@@ -59,13 +59,8 @@ from fractions import Fraction
 import mpmath
 from mpmath import libmp, mp
 
-from .errors import BudgetExceeded, Unachievable
-from .vectors import TERM_LIMIT, CoefficientVector
-
-# counts block-terms (blocks * modulus) and bounds partial_sum_exact, the one
-# sum whose cost grows with its block count; raw's K-block sum is two psi
-# tails whatever K is, so no budget limits it
-DEFAULT_BLOCK_BUDGET = 10**6
+from .errors import Unachievable
+from .vectors import CoefficientVector, _check_term_limit, ln_vector
 
 _MIN_PREC = 96
 _MAX_PREC = 1024
@@ -138,20 +133,17 @@ def _weighted_harmonic(weights: tuple[int, ...], n: int, start: int = 0) -> Frac
 def partial_sum_exact(v: CoefficientVector, blocks: int) -> Fraction:
     """Exact rational sum of the first `blocks` blocks.
 
-    DEFAULT_BLOCK_BUDGET, read at call time, bounds the block-terms
-    (blocks * modulus), which is what the cost grows with; a larger
-    request raises BudgetExceeded before summing.  Block k's term j is
-    a_j / m with m = kT + j, so the sum is a weighted harmonic sum up to
-    blocks * T with the vector's integer weights a_j D as periodic
-    weights, divided by D once at the end.
+    The block-terms (blocks * modulus), which the cost grows with, are
+    bounded by TERM_LIMIT; a larger request raises BudgetExceeded before
+    summing.  Block k's term j is a_j / m with m = kT + j, so the sum is
+    a weighted harmonic sum up to blocks * T with the vector's integer
+    weights a_j D as periodic weights, divided by D once at the end.
     """
     if blocks < 0:
         raise ValueError("blocks must be >= 0")
-    if blocks * v.modulus > DEFAULT_BLOCK_BUDGET:
-        raise BudgetExceeded(
-            f"{blocks} blocks over modulus {v.modulus} exceed the budget of "
-            f"{DEFAULT_BLOCK_BUDGET} block-terms"
-        )
+    _check_term_limit(
+        blocks * v.modulus, f"block-terms ({blocks} blocks over modulus {v.modulus})"
+    )
     return _weighted_harmonic(v.weights, blocks * v.modulus) / v.scale
 
 
@@ -163,8 +155,7 @@ def harmonic(n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > TERM_LIMIT:
-        raise BudgetExceeded(f"n={n} exceeds the term limit of {TERM_LIMIT}")
+    _check_term_limit(n, "terms of H_n")
     return _weighted_harmonic((1,), n)
 
 
@@ -208,8 +199,7 @@ def rearranged_terms(modulus: int, count: int) -> list[Fraction]:
         raise ValueError("modulus must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
-    if count > TERM_LIMIT:
-        raise BudgetExceeded(f"count={count} exceeds the term limit of {TERM_LIMIT}")
+    _check_term_limit(count, f"terms of the rearranged stream for ln {modulus}")
     out: list[Fraction] = []
     k = 0
     while len(out) < count:
@@ -228,13 +218,13 @@ def gamma_partial(n: int) -> GammaPartial:
 
     The sequence decreases to the Euler-Mascheroni constant gamma, each
     step satisfying -1/(n(n+1)) < A_{n+1} - A_n < 0.  No harmonic sum is
-    formed, so the cost does not grow with n: TERM_LIMIT bounds n as a
-    domain contract only, not as a cost bound.
+    formed, so the cost does not grow with n, and no limit bounds n.
 
     The kernel's psi(x) leaves out ln a, with a = max(32, n) at x = n + 1
     and a = 32 at x = 1 (prec = 96), so A_n is psi(n+1) - psi(1) -
     ln min(n, 32) in its values.  ln m is the paper's series over
-    ln_vector(m), read off the row of modulus m at prec = 106.
+    ln_vector(m), the whole-series sum over the row of modulus m at
+    prec = 106, floored to 2^-106.
 
     Error, in units u = 2^-106: psi(n+1) takes at most 30 recurrence
     steps and no atanh term for n <= 31, and for n >= 32 no step and an
@@ -249,12 +239,8 @@ def gamma_partial(n: int) -> GammaPartial:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > TERM_LIMIT:
-        raise BudgetExceeded(f"n={n} exceeds the term limit of {TERM_LIMIT}")
     m = min(n, _shift_threshold(_MIN_PREC))
-    # ln_vector(m) is (1, ..., 1, -(m - 1)): the row's dot product, then the floor
-    row = _psi_row(m, _MIN_PREC + 10)
-    ln_m = ((m - 1) * row[-1] - sum(row[:-1])) // (m << 10)
+    ln_m = _psi_tail(ln_vector(m), 0, _MIN_PREC + 10) >> 10
     value = _psi(n + 1, 1, _MIN_PREC) - _psi_row(1, _MIN_PREC)[0] - ln_m
     return GammaPartial(n=n, value=_mpf(value, _MIN_PREC))
 
@@ -465,11 +451,11 @@ def evaluate(
     Both routes report a rigorous bound within abs_err, at a precision
     prec >= 96 set by abs_err and the coefficients.  raw mode keeps 2^-20
     of abs_err for rounding when it picks the truncation K; its K-block
-    sum is two psi tails, so its cost does not grow with K and no budget
-    limits it.  accelerated mode sums no block and returns
+    sum is two psi tails, so its cost does not grow with K and no limit
+    bounds it.  accelerated mode sums no block and returns
     -(1/T) sum_j a_j psi(j/T).  An explicit `prefix_blocks` K0 > 0 sums
     K0 blocks exactly and adds -(1/T) sum_j a_j psi(K0 + j/T); K0 T over
-    DEFAULT_BLOCK_BUDGET raises BudgetExceeded, as partial_sum_exact does.
+    TERM_LIMIT raises BudgetExceeded, as partial_sum_exact does.
     raw mode picks its own K, so passing `prefix_blocks` with it raises
     ValueError.
 

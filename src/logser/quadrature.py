@@ -10,7 +10,10 @@ instance yields pi = 3*sqrt(3) * S_3(1, -1, 0).
 
 Quadrature is adaptive Gauss-Legendre: 15-point panels refined by
 bisection against an absolute-error target.  The rule's nodes and
-weights are literals, each the double nearest the true value.
+weights are literals, each the double nearest the true value.  Every
+integrand call is a T-term Horner loop, so `integrate` and
+`fixed_panel_integral` bound their T slots by TERM_LIMIT, and
+`decomposition_check` its (T - 1) T, before any panel is built.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, NoConvergence
 from .evaluation import EvalResult, evaluate
-from .vectors import make_vector
+from .vectors import _check_term_limit, make_vector
 
 _PANEL_LIMIT = 20000
 _MIN_TOL = 1e-13
@@ -86,6 +89,7 @@ def _panel(T: int, j: int, a: float, b: float) -> float:
 def integrate(T: int, j: int, tol: float) -> float:
     """Adaptive quadrature of the integrand over [0, 1], |error| <~ tol."""
     _validate_pair(T, j)
+    _check_term_limit(T, "Horner slots per node")
     if not tol >= _MIN_TOL:  # also rejects NaN
         raise ValueError(f"tol must be >= {_MIN_TOL}")
     total = 0.0
@@ -116,6 +120,7 @@ def fixed_panel_integral(T: int, j: int, panels: int) -> float:
     BudgetExceeded before any panel is built.
     """
     _validate_pair(T, j)
+    _check_term_limit(T, "Horner slots per node")
     if panels < 1:
         raise ValueError("panels must be >= 1")
     if panels > _PANEL_LIMIT:
@@ -156,6 +161,7 @@ def decomposition_check(T: int, tol: float) -> float:
         raise ValueError("T must be >= 2")
     if not tol >= 1e-12:  # also rejects NaN
         raise ValueError("tol must be >= 1e-12")
+    _check_term_limit((T - 1) * T, f"Horner slots per node of {T - 1} integrals")
     inner = max(2 * tol / (T * (T - 1)), _MIN_TOL)
     return math.fsum(j * integrate(T, j, inner) for j in range(1, T))
 

@@ -31,11 +31,11 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .errors import BudgetExceeded, ModulusMismatch, NotComposite
+from .errors import ModulusMismatch, NotComposite
 from .evaluation import EvalResult, evaluate
 from .vectors import (
-    TERM_LIMIT,
     CoefficientVector,
+    _check_term_limit,
     _factorize,
     _from_weights,
     _lifted_logs,
@@ -87,15 +87,10 @@ def _difference_vectors(modulus: int, repeats: int = 1) -> list[CoefficientVecto
     return out
 
 
-def _check_family(modulus: int, members: int) -> None:
-    """Validate the modulus, and bound the family's members * modulus slots."""
+def _check_family(modulus: int) -> None:
+    """Validate the modulus of a family: T >= 2."""
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
-    if members * modulus > TERM_LIMIT:
-        raise BudgetExceeded(
-            f"{members} vectors of {modulus} slots exceed the term limit of "
-            f"{TERM_LIMIT} slots"
-        )
 
 
 def spanning_basis(modulus: int) -> list[CoefficientVector]:
@@ -104,7 +99,8 @@ def spanning_basis(modulus: int) -> list[CoefficientVector]:
     Their (T-1) T slots are bounded by TERM_LIMIT, so T <= 1000 builds;
     a larger modulus raises BudgetExceeded before any vector is built.
     """
-    _check_family(modulus, modulus - 1)
+    _check_family(modulus)
+    _check_term_limit((modulus - 1) * modulus, f"slots of the basis over {modulus}")
     return _difference_vectors(modulus)
 
 
@@ -221,8 +217,8 @@ def verify_zero(v: CoefficientVector, eps: float) -> tuple[bool, EvalResult]:
     """Evaluate v with a rigorous bound and test whether 0 is inside it.
 
     The accelerated route takes the exact digamma tail from block 0 and
-    sums no block, so its cost does not grow as eps shrinks and no block
-    budget limits which witnesses can be checked.
+    sums no block, so its cost does not grow as eps shrinks and no limit
+    bounds which witnesses can be checked.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -247,9 +243,11 @@ def divisor_family(T: int) -> list[CoefficientVector]:
     takes builds (at most 167 x 60 slots), a prime T up to 997, and a
     highly composite one such as 720 (2417 x 720) does not.
     """
+    _check_family(T)
     # the difference vectors alone bound T before its divisors are listed
-    _check_family(T, T - 1)
-    _check_family(T, _log_positions(T)[-1][1] + 1)
+    _check_term_limit((T - 1) * T, f"slots of the basis over {T}")
+    members = _log_positions(T)[-1][1] + 1
+    _check_term_limit(members * T, f"slots of {members} vectors over {T}")
     family = _difference_vectors(T)
     for d in _proper_divisors(T):
         family.append(lift(ln_vector(d), T // d))

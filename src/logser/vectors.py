@@ -36,12 +36,11 @@ from .errors import (
 RationalLike = Union[Fraction, int, str]
 
 _FACTOR_LIMIT = 2**63 - 1
-# bounds harmonic, rearranged_terms and `logser rearranged`, whose exact
-# sums grow with n, and the modulus of ln_vector, lift and
-# ln_rational_vector, which have one slot per unit of it.  At the limit,
-# harmonic(n) and evaluate(ln_vector(T), 1e-9) each run for over ten
+# the package's one cost limit, on a count of terms summed or slots built
+# (exact sums, vectors, relation families, quadrature's Horner loop); every
+# such count passes _check_term_limit, which reads it at call time.  At the
+# limit, harmonic(n) and evaluate(ln_vector(T), 1e-9) each run for over ten
 # seconds in pure Python (measurements in CHANGES.md).
-# gamma_partial keeps the limit as a domain contract only.
 TERM_LIMIT = 10**6
 
 
@@ -105,12 +104,14 @@ def _from_weights(
     return _settle(object.__new__(CoefficientVector), modulus, tuple(weights), scale)
 
 
-def _check_term_limit(modulus: int, what: str) -> None:
-    """Raise BudgetExceeded for a modulus above TERM_LIMIT, before any slot."""
-    if modulus > TERM_LIMIT:
-        raise BudgetExceeded(
-            f"modulus {modulus} of {what} exceeds the term limit of {TERM_LIMIT}"
-        )
+def _check_term_limit(count: int, what: str) -> None:
+    """Raise BudgetExceeded for `count` terms or slots above TERM_LIMIT.
+
+    `what` names the unit counted, in the plural.  Callers check before
+    any term is summed or slot is built.
+    """
+    if count > TERM_LIMIT:
+        raise BudgetExceeded(f"{count} {what} exceed the term limit of {TERM_LIMIT}")
 
 
 def make_vector(modulus: int, coeffs: Iterable[RationalLike]) -> CoefficientVector:
@@ -128,7 +129,7 @@ def ln_vector(modulus: int) -> CoefficientVector:
     For T = 1 the only balanced vector is (0,), matching ln 1 = 0.  A
     modulus above TERM_LIMIT raises BudgetExceeded.
     """
-    _check_term_limit(modulus, f"ln {modulus}")
+    _check_term_limit(modulus, f"slots of ln {modulus}")
     return _from_weights(modulus, (1,) * (modulus - 1) + (1 - modulus,))
 
 
@@ -145,7 +146,7 @@ def lift(v: CoefficientVector, repeats: int) -> CoefficientVector:
         raise ValueError("repeats must be >= 1")
     if repeats == 1:
         return v
-    _check_term_limit(repeats * v.modulus, f"a {repeats}-fold lift")
+    _check_term_limit(repeats * v.modulus, f"slots of a {repeats}-fold lift")
     return _from_weights(repeats * v.modulus, v.weights * repeats, v.scale)
 
 
@@ -179,8 +180,13 @@ def linear_combine(
     return _from_weights(modulus, [a // g for a in acc], scale // g)
 
 
-def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; {} for n = 1."""
+def _factorize(n: int, limit: int = _FACTOR_LIMIT) -> dict[int, int]:
+    """Prime factorization by trial division; {} for n = 1.
+
+    Trial division stops once the divisor passes `limit`.  A cofactor
+    left above `limit` has no prime factor up to it, and is returned as
+    if it were prime; one left at most `limit` is prime.
+    """
     out: dict[int, int] = {}
     m = n
     for p in (2, 3):
@@ -189,7 +195,7 @@ def _factorize(n: int) -> dict[int, int]:
             m //= p
     # remaining factors are coprime to 6; step through 6k +- 1
     f = 5
-    while f * f <= m:
+    while f <= limit and f * f <= m:
         for p in (f, f + 2):
             while m % p == 0:
                 out[p] = out.get(p, 0) + 1
@@ -233,15 +239,21 @@ def ln_rational_vector(numerator: int, denominator: int) -> CoefficientVector:
     integers by one closed form.  Equal arguments leave no prime, and
     the result is the T = 1 zero vector (ln 1 = 0).  A modulus above
     TERM_LIMIT raises BudgetExceeded before any slot is built.
+
+    gcd(numerator, denominator) is divided out first, which leaves the
+    exponents unchanged and no prime on both sides.  Trial division then
+    stops at TERM_LIMIT, about TERM_LIMIT / 3 divisions per argument: a
+    cofactor left above the limit holds a prime past it, and counted as
+    one prime it still takes the modulus past the limit.
     """
     if numerator < 1 or denominator < 1:
         raise ValueError("numerator and denominator must be positive integers")
     if not (numerator <= _FACTOR_LIMIT and denominator <= _FACTOR_LIMIT):
         raise ValueError("arguments must fit in 63 bits")
-    top = _factorize(numerator)
-    bottom = _factorize(denominator)
+    g = math.gcd(numerator, denominator)
+    top = _factorize(numerator // g, TERM_LIMIT)
+    bottom = _factorize(denominator // g, TERM_LIMIT)
     exponents = {p: top.get(p, 0) - bottom.get(p, 0) for p in top.keys() | bottom.keys()}
-    exponents = {p: e for p, e in exponents.items() if e}
     modulus = math.prod(exponents)
-    _check_term_limit(modulus, f"ln({numerator}/{denominator})")
+    _check_term_limit(modulus, f"slots of ln({numerator}/{denominator})")
     return _from_weights(modulus, _lifted_logs(modulus, exponents))

@@ -11,6 +11,7 @@ import pathlib
 import subprocess
 import sys
 import threading
+import time
 from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
@@ -18,7 +19,15 @@ from types import SimpleNamespace
 import pytest
 from mpmath import mp
 
-from logser import cli, evaluate, evaluation, make_vector, rearranged_terms, relations
+from logser import (
+    TERM_LIMIT,
+    cli,
+    evaluate,
+    evaluation,
+    make_vector,
+    rearranged_terms,
+    relations,
+)
 from logser.cli import CSV_HEADER, bench, run
 
 
@@ -67,6 +76,23 @@ class TestExitCodes:
         code, _, err = run_capture(capsys, ["ln", "1000001"])
         assert code == 1
         assert "term limit" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # trial division stops at the term limit, not at sqrt(2^61 - 1)
+            ["lnq", "2305843009213693951/1"],
+            # each integrand call would be a Horner loop of T terms
+            ["integral-check", "--T", "1000001", "--j", "1"],
+        ],
+        ids=["lnq-61-bit-prime", "integral-check"],
+    )
+    def test_term_limit_is_checked_before_the_work(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_capture(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == "" and "term limit" in err
 
     def test_bench_quadrature_over_the_panel_limit_is_domain_error(self, capsys):
         argv = ["bench", "--target", "ln:3", "--methods", "quadrature", "--work", "20001"]
@@ -235,7 +261,7 @@ class TestJsonOutput:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["blocks_used"] > evaluation.DEFAULT_BLOCK_BUDGET
+        assert payload["blocks_used"] > TERM_LIMIT
         with mp.workprec(200):
             assert abs(mp.mpf(payload["value"]) - mp.ln(2)) <= 1e-9
 

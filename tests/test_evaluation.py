@@ -78,13 +78,6 @@ class TestPartialSumExact:
         lifted = lift(ln_vector(2), 2)
         assert partial_sum_exact(lifted, 1) == Fraction(7, 12)
 
-    def test_budget_counts_block_terms(self, monkeypatch):
-        # the budget is read at call time, so a small one checks both sides cheaply
-        monkeypatch.setattr(evaluation, "DEFAULT_BLOCK_BUDGET", 100)
-        with pytest.raises(BudgetExceeded):
-            partial_sum_exact(ln_vector(10), 11)
-        assert partial_sum_exact(ln_vector(10), 10) is not None
-
     def test_matches_independent_oracle(self):
         rng = random.Random(5)
         for _ in range(10):
@@ -171,7 +164,7 @@ class TestEvaluateRaw:
     def test_truncation_past_the_block_budget(self):
         # ln 2 at 1e-9 needs ~2.5e8 blocks; the K-block sum is two psi tails
         result = evaluate(ln_vector(2), 1e-9, "raw")
-        assert result.blocks_used > evaluation.DEFAULT_BLOCK_BUDGET
+        assert result.blocks_used > TERM_LIMIT
         assert abs(float(result.value) - LN2) <= result.error_bound <= 1e-9
 
     def test_bound_is_rigorous_vs_oracle(self):
@@ -456,7 +449,8 @@ class TestGammaPartial:
         # psi(n+1) recurs up to its threshold 32 for n <= 30 and not past it
         sampled = random.Random(9).sample(range(65, 10**6), 40)
         with mp.workprec(300):
-            for n in [*range(1, 65), *sampled, 10**6]:
+            # past the term limit too, as no harmonic sum is formed
+            for n in [*range(1, 65), *sampled, 10**6, 10**7, 10**12, 10**30]:
                 reference = mp.harmonic(n) - mp.log(n)
                 # the bound that gamma_partial's docstring derives
                 assert abs(gamma_partial(n).value - reference) <= 7.6e-30, n
@@ -486,8 +480,8 @@ class TestGammaPartial:
     def test_validation(self):
         with pytest.raises(ValueError):
             gamma_partial(0)
-        with pytest.raises(BudgetExceeded):
-            gamma_partial(10**6 + 1)
+        # no harmonic sum is formed, so no term limit bounds n
+        assert gamma_partial(TERM_LIMIT + 1).n == TERM_LIMIT + 1
 
 
 def _psi_unit_bound(prec):

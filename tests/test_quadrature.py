@@ -7,6 +7,7 @@ from mpmath import mp
 
 from logser import quadrature
 from logser import (
+    TERM_LIMIT,
     BudgetExceeded,
     decomposition_check,
     evaluate,
@@ -177,3 +178,24 @@ def test_nan_tolerance_is_rejected_before_any_panel(call, monkeypatch):
     monkeypatch.setattr(quadrature, "evaluate", _no_work)
     with pytest.raises(ValueError):
         call(math.nan)
+
+
+def _no_panel(*args, **kwargs):
+    raise AssertionError("a panel was built before the term limit was checked")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: integrate(TERM_LIMIT + 1, 1, 1e-9),
+        lambda: fixed_panel_integral(TERM_LIMIT + 1, 1, 1),
+        # (T - 1) T Horner slots: 999,000 at T = 1000, past the limit at 1001
+        lambda: decomposition_check(1001, 1e-9),
+    ],
+    ids=["integrate", "fixed_panel_integral", "decomposition_check"],
+)
+def test_horner_slots_past_the_term_limit_build_no_panel(call, monkeypatch):
+    # each integrand call is a T-term Horner loop
+    monkeypatch.setattr(quadrature, "_panel", _no_panel)
+    with pytest.raises(BudgetExceeded, match="term limit"):
+        call()

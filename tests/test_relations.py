@@ -211,18 +211,6 @@ class TestSpanningBasis:
             with pytest.raises(BudgetExceeded):
                 build(10**12)
 
-    def test_the_bound_counts_every_member(self, monkeypatch):
-        # divisor_family(60) has 167 members of 60 slots
-        monkeypatch.setattr(relations, "TERM_LIMIT", 167 * 60)
-        assert len(divisor_family(60)) == 167
-        assert len(spanning_basis(60)) == 59
-        monkeypatch.setattr(relations, "TERM_LIMIT", 167 * 60 - 1)
-        with pytest.raises(BudgetExceeded):
-            divisor_family(60)
-        monkeypatch.setattr(relations, "TERM_LIMIT", 59 * 60 - 1)
-        with pytest.raises(BudgetExceeded):
-            spanning_basis(60)
-
 
 class TestExpressInBasis:
     def test_basis_element(self):

@@ -17,15 +17,23 @@ from logser import (
     LengthMismatch,
     ModulusMismatch,
     UnbalancedCoefficients,
+    decomposition_check,
     divisor_family,
+    evaluate,
     factor_radical,
+    fixed_panel_integral,
+    harmonic,
+    integrate,
     lift,
     linear_combine,
     ln_rational_vector,
     ln_vector,
     make_vector,
+    partial_sum_exact,
+    rearranged_terms,
     relation_witnesses,
     spanning_basis,
+    vectors,
 )
 from logser.relations import _checked_relations
 from logser.vectors import _factorize, _from_weights
@@ -407,11 +415,67 @@ class TestLnRationalVector:
         v = ln_rational_vector(1000003, 1000003)
         assert v.modulus == 1 and v.is_zero()
 
+    @pytest.mark.parametrize(
+        "m,l",
+        [
+            (2**61 - 1, 1),  # a 61-bit prime
+            (1, (10**6 + 3) * (10**6 + 33)),  # two primes past the limit
+            (6 * (10**6 + 3) ** 2, 5),  # a square cofactor past the limit
+        ],
+    )
+    def test_a_prime_past_the_limit_stops_trial_division(self, m, l):
+        # trial division stops at TERM_LIMIT instead of running to sqrt(n)
+        with pytest.raises(BudgetExceeded, match="term limit"):
+            ln_rational_vector(m, l)
+
+    def test_a_shared_large_prime_cancels(self):
+        p = 2**61 - 1
+        assert ln_rational_vector(4 * p, 2 * p) == ln_rational_vector(2, 1)
+        assert ln_rational_vector(p, p) == make_vector(1, [0])
+
+    def test_trial_division_stops_at_its_limit(self):
+        # the cofactor past the limit is returned whole; one within it is prime
+        assert _factorize(12 * 101 * 103, 100) == {2: 2, 3: 1, 101 * 103: 1}
+        assert _factorize(12 * 101 * 103) == {2: 2, 3: 1, 101: 1, 103: 1}
+        assert _factorize(12 * 97, 100) == {2: 2, 3: 1, 97: 1}
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             ln_rational_vector(0, 1)
         with pytest.raises(ValueError):
             ln_rational_vector(1, -2)
+
+
+# (site, its count of terms or slots): each succeeds at a limit equal to its
+# count and raises one below it
+_COUNTED_SITES = {
+    "ln_vector": (lambda: ln_vector(60), 60),
+    "lift": (lambda: lift(ln_vector(6), 10), 60),
+    # 60 / 1 has the primes 2, 3 and 5
+    "ln_rational_vector": (lambda: ln_rational_vector(60, 1), 30),
+    "spanning_basis": (lambda: spanning_basis(60), 59 * 60),
+    # sigma(60) - 1 = 167 members of 60 slots
+    "divisor_family": (lambda: divisor_family(60), 167 * 60),
+    "harmonic": (lambda: harmonic(60), 60),
+    "partial_sum_exact": (lambda: partial_sum_exact(ln_vector(10), 6), 60),
+    "evaluate_prefix": (lambda: evaluate(ln_vector(10), 1e-9, prefix_blocks=6), 60),
+    "rearranged_terms": (lambda: rearranged_terms(3, 60), 60),
+    "integrate": (lambda: integrate(60, 1, 1e-9), 60),
+    "fixed_panel_integral": (lambda: fixed_panel_integral(60, 1, 4), 60),
+    "decomposition_check": (lambda: decomposition_check(8, 1e-9), 7 * 8),
+}
+
+
+@pytest.mark.parametrize("site", _COUNTED_SITES)
+def test_every_count_passes_the_one_term_limit(site, monkeypatch):
+    # every site reads vectors.TERM_LIMIT at call time, through _check_term_limit
+    build, count = _COUNTED_SITES[site]
+    monkeypatch.setattr(vectors, "TERM_LIMIT", count)
+    build()
+    monkeypatch.setattr(vectors, "TERM_LIMIT", count - 1)
+    message = f"{count} .* exceed the term limit of {count - 1}"
+    with pytest.raises(BudgetExceeded, match=message):
+        build()
 
 
 def test_random_balanced_helper_respects_bounds():
