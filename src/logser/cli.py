@@ -7,9 +7,20 @@ by `_cmd_value`: command, inputs, value, precision, error_bound,
 bound_is_heuristic, blocks_used, the subcommand's extra fields, then
 wall_time_micros, which times the library calls alone.  Rationals
 cross as "p/q" strings and reals as decimal strings with a precision
-field, so goldens never depend on binary float formatting.  Reals are
+field, so goldens never depend on binary float formatting.  precision
+is three digits past abs_err's place, at least 17, plus one for each
+digit of |value| before the point past the first.  error_bound covers
+the printed digits: it is the reading's bound plus one unit in the last
+printed digit, |value| 10^(1 - precision), rounded up.  Reals are
 rounded by mpmath.libmp at explicit precisions; no mpmath context is
 read or set, so concurrent calls print what single calls print.
+
+`bench` prints one CSV row per method and work.  Each method yields its
+value and bound before any scaling, and `bench` scales them to the
+target and charges the printed double's rounding, 1e-15 (1 + |value|),
+in one place.  Quadrature rows sum r_j times the j-th difference
+integral over the target's difference-basis coordinates r, for every
+target, and check their Horner slots against TERM_LIMIT first.
 
 Exit codes: 0 success, 1 domain error (for example unbalanced
 coefficients), 2 usage error.  `--method raw` reaches every abs_err
@@ -48,7 +59,7 @@ from .evaluation import (
     rearranged_terms,
     tail_bound,
 )
-from .vectors import ln_rational_vector, ln_vector, make_vector
+from .vectors import _check_term_limit, ln_rational_vector, ln_vector, make_vector
 
 CSV_HEADER = "method,work,value,error_bound,abs_error_vs_reference,wall_time_micros"
 
@@ -74,10 +85,14 @@ class ConvergenceRow:
         )
 
 
-def _digits_for(abs_err: float) -> int:
+def _digits_for(abs_err: float, value) -> int:
+    # three digits past abs_err's place, at least 17, and one more for each
+    # digit of |value| before the decimal point past the first
+    magnitude = abs(float(value))
+    extra = max(0, math.floor(math.log10(magnitude))) if magnitude else 0
     if abs_err <= 0 or math.isinf(abs_err):
-        return 17
-    return max(17, int(math.ceil(-math.log10(abs_err))) + 3)
+        return 17 + extra
+    return max(17, int(math.ceil(-math.log10(abs_err))) + 3) + extra
 
 
 def _real(value, digits: int) -> str:
@@ -193,7 +208,7 @@ def _read_series(args) -> _Reading:
     result, micros = _timed(evaluate, vec, args.abs_err, args.method)
     return _Reading(
         inputs={**inputs, "abs_err": repr(args.abs_err), "method": args.method},
-        value=result.value, digits=_digits_for(args.abs_err),
+        value=result.value, digits=_digits_for(args.abs_err, result.value),
         error_bound=result.error_bound, bound_is_heuristic=result.bound_is_heuristic,
         micros=micros, blocks_used=result.blocks_used,
     )
@@ -201,14 +216,13 @@ def _read_series(args) -> _Reading:
 
 def _read_pi(args) -> _Reading:
     (value, series), micros = _timed(quadrature.pi_with_series, args.abs_err)
-    digits = _digits_for(args.abs_err)
+    digits = _digits_for(args.abs_err, value)
     # pi = 3 sqrt(3) S exactly, and value = fl(fl(3 fl(sqrt 3)) float(S~))
     # with |S~ - S| <= series.error_bound.  The square root and the two
     # products round to nearest (relative error <= u = 2^-53 each) and the
     # conversion of S~ errs by less than one unit in the last place (2u),
-    # so |value - 3 sqrt(3) S~| < 5.01u |value|.  Printing `digits` >= 17
-    # significant digits adds at most 0.5e-16 |value| < 0.46u |value|.
-    # 5.2 > 3 sqrt(3), and 2^-50 = 8u leaves room for rounding this sum.
+    # so |value - 3 sqrt(3) S~| < 5.01u |value|.  5.2 > 3 sqrt(3), and
+    # 2^-50 = 8u leaves room for rounding this sum.
     bound = 5.2 * series.error_bound + 2.0**-50 * abs(value)
     return _Reading(
         inputs={"abs_err": repr(args.abs_err)}, value=value, digits=digits,
@@ -221,16 +235,17 @@ def _read_pi(args) -> _Reading:
 def _read_gamma(args) -> _Reading:
     partial, micros = _timed(gamma_partial, args.n)
     # distance to the limit: the steps A_n - A_{n+1} lie in
-    # (0, 1/(n(n+1))) and telescope to at most 1/n
+    # (0, 1/(n(n+1))) and telescope to at most 1/n, rounded up
     return _Reading(
         inputs={"n": args.n}, value=partial.value, digits=17,
-        error_bound=1.0 / args.n, bound_is_heuristic=False, micros=micros,
+        error_bound=math.nextafter(1 / args.n, math.inf), bound_is_heuristic=False,
+        micros=micros,
     )
 
 
 def _read_integral_check(args) -> _Reading:
     check, micros = _timed(quadrature.integral_series_check, args.T, args.j, args.tol)
-    digits = _digits_for(args.tol)
+    digits = _digits_for(args.tol, check.integral_value)
     return _Reading(
         inputs={"T": args.T, "j": args.j, "tol": repr(args.tol)},
         value=check.integral_value, digits=digits,
@@ -245,7 +260,7 @@ def _read_integral_check(args) -> _Reading:
 
 def _read_decompose(args) -> _Reading:
     value, micros = _timed(quadrature.decomposition_check, args.T, args.tol)
-    digits = _digits_for(args.tol)
+    digits = _digits_for(args.tol, value)
     reference = _ln_float(args.T, 96)
     return _Reading(
         inputs={"T": args.T, "tol": repr(args.tol)}, value=value, digits=digits,
@@ -266,9 +281,10 @@ def _read_rearranged(args) -> _Reading:
     total, sum_micros = _timed(_weighted_harmonic, (1,), c * args.T + r, c)
     value = float(total)
     return _Reading(
-        inputs={"T": args.T, "n": args.n}, value=value, digits=17,
-        # the partial sum itself is exact; only the decimal rendering rounds
-        error_bound=math.ldexp(abs(value) + 1.0, -52), bound_is_heuristic=False,
+        inputs={"T": args.T, "n": args.n}, value=value,
+        digits=_digits_for(math.inf, value),
+        # the partial sum itself is exact; float() rounds it to nearest
+        error_bound=math.ldexp(abs(value), -53), bound_is_heuristic=False,
         micros=micros + sum_micros, blocks_used=c,
         extras={
             # Decimal prints integers of any length; str(int) stops at 4300 digits
@@ -281,12 +297,19 @@ def _read_rearranged(args) -> _Reading:
 def _cmd_value(args) -> int:
     """Every value subcommand: print the reading that `args.reading` takes."""
     reading = args.reading(args)
+    # `precision` significant digits err by little more than half a unit in
+    # the last digit (_real and to_str round guard digits first), a unit
+    # being at most |value| 10^(1 - precision).  The whole unit charged also
+    # covers its own float arithmetic, nextafter rounds the sum up, and a
+    # zero value prints exactly.
+    charge = abs(float(reading.value)) * 10.0 ** (1 - reading.digits)
+    bound = reading.error_bound + charge
     payload = {
         "command": args.command,
         "inputs": reading.inputs,
         "value": _real(reading.value, reading.digits),
         "precision": reading.digits,
-        "error_bound": repr(reading.error_bound),
+        "error_bound": repr(math.nextafter(bound, math.inf) if charge else bound),
         "bound_is_heuristic": reading.bound_is_heuristic,
         "blocks_used": reading.blocks_used,
         **reading.extras,
@@ -399,41 +422,44 @@ def _rearranged_prefix(vec, count: int) -> tuple[float, float]:
     elif leftover:
         # partial block k: its terms sum to less than 2(T+1)/(kT)
         bound += 2.0 * (T + 1) / (complete * T)
-    return total, bound + 1e-12 * (1.0 + abs(total))
+    return total, bound
 
 
-def _bench_value(method, work, vec, scale, kind) -> tuple[float, float]:
-    """(value, error bound) of one bench row."""
-    T = vec.modulus
+def _bench_value(method, work, vec):
+    """(value, error bound) of one bench row, before scaling and rounding."""
     if method == "raw":
         blocks = max(2, work)
-        value = scale * float(partial_sum_float(vec, blocks))
-        return value, scale * (tail_bound(vec, blocks) + 1e-15 * (1.0 + abs(value)))
+        return partial_sum_float(vec, blocks), tail_bound(vec, blocks)
     if method == "accelerated":
         result = evaluate(vec, float("inf"), prefix_blocks=max(2, work))
-        return scale * float(result.value), scale * result.error_bound
+        return result.value, result.error_bound
     if method == "rearranged":
         return _rearranged_prefix(vec, work)
-    # quadrature: the step to work + 1 panels estimates the error, or to
-    # work - 1 at the panel limit, which work + 1 would pass
+    # quadrature: the series is sum_j r_j I_j over the difference-basis
+    # coordinates r_j, I_j the integral of the j-th difference vector.  The
+    # step to work + 1 panels estimates the error, or to work - 1 at the
+    # panel limit, which work + 1 would pass
+    T = vec.modulus
     step = work + 1 if work < quadrature._PANEL_LIMIT else work - 1
-    if kind == "pi":
-        value = scale * quadrature.fixed_panel_integral(3, 1, work)
-        other = scale * quadrature.fixed_panel_integral(3, 1, step)
-    else:
-        value = math.fsum(
-            j * quadrature.fixed_panel_integral(T, j, work) for j in range(1, T)
-        )
-        other = math.fsum(
-            j * quadrature.fixed_panel_integral(T, j, step) for j in range(1, T)
-        )
-    return value, abs(value - other) + 1e-15 * (1.0 + abs(value))
+    coords = [(j, r) for j, r in enumerate(relations.express_in_basis(vec), 1) if r]
+    _check_term_limit(
+        len(coords) * T * (work + step),
+        f"Horner slots per node ({len(coords)} coordinates over modulus {T}, "
+        f"{work} + {step} panels)",
+    )
+    value, other = (
+        math.fsum(r * quadrature.fixed_panel_integral(T, j, panels) for j, r in coords)
+        for panels in (work, step)
+    )
+    return value, abs(value - other)
 
 
 def bench(target: str, methods: list[str], work_schedule: list[int]) -> list[ConvergenceRow]:
     """One ConvergenceRow per (method, work) pair, in schedule order.
 
     Each row is computed three times; wall_time_micros is the fastest.
+    Every row's value is scaled to the target and rounded to a double in
+    one place, which charges that rounding to its error_bound.
     """
     if not methods:
         raise SeriesError("need at least one method")
@@ -449,21 +475,25 @@ def bench(target: str, methods: list[str], work_schedule: list[int]) -> list[Con
     for method in methods:
         if method == "rearranged" and kind != "ln":
             raise SeriesError("rearranged benches only apply to ln:T targets")
-        if method == "quadrature" and kind == "vector":
-            raise SeriesError("quadrature benches only apply to ln:T and pi targets")
         for work in work_schedule:
             # the first run of a row pays cold caches; report the fastest
-            runs = [
-                _timed(_bench_value, method, work, vec, scale, kind)
-                for _ in range(_BENCH_RUNS)
-            ]
-            value, bound = runs[0][0]
+            runs = [_timed(_bench_value, method, work, vec) for _ in range(_BENCH_RUNS)]
+            x, b = runs[0][0]
+            value = scale * float(x)
+            # value = fl(c' fl(x)) for the method's x within b of the series
+            # (raw's 96-bit kernel adds under 2^-95 (A + |x| + 1), A the mean
+            # |a_j|), where c' is 1, or for pi fl(3 fl(sqrt 3)), within 2.01u
+            # of c = 3 sqrt 3 (u = 2^-53).  So value is within 4.01u |value| <
+            # 4.5e-16 |value| of c x, a rearranged row's additions in doubles
+            # included, and c' b falls at most 3.01u short of c b: under
+            # 5.8e-16 at a pi row's largest b (raw at two blocks, 1/3).
+            # 1e-15 (1 + |value|) covers both and the rounding of this sum.
             rows.append(
                 ConvergenceRow(
                     method=method,
                     work=work,
                     value=value,
-                    error_bound=bound,
+                    error_bound=scale * b + 1e-15 * (1.0 + abs(value)),
                     abs_error_vs_reference=abs(value - reference),
                     wall_time_micros=min(micros for _, micros in runs),
                 )
@@ -552,10 +582,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p.set_defaults(handler=_cmd_bench)
 
     return parser, commands.choices
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    return _parsers()[0]
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:

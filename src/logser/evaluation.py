@@ -404,41 +404,6 @@ def _working_prec(abs_err: float, v: CoefficientVector) -> int:
     return wanted
 
 
-def _evaluate_raw(v, abs_err, prec) -> EvalResult:
-    T = v.modulus
-    if math.isinf(abs_err):
-        blocks = 2
-    else:
-        # the tail gets abs_err less 2^-20 of it; the rest is for the allowance
-        tail_err = Fraction(abs_err) * (1 - Fraction(1, 1 << 20))
-        needed = _weighted_mass(v) / (Fraction(T * T) * tail_err)
-        blocks = max(2, math.ceil(needed) + 1)
-    # the first `blocks` blocks are the series minus its tail after them
-    value = _psi_tail(v, 0, prec) - _psi_tail(v, blocks, prec)
-    return EvalResult(
-        value=_mpf(value, prec),
-        error_bound=tail_bound(v, blocks) + _allowance(v, value, prec),
-        blocks_used=blocks,
-        method="raw",
-        bound_is_heuristic=False,
-    )
-
-
-def _evaluate_accelerated(v, prefix_blocks, prec) -> EvalResult:
-    blocks, head = prefix_blocks or 0, 0
-    if blocks:
-        prefix = partial_sum_exact(v, blocks)
-        head = (prefix.numerator << (prec + 10)) // prefix.denominator
-    value = head + _psi_tail(v, blocks, prec)
-    return EvalResult(
-        value=_mpf(value, prec),
-        error_bound=_allowance(v, value, prec),
-        blocks_used=blocks,
-        method="accelerated",
-        bound_is_heuristic=False,
-    )
-
-
 def evaluate(
     v: CoefficientVector,
     abs_err: float,
@@ -504,11 +469,29 @@ def evaluate(
         )
     prec = _working_prec(abs_err, v)
     if method == "raw":
-        result = _evaluate_raw(v, abs_err, prec)
+        blocks = 2
+        if not math.isinf(abs_err):
+            # the tail gets abs_err less 2^-20 of it; the rest is for the allowance
+            tail_err = Fraction(abs_err) * (1 - Fraction(1, 1 << 20))
+            blocks = max(2, math.ceil(_weighted_mass(v) / (v.modulus**2 * tail_err)) + 1)
+        # the first `blocks` blocks are the series minus its tail after them
+        value = _psi_tail(v, 0, prec) - _psi_tail(v, blocks, prec)
+        bound = tail_bound(v, blocks)
     else:
-        result = _evaluate_accelerated(v, prefix_blocks, prec)
-    if result.error_bound > abs_err:
+        blocks, value, bound = prefix_blocks or 0, 0, 0.0
+        if blocks:
+            prefix = partial_sum_exact(v, blocks)
+            value = (prefix.numerator << (prec + 10)) // prefix.denominator
+        value += _psi_tail(v, blocks, prec)
+    bound += _allowance(v, value, prec)
+    if bound > abs_err:
         raise Unachievable(
             f"{prec} bits of working precision cannot reach abs_err={abs_err}"
         )
-    return result
+    return EvalResult(
+        value=_mpf(value, prec),
+        error_bound=bound,
+        blocks_used=blocks,
+        method=method,
+        bound_is_heuristic=False,
+    )

@@ -11,9 +11,9 @@ instance yields pi = 3*sqrt(3) * S_3(1, -1, 0).
 Quadrature is adaptive Gauss-Legendre: 15-point panels refined by
 bisection against an absolute-error target.  The rule's nodes and
 weights are literals, each the double nearest the true value.  Every
-integrand call is a T-term Horner loop, so `integrate` and
-`fixed_panel_integral` bound their T slots by TERM_LIMIT, and
-`decomposition_check` its (T - 1) T, before any panel is built.
+integrand call is a T-term Horner loop, so before any panel is built
+TERM_LIMIT bounds the slots of one node: T for `integrate`, T times its
+panels for `fixed_panel_integral` and (T - 1) T for `decomposition_check`.
 """
 
 from __future__ import annotations
@@ -116,15 +116,16 @@ def integrate(T: int, j: int, tol: float) -> float:
 def fixed_panel_integral(T: int, j: int, panels: int) -> float:
     """Non-adaptive composite rule on `panels` equal panels (for benchmarks).
 
-    At most _PANEL_LIMIT panels, the limit of `integrate`; more raises
-    BudgetExceeded before any panel is built.
+    At most _PANEL_LIMIT panels, the limit of `integrate`, and at most
+    TERM_LIMIT Horner slots per node over all panels, T on each; more
+    raises BudgetExceeded before any panel is built.
     """
     _validate_pair(T, j)
-    _check_term_limit(T, "Horner slots per node")
     if panels < 1:
         raise ValueError("panels must be >= 1")
     if panels > _PANEL_LIMIT:
         raise BudgetExceeded(f"{panels} panels exceed the limit of {_PANEL_LIMIT}")
+    _check_term_limit(T * panels, f"Horner slots per node ({panels} panels over modulus {T})")
     edges = [i / panels for i in range(panels + 1)]
     return math.fsum(_panel(T, j, a, b) for a, b in zip(edges, edges[1:]))
 

@@ -21,12 +21,14 @@ from mpmath import mp
 
 from logser import (
     TERM_LIMIT,
+    BudgetExceeded,
     cli,
     evaluate,
     evaluation,
     make_vector,
     rearranged_terms,
     relations,
+    vectors,
 )
 from logser.cli import CSV_HEADER, bench, run
 
@@ -84,8 +86,10 @@ class TestExitCodes:
             ["lnq", "2305843009213693951/1"],
             # each integrand call would be a Horner loop of T terms
             ["integral-check", "--T", "1000001", "--j", "1"],
+            # 999 coordinates, 1000 Horner slots, 1000 + 1001 panels
+            ["bench", "--target", "ln:1000", "--methods", "quadrature", "--work", "1000"],
         ],
-        ids=["lnq-61-bit-prime", "integral-check"],
+        ids=["lnq-61-bit-prime", "integral-check", "bench-quadrature"],
     )
     def test_term_limit_is_checked_before_the_work(self, capsys, argv):
         start = time.perf_counter()
@@ -215,7 +219,9 @@ class TestJsonOutput:
         _, out, _ = run_capture(capsys, ["gamma", "--n", "2"])
         payload = json.loads(out)
         assert float(payload["value"]) == pytest.approx(1.5 - math.log(2), abs=1e-12)
-        assert float(payload["error_bound"]) == 0.5
+        # 1/2 to the limit, rounded up, and the printed digits
+        bound = Fraction(payload["error_bound"])
+        assert Fraction(1, 2) < bound < Fraction(1, 2) + Fraction(1, 10**15)
 
     def test_integral_check(self, capsys):
         code, out, _ = run_capture(capsys, ["integral-check", "--T", "3", "--j", "1"])
@@ -355,6 +361,57 @@ class TestGolden:
                 assert w == g or (w in loose and close(w, g)), expected
 
 
+def _fraction(x) -> Fraction:
+    """An mpf, exactly; a Fraction as it is."""
+    if isinstance(x, Fraction):
+        return x
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def _series(T, coeffs):
+    """-(1/T) sum_j a_j psi(j/T), Gauss's digamma theorem, at the current precision."""
+    return -sum(a * mp.psi(0, mp.mpf(j) / T) for j, a in enumerate(coeffs, 1)) / T
+
+
+def _rearranged_sum(T, n):
+    return lambda: sum(rearranged_terms(T, n), Fraction(0))
+
+
+# every value golden, and two payloads past its range: what each printed
+# value approximates, within its printed error_bound
+PRINTED_REFERENCES = {
+    "eval --T 3 --coeffs 1,1,-2 --method raw --abs-err 1e-5": lambda: mp.log(3),
+    "eval --T 4 --coeffs 1,-1,1,-1 --abs-err 1e-20": lambda: mp.log(2),
+    "ln 7 --abs-err 1e-25": lambda: mp.log(7),
+    "lnq 5/3 --abs-err 1e-12": lambda: mp.log(mp.mpf(5) / 3),
+    "pi --abs-err 1e-12": lambda: +mp.pi,
+    # the limit, not the partial
+    "gamma --n 100": lambda: +mp.euler,
+    "gamma --n 1000000000000000000000000000000": lambda: +mp.euler,
+    "integral-check --T 4 --j 2": lambda: _series(4, (0, 1, -1, 0)),
+    "decompose --T 3": lambda: mp.log(3),
+    "rearranged --T 1 --n 7": _rearranged_sum(1, 7),
+    "rearranged --T 3 --n 11": _rearranged_sum(3, 11),
+    # six digits before the point need six more printed digits
+    "eval --T 2 --coeffs 1000000,-1000000 --abs-err 1e-20": lambda: 10**6 * mp.log(2),
+}
+
+
+class TestPrintedBound:
+    """The printed value lies within the printed error_bound of its target."""
+
+    @pytest.mark.parametrize("argv", PRINTED_REFERENCES)
+    def test_value_within_error_bound_of_a_300_bit_reference(self, argv):
+        code, out = capture(argv.split())
+        assert code == 0
+        payload = json.loads(out)
+        with mp.workprec(300):
+            reference = _fraction(PRINTED_REFERENCES[argv]())
+        error = abs(Fraction(payload["value"]) - reference)
+        assert error <= Fraction(payload["error_bound"]), (payload["value"], error)
+
+
 class TestJsonLayout:
     """The JSON writer prints exactly json.dumps(payload, indent=2)."""
 
@@ -395,7 +452,7 @@ def parse_outcome(parse, argv):
 
 def top_level(argv):
     """The reference: the top-level parser's own parse_args."""
-    return cli._build_parser().parse_args(argv)
+    return cli._parsers()[0].parse_args(argv)
 
 
 USAGE_CASES = [
@@ -444,7 +501,7 @@ class TestEntryPoint:
 
 class TestCachedParser:
     def test_parser_is_built_once(self):
-        assert cli._build_parser() is cli._build_parser()
+        assert cli._parsers() is cli._parsers()
 
     def test_no_option_carries_over_to_the_next_call(self, capsys):
         code, out, _ = run_capture(
@@ -546,7 +603,42 @@ class TestBench:
 
     def test_vector_reference_is_the_limit(self):
         row = bench("vector:3:1,-1,0", ["accelerated"], [1000])[0]
-        assert row.abs_error_vs_reference <= row.error_bound + 1e-15
+        assert row.abs_error_vs_reference <= row.error_bound
+
+    @pytest.mark.parametrize(
+        "target", ["ln:2", "ln:7", "pi", "vector:4:1,-3,1,1", "vector:3:1/2,-1/3,-1/6"]
+    )
+    def test_every_row_lies_within_its_bound_of_a_200_bit_reference(self, target):
+        kind, _, rest = target.partition(":")
+        with mp.workprec(200):
+            if kind == "ln":
+                reference = mp.log(int(rest))
+            elif kind == "pi":
+                reference = +mp.pi
+            else:
+                T, coeffs = rest.split(":")
+                reference = _series(int(T), [Fraction(c) for c in coeffs.split(",")])
+            reference = _fraction(reference)
+        methods = ["raw", "accelerated", "quadrature"] + ["rearranged"] * (kind == "ln")
+        schedule = [1, 2, 7, 100, 1000]
+        rows = bench(target, methods, schedule)
+        assert len(rows) == len(methods) * len(schedule)
+        for row in rows:
+            assert abs(Fraction(row.value) - reference) <= Fraction(row.error_bound), row
+
+    def test_quadrature_row_checks_its_horner_slots_first(self, monkeypatch):
+        # ln:3 has 2 difference-basis coordinates over modulus 3, and work 10
+        # takes rules of 10 and 11 panels: 2 * 3 * 21 = 126 slots per node
+        monkeypatch.setattr(vectors, "TERM_LIMIT", 126)
+        assert len(bench("ln:3", ["quadrature"], [10])) == 1
+
+        def no_rule(T, j, n):
+            raise AssertionError("a rule ran")
+
+        monkeypatch.setattr(cli.quadrature, "fixed_panel_integral", no_rule)
+        monkeypatch.setattr(vectors, "TERM_LIMIT", 125)
+        with pytest.raises(BudgetExceeded, match="126 Horner slots .* term limit of 125"):
+            bench("ln:3", ["quadrature"], [10])
 
     def test_vector_reference_is_independent_of_evaluate(self, monkeypatch):
         # an evaluate that is off by 1e-6 must show in the error column, by 1e-6

@@ -461,7 +461,8 @@ _COUNTED_SITES = {
     "evaluate_prefix": (lambda: evaluate(ln_vector(10), 1e-9, prefix_blocks=6), 60),
     "rearranged_terms": (lambda: rearranged_terms(3, 60), 60),
     "integrate": (lambda: integrate(60, 1, 1e-9), 60),
-    "fixed_panel_integral": (lambda: fixed_panel_integral(60, 1, 4), 60),
+    # 60 Horner slots per node on each of 4 panels
+    "fixed_panel_integral": (lambda: fixed_panel_integral(60, 1, 4), 60 * 4),
     "decomposition_check": (lambda: decomposition_check(8, 1e-9), 7 * 8),
 }
 
