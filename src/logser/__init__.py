@@ -62,13 +62,9 @@ from .vectors import (
 
 __version__ = "0.1.0"
 
-# deprecated alias of TERM_LIMIT, which bounds an exact prefix; no code reads it
-DEFAULT_BLOCK_BUDGET = TERM_LIMIT
-
 __all__ = [
     "BudgetExceeded",
     "CoefficientVector",
-    "DEFAULT_BLOCK_BUDGET",
     "EvalResult",
     "GammaPartial",
     "IntegralCheck",

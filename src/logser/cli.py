@@ -18,9 +18,10 @@ read or set, so concurrent calls print what single calls print.
 `bench` prints one CSV row per method and work.  Each method yields its
 value and bound before any scaling, and `bench` scales them to the
 target and charges the printed double's rounding, 1e-15 (1 + |value|),
-in one place.  Quadrature rows sum r_j times the j-th difference
-integral over the target's difference-basis coordinates r, for every
-target, and check their Horner slots against TERM_LIMIT first.
+in one place.  A quadrature row integrates the one integrand R/P that
+`quadrature` owns, R read off the target's difference-basis
+coordinates, for every target, and checks its Horner slots against
+TERM_LIMIT first.
 
 Exit codes: 0 success, 1 domain error (for example unbalanced
 coefficients), 2 usage error.  `--method raw` reaches every abs_err
@@ -435,22 +436,17 @@ def _bench_value(method, work, vec):
         return result.value, result.error_bound
     if method == "rearranged":
         return _rearranged_prefix(vec, work)
-    # quadrature: the series is sum_j r_j I_j over the difference-basis
-    # coordinates r_j, I_j the integral of the j-th difference vector.  The
-    # step to work + 1 panels estimates the error, or to work - 1 at the
-    # panel limit, which work + 1 would pass
+    # quadrature: the series is the integral of R/P, R read off the
+    # target's difference-basis coordinates.  The step to work + 1 panels
+    # estimates the error, or to work - 1 at the panel limit, which work + 1
+    # would pass
     T = vec.modulus
     step = work + 1 if work < quadrature._PANEL_LIMIT else work - 1
-    coords = [(j, r) for j, r in enumerate(relations.express_in_basis(vec), 1) if r]
     _check_term_limit(
-        len(coords) * T * (work + step),
-        f"Horner slots per node ({len(coords)} coordinates over modulus {T}, "
-        f"{work} + {step} panels)",
+        T * (work + step), f"Horner slots per node ({work} + {step} panels over modulus {T})"
     )
-    value, other = (
-        math.fsum(r * quadrature.fixed_panel_integral(T, j, panels) for j, r in coords)
-        for panels in (work, step)
-    )
+    numerator = quadrature._numerator(vec)
+    value, other = (quadrature._composite(numerator, panels) for panels in (work, step))
     return value, abs(value - other)
 
 

@@ -1,19 +1,25 @@
 """Integral route to the series values, and pi.
 
-For 2 <= T and 1 <= j <= T-1 the integral of (u^j - u^(j-1))/(u^T - 1)
-over [0, 1] equals the series of the difference vector with +1 in slot
-j and -1 in slot j+1.  The integrand is evaluated in the equivalent
-smooth form u^(j-1) / (1 + u + ... + u^(T-1)), which removes the
-removable singularity at u = 1 (value there: 1/T).  Summing j times the
-j-th integral over j = 1..T-1 reconstructs ln T, and the T = 3, j = 1
-instance yields pi = 3*sqrt(3) * S_3(1, -1, 0).
+On [0, 1] the series of a balanced vector a over modulus T is one
+integral.  Its terms sum to the integral of sum_j a_j u^(j-1)/(1 - u^T),
+and balance makes 1 - u a factor of that fraction's numerator as of its
+denominator; cancelled, it leaves R(u)/P(u) with
+P(u) = 1 + u + ... + u^(T-1) and
+R(u) = r_1 + r_2 u + ... + r_(T-1) u^(T-2), where r_i = a_1 + ... + a_i
+are a's difference-basis coordinates (r_T = 0 by balance).  R/P is
+smooth on all of [0, 1], as P >= 1 there.  The j-th difference vector,
++1 in slot j and -1 in slot j+1, has R(u) = u^(j-1); ln_vector(T) has
+r_i = i, so R = P' and the integral is ln P(1) - ln P(0) = ln T; and the
+T = 3, j = 1 instance yields pi = 3*sqrt(3) * S_3(1, -1, 0).
 
-Quadrature is adaptive Gauss-Legendre: 15-point panels refined by
-bisection against an absolute-error target.  The rule's nodes and
-weights are literals, each the double nearest the true value.  Every
-integrand call is a T-term Horner loop, so before any panel is built
-TERM_LIMIT bounds the slots of one node: T for `integrate`, T times its
-panels for `fixed_panel_integral` and (T - 1) T for `decomposition_check`.
+Every node evaluates R/P in one Horner pass over R's coefficients that
+carries R and P together: T slots of IEEE multiplication and addition,
+and no libm call.  Quadrature is adaptive Gauss-Legendre: 15-point
+panels refined by bisection against an absolute-error target.  The
+rule's nodes and weights are literals, each the double nearest the true
+value.  Before any panel is built TERM_LIMIT bounds the Horner slots of
+one node: T for `integrand`, `integrate` and `decomposition_check`
+(through ln_vector), and T times its panels for `fixed_panel_integral`.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, NoConvergence
 from .evaluation import EvalResult, evaluate
-from .vectors import _check_term_limit, make_vector
+from .relations import express_in_basis
+from .vectors import CoefficientVector, _check_term_limit, ln_vector, make_vector
 
 _PANEL_LIMIT = 20000
 _MIN_TOL = 1e-13
@@ -60,41 +67,58 @@ class IntegralCheck:
         )
 
 
-def _validate_pair(T: int, j: int) -> None:
+def _unit(T: int, j: int) -> tuple[float, ...]:
+    """R for the j-th difference vector, u^(j-1), as `_ratio` reads it."""
     if T < 2:
         raise ValueError("T must be >= 2")
     if not 1 <= j <= T - 1:
         raise ValueError(f"j must be in [1, {T - 1}], got {j}")
+    return (0.0,) * (T - 1 - j) + (1.0,) + (0.0,) * (j - 1)
+
+
+def _numerator(v: CoefficientVector) -> tuple[float, ...]:
+    """R for v, its difference-basis coordinates r_(T-1), ..., r_1."""
+    return tuple(map(float, reversed(express_in_basis(v))))
+
+
+def _ratio(numerator: tuple[float, ...], u: float) -> float:
+    """R(u)/P(u), R's coefficients given highest power first.
+
+    P's u^(T-1) coefficient and R's, r_T = 0, start the pass.
+    """
+    num, den = 0.0, 1.0
+    for r in numerator:
+        num = num * u + r
+        den = den * u + 1.0
+    return num / den
 
 
 def integrand(T: int, j: int, u: float) -> float:
-    """u^(j-1) / (1 + u + ... + u^(T-1)), smooth on all of [0, 1]."""
-    _validate_pair(T, j)
+    """u^(j-1) / (1 + u + ... + u^(T-1)), smooth on all of [0, 1].
+
+    The integrand of the j-th difference vector, by the Horner pass of
+    every quadrature node; a modulus above TERM_LIMIT raises
+    BudgetExceeded before it runs.
+    """
+    _check_term_limit(T, "Horner slots per node")
     if not 0.0 <= u <= 1.0:
         raise ValueError("u must lie in [0, 1]")
-    den = 0.0
-    for _ in range(T):
-        den = den * u + 1.0
-    return u ** (j - 1) / den
+    return _ratio(_unit(T, j), u)
 
 
-def _panel(T: int, j: int, a: float, b: float) -> float:
+def _panel(numerator: tuple[float, ...], a: float, b: float) -> float:
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     return half * math.fsum(
-        w * integrand(T, j, mid + half * x) for x, w in zip(_NODES, _WEIGHTS)
+        w * _ratio(numerator, mid + half * x) for x, w in zip(_NODES, _WEIGHTS)
     )
 
 
-def integrate(T: int, j: int, tol: float) -> float:
-    """Adaptive quadrature of the integrand over [0, 1], |error| <~ tol."""
-    _validate_pair(T, j)
-    _check_term_limit(T, "Horner slots per node")
-    if not tol >= _MIN_TOL:  # also rejects NaN
-        raise ValueError(f"tol must be >= {_MIN_TOL}")
+def _adaptive(numerator: tuple[float, ...], tol: float) -> float:
+    """The integral of R/P over [0, 1] by bisection, |error| <~ tol."""
     total = 0.0
     panels = 0
-    stack = [(0.0, 1.0, _panel(T, j, 0.0, 1.0), tol)]
+    stack = [(0.0, 1.0, _panel(numerator, 0.0, 1.0), tol)]
     while stack:
         a, b, whole, budget = stack.pop()
         panels += 1
@@ -103,14 +127,32 @@ def integrate(T: int, j: int, tol: float) -> float:
                 f"quadrature did not converge within {_PANEL_LIMIT} panels"
             )
         mid = 0.5 * (a + b)
-        left = _panel(T, j, a, mid)
-        right = _panel(T, j, mid, b)
+        left = _panel(numerator, a, mid)
+        right = _panel(numerator, mid, b)
         if abs(left + right - whole) <= budget or (b - a) < 1e-12:
             total += left + right
         else:
             stack.append((a, mid, left, 0.5 * budget))
             stack.append((mid, b, right, 0.5 * budget))
     return total
+
+
+def integrate(T: int, j: int, tol: float) -> float:
+    """Adaptive quadrature of the integrand over [0, 1], |error| <~ tol."""
+    _check_term_limit(T, "Horner slots per node")
+    if not tol >= _MIN_TOL:  # also rejects NaN
+        raise ValueError(f"tol must be >= {_MIN_TOL}")
+    return _adaptive(_unit(T, j), tol)
+
+
+def _composite(numerator: tuple[float, ...], panels: int) -> float:
+    """The integral of R/P by the rule on `panels` equal panels of [0, 1]."""
+    if panels < 1:
+        raise ValueError("panels must be >= 1")
+    if panels > _PANEL_LIMIT:
+        raise BudgetExceeded(f"{panels} panels exceed the limit of {_PANEL_LIMIT}")
+    edges = [i / panels for i in range(panels + 1)]
+    return math.fsum(_panel(numerator, a, b) for a, b in zip(edges, edges[1:]))
 
 
 def fixed_panel_integral(T: int, j: int, panels: int) -> float:
@@ -120,14 +162,8 @@ def fixed_panel_integral(T: int, j: int, panels: int) -> float:
     TERM_LIMIT Horner slots per node over all panels, T on each; more
     raises BudgetExceeded before any panel is built.
     """
-    _validate_pair(T, j)
-    if panels < 1:
-        raise ValueError("panels must be >= 1")
-    if panels > _PANEL_LIMIT:
-        raise BudgetExceeded(f"{panels} panels exceed the limit of {_PANEL_LIMIT}")
     _check_term_limit(T * panels, f"Horner slots per node ({panels} panels over modulus {T})")
-    edges = [i / panels for i in range(panels + 1)]
-    return math.fsum(_panel(T, j, a, b) for a, b in zip(edges, edges[1:]))
+    return _composite(_unit(T, j), panels)
 
 
 def _difference_series(T: int, j: int, tol: float) -> EvalResult:
@@ -151,20 +187,19 @@ def integral_series_check(T: int, j: int, tol: float) -> IntegralCheck:
 
 
 def decomposition_check(T: int, tol: float) -> float:
-    """sum_j j * integral(T, j) over j = 1..T-1; converges to ln T.
+    """The integral of P'/P, P(u) = 1 + u + ... + u^(T-1); it is ln T.
 
-    The caller compares the result against a reference logarithm.  The
-    weights j sum to T(T-1)/2, so each inner integral gets 2 tol/(T(T-1))
-    of the error budget (clamped at the quadrature floor), and the
-    weighted errors add up to tol.
+    P' is R for ln_vector(T), whose coordinates are r_j = j, so this is
+    sum_j j * integral(T, j) over j = 1..T-1 as one adaptive integral
+    with error target tol.  The caller compares the result against a
+    reference logarithm.  ln_vector checks T, the Horner slots of one
+    node, against TERM_LIMIT.
     """
     if T < 2:
         raise ValueError("T must be >= 2")
     if not tol >= 1e-12:  # also rejects NaN
         raise ValueError("tol must be >= 1e-12")
-    _check_term_limit((T - 1) * T, f"Horner slots per node of {T - 1} integrals")
-    inner = max(2 * tol / (T * (T - 1)), _MIN_TOL)
-    return math.fsum(j * integrate(T, j, inner) for j in range(1, T))
+    return _adaptive(_numerator(ln_vector(T)), tol)
 
 
 def pi_with_series(tol: float) -> tuple[float, EvalResult]:

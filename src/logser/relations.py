@@ -39,7 +39,6 @@ from .vectors import (
     _factorize,
     _from_weights,
     _lifted_logs,
-    factor_radical,
     lift,
     ln_vector,
 )
@@ -276,15 +275,15 @@ def _checked_relations(T: int) -> tuple[KernelBasis, list[tuple]]:
         raise NotComposite(f"T={T} has no proper divisor >= 2")
     size = logs[-1][1] + 1  # ln_vector(T) is the family's last member
     labels = [label for label, _ in logs]
-    exponent_rows = [
-        [_factorize(label).get(p, 0) for label in labels] for p in factor_radical(T)
-    ]
+    # T is the last label, so the last factorization holds T's primes
+    factors = [_factorize(label) for label in labels]
+    exponent_rows = [[f.get(p, 0) for f in factors] for p in factors[-1]]
     relations = []
     checks = []
     for rel in _nullspace(exponent_rows, len(labels)):
+        # never all zero: the lifted logs 1 - d chi_d over the distinct d | T
+        # are independent, as their divisibility matrix is unitriangular
         coeffs = _lifted_logs(T, dict(zip(labels, rel)))
-        if not any(coeffs):
-            continue
         # normalized, the relation's first nonzero entry is minus the
         # witness's first nonzero coefficient, and rel is already coprime
         sign = -1 if next(a for a in coeffs if a) > 0 else 1

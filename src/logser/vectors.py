@@ -37,10 +37,10 @@ RationalLike = Union[Fraction, int, str]
 
 _FACTOR_LIMIT = 2**63 - 1
 # the package's one cost limit, on a count of terms summed or slots built
-# (exact sums, vectors, relation families, quadrature's Horner loop); every
-# such count passes _check_term_limit, which reads it at call time.  At the
-# limit, harmonic(n) and evaluate(ln_vector(T), 1e-9) each run for over ten
-# seconds in pure Python (measurements in CHANGES.md).
+# (exact sums, vectors, relation families, trial division, quadrature's
+# Horner loop); every such count passes _check_term_limit, which reads it
+# at call time.  At the limit, harmonic(n) and evaluate(ln_vector(T), 1e-9)
+# each run for over ten seconds in pure Python (measurements in CHANGES.md).
 TERM_LIMIT = 10**6
 
 
@@ -180,12 +180,13 @@ def linear_combine(
     return _from_weights(modulus, [a // g for a in acc], scale // g)
 
 
-def _factorize(n: int, limit: int = _FACTOR_LIMIT) -> dict[int, int]:
+def _factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division; {} for n = 1.
 
-    Trial division stops once the divisor passes `limit`.  A cofactor
-    left above `limit` has no prime factor up to it, and is returned as
-    if it were prime; one left at most `limit` is prime.
+    Trial division stops once the divisor passes TERM_LIMIT, read at call
+    time.  A cofactor left above the limit has no prime factor up to it,
+    and is returned as if it were prime; it is prime when it is below
+    (TERM_LIMIT + 1)^2, and one left at most TERM_LIMIT always is.
     """
     out: dict[int, int] = {}
     m = n
@@ -195,7 +196,7 @@ def _factorize(n: int, limit: int = _FACTOR_LIMIT) -> dict[int, int]:
             m //= p
     # remaining factors are coprime to 6; step through 6k +- 1
     f = 5
-    while f <= limit and f * f <= m:
+    while f <= TERM_LIMIT and f * f <= m:
         for p in (f, f + 2):
             while m % p == 0:
                 out[p] = out.get(p, 0) + 1
@@ -207,10 +208,19 @@ def _factorize(n: int, limit: int = _FACTOR_LIMIT) -> dict[int, int]:
 
 
 def factor_radical(n: int) -> list[int]:
-    """Sorted distinct prime divisors of n; empty for n = 1."""
+    """Sorted distinct prime divisors of n; empty for n = 1.
+
+    Trial division stops at TERM_LIMIT, so the largest factor left is
+    certified prime only below (TERM_LIMIT + 1)^2: a larger one would
+    need candidate divisors up to its square root, past the limit, and
+    raises BudgetExceeded.
+    """
     if not 1 <= n <= _FACTOR_LIMIT:
         raise ValueError(f"n must be in [1, 2^63 - 1], got {n}")
-    return sorted(_factorize(n))
+    factors = _factorize(n)
+    top = max(factors, default=1)
+    _check_term_limit(math.isqrt(top), f"candidate divisors up to the square root of {top}")
+    return sorted(factors)
 
 
 def _lifted_logs(modulus: int, weights: dict[int, int]) -> list[int]:
@@ -251,8 +261,8 @@ def ln_rational_vector(numerator: int, denominator: int) -> CoefficientVector:
     if not (numerator <= _FACTOR_LIMIT and denominator <= _FACTOR_LIMIT):
         raise ValueError("arguments must fit in 63 bits")
     g = math.gcd(numerator, denominator)
-    top = _factorize(numerator // g, TERM_LIMIT)
-    bottom = _factorize(denominator // g, TERM_LIMIT)
+    top = _factorize(numerator // g)
+    bottom = _factorize(denominator // g)
     exponents = {p: top.get(p, 0) - bottom.get(p, 0) for p in top.keys() | bottom.keys()}
     modulus = math.prod(exponents)
     _check_term_limit(modulus, f"slots of ln({numerator}/{denominator})")

@@ -5,7 +5,8 @@ The oracles here deliberately avoid the package's own summation paths:
 ``float_block_oracle`` sums the float64 terms 1/(kT+j) literally with
 ``math.fsum`` and ``gauss_digamma_limit`` takes the series limit from
 Gauss's digamma theorem, so they can referee the library's exact and
-floating routes.
+floating routes.  An autouse fixture fails any test that runs for more
+than a minute.
 """
 
 from __future__ import annotations
@@ -13,13 +14,45 @@ from __future__ import annotations
 import functools
 import math
 import random
+import signal
 from fractions import Fraction
 from itertools import repeat
 from operator import truediv
 
+import pytest
 from mpmath import mp
 
 from logser import CoefficientVector, make_vector
+
+# well above the slowest test, about 6 s, so that a test whose cost check
+# regresses fails by name instead of running to the CI job's time limit
+TEST_SECONDS = 60
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran past TEST_SECONDS.
+
+    Not an Exception, so Hypothesis does not catch it and go on shrinking.
+    """
+
+
+@pytest.fixture(autouse=True)
+def time_limit(request):
+    """Fail the running test once it passes TEST_SECONDS (where SIGALRM exists)."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"{request.node.nodeid} ran past {TEST_SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_balanced(rng: random.Random, modulus: int | None = None,

@@ -286,9 +286,10 @@ class TestTextOutput:
 
 GOLDEN_FILE = pathlib.Path(__file__).with_name("cli_goldens.json")
 
-# (argv, output fields whose digits come from the quadrature's literal
-# Gauss-Legendre rule applied through libm's pow, or from libm's atan, so
-# other libm builds may move them)
+# (argv, output fields whose digits come from libm, so other libm builds
+# may move them): only pi's arctan cross-check, from libm's atan.  The
+# quadrature's nodes take IEEE arithmetic and fsum alone, so its values
+# are compared exactly
 GOLDEN_CASES = [
     (["eval", "--T", "3", "--coeffs", "1,1,-2", "--method", "raw", "--abs-err", "1e-5"], ()),
     (["eval", "--T", "4", "--coeffs", "1,-1,1,-1", "--abs-err", "1e-20"], ()),
@@ -296,8 +297,8 @@ GOLDEN_CASES = [
     (["lnq", "5/3", "--abs-err", "1e-12"], ()),
     (["pi", "--abs-err", "1e-12"], ("arctan_cross_check",)),
     (["gamma", "--n", "100"], ()),
-    (["integral-check", "--T", "4", "--j", "2"], ("value", "discrepancy")),
-    (["decompose", "--T", "3"], ("value", "abs_error_vs_reference")),
+    (["integral-check", "--T", "4", "--j", "2"], ()),
+    (["decompose", "--T", "3"], ()),
     (["relations", "--T", "6"], ()),
     (["rearranged", "--T", "1", "--n", "7"], ()),
     (["rearranged", "--T", "3", "--n", "11"], ()),
@@ -326,8 +327,7 @@ def golden_outputs():
 
 
 def close(expected: str, actual: str) -> bool:
-    # the fields compared this way are O(1) values or differences of
-    # O(1) values, hence the absolute floor
+    # the field compared this way is an O(1) value, hence the absolute floor
     return math.isclose(float(expected), float(actual), rel_tol=1e-15, abs_tol=1e-15)
 
 
@@ -627,17 +627,17 @@ class TestBench:
             assert abs(Fraction(row.value) - reference) <= Fraction(row.error_bound), row
 
     def test_quadrature_row_checks_its_horner_slots_first(self, monkeypatch):
-        # ln:3 has 2 difference-basis coordinates over modulus 3, and work 10
-        # takes rules of 10 and 11 panels: 2 * 3 * 21 = 126 slots per node
-        monkeypatch.setattr(vectors, "TERM_LIMIT", 126)
+        # ln:3 is one integrand over modulus 3, and work 10 takes rules of 10
+        # and 11 panels: 3 * 21 = 63 slots per node
+        monkeypatch.setattr(vectors, "TERM_LIMIT", 63)
         assert len(bench("ln:3", ["quadrature"], [10])) == 1
 
-        def no_rule(T, j, n):
+        def no_rule(numerator, n):
             raise AssertionError("a rule ran")
 
-        monkeypatch.setattr(cli.quadrature, "fixed_panel_integral", no_rule)
-        monkeypatch.setattr(vectors, "TERM_LIMIT", 125)
-        with pytest.raises(BudgetExceeded, match="126 Horner slots .* term limit of 125"):
+        monkeypatch.setattr(cli.quadrature, "_composite", no_rule)
+        monkeypatch.setattr(vectors, "TERM_LIMIT", 62)
+        with pytest.raises(BudgetExceeded, match="63 Horner slots .* term limit of 62"):
             bench("ln:3", ["quadrature"], [10])
 
     def test_vector_reference_is_independent_of_evaluate(self, monkeypatch):
@@ -656,19 +656,21 @@ class TestBench:
 
     def test_quadrature_at_the_panel_limit_steps_down(self, monkeypatch):
         # the error estimate takes work + 1 panels, or work - 1 where work + 1
-        # would pass the limit; each row runs three times
+        # would pass the limit; each row runs three times, one rule per count
         panels = []
 
-        def record(T, j, n):
-            panels.append(n)
+        def record(numerator, n):
+            panels.append((numerator, n))
             return 1.0 / n
 
-        monkeypatch.setattr(cli.quadrature, "fixed_panel_integral", record)
+        monkeypatch.setattr(cli.quadrature, "_composite", record)
         bench("pi", ["quadrature"], [19999, 20000])
-        assert panels == [19999, 20000] * 3 + [20000, 19999] * 3
+        # pi's vector (1, -1, 0) has numerator u^0, ln:3's (1, 1, -2) 1 + 2u
+        assert set(numerator for numerator, _ in panels) == {(0.0, 1.0)}
+        assert [n for _, n in panels] == [19999, 20000] * 3 + [20000, 19999] * 3
         panels.clear()
         bench("ln:3", ["quadrature"], [20000])
-        assert panels == [20000, 20000, 19999, 19999] * 3
+        assert panels == [((2.0, 1.0), 20000), ((2.0, 1.0), 19999)] * 3
 
     def test_pi_target_quadrature(self):
         rows = bench("pi", ["quadrature"], [4])

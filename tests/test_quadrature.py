@@ -1,8 +1,12 @@
 """Integral route: integrand smoothness, quadrature, reconstruction, pi."""
 
 import math
+import time
 
 import pytest
+from conftest import gauss_digamma_limit
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from logser import quadrature
@@ -83,6 +87,16 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(2, 1, 1e-14)
 
+    def test_every_pair_up_to_64_within_tol_of_200_bits(self):
+        # the integral of u^(j-1)/P is (psi((j+1)/T) - psi(j/T))/T
+        with mp.workprec(200):
+            for T in range(2, 65):
+                psi = [mp.psi(0, mp.mpf(j) / T) for j in range(1, T + 1)]
+                for j in range(1, T):
+                    for tol in (1e-9, 1e-12):
+                        error = abs(integrate(T, j, tol) - (psi[j] - psi[j - 1]) / T)
+                        assert error <= tol, (T, j, tol)
+
 
 class TestFixedPanels:
     def test_converges_with_panel_count(self):
@@ -124,19 +138,51 @@ class TestDecomposition:
             decomposition_check(3, 1e-13)
 
     @pytest.mark.parametrize("T", [4, 12])
-    def test_weighted_budget_is_tol(self, T, monkeypatch):
-        # the result is sum_j j * integral_j, so integral j's error counts j times
-        calls = []
-        real = quadrature.integrate
+    def test_builds_the_panels_of_one_adaptive_integral(self, T, monkeypatch):
+        # one integral of P'/P: every panel has ln_vector(T)'s numerator
+        # r_j = j, the first is [0, 1], and each later pair halves a panel
+        # built before it
+        panels = []
+        real = quadrature._panel
 
-        def recording(T_, j, tol):
-            calls.append((j, tol))
-            return real(T_, j, tol)
+        def recording(numerator, a, b):
+            panels.append((numerator, a, b))
+            return real(numerator, a, b)
 
-        monkeypatch.setattr(quadrature, "integrate", recording)
+        monkeypatch.setattr(quadrature, "_panel", recording)
         decomposition_check(T, 1e-8)
-        assert [j for j, _ in calls] == list(range(1, T))
-        assert math.fsum(j * inner for j, inner in calls) <= 1e-8
+        assert {numerator for numerator, _, _ in panels} == {
+            tuple(float(j) for j in range(T - 1, 0, -1))
+        }
+        edges = [(a, b) for _, a, b in panels]
+        assert edges[0] == (0.0, 1.0) and len(edges) % 2 == 1
+        for i in range(1, len(edges), 2):
+            (a, mid), (mid2, b) = edges[i], edges[i + 1]
+            assert mid == mid2 == 0.5 * (a + b) and (a, b) in edges[:i]
+
+    @pytest.mark.parametrize("T", [2, 3, 5, 12, 64, 200, 1000])
+    def test_within_tol_of_ln_at_200_bits(self, T):
+        start = time.perf_counter()
+        value = decomposition_check(T, 1e-10)
+        assert time.perf_counter() - start < 1.0
+        with mp.workprec(200):
+            assert abs(mp.mpf(value) - mp.log(T)) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12).flatmap(
+    lambda T: st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+        min_size=T - 1, max_size=T - 1,
+    )
+))
+def test_a_vector_is_the_integral_of_its_numerator(head):
+    # the integral of R/P, R read off the difference-basis coordinates
+    v = make_vector(len(head) + 1, head + [-sum(head)])
+    value = quadrature._adaptive(quadrature._numerator(v), 1e-12)
+    with mp.workprec(200):
+        reference = gauss_digamma_limit(v)
+        assert abs(mp.mpf(value) - reference) <= 1e-11 * (1 + sum(map(abs, v.coeffs)))
 
 
 class TestPi:
@@ -189,13 +235,15 @@ def _no_panel(*args, **kwargs):
     [
         lambda: integrate(TERM_LIMIT + 1, 1, 1e-9),
         lambda: fixed_panel_integral(TERM_LIMIT + 1, 1, 1),
-        # (T - 1) T Horner slots: 999,000 at T = 1000, past the limit at 1001
-        lambda: decomposition_check(1001, 1e-9),
+        # T Horner slots, checked by ln_vector(T)
+        lambda: decomposition_check(TERM_LIMIT + 1, 1e-9),
+        lambda: integrand(10**7, 1, 0.5),
     ],
-    ids=["integrate", "fixed_panel_integral", "decomposition_check"],
+    ids=["integrate", "fixed_panel_integral", "decomposition_check", "integrand"],
 )
 def test_horner_slots_past_the_term_limit_build_no_panel(call, monkeypatch):
     # each integrand call is a T-term Horner loop
     monkeypatch.setattr(quadrature, "_panel", _no_panel)
+    monkeypatch.setattr(quadrature, "_ratio", _no_panel)
     with pytest.raises(BudgetExceeded, match="term limit"):
         call()

@@ -4,6 +4,7 @@ import functools
 import math
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from logser import (
     factor_radical,
     fixed_panel_integral,
     harmonic,
+    integrand,
     integrate,
     lift,
     linear_combine,
@@ -320,6 +322,17 @@ class TestFactorRadical:
         with pytest.raises(ValueError):
             factor_radical(2**63)
 
+    def test_a_prime_past_the_limit_squared_raises_at_once(self):
+        # trial division to sqrt(2^61 - 1) would take about 5e8 steps
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="term limit"):
+            factor_radical(2**61 - 1)
+        assert time.perf_counter() - start < 1.0
+
+    def test_two_primes_below_the_limit(self):
+        # the cofactor left, 999983, is below the limit and so certified prime
+        assert factor_radical(999983 * 999979) == [999979, 999983]
+
     @pytest.mark.parametrize("n", [2, 30, 360, 104729, 2**31 - 1])
     def test_factorization_reconstructs(self, n):
         total = 1
@@ -433,11 +446,12 @@ class TestLnRationalVector:
         assert ln_rational_vector(4 * p, 2 * p) == ln_rational_vector(2, 1)
         assert ln_rational_vector(p, p) == make_vector(1, [0])
 
-    def test_trial_division_stops_at_its_limit(self):
+    def test_trial_division_stops_at_its_limit(self, monkeypatch):
         # the cofactor past the limit is returned whole; one within it is prime
-        assert _factorize(12 * 101 * 103, 100) == {2: 2, 3: 1, 101 * 103: 1}
         assert _factorize(12 * 101 * 103) == {2: 2, 3: 1, 101: 1, 103: 1}
-        assert _factorize(12 * 97, 100) == {2: 2, 3: 1, 97: 1}
+        monkeypatch.setattr(vectors, "TERM_LIMIT", 100)
+        assert _factorize(12 * 101 * 103) == {2: 2, 3: 1, 101 * 103: 1}
+        assert _factorize(12 * 97) == {2: 2, 3: 1, 97: 1}
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -463,7 +477,12 @@ _COUNTED_SITES = {
     "integrate": (lambda: integrate(60, 1, 1e-9), 60),
     # 60 Horner slots per node on each of 4 panels
     "fixed_panel_integral": (lambda: fixed_panel_integral(60, 1, 4), 60 * 4),
-    "decomposition_check": (lambda: decomposition_check(8, 1e-9), 7 * 8),
+    # one integrand over modulus 8, bounded by ln_vector(8)
+    "decomposition_check": (lambda: decomposition_check(8, 1e-9), 8),
+    "integrand": (lambda: integrand(60, 1, 0.5), 60),
+    # 1001 = 7 * 11 * 13: trial division to 11 finds all three, while to 10
+    # it leaves 143, whose square root 11 passes the limit
+    "factor_radical": (lambda: factor_radical(1001), 11),
 }
 
 
