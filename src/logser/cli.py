@@ -20,8 +20,8 @@ value and bound before any scaling, and `bench` scales them to the
 target and charges the printed double's rounding, 1e-15 (1 + |value|),
 in one place.  A quadrature row integrates the one integrand R/P that
 `quadrature` owns, R read off the target's difference-basis
-coordinates, for every target, and checks its Horner slots against
-TERM_LIMIT first.
+coordinates, for every target; `quadrature` checks both of its rules'
+Horner slots against TERM_LIMIT before either runs.
 
 Exit codes: 0 success, 1 domain error (for example unbalanced
 coefficients), 2 usage error.  `--method raw` reaches every abs_err
@@ -60,7 +60,7 @@ from .evaluation import (
     rearranged_terms,
     tail_bound,
 )
-from .vectors import _check_term_limit, ln_rational_vector, ln_vector, make_vector
+from .vectors import ln_rational_vector, ln_vector, make_vector
 
 CSV_HEADER = "method,work,value,error_bound,abs_error_vs_reference,wall_time_micros"
 
@@ -440,13 +440,8 @@ def _bench_value(method, work, vec):
     # target's difference-basis coordinates.  The step to work + 1 panels
     # estimates the error, or to work - 1 at the panel limit, which work + 1
     # would pass
-    T = vec.modulus
     step = work + 1 if work < quadrature._PANEL_LIMIT else work - 1
-    _check_term_limit(
-        T * (work + step), f"Horner slots per node ({work} + {step} panels over modulus {T})"
-    )
-    numerator = quadrature._numerator(vec)
-    value, other = (quadrature._composite(numerator, panels) for panels in (work, step))
+    value, other = quadrature._composite(quadrature._numerator(vec), work, step)
     return value, abs(value - other)
 
 

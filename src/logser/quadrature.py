@@ -18,8 +18,9 @@ and no libm call.  Quadrature is adaptive Gauss-Legendre: 15-point
 panels refined by bisection against an absolute-error target.  The
 rule's nodes and weights are literals, each the double nearest the true
 value.  Before any panel is built TERM_LIMIT bounds the Horner slots of
-one node: T for `integrand`, `integrate` and `decomposition_check`
-(through ln_vector), and T times its panels for `fixed_panel_integral`.
+one node: T for `integrand` and `integrate`, T times its panels for
+`fixed_panel_integral`, and T times T for `decomposition_check`, whose
+bisection goes deeper as T grows.
 """
 
 from __future__ import annotations
@@ -68,7 +69,12 @@ class IntegralCheck:
 
 
 def _unit(T: int, j: int) -> tuple[float, ...]:
-    """R for the j-th difference vector, u^(j-1), as `_ratio` reads it."""
+    """R for the j-th difference vector, u^(j-1), as `_ratio` reads it.
+
+    A modulus above TERM_LIMIT, T Horner slots per node, raises
+    BudgetExceeded before R is built.
+    """
+    _check_term_limit(T, "Horner slots per node")
     if T < 2:
         raise ValueError("T must be >= 2")
     if not 1 <= j <= T - 1:
@@ -100,7 +106,6 @@ def integrand(T: int, j: int, u: float) -> float:
     every quadrature node; a modulus above TERM_LIMIT raises
     BudgetExceeded before it runs.
     """
-    _check_term_limit(T, "Horner slots per node")
     if not 0.0 <= u <= 1.0:
         raise ValueError("u must lie in [0, 1]")
     return _ratio(_unit(T, j), u)
@@ -139,20 +144,28 @@ def _adaptive(numerator: tuple[float, ...], tol: float) -> float:
 
 def integrate(T: int, j: int, tol: float) -> float:
     """Adaptive quadrature of the integrand over [0, 1], |error| <~ tol."""
-    _check_term_limit(T, "Horner slots per node")
     if not tol >= _MIN_TOL:  # also rejects NaN
         raise ValueError(f"tol must be >= {_MIN_TOL}")
     return _adaptive(_unit(T, j), tol)
 
 
-def _composite(numerator: tuple[float, ...], panels: int) -> float:
-    """The integral of R/P by the rule on `panels` equal panels of [0, 1]."""
-    if panels < 1:
-        raise ValueError("panels must be >= 1")
-    if panels > _PANEL_LIMIT:
-        raise BudgetExceeded(f"{panels} panels exceed the limit of {_PANEL_LIMIT}")
-    edges = [i / panels for i in range(panels + 1)]
-    return math.fsum(_panel(numerator, a, b) for a, b in zip(edges, edges[1:]))
+def _composite(numerator: tuple[float, ...], *counts: int) -> list[float]:
+    """The integral of R/P by the rule on each count of equal panels of [0, 1].
+
+    The rules' Horner slots per node, T on each panel of every count, pass
+    TERM_LIMIT before any panel is built.
+    """
+    for n in counts:
+        if n < 1:
+            raise ValueError("panels must be >= 1")
+        if n > _PANEL_LIMIT:
+            raise BudgetExceeded(f"{n} panels exceed the limit of {_PANEL_LIMIT}")
+    T = len(numerator) + 1
+    _check_term_limit(
+        T * sum(counts),
+        f"Horner slots per node ({' + '.join(map(str, counts))} panels over modulus {T})",
+    )
+    return [math.fsum(_panel(numerator, i / n, (i + 1) / n) for i in range(n)) for n in counts]
 
 
 def fixed_panel_integral(T: int, j: int, panels: int) -> float:
@@ -162,8 +175,7 @@ def fixed_panel_integral(T: int, j: int, panels: int) -> float:
     TERM_LIMIT Horner slots per node over all panels, T on each; more
     raises BudgetExceeded before any panel is built.
     """
-    _check_term_limit(T * panels, f"Horner slots per node ({panels} panels over modulus {T})")
-    return _composite(_unit(T, j), panels)
+    return _composite(_unit(T, j), panels)[0]
 
 
 def _difference_series(T: int, j: int, tol: float) -> EvalResult:
@@ -192,13 +204,17 @@ def decomposition_check(T: int, tol: float) -> float:
     P' is R for ln_vector(T), whose coordinates are r_j = j, so this is
     sum_j j * integral(T, j) over j = 1..T-1 as one adaptive integral
     with error target tol.  The caller compares the result against a
-    reference logarithm.  ln_vector checks T, the Horner slots of one
-    node, against TERM_LIMIT.
+    reference logarithm.
     """
     if T < 2:
         raise ValueError("T must be >= 2")
     if not tol >= 1e-12:  # also rejects NaN
         raise ValueError("tol must be >= 1e-12")
+    # P'/P rises to (T - 1)/2 near u = 1, and with it the Horner rounding
+    # that bisection must out-resolve: T * T <= TERM_LIMIT keeps T where the
+    # rule was measured to converge (31 panels at T = 1000; T = 10^4 at
+    # tol 1e-12 and 10^5 at 1e-10 were still bisecting after a minute)
+    _check_term_limit(T * T, f"Horner slots per node times the modulus {T}")
     return _adaptive(_numerator(ln_vector(T)), tol)
 
 

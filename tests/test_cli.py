@@ -88,8 +88,10 @@ class TestExitCodes:
             ["integral-check", "--T", "1000001", "--j", "1"],
             # 999 coordinates, 1000 Horner slots, 1000 + 1001 panels
             ["bench", "--target", "ln:1000", "--methods", "quadrature", "--work", "1000"],
+            # one integral, but its bisection would chase Horner rounding for minutes
+            ["decompose", "--T", "100000"],
         ],
-        ids=["lnq-61-bit-prime", "integral-check", "bench-quadrature"],
+        ids=["lnq-61-bit-prime", "integral-check", "bench-quadrature", "decompose"],
     )
     def test_term_limit_is_checked_before_the_work(self, capsys, argv):
         start = time.perf_counter()
@@ -632,10 +634,10 @@ class TestBench:
         monkeypatch.setattr(vectors, "TERM_LIMIT", 63)
         assert len(bench("ln:3", ["quadrature"], [10])) == 1
 
-        def no_rule(numerator, n):
-            raise AssertionError("a rule ran")
+        def no_panel(*args):
+            raise AssertionError("a panel was built")
 
-        monkeypatch.setattr(cli.quadrature, "_composite", no_rule)
+        monkeypatch.setattr(cli.quadrature, "_panel", no_panel)
         monkeypatch.setattr(vectors, "TERM_LIMIT", 62)
         with pytest.raises(BudgetExceeded, match="63 Horner slots .* term limit of 62"):
             bench("ln:3", ["quadrature"], [10])
@@ -659,18 +661,18 @@ class TestBench:
         # would pass the limit; each row runs three times, one rule per count
         panels = []
 
-        def record(numerator, n):
-            panels.append((numerator, n))
-            return 1.0 / n
+        def record(numerator, *counts):
+            panels.append((numerator, counts))
+            return [1.0 / n for n in counts]
 
         monkeypatch.setattr(cli.quadrature, "_composite", record)
         bench("pi", ["quadrature"], [19999, 20000])
         # pi's vector (1, -1, 0) has numerator u^0, ln:3's (1, 1, -2) 1 + 2u
         assert set(numerator for numerator, _ in panels) == {(0.0, 1.0)}
-        assert [n for _, n in panels] == [19999, 20000] * 3 + [20000, 19999] * 3
+        assert [n for _, n in panels] == [(19999, 20000)] * 3 + [(20000, 19999)] * 3
         panels.clear()
         bench("ln:3", ["quadrature"], [20000])
-        assert panels == [((2.0, 1.0), 20000), ((2.0, 1.0), 19999)] * 3
+        assert panels == [((2.0, 1.0), (20000, 19999))] * 3
 
     def test_pi_target_quadrature(self):
         rows = bench("pi", ["quadrature"], [4])

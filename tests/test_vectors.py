@@ -477,8 +477,8 @@ _COUNTED_SITES = {
     "integrate": (lambda: integrate(60, 1, 1e-9), 60),
     # 60 Horner slots per node on each of 4 panels
     "fixed_panel_integral": (lambda: fixed_panel_integral(60, 1, 4), 60 * 4),
-    # one integrand over modulus 8, bounded by ln_vector(8)
-    "decomposition_check": (lambda: decomposition_check(8, 1e-9), 8),
+    # one integrand over modulus 8, bounded by 8 * 8
+    "decomposition_check": (lambda: decomposition_check(8, 1e-9), 64),
     "integrand": (lambda: integrand(60, 1, 0.5), 60),
     # 1001 = 7 * 11 * 13: trial division to 11 finds all three, while to 10
     # it leaves 143, whose square root 11 passes the limit
