@@ -23,6 +23,14 @@ Two evaluation routes are provided:
   -(1/T) sum_j a_j psi(K0 + j/T).  Nothing is truncated, so the
   reported bound is a rounding allowance alone, and it is rigorous.
 
+Both routes are psi tails, and a tail takes one of two sums.  The whole
+series over T <= _ROW_MODULUS is a dot product with a memoised row.
+Every other tail splits off the vector's most common weight c, when that
+saves a psi, and sums c's share through Gauss's multiplication formula
+(DLMF 5.5.6) in one psi and at most one logarithm: a tail pays one psi
+per slot whose weight is not c, plus one, so ln T costs two psi past the
+cap.  c = 0 is the plain slot loop.
+
 Exact partial sums, harmonic numbers and the term stream of the
 rearranged form live here as well, all in exact rational arithmetic,
 and so do the Euler-Mascheroni partials H_n - ln n, computed by the
@@ -31,24 +39,27 @@ Partial sums and harmonic numbers are both weighted harmonic sums
 sum_m w_m / m with periodic integer weights, and one kernel sums them
 by balanced splitting rather than adding one term at a time to an
 ever larger running rational.  The floating-point kernel computes psi,
-less a logarithm ln a that balance cancels, in integers scaled by
-2^(prec+10), prec >= 96.  It reads no mpmath context or memo, so no
-precision set and no constant computed elsewhere in the process changes
-a result; values become mpmath.mpf only on the way out.  Requests below
-the precision floor raise Unachievable.
+less a logarithm ln a that balance cancels, and the logarithms of
+rationals that Gauss's formula and the Euler-Mascheroni partials leave,
+in integers scaled by 2^(prec+10), prec >= 96.  It reads no mpmath
+context or memo, so no precision set and no constant computed elsewhere
+in the process changes a result; values become mpmath.mpf only on the
+way out.  Requests below the precision floor raise Unachievable.
 
 Cache policy: the rows psi(j/T) - ln a, j = 1..T, kept per (T, prec)
 for T <= _ROW_MODULUS in an LRU memo of _ROW_LIMIT rows, are the only
 psi cache; the default route's sum over such a T is a dot product with
 its row.  Every other psi, the tails psi(K + j/T) of raw and
-partial_sum_float and every slot of a modulus past the cap, is computed
-afresh.  The other cache holds the Stirling coefficients per precision.
+partial_sum_float and the slots of a modulus past the cap, and every
+logarithm (ln 2 included) is computed afresh.  The other cache holds the
+Stirling coefficients per precision.
 Concurrent calls need no lock: two threads may build the same row or
 table, with identical results.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -60,7 +71,7 @@ import mpmath
 from mpmath import libmp, mp
 
 from .errors import Unachievable
-from .vectors import CoefficientVector, _check_term_limit, ln_vector
+from .vectors import CoefficientVector, _check_term_limit
 
 _MIN_PREC = 96
 _MAX_PREC = 1024
@@ -159,17 +170,17 @@ def harmonic(n: int) -> Fraction:
     return _weighted_harmonic((1,), n)
 
 
-def _weighted_mass(v: CoefficientVector) -> Fraction:
-    """M = sum_j |a_j| (T - j), the constant of the truncation bound."""
+def _weighted_mass(v: CoefficientVector) -> int:
+    """M D = sum_j |a_j D| (T - j): the truncation bound's constant M, times D."""
     T = v.modulus
-    mass = sum(abs(w) * (T - j) for j, w in enumerate(v.weights, start=1))
-    return Fraction(mass, v.scale)
+    return sum(abs(w) * (T - j) for j, w in enumerate(v.weights, start=1))
 
 
-def _float_upper(x: Fraction) -> float:
-    """Smallest convenient float that is >= x."""
-    f = float(x)
-    return f if Fraction(f) >= x else math.nextafter(f, math.inf)
+def _float_upper(num: int, den: int) -> float:
+    """Smallest convenient float that is >= num/den, for num, den > 0."""
+    f = num / den
+    p, q = f.as_integer_ratio()
+    return f if p * den >= num * q else math.nextafter(f, math.inf)
 
 
 def tail_bound(v: CoefficientVector, blocks: int) -> float:
@@ -185,7 +196,7 @@ def tail_bound(v: CoefficientVector, blocks: int) -> float:
     mass = _weighted_mass(v)
     if not mass:
         return 0.0
-    return _float_upper(mass / (T * T * (blocks - 1)))
+    return _float_upper(mass, v.scale * T * T * (blocks - 1))
 
 
 def rearranged_terms(modulus: int, count: int) -> list[Fraction]:
@@ -222,26 +233,22 @@ def gamma_partial(n: int) -> GammaPartial:
 
     The kernel's psi(x) leaves out ln a, with a = max(32, n) at x = n + 1
     and a = 32 at x = 1 (prec = 96), so A_n is psi(n+1) - psi(1) -
-    ln min(n, 32) in its values.  ln m is the paper's series over
-    ln_vector(m), the whole-series sum over the row of modulus m at
-    prec = 106, floored to 2^-106.
+    ln min(n, 32) in its values.  ln m is the kernel's integer
+    logarithm _ln(m, 1, 96), which reads no row and no mpmath memo.
 
     Error, in units u = 2^-106: psi(n+1) takes at most 30 recurrence
     steps and no atanh term for n <= 31, and for n >= 32 no step and an
     atanh series of under 12u; with u for 1/(2x), N = 11 Horner steps,
     2u for the floored 1/x^2 and Stirling coefficients and 4u of series
     remainder, under 49u.  psi(1), from the row of modulus 1, takes 31
-    steps: under 50u.  ln m errs by under 2u: evaluate's count at
-    prec = 106 gives 67 (1/m) sum_j |a_j| < 134 units of 2^-116, and the
-    floor to 2^-106 adds under one more.  So the sum is within 101u <
-    2^-99 of A_n.  Rounding it to 96 bits adds at most 2^-97, as
-    gamma < A_n <= 1: under 7.6e-30 in total.
+    steps: under 50u.  ln m errs by under 2u, as _ln's docstring counts.
+    So the sum is within 101u < 2^-99 of A_n.  Rounding it to 96 bits
+    adds at most 2^-97, as gamma < A_n <= 1: under 7.6e-30 in total.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     m = min(n, _shift_threshold(_MIN_PREC))
-    ln_m = _psi_tail(ln_vector(m), 0, _MIN_PREC + 10) >> 10
-    value = _psi(n + 1, 1, _MIN_PREC) - _psi_row(1, _MIN_PREC)[0] - ln_m
+    value = _psi(n + 1, 1, _MIN_PREC) - _psi_row(1, _MIN_PREC)[0] - _ln(m, 1, _MIN_PREC)
     return GammaPartial(n=n, value=_mpf(value, _MIN_PREC))
 
 
@@ -293,8 +300,7 @@ def _psi(p: int, T: int, prec: int) -> int:
     Horner's rule in 1/x^2.  For real x > 0 the series envelopes psi, so
     the remainder after N terms is at most the first omitted term.  With
     r = p - aT in [0, T] after the recurrence, ln(x/a) = 2 atanh(y),
-    y = r/(2aT + r) <= 1/(2a+1), and 2 atanh(y) = sum_k 2y y^2k/(2k+1) is
-    summed with each term floored until the powers of y vanish.
+    y = r/(2aT + r) <= 1/(2a+1), summed by _atanh2.
     """
     wp = prec + 10
     threshold = _shift_threshold(prec)
@@ -309,20 +315,74 @@ def _psi(p: int, T: int, prec: int) -> int:
     for b in reversed(_stirling(prec)):
         series = (series + b) * z >> wp
     r = p - a * T
-    ln_xa = power = (r << (wp + 1)) // (2 * a * T + r)
-    y2 = power * power >> (wp + 2)
+    return _atanh2(r, 2 * a * T + r, wp) - (T << wp) // (2 * p) - series - shifted
+
+
+def _atanh2(n: int, d: int, wp: int) -> int:
+    """2 atanh(n/d) = ln((d + n)/(d - n)) for 0 <= n < d, scaled by 2^wp.
+
+    The series sum_k 2y^(2k+1)/(2k+1), y = n/d, with each power taken
+    from the last as power * n^2 // d^2 and each term floored, until the
+    powers floor to zero.
+    """
+    power = total = (n << (wp + 1)) // d
+    n2, d2 = n * n, d * d
     k = 1
     while power:
-        power = power * y2 >> wp
+        power = power * n2 // d2
         k += 2
-        ln_xa += power // k
-    return ln_xa - (T << wp) // (2 * p) - series - shifted
+        total += power // k
+    return total
+
+
+def _ln(p: int, q: int, prec: int) -> int:
+    """ln(p/q) for p, q >= 1, scaled by 2^(prec+10); not cached.
+
+    p/q = 2^e x with x in [1, 2), so ln(p/q) = e ln 2 + 2 atanh(y) with
+    y = (x - 1)/(x + 1) < 1/3, and ln 2 = 18 atanh(1/26) - 2 atanh(1/4801)
+    + 8 atanh(1/8749); no ln 2 is formed when e = 0, and p = q gives 0.
+    Reads no mpmath memo.
+
+    Within 2 units for prec <= 1024 and |e| < 128.  The sums run at
+    g = 12 + bitlen|e| guard bits.  An _atanh2 of K terms after 2y errs
+    by under K + 6 units: each floored term by under 1, and each floored
+    power by under 1/(1 - y^2) <= 9/8, which 2k + 1 divides.  That is
+    under 2^9 units for y < 1/3 (K <= 341) and under 2^11 for the
+    weighted ln 2 (K <= 113, 44 and 41), so the sum errs by under
+    |e| 2^11 + 2^9 < 2^g units, and dropping the guard bits leaves under
+    1 unit plus the final floor.
+    """
+    e = p.bit_length() - q.bit_length()
+    if p << max(0, -e) < q << max(0, e):
+        e -= 1
+    num, den = (p, q << e) if e >= 0 else (p << -e, q)
+    guard = 12 + abs(e).bit_length()
+    wp = prec + 10 + guard
+    total = _atanh2(num - den, num + den, wp)
+    if e:
+        ln2 = 9 * _atanh2(1, 26, wp) - _atanh2(1, 4801, wp) + 4 * _atanh2(1, 8749, wp)
+        total += e * ln2
+    return total >> guard
 
 
 @functools.lru_cache(maxsize=_ROW_LIMIT)
 def _psi_row(T: int, prec: int) -> tuple[int, ...]:
     """psi(j/T) - ln a for j = 1..T, scaled by 2^(prec+10), through _psi."""
     return tuple(_psi(j, T, prec) for j in range(1, T + 1))
+
+
+def _offset(v: CoefficientVector, blocks: int) -> int:
+    """The weight c that _psi_tail takes in closed form after `blocks` blocks.
+
+    c is the most common weight, taken only where it saves a psi:
+    nnz(a - c) + 1 < nnz(a).  Otherwise, and on the row route (the
+    whole series over T <= _ROW_MODULUS), c = 0.
+    """
+    if not blocks and v.modulus <= _ROW_MODULUS:
+        return 0
+    counts = collections.Counter(v.weights)
+    c = max(counts, key=counts.__getitem__)
+    return c if counts[c] > counts[0] + 1 else 0
 
 
 def _psi_tail(v: CoefficientVector, blocks: int, prec: int) -> int:
@@ -337,20 +397,36 @@ def _psi_tail(v: CoefficientVector, blocks: int, prec: int) -> int:
     The whole series (blocks = 0) over T <= _ROW_MODULUS is the dot
     product of the weights with the memoised row _psi_row(T, prec), zero
     slots included, so one row serves every vector over its modulus and a
-    warm call makes no Python call per slot.  Tails after blocks > 0, the
-    one-off psi(K + j/T) of raw and partial_sum_float, and moduli past the
-    cap take psi slot by slot and add no row.  Either way the sum is the
-    same integer.
+    warm call makes no Python call per slot.  Every other tail splits off
+    c = _offset(v, blocks): sum_j a_j psi_j = c sum_j psi_j +
+    sum_{a_j != c} (a_j - c) psi_j, and Gauss's multiplication formula
+    (DLMF 5.5.6) gives sum_j psi(K + j/T) = T (psi(KT + 1) - ln T).  With
+    the anchors of _psi, a = max(threshold, K) for the slots and
+    max(threshold, KT) for psi(KT + 1), that reads
+
+        sum_j _psi(KT + j, T) = T _psi(KT + 1, 1) + T ln(max(threshold, KT)
+                                / (T max(threshold, K))),
+
+    and the ratio is 1 for K >= threshold, so those tails take no
+    logarithm.  So the tail costs one psi per slot whose weight is not c,
+    plus one, and adds no row; c = 0 is the plain slot loop.  Error: the
+    route carries |c| T + sum_j |a_j - c|, which _allowance charges.
     """
     T = v.modulus
-    if blocks or T > _ROW_MODULUS:
-        total = sum([
-            w * _psi(blocks * T + j, T, prec)
-            for j, w in enumerate(v.weights, start=1)
-            if w
-        ])
-    else:
+    c = _offset(v, blocks)
+    if not blocks and T <= _ROW_MODULUS:
         total = sum(map(operator.mul, v.weights, _psi_row(T, prec)))
+    else:
+        start = blocks * T
+        total = sum([
+            (w - c) * _psi(start + j, T, prec)
+            for j, w in enumerate(v.weights, start=1)
+            if w != c
+        ])
+        if c:
+            threshold = _shift_threshold(prec)
+            ratio = _ln(max(threshold, start), T * max(threshold, blocks), prec)
+            total += c * T * (_psi(start + 1, 1, prec) + ratio)
     return -total // (v.scale * T)
 
 
@@ -359,10 +435,20 @@ def _mpf(fixed: int, prec: int) -> mpmath.mpf:
     return mp.make_mpf(libmp.from_man_exp(fixed, -(prec + 10), prec, libmp.round_nearest))
 
 
-def _allowance(v: CoefficientVector, value: int, prec: int) -> float:
-    """2^-(prec-20) (A + |value| + 1), A = (1/T) sum_j |a_j|; value is scaled."""
+def _allowance(v: CoefficientVector, value: int, prec: int, c: int) -> float:
+    """2^-(prec-20) (R + |value| + 1); value is scaled.
+
+    R = (1/T) (|c| T + sum_j |a_j - c|) is the magnitude a tail that
+    takes c in closed form carries; for c = 0 it is A = (1/T) sum_j |a_j|.
+    """
     wp = prec + 10
-    scale = (sum(map(abs, v.weights)) << wp) // (v.scale * v.modulus) + abs(value)
+    T = v.modulus
+    if c:
+        mass = abs(c) * T + sum(map(abs, map(c.__rsub__, v.weights)))
+    else:
+        # the same sum, without a pass that shifts every weight by 0
+        mass = sum(map(abs, v.weights))
+    scale = (mass << wp) // (v.scale * T) + abs(value)
     return (scale + (1 << wp)) / (1 << (2 * prec - 10))
 
 
@@ -425,9 +511,10 @@ def evaluate(
     ValueError.
 
     Error, in units u = 2^-(prec+10) of the fixed-point kernel: the tail
-    identity is exact, balance cancels the anchor ln a exactly, and each
-    floor division errs by under u.  Every _psi value, for every x > 0,
-    is within threshold + N + K + 11 units of psi(x) - ln a: at most
+    identity and Gauss's multiplication formula are exact, balance
+    cancels the anchor ln a exactly, and each floor division errs by
+    under u.  Every _psi value, for every x > 0, is within
+    threshold + N + K + 11 units of psi(x) - ln a: at most
     threshold recurrence steps (all of them for x = j/T < 1), one for
     1/(2x), N Horner steps, under one each for the floored 1/x^2 and the
     floored Stirling coefficients carried through the sum (x^-2 <=
@@ -436,16 +523,22 @@ def evaluate(
     K more, where K is the largest k with (2 threshold + 1)^(2k+1) <
     2^(prec+11), since y <= 1/(2 threshold + 1) and a smaller power
     floors to zero.  Each of its K + 1 floored terms errs by under u;
-    each floored power is under 1.04u low, which its divisor 2k+1
-    shrinks to under 2.08u over all k <= K + 1, the dropped remainder
-    included.  With threshold <= 341, N <= 108 and K <= 54 (prec <= 1024)
-    that is under 520u < 2^10 u, whatever |psi(x)| is.  Weighted by a_j/T
-    and floored once, a tail errs by under 2^10 u A + u, with
-    A = (1/T) sum_j |a_j|; a prefix adds u, raw's two tails twice
-    2^10 u A + u, and rounding to prec bits adds 2^10 u |value|.  So the
-    total is under 2^11 u (A + |value| + 1), 2^19 times below the
-    reported 2^-(prec-20) (A + |value| + 1), for every prefix_blocks.
-    raw adds its tail bound.
+    each floored power is under 1/(1 - y^2) < 1.0001u low, which its
+    divisor 2k+1 shrinks to under 2.1u over all k <= K + 1, the dropped
+    remainder included.  With threshold <= 341, N <= 108 and K <= 54
+    (prec <= 1024) that is under 520u, whatever |psi(x)| is, and _ln is
+    within 2u.  A tail that takes c = _offset(v, K) in closed form sums
+    (a_j - c) psi(K + j/T) over the slots with a_j != c, and
+    c T (psi(KT + 1) + ln r) for the rest, so weighted by 1/T and floored
+    once it errs by under 2^10 u R + u, with
+    R = (1/T) (|c| T + sum_j |a_j - c|).  The row route and the slot
+    loop are c = 0, where R is A = (1/T) sum_j |a_j|, and R >= A for
+    every c.  raw's two tails take its tail's c, or 0 for the row, so
+    they err by under twice 2^10 u R + u with the R of the tail after K
+    blocks; a prefix adds u, and rounding to prec bits adds
+    2^10 u |value|.  So the total is under 2^11 u (R + |value| + 1),
+    2^19 times below the reported 2^-(prec-20) (R + |value| + 1), for
+    every prefix_blocks.  raw adds its tail bound.
 
     Unachievable signals that abs_err sits below the working-precision
     floor, or that rounding would push the bound past it.
@@ -471,9 +564,11 @@ def evaluate(
     if method == "raw":
         blocks = 2
         if not math.isinf(abs_err):
-            # the tail gets abs_err less 2^-20 of it; the rest is for the allowance
-            tail_err = Fraction(abs_err) * (1 - Fraction(1, 1 << 20))
-            blocks = max(2, math.ceil(_weighted_mass(v) / (v.modulus**2 * tail_err)) + 1)
+            # the tail gets abs_err n/d less 2^-20 of it; the rest is for the
+            # allowance: K - 1 >= M / (T^2 (n/d) (1 - 2^-20)), in integers
+            n, d = abs_err.as_integer_ratio()
+            over = v.scale * v.modulus**2 * n * ((1 << 20) - 1)
+            blocks = max(2, -(-(_weighted_mass(v) * d << 20) // over) + 1)
         # the first `blocks` blocks are the series minus its tail after them
         value = _psi_tail(v, 0, prec) - _psi_tail(v, blocks, prec)
         bound = tail_bound(v, blocks)
@@ -483,7 +578,7 @@ def evaluate(
             prefix = partial_sum_exact(v, blocks)
             value = (prefix.numerator << (prec + 10)) // prefix.denominator
         value += _psi_tail(v, blocks, prec)
-    bound += _allowance(v, value, prec)
+    bound += _allowance(v, value, prec, _offset(v, blocks))
     if bound > abs_err:
         raise Unachievable(
             f"{prec} bits of working precision cannot reach abs_err={abs_err}"

@@ -203,7 +203,11 @@ def kernel(family: Sequence[CoefficientVector]) -> KernelBasis:
             )
     scale = math.lcm(*(vec.scale for vec in family))
     columns = [
-        accumulate(map((scale // vec.scale).__mul__, vec.weights[:-1]))
+        accumulate(
+            vec.weights[:-1]
+            if vec.scale == scale
+            else map((scale // vec.scale).__mul__, vec.weights[:-1])
+        )
         for vec in family
     ]
     return KernelBasis(

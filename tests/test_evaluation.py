@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -308,6 +309,30 @@ class TestEvaluateAccelerated:
                     for result in results:
                         gap = abs(result.value - reference)
                         assert gap <= result.error_bound <= abs_err, (sign, abs_err, result)
+
+    @pytest.mark.parametrize("T", [7, 64, 67, 1000])
+    def test_every_route_within_its_bound_of_a_200_bit_ln(self, T):
+        # ln_vector(T) takes its common weight 1 in closed form on every route
+        # but the row's: raw's tail, and prefixes below, at and past the
+        # threshold, where the formula leaves ln T, ln(K0/threshold) or nothing
+        v = ln_vector(T)
+        threshold = evaluation._shift_threshold(evaluation._working_prec(1e-30, v))
+        results = [evaluate(v, abs_err, "raw") for abs_err in (1e-6, 1e-30)]
+        for k in (0, 1, threshold - 1, threshold, threshold + 1):
+            results.append(evaluate(v, 1e-30, prefix_blocks=k))
+        with mp.workprec(200):
+            reference = mp.log(T)
+            for result in results:
+                assert abs(result.value - reference) <= result.error_bound, result
+
+    def test_ln_of_a_million_in_under_two_seconds(self):
+        # one psi slot and one ln through Gauss's multiplication formula,
+        # where each of the 10^6 slots used to take its own psi
+        start = time.perf_counter()
+        result = evaluate(ln_vector(10**6), 1e-9)
+        assert time.perf_counter() - start < 2
+        with mp.workprec(200):
+            assert abs(result.value - mp.log(10**6)) <= result.error_bound <= 1e-9
 
     def test_budget_caps_an_explicit_prefix(self):
         # 200,001 blocks over modulus 5 are 1,000,005 block-terms
@@ -660,27 +685,104 @@ def _slot_psi_tail(v, blocks, prec):
 
 
 @st.composite
-def _row_vectors(draw):
-    """Vectors with zero slots over moduli on both sides of the row cap, ln(M/L), witnesses."""
-    kind = draw(st.sampled_from(("random", "ln_rational", "witness")))
+def _tail_vectors(draw):
+    """Vectors with zero slots over moduli on both sides of the row cap, planted
+    dominant weights (negative and rational too), ln(M/L) and witnesses."""
+    # planted twice, as the row route takes no c over T <= 64 at K = 0
+    kind = draw(st.sampled_from(("random", "planted", "planted", "ln_rational", "witness")))
     if kind == "ln_rational":
         return ln_rational_vector(draw(st.integers(1, 12)), draw(st.integers(1, 12)))
     if kind == "witness":
         return draw(st.sampled_from(relation_witnesses(draw(st.sampled_from(COMPOSITES)))))
-    T = draw(st.integers(1, 72))
+    T = draw(st.integers(3 if kind == "planted" else 1, 72))
     coeff = st.one_of(
         st.just(0),
         st.integers(-9, 9),
         st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6),
     )
     head = draw(st.lists(coeff, min_size=T - 1, max_size=T - 1))
+    if kind == "planted":
+        # c fills at least two slots more than 0 does, so _psi_tail takes it
+        c = draw(coeff.filter(bool))
+        share = draw(st.integers(2, T - 1))
+        head = draw(st.permutations([c] * share + head[share:]))
     return make_vector(T, head + [-sum(head)])
 
 
+_TAIL_BLOCKS = (0, 1, "threshold - 1", "threshold", 10**3, 10**12)
+
+
+def _tail_blocks(K, prec):
+    threshold = evaluation._shift_threshold(prec)
+    return {"threshold - 1": threshold - 1, "threshold": threshold}.get(K, K)
+
+
 @settings(max_examples=200, deadline=None)
-@given(v=_row_vectors(), prec=st.sampled_from((96, 97, 200, 512, 1024)))
-def test_row_tail_matches_the_slot_loop(v, prec):
-    assert evaluation._psi_tail(v, 0, prec) == _slot_psi_tail(v, 0, prec)
+@given(
+    v=_tail_vectors(),
+    K=st.sampled_from(_TAIL_BLOCKS),
+    prec=st.sampled_from((96, 97, 200, 512, 1024)),
+)
+def test_psi_tail_matches_the_slot_loop(v, K, prec):
+    blocks = _tail_blocks(K, prec)
+    c = Fraction(evaluation._offset(v, blocks), v.scale)
+    route = evaluation._psi_tail(v, blocks, prec)
+    slots = _slot_psi_tail(v, blocks, prec)
+    if not c:
+        # the row's dot product and the plain slot loop: the same integer
+        assert route == slots
+    else:
+        # the two differ by c (T (psi(KT + 1) + ln ratio) - sum_j psi(K + j/T)),
+        # zero by Gauss's multiplication formula: T + 1 psi within the unit
+        # bound, the ln within 2 units, and one floor each
+        assert abs(route - slots) <= abs(c) * (2 * _psi_unit_bound(prec) + 2) + 1
+
+
+@pytest.mark.parametrize("prec", [96, 1024])
+@pytest.mark.parametrize("K", _TAIL_BLOCKS)
+@pytest.mark.parametrize(
+    "v",
+    [
+        ln_vector(24),
+        ln_vector(67),
+        make_vector(9, [Fraction(-7, 3)] * 6 + [5, 0, 9]),
+        make_vector(66, [0] * 40 + [3, -3] * 13),
+    ],
+    ids=["ln24", "ln67", "negative-rational-c", "zeros-past-the-cap"],
+)
+def test_each_route_within_its_unit_count(v, K, prec):
+    # every _psi within _psi_unit_bound units and the ln within 2: the tail
+    # errs by under (|c| T + sum_j |a_j - c|) bound + 2 |c| T units over D T, plus
+    # the floor; the row route and the slot loop are the case c = 0
+    blocks = _tail_blocks(K, prec)
+    T, D = v.modulus, v.scale
+    c = evaluation._offset(v, blocks)
+    carried = abs(c) * T + sum(abs(w - c) for w in v.weights)
+    allowed = Fraction(carried * _psi_unit_bound(prec) + 2 * abs(c) * T, D * T) + 1
+    unit = mpmath.mpf(2) ** -(prec + 10)
+    with mp.workprec(2 * prec + 64):
+        reference = -sum(
+            mp.mpf(a.numerator) / a.denominator * mp.digamma(blocks + mp.mpf(j) / T)
+            for j, a in enumerate(v.coeffs, start=1)
+            if a
+        ) / T
+        error = abs(evaluation._psi_tail(v, blocks, prec) * unit - reference) / unit
+        assert error <= mp.mpf(allowed.numerator) / allowed.denominator, float(error)
+
+
+@pytest.mark.parametrize("prec", [96, 97, 200, 512, 1024])
+def test_integer_ln_within_two_units(prec):
+    threshold = evaluation._shift_threshold(prec)
+    ns = [2, 3, 5, 31, 32, 33, 341, 342, 10**6, 2**40 - 1, 2**40, 10**12]
+    ns += random.Random(prec).sample(range(2, 10**12), 30)
+    unit = mpmath.mpf(2) ** -(prec + 10)
+    with mp.workprec(2 * prec):
+        for n in ns:
+            for p, q in ((n, 1), (1, n), (n, threshold), (threshold, n)):
+                exact = mp.log(mp.mpf(p) / q)
+                error = abs(evaluation._ln(p, q, prec) * unit - exact) / unit
+                assert error <= 2, (p, q, float(error))
+    assert evaluation._ln(10**12, 10**12, prec) == 0
 
 
 def _fraction_working_prec(abs_err, v):
@@ -722,6 +824,32 @@ def test_working_prec_matches_the_fraction_reference(v, abs_err):
             evaluation._working_prec(abs_err, v)
     else:
         assert evaluation._working_prec(abs_err, v) == want
+
+
+def _fraction_raw_bookkeeping(v, abs_err):
+    """raw's truncation K and tail bound in Fractions: the reference."""
+    T = v.modulus
+    mass = sum(abs(a) * (T - j) for j, a in enumerate(v.coeffs, start=1))
+    tail_err = Fraction(abs_err) * (1 - Fraction(1, 1 << 20))
+    blocks = max(2, math.ceil(mass / (T * T * tail_err)) + 1)
+    x = mass / (T * T * (blocks - 1))
+    f = float(x)
+    return blocks, f if Fraction(f) >= x else math.nextafter(f, math.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    v=_prec_vectors().filter(lambda v: not v.is_zero()),
+    abs_err=st.floats(min_value=1e-15, max_value=10.0),
+)
+def test_raw_bookkeeping_matches_the_fraction_reference(v, abs_err):
+    blocks, bound = _fraction_raw_bookkeeping(v, abs_err)
+    assert tail_bound(v, blocks) == bound
+    try:
+        result = evaluate(v, abs_err, "raw")
+    except Unachievable:
+        return
+    assert result.blocks_used == blocks
 
 
 def test_eval_result_value_is_high_precision():
