@@ -39,7 +39,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -66,6 +68,7 @@ CSV_HEADER = "method,work,value,error_bound,abs_error_vs_reference,wall_time_mic
 
 _BENCH_METHODS = ("raw", "accelerated", "rearranged", "quadrature")
 _BENCH_RUNS = 3
+_DOUBLE_MAX = int(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -387,22 +390,30 @@ def _bench_target(target: str):
         pi = libmp.mpf_pi(120, libmp.round_nearest)
         reference = libmp.to_float(pi, rnd=libmp.round_nearest)
         return make_vector(3, (1, -1, 0)), 3.0 * math.sqrt(3.0), reference, "pi"
-    if target.startswith("ln:"):
+    match = re.fullmatch(r"ln:([+-]?\d+)|vector:([+-]?\d+):(.+)", target)
+    if match is None:
+        raise SeriesError(f"unknown bench target {target!r}; use ln:T, pi, or vector:T:c1,...")
+    ln_T, T, coeffs = match.groups()
+    if ln_T is not None:
         # build the vector first: it rejects T < 1, where ln is complex
-        vec = ln_vector(int(target.split(":", 1)[1]))
+        vec = ln_vector(int(ln_T))
         return vec, 1.0, _ln_float(vec.modulus, 120), "ln"
-    if target.startswith("vector:"):
-        _, T, coeffs = target.split(":", 2)
-        vec = make_vector(int(T), _parse_coeffs(coeffs))
-        # Gauss's digamma theorem, S = -(1/T) sum_j a_j psi(j/T), by mpmath
-        # at 140 bits: no code of logser's own evaluation runs
-        total = libmp.fzero
-        for j, w in enumerate(vec.weights, 1):
-            psi = libmp.mpf_psi0(libmp.from_rational(j, vec.modulus, 140), 140)
-            total = libmp.mpf_add(total, libmp.mpf_mul(libmp.from_int(w), psi), 140)
-        total = libmp.mpf_div(total, libmp.from_int(-vec.modulus * vec.scale), 140)
-        return vec, 1.0, libmp.to_float(total, rnd=libmp.round_nearest), "vector"
-    raise SeriesError(f"unknown bench target {target!r}; use ln:T, pi, or vector:T:c1,...")
+    vec = make_vector(int(T), _parse_coeffs(coeffs))
+    # every row is a double, and a quadrature panel's partial sums reach twice
+    # the coordinates' absolute sum: keep four times that sum in range
+    if 4 * sum(map(abs, itertools.accumulate(vec.weights[:-1]))) > _DOUBLE_MAX * vec.scale:
+        raise SeriesError(
+            "the vector target's difference-basis coordinates pass the double "
+            "range, and every bench row is a double"
+        )
+    # Gauss's digamma theorem, S = -(1/T) sum_j a_j psi(j/T), by mpmath
+    # at 140 bits: no code of logser's own evaluation runs
+    total = libmp.fzero
+    for j, w in enumerate(vec.weights, 1):
+        psi = libmp.mpf_psi0(libmp.from_rational(j, vec.modulus, 140), 140)
+        total = libmp.mpf_add(total, libmp.mpf_mul(libmp.from_int(w), psi), 140)
+    total = libmp.mpf_div(total, libmp.from_int(-vec.modulus * vec.scale), 140)
+    return vec, 1.0, libmp.to_float(total, rnd=libmp.round_nearest), "vector"
 
 
 def _rearranged_prefix(vec, count: int) -> tuple[float, float]:

@@ -29,7 +29,9 @@ Every other tail splits off the vector's most common weight c, when that
 saves a psi, and sums c's share through Gauss's multiplication formula
 (DLMF 5.5.6) in one psi and at most one logarithm: a tail pays one psi
 per slot whose weight is not c, plus one, so ln T costs two psi past the
-cap.  c = 0 is the plain slot loop.
+cap.  c = 0 is the plain slot loop.  _psi_tail makes that choice once
+per tail and returns, with the value, the magnitude the chosen sum
+carries, which is what the rounding allowance charges.
 
 Exact partial sums, harmonic numbers and the term stream of the
 rearranged form live here as well, all in exact rational arithmetic,
@@ -177,8 +179,14 @@ def _weighted_mass(v: CoefficientVector) -> int:
 
 
 def _float_upper(num: int, den: int) -> float:
-    """Smallest convenient float that is >= num/den, for num, den > 0."""
-    f = num / den
+    """Smallest convenient float that is >= num/den, for num >= 0, den > 0.
+
+    A quotient past the double range gives inf, still an upper bound.
+    """
+    try:
+        f = num / den
+    except OverflowError:
+        return math.inf
     p, q = f.as_integer_ratio()
     return f if p * den >= num * q else math.nextafter(f, math.inf)
 
@@ -186,17 +194,13 @@ def _float_upper(num: int, den: int) -> float:
 def tail_bound(v: CoefficientVector, blocks: int) -> float:
     """Rigorous bound on |series - partial_sum_exact(v, blocks)|.
 
-    Returns M / (T^2 (blocks - 1)) rounded upward.  Requires
-    blocks >= 2.  For the modulus-1 vector (necessarily zero) the bound
-    is 0.
+    Returns M / (T^2 (blocks - 1)) rounded upward, or inf past the
+    double range.  Requires blocks >= 2.  For the modulus-1 vector
+    (necessarily zero) the bound is 0.
     """
     if blocks < 2:
         raise ValueError("tail bound requires at least 2 blocks")
-    T = v.modulus
-    mass = _weighted_mass(v)
-    if not mass:
-        return 0.0
-    return _float_upper(mass, v.scale * T * T * (blocks - 1))
+    return _float_upper(_weighted_mass(v), v.scale * v.modulus**2 * (blocks - 1))
 
 
 def rearranged_terms(modulus: int, count: int) -> list[Fraction]:
@@ -371,63 +375,62 @@ def _psi_row(T: int, prec: int) -> tuple[int, ...]:
     return tuple(_psi(j, T, prec) for j in range(1, T + 1))
 
 
-def _offset(v: CoefficientVector, blocks: int) -> int:
-    """The weight c that _psi_tail takes in closed form after `blocks` blocks.
+def _psi_tail(v: CoefficientVector, blocks: int, prec: int) -> tuple[int, int]:
+    """(value, carried): the series after its first `blocks` blocks.
 
-    c is the most common weight, taken only where it saves a psi:
-    nnz(a - c) + 1 < nnz(a).  Otherwise, and on the row route (the
-    whole series over T <= _ROW_MODULUS), c = 0.
-    """
-    if not blocks and v.modulus <= _ROW_MODULUS:
-        return 0
-    counts = collections.Counter(v.weights)
-    c = max(counts, key=counts.__getitem__)
-    return c if counts[c] > counts[0] + 1 else 0
-
-
-def _psi_tail(v: CoefficientVector, blocks: int, prec: int) -> int:
-    """The series after its first `blocks` blocks, scaled by 2^(prec+10).
-
-    The next N blocks sum to (1/T) sum_j a_j (psi(blocks + N + j/T) -
-    psi(blocks + j/T)); balance cancels the ln N growth of the first psi,
-    so as N grows the tail is exactly -(1/T) sum_j a_j psi(blocks + j/T).
-    Balance also cancels the anchor ln a that every _psi of the sum
-    shares, and the sum is floored once.
+    value is scaled by 2^(prec+10).  The next N blocks sum to
+    (1/T) sum_j a_j (psi(blocks + N + j/T) - psi(blocks + j/T)); balance
+    cancels the ln N growth of the first psi, so as N grows the tail is
+    exactly -(1/T) sum_j a_j psi(blocks + j/T).  Balance also cancels
+    the anchor ln a that every _psi of the sum shares, and the sum is
+    floored once.
 
     The whole series (blocks = 0) over T <= _ROW_MODULUS is the dot
     product of the weights with the memoised row _psi_row(T, prec), zero
     slots included, so one row serves every vector over its modulus and a
     warm call makes no Python call per slot.  Every other tail splits off
-    c = _offset(v, blocks): sum_j a_j psi_j = c sum_j psi_j +
-    sum_{a_j != c} (a_j - c) psi_j, and Gauss's multiplication formula
-    (DLMF 5.5.6) gives sum_j psi(K + j/T) = T (psi(KT + 1) - ln T).  With
-    the anchors of _psi, a = max(threshold, K) for the slots and
-    max(threshold, KT) for psi(KT + 1), that reads
+    c, the most common weight (the first in slot order among ties), where
+    that saves a psi: nnz(a - c) + 1 < nnz(a), so c fills at least two
+    more slots than 0 does; otherwise c = 0, the plain slot loop.  Then
+    sum_j a_j psi_j = c sum_j psi_j + sum_{a_j != c} (a_j - c) psi_j, and
+    Gauss's multiplication formula (DLMF 5.5.6) gives sum_j psi(K + j/T)
+    = T (psi(KT + 1) - ln T).  With the anchors of _psi,
+    a = max(threshold, K) for the slots and max(threshold, KT) for
+    psi(KT + 1), that reads
 
         sum_j _psi(KT + j, T) = T _psi(KT + 1, 1) + T ln(max(threshold, KT)
                                 / (T max(threshold, K))),
 
     and the ratio is 1 for K >= threshold, so those tails take no
     logarithm.  So the tail costs one psi per slot whose weight is not c,
-    plus one, and adds no row; c = 0 is the plain slot loop.  Error: the
-    route carries |c| T + sum_j |a_j - c|, which _allowance charges.
+    plus one, and adds no row.
+
+    carried is |c| T + sum_j |w_j - c| in the units of the weights
+    w_j = a_j D, c being one of them or 0: the magnitude whose psi errors
+    value carries, which _allowance charges.  The row route takes c = 0,
+    and off the row the count of each distinct weight gives it.
     """
     T = v.modulus
-    c = _offset(v, blocks)
+    weights = v.weights
     if not blocks and T <= _ROW_MODULUS:
-        total = sum(map(operator.mul, v.weights, _psi_row(T, prec)))
-    else:
-        start = blocks * T
-        total = sum([
-            (w - c) * _psi(start + j, T, prec)
-            for j, w in enumerate(v.weights, start=1)
-            if w != c
-        ])
-        if c:
-            threshold = _shift_threshold(prec)
-            ratio = _ln(max(threshold, start), T * max(threshold, blocks), prec)
-            total += c * T * (_psi(start + 1, 1, prec) + ratio)
-    return -total // (v.scale * T)
+        total = sum(map(operator.mul, weights, _psi_row(T, prec)))
+        return -total // (v.scale * T), sum(map(abs, weights))
+    counts = collections.Counter(weights)
+    c = max(counts, key=counts.__getitem__)
+    if counts[c] <= counts[0] + 1:
+        c = 0
+    carried = abs(c) * T + sum(n * abs(w - c) for w, n in counts.items())
+    start = blocks * T
+    total = sum([
+        (w - c) * _psi(start + j, T, prec)
+        for j, w in enumerate(weights, start=1)
+        if w != c
+    ])
+    if c:
+        threshold = _shift_threshold(prec)
+        ratio = _ln(max(threshold, start), T * max(threshold, blocks), prec)
+        total += c * T * (_psi(start + 1, 1, prec) + ratio)
+    return -total // (v.scale * T), carried
 
 
 def _mpf(fixed: int, prec: int) -> mpmath.mpf:
@@ -435,20 +438,14 @@ def _mpf(fixed: int, prec: int) -> mpmath.mpf:
     return mp.make_mpf(libmp.from_man_exp(fixed, -(prec + 10), prec, libmp.round_nearest))
 
 
-def _allowance(v: CoefficientVector, value: int, prec: int, c: int) -> float:
+def _allowance(v: CoefficientVector, value: int, prec: int, carried: int) -> float:
     """2^-(prec-20) (R + |value| + 1); value is scaled.
 
-    R = (1/T) (|c| T + sum_j |a_j - c|) is the magnitude a tail that
-    takes c in closed form carries; for c = 0 it is A = (1/T) sum_j |a_j|.
+    R = carried / (D T) is the magnitude of the psi tail that value came
+    from, the carried count _psi_tail returns.
     """
     wp = prec + 10
-    T = v.modulus
-    if c:
-        mass = abs(c) * T + sum(map(abs, map(c.__rsub__, v.weights)))
-    else:
-        # the same sum, without a pass that shifts every weight by 0
-        mass = sum(map(abs, v.weights))
-    scale = (mass << wp) // (v.scale * T) + abs(value)
+    scale = (carried << wp) // (v.scale * v.modulus) + abs(value)
     return (scale + (1 << wp)) / (1 << (2 * prec - 10))
 
 
@@ -464,7 +461,7 @@ def partial_sum_float(v: CoefficientVector, blocks: int, prec: int = _MIN_PREC):
         raise ValueError("blocks must be >= 0")
     if not _MIN_PREC <= prec <= _MAX_PREC:
         raise ValueError(f"prec must be in [{_MIN_PREC}, {_MAX_PREC}], got {prec}")
-    return _mpf(_psi_tail(v, 0, prec) - _psi_tail(v, blocks, prec), prec)
+    return _mpf(_psi_tail(v, 0, prec)[0] - _psi_tail(v, blocks, prec)[0], prec)
 
 
 # ----------------------------------------------------------------------
@@ -527,15 +524,16 @@ def evaluate(
     divisor 2k+1 shrinks to under 2.1u over all k <= K + 1, the dropped
     remainder included.  With threshold <= 341, N <= 108 and K <= 54
     (prec <= 1024) that is under 520u, whatever |psi(x)| is, and _ln is
-    within 2u.  A tail that takes c = _offset(v, K) in closed form sums
-    (a_j - c) psi(K + j/T) over the slots with a_j != c, and
-    c T (psi(KT + 1) + ln r) for the rest, so weighted by 1/T and floored
-    once it errs by under 2^10 u R + u, with
-    R = (1/T) (|c| T + sum_j |a_j - c|).  The row route and the slot
-    loop are c = 0, where R is A = (1/T) sum_j |a_j|, and R >= A for
-    every c.  raw's two tails take its tail's c, or 0 for the row, so
-    they err by under twice 2^10 u R + u with the R of the tail after K
-    blocks; a prefix adds u, and rounding to prec bits adds
+    within 2u.  A tail that takes the coefficient c in closed form (the
+    weight _psi_tail splits off, over D) sums (a_j - c) psi(K + j/T) over
+    the slots with a_j != c, and c T (psi(KT + 1) + ln r) for the rest,
+    so weighted by 1/T and floored once it errs by under 2^10 u R + u,
+    with R = (1/T) (|c| T + sum_j |a_j - c|): the count the tail returns
+    as carried, over D T.  The row route and the slot loop are c = 0,
+    where R is A = (1/T) sum_j |a_j|, and R >= A for every c.  raw's two
+    tails take the same c, or 0 for the row, so they err by under twice
+    2^10 u R + u with the R its tail after K blocks carries; a prefix
+    adds u, and rounding to prec bits adds
     2^10 u |value|.  So the total is under 2^11 u (R + |value| + 1),
     2^19 times below the reported 2^-(prec-20) (R + |value| + 1), for
     every prefix_blocks.  raw adds its tail bound.
@@ -562,23 +560,24 @@ def evaluate(
         )
     prec = _working_prec(abs_err, v)
     if method == "raw":
-        blocks = 2
+        blocks, mass, den = 2, _weighted_mass(v), v.scale * v.modulus**2
         if not math.isinf(abs_err):
             # the tail gets abs_err n/d less 2^-20 of it; the rest is for the
             # allowance: K - 1 >= M / (T^2 (n/d) (1 - 2^-20)), in integers
             n, d = abs_err.as_integer_ratio()
-            over = v.scale * v.modulus**2 * n * ((1 << 20) - 1)
-            blocks = max(2, -(-(_weighted_mass(v) * d << 20) // over) + 1)
+            blocks = max(2, -(-(mass * d << 20) // (den * n * ((1 << 20) - 1))) + 1)
         # the first `blocks` blocks are the series minus its tail after them
-        value = _psi_tail(v, 0, prec) - _psi_tail(v, blocks, prec)
-        bound = tail_bound(v, blocks)
+        tail, carried = _psi_tail(v, blocks, prec)
+        value = _psi_tail(v, 0, prec)[0] - tail
+        bound = _float_upper(mass, den * (blocks - 1))
     else:
         blocks, value, bound = prefix_blocks or 0, 0, 0.0
         if blocks:
             prefix = partial_sum_exact(v, blocks)
             value = (prefix.numerator << (prec + 10)) // prefix.denominator
-        value += _psi_tail(v, blocks, prec)
-    bound += _allowance(v, value, prec, _offset(v, blocks))
+        tail, carried = _psi_tail(v, blocks, prec)
+        value += tail
+    bound += _allowance(v, value, prec, carried)
     if bound > abs_err:
         raise Unachievable(
             f"{prec} bits of working precision cannot reach abs_err={abs_err}"

@@ -25,12 +25,12 @@ bisection goes deeper as T grows.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, NoConvergence
 from .evaluation import EvalResult, evaluate
-from .relations import express_in_basis
 from .vectors import CoefficientVector, _check_term_limit, ln_vector, make_vector
 
 _PANEL_LIMIT = 20000
@@ -83,8 +83,14 @@ def _unit(T: int, j: int) -> tuple[float, ...]:
 
 
 def _numerator(v: CoefficientVector) -> tuple[float, ...]:
-    """R for v, its difference-basis coordinates r_(T-1), ..., r_1."""
-    return tuple(map(float, reversed(express_in_basis(v))))
+    """R for v, its difference-basis coordinates r_(T-1), ..., r_1.
+
+    r_i is the prefix sum of the integer weights over D, each quotient
+    correctly rounded by int true division, as float(Fraction) rounds it;
+    one past the double range raises OverflowError.
+    """
+    D = v.scale
+    return tuple([s / D for s in itertools.accumulate(v.weights[:-1])][::-1])
 
 
 def _ratio(numerator: tuple[float, ...], u: float) -> float:

@@ -40,7 +40,7 @@ _FACTOR_LIMIT = 2**63 - 1
 # (exact sums, vectors, relation families, trial division, quadrature's
 # Horner loop); every such count passes _check_term_limit, which reads it
 # at call time.  At the limit, harmonic(n) runs for over ten seconds in pure
-# Python, and evaluate(ln_vector(T), 1e-9) for about 0.3 s, its psi sum taken
+# Python, and evaluate(ln_vector(T), 1e-9) for about 0.15 s, its psi sum taken
 # through Gauss's multiplication formula (measurements in CHANGES.md).
 TERM_LIMIT = 10**6
 

@@ -100,6 +100,28 @@ class TestExitCodes:
         assert code == 1
         assert out == "" and "term limit" in err
 
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            # a difference-basis coordinate of 10^400 is no double
+            (f"vector:2:{10**400},-{10**400}", "double range"),
+            # its sums in a quadrature panel would pass the double range
+            (f"vector:3:{17 * 10**307},-{17 * 10**307},0", "double range"),
+            ("vector:3", "unknown bench target"),
+            ("vector:x:1,-1", "unknown bench target"),
+            ("ln:", "unknown bench target"),
+            ("ln:3:4", "unknown bench target"),
+        ],
+        ids=["coordinate-past-doubles", "panel-past-doubles", "no-coeffs", "bad-modulus",
+             "ln-no-modulus", "ln-extra-field"],
+    )
+    @pytest.mark.parametrize("method", ["raw", "quadrature"])
+    def test_bad_bench_target_is_one_error_line(self, capsys, target, message, method):
+        argv = ["bench", "--target", target, "--methods", method, "--work", "10"]
+        code, out, err = run_capture(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
     def test_bench_quadrature_over_the_panel_limit_is_domain_error(self, capsys):
         argv = ["bench", "--target", "ln:3", "--methods", "quadrature", "--work", "20001"]
         code, out, err = run_capture(capsys, argv)

@@ -140,6 +140,10 @@ class TestTailBound:
         with pytest.raises(ValueError):
             tail_bound(ln_vector(2), 1)
 
+    def test_past_the_double_range_is_inf(self):
+        # M / (T^2 (K - 1)) = 10^400 / 4 is no double; inf still bounds it
+        assert tail_bound(make_vector(2, [10**400, -(10**400)]), 2) == math.inf
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6), st.sampled_from([2, 10, 100]))
     def test_sound_for_random_vectors(self, seed, K):
@@ -684,6 +688,24 @@ def _slot_psi_tail(v, blocks, prec):
     return total // (v.scale * T)
 
 
+def _common_weight(v, blocks):
+    """The weight _psi_tail splits off, by its documented rule.
+
+    0 for the whole series over a modulus up to the row cap, 64; otherwise
+    the most common weight, the first in slot order among ties, when it
+    fills at least two more slots than 0 does, and else 0.
+    """
+    if not blocks and v.modulus <= 64:
+        return 0
+    c = max(v.weights, key=v.weights.count)
+    return c if v.weights.count(c) >= v.weights.count(0) + 2 else 0
+
+
+def _carried(v, c):
+    """|c| T + sum_j |w_j - c|: the magnitude a tail that splits off c carries."""
+    return abs(c) * v.modulus + sum(abs(w - c) for w in v.weights)
+
+
 @st.composite
 def _tail_vectors(draw):
     """Vectors with zero slots over moduli on both sides of the row cap, planted
@@ -725,8 +747,10 @@ def _tail_blocks(K, prec):
 )
 def test_psi_tail_matches_the_slot_loop(v, K, prec):
     blocks = _tail_blocks(K, prec)
-    c = Fraction(evaluation._offset(v, blocks), v.scale)
-    route = evaluation._psi_tail(v, blocks, prec)
+    common = _common_weight(v, blocks)
+    route, carried = evaluation._psi_tail(v, blocks, prec)
+    assert carried == _carried(v, common)
+    c = Fraction(common, v.scale)
     slots = _slot_psi_tail(v, blocks, prec)
     if not c:
         # the row's dot product and the plain slot loop: the same integer
@@ -756,8 +780,9 @@ def test_each_route_within_its_unit_count(v, K, prec):
     # the floor; the row route and the slot loop are the case c = 0
     blocks = _tail_blocks(K, prec)
     T, D = v.modulus, v.scale
-    c = evaluation._offset(v, blocks)
-    carried = abs(c) * T + sum(abs(w - c) for w in v.weights)
+    c = _common_weight(v, blocks)
+    value, carried = evaluation._psi_tail(v, blocks, prec)
+    assert carried == _carried(v, c)
     allowed = Fraction(carried * _psi_unit_bound(prec) + 2 * abs(c) * T, D * T) + 1
     unit = mpmath.mpf(2) ** -(prec + 10)
     with mp.workprec(2 * prec + 64):
@@ -766,7 +791,7 @@ def test_each_route_within_its_unit_count(v, K, prec):
             for j, a in enumerate(v.coeffs, start=1)
             if a
         ) / T
-        error = abs(evaluation._psi_tail(v, blocks, prec) * unit - reference) / unit
+        error = abs(value * unit - reference) / unit
         assert error <= mp.mpf(allowed.numerator) / allowed.denominator, float(error)
 
 

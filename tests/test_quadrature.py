@@ -2,6 +2,7 @@
 
 import math
 import time
+from fractions import Fraction
 
 import pytest
 from conftest import gauss_digamma_limit
@@ -15,10 +16,12 @@ from logser import (
     BudgetExceeded,
     decomposition_check,
     evaluate,
+    express_in_basis,
     fixed_panel_integral,
     integral_series_check,
     integrand,
     integrate,
+    ln_rational_vector,
     make_vector,
     pi_arctan,
     pi_estimate,
@@ -183,6 +186,25 @@ def test_a_vector_is_the_integral_of_its_numerator(head):
     with mp.workprec(200):
         reference = gauss_digamma_limit(v)
         assert abs(mp.mpf(value) - reference) <= 1e-11 * (1 + sum(map(abs, v.coeffs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.integers(2, 40).flatmap(lambda T: st.lists(
+        st.one_of(
+            st.just(0),
+            st.fractions(min_value=-9, max_value=9, max_denominator=12),
+            st.builds(Fraction, st.integers(-(10**200), 10**200), st.integers(1, 10**200)),
+        ),
+        min_size=T - 1, max_size=T - 1,
+    )).map(lambda head: make_vector(len(head) + 1, head + [-sum(head)])),
+    st.builds(ln_rational_vector, st.integers(1, 40), st.integers(1, 40)),
+))
+def test_numerator_rounds_as_the_fraction_coordinates_do(v):
+    # int true division of the integer prefix sums by D is correctly rounded,
+    # as float(Fraction) is, signed zeros included
+    reference = tuple(map(float, reversed(express_in_basis(v))))
+    assert list(map(float.hex, quadrature._numerator(v))) == list(map(float.hex, reference))
 
 
 class TestPi:
