@@ -36,17 +36,19 @@ carries, which is what the rounding allowance charges.
 Exact partial sums, harmonic numbers and the term stream of the
 rearranged form live here as well, all in exact rational arithmetic,
 and so do the Euler-Mascheroni partials H_n - ln n, computed by the
-floating-point kernel as psi(n+1) - psi(1) - ln n with no harmonic sum.
-Partial sums and harmonic numbers are both weighted harmonic sums
-sum_m w_m / m with periodic integer weights, and one kernel sums them
-by balanced splitting rather than adding one term at a time to an
-ever larger running rational.  The floating-point kernel computes psi,
-less a logarithm ln a that balance cancels, and the logarithms of
-rationals that Gauss's formula and the Euler-Mascheroni partials leave,
-in integers scaled by 2^(prec+10), prec >= 96.  It reads no mpmath
-context or memo, so no precision set and no constant computed elsewhere
-in the process changes a result; values become mpmath.mpf only on the
-way out.  Requests below the precision floor raise Unachievable.
+floating-point kernel as psi(n+1) - psi(1) - ln n with no harmonic
+sum.  Partial sums are weighted harmonic sums sum_m w_m / m with
+periodic integer weights, which one kernel sums by balanced splitting
+rather than adding one term at a time to an ever larger running
+rational.  Harmonic numbers split the same way over odd denominators
+only: H_n is a weighted sum of dyadic blocks of odd reciprocals.  The
+floating-point kernel computes psi, less a logarithm ln a that balance
+cancels, and the logarithms of rationals that Gauss's formula and the
+Euler-Mascheroni partials leave, in integers scaled by 2^(prec+10),
+prec >= 96.  It reads no mpmath context or memo, so no precision set
+and no constant computed elsewhere in the process changes a result;
+values become mpmath.mpf only on the way out.  Requests below the
+precision floor raise Unachievable.
 
 Cache policy: the rows psi(j/T) - ln a, j = 1..T, kept per (T, prec)
 for T <= _ROW_MODULUS in an LRU memo of _ROW_LIMIT rows, are the only
@@ -163,13 +165,47 @@ def partial_sum_exact(v: CoefficientVector, blocks: int) -> Fraction:
 def harmonic(n: int) -> Fraction:
     """Exact harmonic number H_n = 1 + 1/2 + ... + 1/n, with H_0 = 0.
 
+    Summed over odd denominators only, in dyadic blocks:
+
+        H_n = sum_{l=0}^{L-1} (2 - 2^-l) A_l,   L = bitlen(n),
+
+    where A_l = sum 1/o over the odd o in I_l = (n >> (l+1), n >> l].
+    Proof: write k = 2^i o with o odd; then k <= n iff o <= n >> i, so an
+    odd o in I_l is the odd part of exactly the k = 2^i o with i <= l,
+    whose reciprocals sum to (1 + 1/2 + ... + 2^-l)/o = (2 - 2^-l)/o.
+    The blocks partition the odd o <= n, as (n >> l) >> 1 = n >> (l+1).
+    This is the odd-part decomposition of the binary-split factorial (P.
+    Luschny; CPython's math.factorial), laid over the balanced splitting
+    of _weighted_harmonic (Haible and Papanikolaou 1998): each A_l is
+    halved at odd split points down to leaves of at most 32 odd terms,
+    each leaf summed as one unreduced integer pair, and halves merge by
+    Fraction addition, as do the weighted blocks, the smallest (largest
+    l) first.  Every A_l has an odd denominator, so the splitting runs
+    over half the terms of H_n and its gcds over about half the bits.
+
     The cost grows faster than n, as the exact sum's numerator and
     denominator grow, so n stops at TERM_LIMIT.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     _check_term_limit(n, "terms of H_n")
-    return _weighted_harmonic((1,), n)
+
+    def odd(lo: int, hi: int) -> Fraction:
+        # 1/m over the odd lo <= m < hi, lo odd
+        if hi - lo <= 64:
+            p, q = 0, 1
+            for m in range(lo, hi, 2):
+                p = p * m + q
+                q *= m
+            return Fraction(p, q)
+        mid = (lo + hi) // 2 | 1
+        return odd(lo, mid) + odd(mid, hi)
+
+    total = Fraction(0)
+    for l in reversed(range(n.bit_length())):
+        block = odd(((n >> (l + 1)) + 1) | 1, (n >> l) + 1)
+        total += Fraction((2 << l) - 1, 1 << l) * block
+    return total
 
 
 def _weighted_mass(v: CoefficientVector) -> int:
@@ -342,27 +378,32 @@ def _atanh2(n: int, d: int, wp: int) -> int:
 def _ln(p: int, q: int, prec: int) -> int:
     """ln(p/q) for p, q >= 1, scaled by 2^(prec+10); not cached.
 
-    p/q = 2^e x with x in [1, 2), so ln(p/q) = e ln 2 + 2 atanh(y) with
-    y = (x - 1)/(x + 1) < 1/3, and ln 2 = 18 atanh(1/26) - 2 atanh(1/4801)
-    + 8 atanh(1/8749); no ln 2 is formed when e = 0, and p = q gives 0.
+    p/q = 2^e x with x in [2/3, 4/3), so ln(p/q) = e ln 2 + 2 atanh(y)
+    with y = (x - 1)/(x + 1) in [-1/5, 1/7), and ln 2 = 18 atanh(1/26)
+    - 2 atanh(1/4801) + 8 atanh(1/8749); a negative y takes the negated
+    _atanh2 of -y, no ln 2 is formed when e = 0, and p = q gives 0.
     Reads no mpmath memo.
 
     Within 2 units for prec <= 1024 and |e| < 128.  The sums run at
     g = 12 + bitlen|e| guard bits.  An _atanh2 of K terms after 2y errs
     by under K + 6 units: each floored term by under 1, and each floored
-    power by under 1/(1 - y^2) <= 9/8, which 2k + 1 divides.  That is
-    under 2^9 units for y < 1/3 (K <= 341) and under 2^11 for the
+    power by under 1/(1 - y^2) <= 25/24, which 2k + 1 divides.  That is
+    under 2^8 units for |y| <= 1/5 (K <= 227) and under 2^11 for the
     weighted ln 2 (K <= 113, 44 and 41), so the sum errs by under
-    |e| 2^11 + 2^9 < 2^g units, and dropping the guard bits leaves under
+    |e| 2^11 + 2^8 < 2^g units, and dropping the guard bits leaves under
     1 unit plus the final floor.
     """
-    e = p.bit_length() - q.bit_length()
-    if p << max(0, -e) < q << max(0, e):
+    # 3p / 2q = 2^e (3x/2) with 3x/2 in [1, 2)
+    e = (3 * p).bit_length() - (2 * q).bit_length()
+    if 3 * p << max(0, -e) < 2 * q << max(0, e):
         e -= 1
     num, den = (p, q << e) if e >= 0 else (p << -e, q)
     guard = 12 + abs(e).bit_length()
     wp = prec + 10 + guard
-    total = _atanh2(num - den, num + den, wp)
+    if num >= den:
+        total = _atanh2(num - den, num + den, wp)
+    else:
+        total = -_atanh2(den - num, num + den, wp)
     if e:
         ln2 = 9 * _atanh2(1, 26, wp) - _atanh2(1, 4801, wp) + 4 * _atanh2(1, 8749, wp)
         total += e * ln2

@@ -114,6 +114,20 @@ class TestHarmonic:
         with pytest.raises(BudgetExceeded):
             harmonic(10**6 + 1)
 
+    @pytest.mark.parametrize(
+        "n", sorted({0, 1, 2, 3} | {2**k + d for k in range(1, 14) for d in (-1, 0, 1)})
+    )
+    def test_dyadic_block_edges(self, n):
+        # the odd o in (n >> (l+1), n >> l] change block as n crosses 2^k
+        plain = sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
+        assert harmonic(n) == plain
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 5000))
+    def test_matches_the_all_integers_route(self, n):
+        # _weighted_harmonic splits [1, n] whole and shares no block code
+        assert harmonic(n) == evaluation._weighted_harmonic((1,), n)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 8), st.integers(0, 60))
     def test_finite_log_identity(self, T, n):
