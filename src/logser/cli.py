@@ -55,7 +55,7 @@ from mpmath import libmp
 from . import quadrature, relations
 from .errors import SeriesError
 from .evaluation import (
-    _weighted_harmonic,
+    _harmonic_range,
     evaluate,
     gamma_partial,
     partial_sum_float,
@@ -280,9 +280,10 @@ def _read_rearranged(args) -> _Reading:
     terms, micros = _timed(rearranged_terms, args.T, args.n)
     # whole groups of T + 1 terms are blocks of ln_vector(T), which sum to
     # H_{cT} - H_c; the r <= T leftover terms 1/(cT + j) extend H_{cT}, so
-    # the partial sum is 1/(c+1) + ... + 1/(cT+r)
+    # the partial sum is 1/(c+1) + ... + 1/(cT+r), one range over odd
+    # denominators
     c, r = divmod(args.n, args.T + 1)
-    total, sum_micros = _timed(_weighted_harmonic, (1,), c * args.T + r, c)
+    total, sum_micros = _timed(_harmonic_range, c, c * args.T + r)
     value = float(total)
     return _Reading(
         inputs={"T": args.T, "n": args.n}, value=value,

@@ -37,11 +37,15 @@ Exact partial sums, harmonic numbers and the term stream of the
 rearranged form live here as well, all in exact rational arithmetic,
 and so do the Euler-Mascheroni partials H_n - ln n, computed by the
 floating-point kernel as psi(n+1) - psi(1) - ln n with no harmonic
-sum.  Partial sums are weighted harmonic sums sum_m w_m / m with
-periodic integer weights, which one kernel sums by balanced splitting
-rather than adding one term at a time to an ever larger running
-rational.  Harmonic numbers split the same way over odd denominators
-only: H_n is a weighted sum of dyadic blocks of odd reciprocals.  The
+sum.  Every exact sum of 1/m over a range of m, H_b - H_a, goes through
+one kernel over odd denominators: the odd o in (a, b] and below count
+with a weight of powers of 2, constant on at most 2 bitlen(b) blocks.
+Harmonic numbers are H_n - H_0, the partial sums of a multiple of ln T
+are H_{NT} - H_N, and the rearranged stream's are H_{cT+r} - H_c.  Other
+partial sums are weighted harmonic sums sum_m w_m / m with periodic
+integer weights.  Both sum by balanced splitting, in unreduced integer
+pairs up to a span and in Fractions above it, rather than adding one
+term at a time to an ever larger running rational.  The
 floating-point kernel computes psi, less a logarithm ln a that balance
 cancels, and the logarithms of rationals that Gauss's formula and the
 Euler-Mascheroni partials leave, in integers scaled by 2^(prec+10),
@@ -70,6 +74,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import mpmath
 from mpmath import libmp, mp
@@ -117,32 +122,143 @@ def block_term(v: CoefficientVector, k: int) -> Fraction:
     return _weighted_harmonic(v.weights, (k + 1) * v.modulus, k * v.modulus) / v.scale
 
 
+# the balanced splittings: leaves of _LEAF terms, merged as integer pairs up to
+# _PAIR_SPAN terms (spans of 256 to 2048 measure level; 32, no pairs, is slower)
+_LEAF = 32
+_PAIR_SPAN = 1024
+# leaf(lo, hi): the terms lo <= k < hi as one unreduced pair (p, q), q > 0
+_Leaf = Callable[[int, int], tuple[int, int]]
+
+
+def _pair_add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """p/q + r/s as an integer pair, q and s > 0, by Fraction's addition rule.
+
+    The two-gcd rule of CPython's Fraction._add (Knuth, TAOCP 4.5.1):
+    g = gcd(q, s), t = p (s/g) + r (q/g), and t/g2 over (q/g)(s/g2) with
+    g2 = gcd(t, g).  On reduced operands the result is reduced; on the
+    unreduced pairs it merges here it is only exact, and the Fraction it
+    becomes reduces it once.
+    """
+    p, q = x
+    r, s = y
+    g = math.gcd(q, s)
+    if g == 1:
+        return p * s + q * r, q * s
+    t = p * (s // g) + r * (q // g)
+    g2 = math.gcd(t, g)
+    return t // g2, q // g * (s // g2)
+
+
+def _balanced(lo: int, hi: int, leaf: _Leaf) -> Fraction:
+    """The sum of the terms lo <= k < hi, leaf(lo, hi) giving a run's pair.
+
+    Balanced splitting (Haible and Papanikolaou 1998): the range is halved
+    down to leaves of at most _LEAF terms, each leaf(lo, hi) an unreduced
+    integer pair p/q.  Up to _PAIR_SPAN terms _pairs merges halves as
+    pairs, with no gcd at the leaves and no Fraction built, and the pair
+    becomes one Fraction, reduced once.  Above it halves merge by
+    Fraction addition, so every gcd runs on operands of balanced size:
+    a pair carried to the top would keep every factor of every term's
+    denominator, and its final gcd is quadratic in its size.
+    """
+    if hi - lo > _PAIR_SPAN:
+        mid = (lo + hi) // 2
+        return _balanced(lo, mid, leaf) + _balanced(mid, hi, leaf)
+    return Fraction(*_pairs(lo, hi, leaf))
+
+
+def _pairs(lo: int, hi: int, leaf: _Leaf) -> tuple[int, int]:
+    """The sum of the terms lo <= k < hi as an unreduced pair, halved to leaves."""
+    if hi - lo <= _LEAF:
+        return leaf(lo, hi)
+    mid = (lo + hi) // 2
+    return _pair_add(_pairs(lo, mid, leaf), _pairs(mid, hi, leaf))
+
+
+def _odd_leaf(lo: int, hi: int) -> tuple[int, int]:
+    """1/(2k+1) summed over lo <= k < hi, as an unreduced pair."""
+    p, q = 0, 1
+    for m in range(2 * lo + 1, 2 * hi + 1, 2):
+        p = p * m + q
+        q *= m
+    return p, q
+
+
 def _weighted_harmonic(weights: tuple[int, ...], n: int, start: int = 0) -> Fraction:
     """Exact sum_{m=start+1..n} weights[(m-1) mod len(weights)] / m.
 
-    Balanced splitting (Haible and Papanikolaou 1998): [start+1, n] is halved
-    recursively down to leaves of at most 32 terms.  A leaf is summed as
-    one unreduced integer pair and reduced once; halves merge by Fraction
-    addition, so every gcd runs on operands of balanced size.  Reducing
-    only once at the top would leave the product of all n denominators,
-    and that final gcd is quadratic in its size.
+    Summed by _balanced over the integers m: a leaf skips the zero
+    weights and sums up to _LEAF terms as one unreduced integer pair, and
+    pairs merge up to _PAIR_SPAN terms before one Fraction is built.
+    Above the span halves merge as Fractions: a pair carried to the top
+    would hold the product of all the denominators, and the gcd that
+    reduces it is quadratic in its size.
     """
     period = len(weights)
 
-    def split(lo: int, hi: int) -> Fraction:
-        # the terms lo <= m < hi
-        if hi - lo <= 32:
-            p, q = 0, 1
-            for m in range(lo, hi):
-                w = weights[(m - 1) % period]
-                if w:
-                    p = p * m + w * q
-                    q *= m
-            return Fraction(p, q)
-        mid = (lo + hi) // 2
-        return split(lo, mid) + split(mid, hi)
+    def leaf(lo: int, hi: int) -> tuple[int, int]:
+        p, q = 0, 1
+        for m in range(lo, hi):
+            w = weights[(m - 1) % period]
+            if w:
+                p = p * m + w * q
+                q *= m
+        return p, q
 
-    return split(start + 1, n + 1)
+    return _balanced(start + 1, n + 1, leaf)
+
+
+def _harmonic_range(a: int, b: int) -> Fraction:
+    """Exact sum_{a<m<=b} 1/m = H_b - H_a, for 0 <= a <= b, over odd denominators.
+
+    Write m = 2^i o with o odd.  Then a < m <= b iff a >> i < o <= b >> i,
+    as 2^i o <= b iff o <= floor(b / 2^i), and likewise for a.  So each
+    odd o counts with weight w(o) = sum 2^-i over the i with
+    a >> i < o <= b >> i, and H_b - H_a = sum_o w(o)/o.  As o runs up, i
+    joins w past the cut a >> i and leaves it past the cut b >> i, so w is
+    constant on each block (x, y] between consecutive points of the sorted
+    cut set {a >> i} u {b >> i}, i < L = bitlen(b) (from i = L on,
+    b >> i = 0 and no o qualifies): at most 2L blocks.  In units of 2^-L,
+    w on (x, y] is the sum over the cuts z <= x of 2^(L-i) for z = a >> i,
+    less 2^(L-i) for z = b >> i.  Each block of odd reciprocals is summed
+    by _balanced over its odd indices, with leaves of _LEAF odd terms, and
+    the blocks, lowest first, are weighted by their integers: those below
+    odd index _PAIR_SPAN merge as one pair, as _balanced's spans do, and
+    the rest as Fractions.  The sum is divided by 2^L once.  Each odd
+    o <= b is summed at most once, so the kernel sums at most b/2 terms,
+    every block with an odd denominator and so fewer bits for its gcds:
+    half the terms of H_n, and at most NT/2 for H_{NT} - H_N, where the
+    periodic weights sum NT.
+
+    For a = 0 the blocks are the dyadic (b >> (l+1), b >> l] with weight
+    2 - 2^-l: the odd-part decomposition of the binary-split factorial
+    (P. Luschny; CPython's math.factorial).
+
+    A range of at most 4 _LEAF integers is summed over the integers, in
+    at most four leaves: there the blocks cost more to set up than they
+    save (measured level at about 128 to 256 integers).
+    """
+    if b - a <= 4 * _LEAF:
+        return _weighted_harmonic((1,), b, a)
+    L = b.bit_length()
+    steps = collections.Counter()
+    for i in range(L):
+        steps[a >> i] += 1 << (L - i)
+        steps[b >> i] -= 1 << (L - i)
+    cuts = sorted(steps)
+    low, total, weight = (0, 1), Fraction(0), 0
+    for x, y in zip(cuts, cuts[1:]):
+        weight += steps[x]
+        if not weight:
+            continue
+        # the odd o in (x, y] are 2k + 1 for lo <= k < hi
+        lo, hi = (x + 1) >> 1, (y + 1) >> 1
+        if hi <= _PAIR_SPAN:
+            p, q = _pairs(lo, hi, _odd_leaf)
+            low = _pair_add(low, (weight * p, q))
+        else:
+            total += weight * _balanced(lo, hi, _odd_leaf)
+    return (total + Fraction(*low)) / (1 << L)
 
 
 def partial_sum_exact(v: CoefficientVector, blocks: int) -> Fraction:
@@ -151,61 +267,38 @@ def partial_sum_exact(v: CoefficientVector, blocks: int) -> Fraction:
     The block-terms (blocks * modulus), which the cost grows with, are
     bounded by TERM_LIMIT; a larger request raises BudgetExceeded before
     summing.  Block k's term j is a_j / m with m = kT + j, so the sum is
-    a weighted harmonic sum up to blocks * T with the vector's integer
-    weights a_j D as periodic weights, divided by D once at the end.
+    a weighted harmonic sum up to N T, N = blocks, with the vector's
+    integer weights a_j D as periodic weights, divided by D once at the
+    end.  A multiple of ln_vector(T), every weight but the last equal to
+    c = a_1 D (balance makes the last -(T-1) c), sums instead to
+
+        (c/D) sum_{k<N} (sum_j 1/(kT+j) - T/(kT+T)) = (c/D) (H_{NT} - H_N),
+
+    as the terms 1/(kT+j) run over 1/m for m <= NT and T/(kT+T) = 1/(k+1)
+    over 1/m for m <= N: one _harmonic_range(N, NT) over odd denominators.
     """
     if blocks < 0:
         raise ValueError("blocks must be >= 0")
-    _check_term_limit(
-        blocks * v.modulus, f"block-terms ({blocks} blocks over modulus {v.modulus})"
-    )
-    return _weighted_harmonic(v.weights, blocks * v.modulus) / v.scale
+    T = v.modulus
+    _check_term_limit(blocks * T, f"block-terms ({blocks} blocks over modulus {T})")
+    weights = v.weights
+    if weights[:-1] == weights[:1] * (T - 1):
+        return Fraction(weights[0], v.scale) * _harmonic_range(blocks, blocks * T)
+    return _weighted_harmonic(weights, blocks * T) / v.scale
 
 
 def harmonic(n: int) -> Fraction:
     """Exact harmonic number H_n = 1 + 1/2 + ... + 1/n, with H_0 = 0.
 
-    Summed over odd denominators only, in dyadic blocks:
-
-        H_n = sum_{l=0}^{L-1} (2 - 2^-l) A_l,   L = bitlen(n),
-
-    where A_l = sum 1/o over the odd o in I_l = (n >> (l+1), n >> l].
-    Proof: write k = 2^i o with o odd; then k <= n iff o <= n >> i, so an
-    odd o in I_l is the odd part of exactly the k = 2^i o with i <= l,
-    whose reciprocals sum to (1 + 1/2 + ... + 2^-l)/o = (2 - 2^-l)/o.
-    The blocks partition the odd o <= n, as (n >> l) >> 1 = n >> (l+1).
-    This is the odd-part decomposition of the binary-split factorial (P.
-    Luschny; CPython's math.factorial), laid over the balanced splitting
-    of _weighted_harmonic (Haible and Papanikolaou 1998): each A_l is
-    halved at odd split points down to leaves of at most 32 odd terms,
-    each leaf summed as one unreduced integer pair, and halves merge by
-    Fraction addition, as do the weighted blocks, the smallest (largest
-    l) first.  Every A_l has an odd denominator, so the splitting runs
-    over half the terms of H_n and its gcds over about half the bits.
-
-    The cost grows faster than n, as the exact sum's numerator and
-    denominator grow, so n stops at TERM_LIMIT.
+    _harmonic_range(0, n): over odd denominators only, in the dyadic
+    blocks (n >> (l+1), n >> l] weighted 2 - 2^-l.  The cost grows faster
+    than n, as the exact sum's numerator and denominator grow, so n stops
+    at TERM_LIMIT, checked before any term is summed.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     _check_term_limit(n, "terms of H_n")
-
-    def odd(lo: int, hi: int) -> Fraction:
-        # 1/m over the odd lo <= m < hi, lo odd
-        if hi - lo <= 64:
-            p, q = 0, 1
-            for m in range(lo, hi, 2):
-                p = p * m + q
-                q *= m
-            return Fraction(p, q)
-        mid = (lo + hi) // 2 | 1
-        return odd(lo, mid) + odd(mid, hi)
-
-    total = Fraction(0)
-    for l in reversed(range(n.bit_length())):
-        block = odd(((n >> (l + 1)) + 1) | 1, (n >> l) + 1)
-        total += Fraction((2 << l) - 1, 1 << l) * block
-    return total
+    return _harmonic_range(0, n)
 
 
 def _weighted_mass(v: CoefficientVector) -> int:

@@ -26,6 +26,7 @@ part without building the family.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -135,13 +136,17 @@ def _nullspace(rows: Iterable[Sequence[int]], ncols: int) -> list[tuple[int, ...
     (coprime, first nonzero entry positive) gives the unique normalized
     RREF basis for this pivot order (Bareiss 1968; Nakos, Turner and
     Williams 1997); the sign of the vector read off does not matter.
+    The vectors come off in one transposition: column c's entry in every
+    vector is a pivot row's entries at the free columns, or -d at free
+    column c's own vector and 0 in the others.
 
     When f = 0 and p equals prev, the update is the row itself, so the
     row is skipped.  Over identity columns, as ``kernel`` meets first in
     a divisor family, every pivot is 1 and every other entry in its
-    column is 0, so no row is updated.  Every row that is updated still
-    runs its division and the exactness check below; a skipped row runs
-    no division, so none can lose exactness.
+    column is 0, so no row is updated, and the pivot row's sum, which only
+    the check reads, is not taken.  Every row that is updated still runs
+    its division and the exactness check below; a skipped row runs no
+    division, so none can lose exactness.
     """
     matrix = [list(row) for row in rows]
     pivot_cols: list[int] = []
@@ -155,10 +160,12 @@ def _nullspace(rows: Iterable[Sequence[int]], ncols: int) -> list[tuple[int, ...
             continue
         matrix[r], matrix[pr] = matrix[pr], matrix[r]
         pivot_row = matrix[r]
-        p, pivot_sum = pivot_row[c], sum(pivot_row)
+        p = pivot_row[c]
         stale = [
             row for row in matrix if (row[c] or p != prev) and row is not pivot_row
         ]
+        if stale:
+            pivot_sum = sum(pivot_row)
         for row in stale:
             f = row[c]
             quotients = [(p * a - f * b) // prev for a, b in zip(row, pivot_row)]
@@ -169,14 +176,17 @@ def _nullspace(rows: Iterable[Sequence[int]], ncols: int) -> list[tuple[int, ...
             row[:] = quotients
         prev = p
         pivot_cols.append(c)
-    basis = []
-    for fc in sorted(set(range(ncols)) - set(pivot_cols)):
-        x = [0] * ncols
-        x[fc] = -prev
-        for row, c in zip(matrix, pivot_cols):
-            x[c] = row[fc]
-        basis.append(_normalize_relation(x))
-    return basis
+    pivots = set(pivot_cols)
+    free = [c for c in range(ncols) if c not in pivots]
+    if not free:
+        return []
+    # entries[c] holds column c's entry in every kernel vector, one per free
+    # column: a pivot row's free entries, or -prev at the free column's own
+    take = operator.itemgetter(*free) if len(free) > 1 else lambda row: (row[free[0]],)
+    entries = dict(zip(pivot_cols, map(take, matrix)))
+    for i, fc in enumerate(free):
+        entries[fc] = (0,) * i + (-prev,) + (0,) * (len(free) - 1 - i)
+    return [_normalize_relation(x) for x in zip(*map(entries.__getitem__, range(ncols)))]
 
 
 def kernel(family: Sequence[CoefficientVector]) -> KernelBasis:

@@ -66,6 +66,17 @@ class TestBlockTerm:
         with pytest.raises(ValueError):
             block_term(ln_vector(2), -1)
 
+    def test_block_past_one_span(self):
+        # a block of more than two pair spans merges spans as Fractions
+        rng = random.Random(17)
+        T = 2 * evaluation._PAIR_SPAN + 37
+        v = random_balanced(rng, T)
+        for k in (0, 1, 3):
+            running = Fraction(0)
+            for j, w in enumerate(v.weights, start=1):
+                running += Fraction(w, k * T + j)
+            assert block_term(v, k) == running / v.scale
+
 
 class TestPartialSumExact:
     def test_two_blocks_ln2(self):
@@ -97,6 +108,51 @@ class TestPartialSumExact:
             K = rng.randint(20, 60)
             assert partial_sum_exact(v, K) == exact_block_oracle(v, K)
 
+    @pytest.mark.parametrize("T", [3, 4, 5])
+    def test_random_prefix_past_one_span(self, T):
+        # N T spans three pair spans, so spans merge as Fractions above pairs
+        v = random_balanced(random.Random(T), T)
+        K = 3 * evaluation._PAIR_SPAN // T + 5
+        assert partial_sum_exact(v, K) == exact_block_oracle(v, K)
+
+    @pytest.mark.parametrize("T", [1, 2, 64])
+    @pytest.mark.parametrize("c", [Fraction(1), Fraction(-3), Fraction(-5, 7)])
+    def test_ln_multiples_take_the_range(self, T, c):
+        # c ln T sums to c (H_{NT} - H_N) through _harmonic_range, over short
+        # ranges and long ones
+        v = make_vector(T, [c] * (T - 1) + [-(T - 1) * c])
+        for N in (0, 1, 2, 40, 300):
+            assert partial_sum_exact(v, N) == (
+                evaluation._weighted_harmonic(v.weights, N * T) / v.scale
+            )
+
+    @pytest.mark.parametrize("T", [2, 3, 64])
+    def test_near_miss_vectors_keep_the_periodic_weights(self, T):
+        # one slot off c, the last one excepted, is not a multiple of ln T
+        c = Fraction(-5, 7)
+        for slot in range(T - 1):
+            head = [c] * (T - 1)
+            head[slot] += 1
+            v = make_vector(T, head + [-sum(head)])
+            for N in (0, 1, 2):
+                assert partial_sum_exact(v, N) == (
+                    evaluation._weighted_harmonic(v.weights, N * T) / v.scale
+                )
+
+    def test_ln_multiples_sum_no_periodic_weights(self, monkeypatch):
+        # a short range sums its integers with unit weights; nothing sums the vector's
+        real = evaluation._weighted_harmonic
+
+        def unit_weights_only(weights, *args):
+            assert weights == (1,), "a multiple of ln T summed its periodic weights"
+            return real(weights, *args)
+
+        monkeypatch.setattr(evaluation, "_weighted_harmonic", unit_weights_only)
+        for T in (1, 2, 3, 64):
+            for c in (1, -2):
+                v = make_vector(T, [c] * (T - 1) + [-(T - 1) * c])
+                partial_sum_exact(v, 50)
+
 
 class TestHarmonic:
     def test_small_values(self):
@@ -127,6 +183,34 @@ class TestHarmonic:
     def test_matches_the_all_integers_route(self, n):
         # _weighted_harmonic splits [1, n] whole and shares no block code
         assert harmonic(n) == evaluation._weighted_harmonic((1,), n)
+
+    def test_range_matches_a_running_sum(self):
+        prefix = [Fraction(0)]
+        for m in range(1, 301):
+            prefix.append(prefix[-1] + Fraction(1, m))
+        for b in range(301):
+            for a in range(b + 1):
+                assert evaluation._harmonic_range(a, b) == prefix[b] - prefix[a]
+
+    def test_range_at_dyadic_edges_and_spans(self):
+        # cuts a >> i and b >> i that meet, or straddle a power of 2; and
+        # blocks of more than one pair span of odd terms
+        span = evaluation._PAIR_SPAN
+        edges = sorted({2**k + d for k in range(1, 14) for d in (-1, 0, 1)}
+                       | {4 * span - 1, 4 * span + 1, 6 * span + 3})
+        prefix = [Fraction(0)]
+        for m in range(1, edges[-1] + 1):
+            prefix.append(prefix[-1] + Fraction(1, m))
+        for b in edges:
+            for a in sorted({0} | {e for e in edges if e <= b}):
+                assert evaluation._harmonic_range(a, b) == prefix[b] - prefix[a]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 6000), st.integers(0, 6000))
+    def test_range_matches_the_all_integers_route(self, a, b):
+        # _weighted_harmonic splits (a, b] over all integers and shares no block code
+        a, b = min(a, b), max(a, b)
+        assert evaluation._harmonic_range(a, b) == evaluation._weighted_harmonic((1,), b, a)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 8), st.integers(0, 60))

@@ -270,8 +270,9 @@ class TestKernel:
             combo = linear_combine(list(zip(rel, family)))
             assert combo.is_zero()
 
-    # at T = 48, 60 and 64 elimination leaves most rows as they are
-    @pytest.mark.parametrize("T", COMPOSITES)
+    # at T = 48, 60 and 64 elimination leaves most rows as they are; a prime T
+    # leaves one free column, the ln vector's
+    @pytest.mark.parametrize("T", range(2, 65))
     def test_divisor_family_matches_gauss_jordan(self, T):
         family = divisor_family(T)
         basis = kernel(family)
