@@ -24,7 +24,8 @@ coordinates, for every target; `quadrature` checks both of its rules'
 Horner slots against TERM_LIMIT before either runs.
 
 Exit codes: 0 success, 1 domain error (for example unbalanced
-coefficients), 2 usage error.  `--method raw` reaches every abs_err
+coefficients) or a standard output closed before the payload was
+written (`logser ... | head -1`), 2 usage error.  `--method raw` reaches every abs_err
 that the precision ceiling admits, at a cost that does not grow with
 its truncation.
 
@@ -41,6 +42,7 @@ import argparse
 import functools
 import itertools
 import math
+import os
 import re
 import sys
 import time
@@ -620,7 +622,20 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """The console script: run(), with a reader that closes the pipe early.
+
+    A closed stdout (`logser ... | head -1`) exits 1 with no traceback.
+    stdout then points at os.devnull, so the interpreter's final flush
+    cannot raise again (the recipe in the Python signal docs).
+    """
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -43,9 +43,10 @@ with a weight of powers of 2, constant on at most 2 bitlen(b) blocks.
 Harmonic numbers are H_n - H_0, the partial sums of a multiple of ln T
 are H_{NT} - H_N, and the rearranged stream's are H_{cT+r} - H_c.  Other
 partial sums are weighted harmonic sums sum_m w_m / m with periodic
-integer weights.  Both sum by balanced splitting, in unreduced integer
-pairs up to a span and in Fractions above it, rather than adding one
-term at a time to an ever larger running rational.  The
+integer weights.  Both sum by balanced splitting with one rule: a run
+of at most _LEAF terms is one unreduced integer pair, reduced once into
+a Fraction, and longer runs merge their halves as Fractions, rather than
+adding one term at a time to an ever larger running rational.  The
 floating-point kernel computes psi, less a logarithm ln a that balance
 cancels, and the logarithms of rationals that Gauss's formula and the
 Euler-Mascheroni partials leave, in integers scaled by 2^(prec+10),
@@ -122,57 +123,28 @@ def block_term(v: CoefficientVector, k: int) -> Fraction:
     return _weighted_harmonic(v.weights, (k + 1) * v.modulus, k * v.modulus) / v.scale
 
 
-# the balanced splittings: leaves of _LEAF terms, merged as integer pairs up to
-# _PAIR_SPAN terms (spans of 256 to 2048 measure level; 32, no pairs, is slower)
-_LEAF = 32
-_PAIR_SPAN = 1024
+# the balanced splittings' leaf: at most _LEAF terms summed as one unreduced
+# pair (128 and 256 measure level, 32 and 512 are slower)
+_LEAF = 128
 # leaf(lo, hi): the terms lo <= k < hi as one unreduced pair (p, q), q > 0
 _Leaf = Callable[[int, int], tuple[int, int]]
-
-
-def _pair_add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    """p/q + r/s as an integer pair, q and s > 0, by Fraction's addition rule.
-
-    The two-gcd rule of CPython's Fraction._add (Knuth, TAOCP 4.5.1):
-    g = gcd(q, s), t = p (s/g) + r (q/g), and t/g2 over (q/g)(s/g2) with
-    g2 = gcd(t, g).  On reduced operands the result is reduced; on the
-    unreduced pairs it merges here it is only exact, and the Fraction it
-    becomes reduces it once.
-    """
-    p, q = x
-    r, s = y
-    g = math.gcd(q, s)
-    if g == 1:
-        return p * s + q * r, q * s
-    t = p * (s // g) + r * (q // g)
-    g2 = math.gcd(t, g)
-    return t // g2, q // g * (s // g2)
 
 
 def _balanced(lo: int, hi: int, leaf: _Leaf) -> Fraction:
     """The sum of the terms lo <= k < hi, leaf(lo, hi) giving a run's pair.
 
     Balanced splitting (Haible and Papanikolaou 1998): the range is halved
-    down to leaves of at most _LEAF terms, each leaf(lo, hi) an unreduced
-    integer pair p/q.  Up to _PAIR_SPAN terms _pairs merges halves as
-    pairs, with no gcd at the leaves and no Fraction built, and the pair
-    becomes one Fraction, reduced once.  Above it halves merge by
-    Fraction addition, so every gcd runs on operands of balanced size:
-    a pair carried to the top would keep every factor of every term's
-    denominator, and its final gcd is quadratic in its size.
+    until a piece holds at most _LEAF terms, each piece is summed
+    sequentially as one unreduced integer pair leaf(lo, hi), with no gcd
+    inside it, and the pair becomes one Fraction, reduced once.  Halves
+    merge by Fraction addition, so every gcd runs on operands of balanced
+    size: a pair carried to the top would keep every factor of every
+    term's denominator, and its final gcd is quadratic in its size.
     """
-    if hi - lo > _PAIR_SPAN:
+    if hi - lo > _LEAF:
         mid = (lo + hi) // 2
         return _balanced(lo, mid, leaf) + _balanced(mid, hi, leaf)
-    return Fraction(*_pairs(lo, hi, leaf))
-
-
-def _pairs(lo: int, hi: int, leaf: _Leaf) -> tuple[int, int]:
-    """The sum of the terms lo <= k < hi as an unreduced pair, halved to leaves."""
-    if hi - lo <= _LEAF:
-        return leaf(lo, hi)
-    mid = (lo + hi) // 2
-    return _pair_add(_pairs(lo, mid, leaf), _pairs(mid, hi, leaf))
+    return Fraction(*leaf(lo, hi))
 
 
 def _odd_leaf(lo: int, hi: int) -> tuple[int, int]:
@@ -188,11 +160,8 @@ def _weighted_harmonic(weights: tuple[int, ...], n: int, start: int = 0) -> Frac
     """Exact sum_{m=start+1..n} weights[(m-1) mod len(weights)] / m.
 
     Summed by _balanced over the integers m: a leaf skips the zero
-    weights and sums up to _LEAF terms as one unreduced integer pair, and
-    pairs merge up to _PAIR_SPAN terms before one Fraction is built.
-    Above the span halves merge as Fractions: a pair carried to the top
-    would hold the product of all the denominators, and the gcd that
-    reduces it is quadratic in its size.
+    weights and sums at most _LEAF terms as one unreduced integer pair,
+    and the leaves' Fractions merge in balanced halves.
     """
     period = len(weights)
 
@@ -220,26 +189,26 @@ def _harmonic_range(a: int, b: int) -> Fraction:
     cut set {a >> i} u {b >> i}, i < L = bitlen(b) (from i = L on,
     b >> i = 0 and no o qualifies): at most 2L blocks.  In units of 2^-L,
     w on (x, y] is the sum over the cuts z <= x of 2^(L-i) for z = a >> i,
-    less 2^(L-i) for z = b >> i.  Each block of odd reciprocals is summed
-    by _balanced over its odd indices, with leaves of _LEAF odd terms, and
-    the blocks, lowest first, are weighted by their integers: those below
-    odd index _PAIR_SPAN merge as one pair, as _balanced's spans do, and
-    the rest as Fractions.  The sum is divided by 2^L once.  Each odd
-    o <= b is summed at most once, so the kernel sums at most b/2 terms,
-    every block with an odd denominator and so fewer bits for its gcds:
-    half the terms of H_n, and at most NT/2 for H_{NT} - H_N, where the
-    periodic weights sum NT.
+    less 2^(L-i) for z = b >> i.  The sum is divided by 2^L once.  Each
+    odd o <= b is summed at most once, so the kernel sums at most b/2
+    terms, every one with an odd denominator and so fewer bits for its
+    gcds: half the terms of H_n, and at most NT/2 for H_{NT} - H_N, where
+    the periodic weights sum NT.
+
+    A block of at most _LEAF odd terms is one _odd_leaf pair r/s, folded
+    with its weight w into one running unreduced pair p/q as
+    (p s + q r w, q s), which becomes one Fraction at the end.  That pair
+    stays small because each of its blocks is at most one leaf, and there
+    are at most 2L blocks: over 40,000 random ranges with b <= 10^6 it
+    held at most 514 odd terms (257 for H_n).  A longer block goes through
+    _balanced, and its Fraction, weighted, joins a running Fraction.  A
+    short range needs no path of its own: its blocks are all short, so
+    the running pair sums it.
 
     For a = 0 the blocks are the dyadic (b >> (l+1), b >> l] with weight
     2 - 2^-l: the odd-part decomposition of the binary-split factorial
     (P. Luschny; CPython's math.factorial).
-
-    A range of at most 4 _LEAF integers is summed over the integers, in
-    at most four leaves: there the blocks cost more to set up than they
-    save (measured level at about 128 to 256 integers).
     """
-    if b - a <= 4 * _LEAF:
-        return _weighted_harmonic((1,), b, a)
     L = b.bit_length()
     steps = collections.Counter()
     for i in range(L):
@@ -253,9 +222,9 @@ def _harmonic_range(a: int, b: int) -> Fraction:
             continue
         # the odd o in (x, y] are 2k + 1 for lo <= k < hi
         lo, hi = (x + 1) >> 1, (y + 1) >> 1
-        if hi <= _PAIR_SPAN:
-            p, q = _pairs(lo, hi, _odd_leaf)
-            low = _pair_add(low, (weight * p, q))
+        if hi - lo <= _LEAF:
+            (p, q), (r, s) = low, _odd_leaf(lo, hi)
+            low = p * s + q * r * weight, q * s
         else:
             total += weight * _balanced(lo, hi, _odd_leaf)
     return (total + Fraction(*low)) / (1 << L)

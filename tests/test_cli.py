@@ -507,20 +507,71 @@ class TestSubcommandDispatch:
             assert direct == parse_outcome(top_level, argv + fmt)
 
 
+def _cli_env() -> dict:
+    """The environment for a `python -m logser.cli` child: this tree's src first.
+
+    PYTHONUNBUFFERED is dropped, so the child's stdout is block-buffered as
+    under a shell and the interpreter's exit flush has something to write.
+    """
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    path = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = src + (os.pathsep + path if path else "")
+    return env
+
+
 class TestEntryPoint:
     def test_module_main_in_a_subprocess(self):
-        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-        path = os.environ.get("PYTHONPATH")
-        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
         proc = subprocess.run(
             [sys.executable, "-m", "logser.cli", "ln", "2", "--abs-err", "1e-9"],
             capture_output=True,
             text=True,
-            env=env,
+            env=_cli_env(),
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["command"] == "ln"
+
+    def test_a_closed_pipe_exits_1_without_a_traceback(self):
+        # 20,000 terms print far more than a pipe buffer holds, so the writer is
+        # still blocked when the reader takes one line and closes its end
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "logser.cli", "rearranged", "--T", "3", "--n", "20000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_cli_env(),
+        )
+        try:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+            err = proc.stderr.read().decode()
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
+        assert code == 1
+
+    def test_a_pipe_closed_before_the_payload_exits_1(self):
+        # the small payload sits in stdout's buffer until main's flush fails; the
+        # interpreter's exit flush must then find nothing to write
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "logser.cli", "ln", "2"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=_cli_env(),
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        err = proc.stderr.decode()
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
+        assert proc.returncode == 1
 
 
 class TestCachedParser:

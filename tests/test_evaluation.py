@@ -67,15 +67,15 @@ class TestBlockTerm:
             block_term(ln_vector(2), -1)
 
     def test_block_past_one_span(self):
-        # a block of more than two pair spans merges spans as Fractions
+        # a block of many leaves merges the leaves' Fractions in balanced halves
         rng = random.Random(17)
-        T = 2 * evaluation._PAIR_SPAN + 37
-        v = random_balanced(rng, T)
-        for k in (0, 1, 3):
-            running = Fraction(0)
-            for j, w in enumerate(v.weights, start=1):
-                running += Fraction(w, k * T + j)
-            assert block_term(v, k) == running / v.scale
+        for T in (2 * 1024 + 37, 2 * evaluation._LEAF + 37):
+            v = random_balanced(rng, T)
+            for k in (0, 1, 3):
+                running = Fraction(0)
+                for j, w in enumerate(v.weights, start=1):
+                    running += Fraction(w, k * T + j)
+                assert block_term(v, k) == running / v.scale
 
 
 class TestPartialSumExact:
@@ -96,7 +96,7 @@ class TestPartialSumExact:
             v = random_balanced(rng)
             K = rng.randint(0, 40)
             assert partial_sum_exact(v, K) == exact_block_oracle(v, K)
-        # mixed denominators and zero coefficients; K * T spans many 32-term leaves
+        # mixed denominators and zero coefficients; K * T spans several leaves
         for _ in range(10):
             T = rng.randint(2, 7)
             head = [
@@ -110,10 +110,11 @@ class TestPartialSumExact:
 
     @pytest.mark.parametrize("T", [3, 4, 5])
     def test_random_prefix_past_one_span(self, T):
-        # N T spans three pair spans, so spans merge as Fractions above pairs
+        # N T spans three spans of 1024 terms, and three leaves
         v = random_balanced(random.Random(T), T)
-        K = 3 * evaluation._PAIR_SPAN // T + 5
-        assert partial_sum_exact(v, K) == exact_block_oracle(v, K)
+        for span in (1024, evaluation._LEAF):
+            K = 3 * span // T + 5
+            assert partial_sum_exact(v, K) == exact_block_oracle(v, K)
 
     @pytest.mark.parametrize("T", [1, 2, 64])
     @pytest.mark.parametrize("c", [Fraction(1), Fraction(-3), Fraction(-5, 7)])
@@ -140,18 +141,17 @@ class TestPartialSumExact:
                 )
 
     def test_ln_multiples_sum_no_periodic_weights(self, monkeypatch):
-        # a short range sums its integers with unit weights; nothing sums the vector's
-        real = evaluation._weighted_harmonic
+        # a multiple of ln T is one range over odd denominators, short or long:
+        # nothing sums over the integers, with the vector's weights or unit ones
+        def no_integer_sum(*args):
+            raise AssertionError("a multiple of ln T summed over the integers")
 
-        def unit_weights_only(weights, *args):
-            assert weights == (1,), "a multiple of ln T summed its periodic weights"
-            return real(weights, *args)
-
-        monkeypatch.setattr(evaluation, "_weighted_harmonic", unit_weights_only)
+        monkeypatch.setattr(evaluation, "_weighted_harmonic", no_integer_sum)
         for T in (1, 2, 3, 64):
             for c in (1, -2):
                 v = make_vector(T, [c] * (T - 1) + [-(T - 1) * c])
-                partial_sum_exact(v, 50)
+                for N in (0, 1, 2, 50):
+                    partial_sum_exact(v, N)
 
 
 class TestHarmonic:
@@ -159,7 +159,7 @@ class TestHarmonic:
         assert harmonic(0) == 0
         assert harmonic(1) == 1
         assert harmonic(4) == Fraction(25, 12)
-        # around the 32-term leaves of the splitting
+        # small n, and ranges of up to a few leaves
         for n in (0, 31, 32, 33, 64, 65, 1000):
             plain = Fraction(0)
             for i in range(1, n + 1):
@@ -194,16 +194,71 @@ class TestHarmonic:
 
     def test_range_at_dyadic_edges_and_spans(self):
         # cuts a >> i and b >> i that meet, or straddle a power of 2; and
-        # blocks of more than one pair span of odd terms
-        span = evaluation._PAIR_SPAN
+        # blocks of many leaves of odd terms, for spans of 1024 terms and of a leaf
         edges = sorted({2**k + d for k in range(1, 14) for d in (-1, 0, 1)}
-                       | {4 * span - 1, 4 * span + 1, 6 * span + 3})
+                       | {4 * span + d for span in (1024, evaluation._LEAF) for d in (-1, 1)}
+                       | {6 * span + 3 for span in (1024, evaluation._LEAF)})
         prefix = [Fraction(0)]
         for m in range(1, edges[-1] + 1):
             prefix.append(prefix[-1] + Fraction(1, m))
         for b in edges:
             for a in sorted({0} | {e for e in edges if e <= b}):
                 assert evaluation._harmonic_range(a, b) == prefix[b] - prefix[a]
+
+    @pytest.mark.parametrize("a", [10**4, 10**4 + 1, 3 * 10**5 + 7])
+    @pytest.mark.parametrize("d", [-1, 0, 1])
+    def test_range_blocks_around_one_leaf(self, monkeypatch, a, d):
+        # (a, a + 2K] for a >= 2K is one block of K odd terms, the cuts a >> i and
+        # b >> i, i >= 1, all lying below a: at most _LEAF odd terms join the
+        # running pair as one leaf, and a longer block goes through _balanced
+        K = evaluation._LEAF + d
+        b = a + 2 * K
+        spans = []
+        real = evaluation._balanced
+
+        def recorded(lo, hi, leaf):
+            spans.append(hi - lo)
+            return real(lo, hi, leaf)
+
+        monkeypatch.setattr(evaluation, "_balanced", recorded)
+        plain = sum((Fraction(1, m) for m in range(a + 1, b + 1)), Fraction(0))
+        assert evaluation._harmonic_range(a, b) == plain
+        # the first call is the block's own; the rest are its halves
+        assert spans[:1] == ([K] if K > evaluation._LEAF else [])
+
+    def test_balanced_leaves_tile_the_range(self):
+        # a range of at most _LEAF terms is one leaf; a longer one is halved into
+        # leaves of at most _LEAF terms that tile it in order
+        leaf_size = evaluation._LEAF
+        for n in (1, 2, leaf_size - 1, leaf_size, leaf_size + 1, 3 * leaf_size + 5):
+            calls = []
+
+            def leaf(lo, hi):
+                calls.append((lo, hi))
+                return evaluation._odd_leaf(lo, hi)
+
+            total = evaluation._balanced(7, 7 + n, leaf)
+            assert total == sum((Fraction(1, 2 * k + 1) for k in range(7, 7 + n)), Fraction(0))
+            assert [lo for lo, _ in calls] == [7] + [hi for _, hi in calls[:-1]]
+            assert calls[-1][1] == 7 + n
+            assert all(0 < hi - lo <= leaf_size for lo, hi in calls)
+            if n <= leaf_size:
+                assert calls == [(7, 7 + n)]
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("d", [-1, 1])
+    def test_weighted_harmonic_around_leaf_multiples(self, k, d):
+        # k leaves of integers, one term short of that or one past it
+        rng = random.Random(100 * k + d)
+        n = k * evaluation._LEAF + d
+        for weights in ((1,), tuple(rng.randint(-9, 9) for _ in range(rng.randint(2, 7)))):
+            for start in (0, 37):
+                plain = sum(
+                    (Fraction(weights[(m - 1) % len(weights)], m)
+                     for m in range(start + 1, start + n + 1)),
+                    Fraction(0),
+                )
+                assert evaluation._weighted_harmonic(weights, start + n, start) == plain
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 6000), st.integers(0, 6000))
