@@ -37,7 +37,10 @@ Exact partial sums, harmonic numbers and the term stream of the
 rearranged form live here as well, all in exact rational arithmetic,
 and so do the Euler-Mascheroni partials H_n - ln n, computed by the
 floating-point kernel as psi(n+1) - psi(1) - ln n with no harmonic
-sum.  Every exact sum of 1/m over a range of m, H_b - H_a, goes through
+sum.  The stream's terms are +-1/m, already in lowest terms, so each
+is built from its two integers with no gcd, at a cost that grows with
+the number of terms and not with T.
+Every exact sum of 1/m over a range of m, H_b - H_a, goes through
 one kernel over odd denominators: the odd o in (a, b] and below count
 with a weight of powers of 2, constant on at most 2 bitlen(b) blocks.
 Harmonic numbers are H_n - H_0, the partial sums of a multiple of ln T
@@ -301,28 +304,53 @@ def tail_bound(v: CoefficientVector, blocks: int) -> float:
     return _float_upper(_weighted_mass(v), v.scale * v.modulus**2 * (blocks - 1))
 
 
+def _lowest_terms(numerator: int, denominator: int) -> Fraction:
+    """numerator/denominator as a Fraction, with no type dispatch and no gcd.
+
+    Only for a coprime pair with denominator > 0, which is then already in
+    lowest terms: the Fraction(numerator, denominator) would hold the same
+    pair.  It fills Fraction's two slots directly, so it relies on
+    Fraction.__slots__ being ('_numerator', '_denominator'), as it is on
+    CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0, whose ==, hash, str, repr
+    and pickling read only those two slots.
+    """
+    term = object.__new__(Fraction)
+    term._numerator = numerator
+    term._denominator = denominator
+    return term
+
+
 def rearranged_terms(modulus: int, count: int) -> list[Fraction]:
     """First `count` terms of the rearranged stream for ln T.
 
     Block k contributes the T terms 1/(kT+1), ..., 1/(kT+T) followed by
     the balancing term -1/(k+1); the stream rearranges the conditionally
     convergent series 1 - 1 + 1/2 - 1/2 + ...  Valid for modulus >= 1.
+    Every term is +-1/m with m >= 1, already in lowest terms, so it is
+    built from its two integers by _lowest_terms, in one pass: the c whole
+    blocks of T + 1 terms, then the first r terms of block c, where
+    count = c (T + 1) + r.  The cost grows with `count` alone, whatever T.
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
     _check_term_limit(count, f"terms of the rearranged stream for ln {modulus}")
-    out: list[Fraction] = []
-    k = 0
-    while len(out) < count:
+    # filled in place, so the list has none of the spare slots appends leave
+    out: list[Fraction] = [None] * count
+    blocks, rest = divmod(count, modulus + 1)
+    i = 0
+    for k in range(blocks):
         base = k * modulus
-        for j in range(1, modulus + 1):
-            out.append(Fraction(1, base + j))
-            if len(out) == count:
-                return out
-        out.append(Fraction(-1, k + 1))
-        k += 1
+        for m in range(base + 1, base + modulus + 1):
+            out[i] = _lowest_terms(1, m)
+            i += 1
+        out[i] = _lowest_terms(-1, k + 1)
+        i += 1
+    base = blocks * modulus
+    for m in range(base + 1, base + rest + 1):
+        out[i] = _lowest_terms(1, m)
+        i += 1
     return out
 
 

@@ -1,6 +1,7 @@
 """Evaluator: exact partial sums, bounds, both evaluation routes."""
 
 import math
+import pickle
 import random
 import sys
 import threading
@@ -596,6 +597,33 @@ class TestRearrangedTerms:
         stream = rearranged_terms(T, (k + 1) * (T + 1))
         block = stream[k * (T + 1) : (k + 1) * (T + 1)]
         assert sum(block) == block_term(ln_vector(T), k)
+
+    @pytest.mark.parametrize("T", [*range(1, 9), 64])
+    def test_terms_are_the_public_fractions(self, T):
+        # every term is the Fraction the public constructor builds: same type,
+        # pair, equality, hash, text and pickle; and the stream sums to the
+        # range the CLI's rearranged reading takes, H_{cT+r} - H_c
+        for count in [*range(1, 3 * (T + 1) + 2), 999, 1000, 1001]:
+            terms = rearranged_terms(T, count)
+            assert len(terms) == count
+            for i, t in enumerate(terms):
+                k, j = divmod(i, T + 1)
+                ref = Fraction(-1, k + 1) if j == T else Fraction(1, k * T + j + 1)
+                assert type(t) is Fraction
+                assert (t.numerator, t.denominator) == (ref.numerator, ref.denominator)
+                assert t == ref and hash(t) == hash(ref)
+                assert (str(t), repr(t)) == (str(ref), repr(ref))
+                assert pickle.dumps(t) == pickle.dumps(ref)
+                back = pickle.loads(pickle.dumps(t))
+                assert type(back) is Fraction and back == ref
+            c, r = divmod(count, T + 1)
+            assert sum(terms, Fraction(0)) == evaluation._harmonic_range(c, c * T + r)
+
+    def test_cost_does_not_grow_with_modulus(self):
+        start = time.perf_counter()
+        terms = rearranged_terms(10**9, 5)
+        assert time.perf_counter() - start < 1.0
+        assert terms == [Fraction(1, m) for m in range(1, 6)]
 
 
 class TestGammaPartial:

@@ -16,8 +16,13 @@ is its JSON summary; a run whose ``correct`` is false or whose
 For every end-to-end metric named in the change tree's BENCHMARK.json
 the script prints, and writes under the workload's key in ``--out``,
 each side's median and quartiles over the pairs and the number of pairs
-in which the change is better.  Other workloads already in ``--out`` are
-kept.  The exit code is 1 when a run was flagged or failed to finish.
+in which the change is better.  Under ``operations`` it also prints and
+writes each side's requests attempted and failed, summed over its runs,
+since a larger share of failed operations counts against a change as a
+slower metric does.  Each run is kept whole under ``runs``: its
+``correct``, ``attempted``, ``failed`` and ``metrics``, or an ``error``.
+Other workloads already in ``--out`` are kept.  The exit code is 1 when
+a run was flagged or failed to finish.
 """
 
 from __future__ import annotations
@@ -71,6 +76,18 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def operations(pairs: list[dict]) -> dict:
+    """Each side's requests attempted and failed, summed over its finished runs."""
+    out = {}
+    for side in ("parent", "change"):
+        runs = [p[side] for p in pairs if "attempted" in p[side]]
+        attempted = sum(r["attempted"] for r in runs)
+        failed = sum(r["failed"] for r in runs)
+        out[side] = {"runs": len(runs), "attempted": attempted, "failed": failed,
+                     "fail_frac": failed / attempted if attempted else None}
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -101,6 +118,7 @@ def main(argv: list[str] | None = None) -> int:
 
     complete = [p for p in pairs if "metrics" in p["parent"] and "metrics" in p["change"]]
     summary = summarise(complete, metrics) if len(complete) >= 2 else {}
+    totals = operations(pairs)
     print(f"{args.workload}: {len(complete)} pairs, median [q1, q3]")
     for name, s in summary.items():
         print(f"  {name:16s} parent {s['parent']['median']:10.4g} "
@@ -108,17 +126,17 @@ def main(argv: list[str] | None = None) -> int:
               f"{s['change']['median']:10.4g} [{s['change']['q1']:.4g}, "
               f"{s['change']['q3']:.4g}]  {s['unit']}, change better in "
               f"{s['wins']}/{s['pairs']} ({s['better']} is better)")
+    print("  operations       " + "  ".join(
+        f"{side} {t['failed']} of {t['attempted']} failed in {t['runs']} runs"
+        for side, t in totals.items()))
     for flag in flags:
         print("FLAG " + flag)
 
     if args.out:
         record = json.loads(args.out.read_text()) if args.out.exists() else {}
         record[args.workload] = {
-            "seconds": args.seconds, "seeds": args.seeds, "summary": summary,
-            "flags": flags,
-            "runs": [{"seed": p["seed"], "first": p["first"],
-                      **{side: p[side].get("metrics", p[side]) for side in trees}}
-                     for p in pairs],
+            "seconds": args.seconds, "seeds": args.seeds,
+            "summary": {**summary, "operations": totals}, "flags": flags, "runs": pairs,
         }
         args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return 1 if flags or len(complete) < len(pairs) else 0
