@@ -13,7 +13,9 @@ digit of |value| before the point past the first.  error_bound covers
 the printed digits: it is the reading's bound plus one unit in the last
 printed digit, |value| 10^(1 - precision), rounded up.  Reals are
 rounded by mpmath.libmp at explicit precisions; no mpmath context is
-read or set, so concurrent calls print what single calls print.
+read or set, so concurrent calls print what single calls print.  mpmath
+is imported by the first real printed (_real) or bench reference taken
+(_ln_float, _bench_target), not with this module.
 
 `bench` prints one CSV row per method and work.  Each method yields its
 value and bound before any scaling, and `bench` scales them to the
@@ -50,9 +52,6 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-
-import mpmath
-from mpmath import libmp
 
 from . import quadrature, relations
 from .errors import SeriesError
@@ -102,6 +101,9 @@ def _digits_for(abs_err: float, value) -> int:
 
 
 def _real(value, digits: int) -> str:
+    import mpmath
+
+    libmp = mpmath.libmp
     # round to enough bits for every printed digit, not mpmath's default 53
     raw = value._mpf_ if isinstance(value, mpmath.mpf) else libmp.from_float(value)
     bits = math.ceil(digits * math.log2(10)) + 16
@@ -109,6 +111,9 @@ def _real(value, digits: int) -> str:
 
 
 def _ln_float(n: int, prec: int) -> float:
+    import mpmath
+
+    libmp = mpmath.libmp
     # a reference, from mpmath and not the kernel.  mpf_log reads mpmath's
     # memo of ln 2, which stores a new value before its precision; a read
     # between the two stores takes ln 2 shifted by a power of two.  Only
@@ -389,6 +394,9 @@ def _bench_target(target: str):
     between the two stores takes the constant shifted by a power of two.
     Only this request's reference would be off: nothing is kept.
     """
+    import mpmath
+
+    libmp = mpmath.libmp
     if target == "pi":
         pi = libmp.mpf_pi(120, libmp.round_nearest)
         reference = libmp.to_float(pi, rnd=libmp.round_nearest)

@@ -55,8 +55,10 @@ cancels, and the logarithms of rationals that Gauss's formula and the
 Euler-Mascheroni partials leave, in integers scaled by 2^(prec+10),
 prec >= 96.  It reads no mpmath context or memo, so no precision set
 and no constant computed elsewhere in the process changes a result;
-values become mpmath.mpf only on the way out.  Requests below the
-precision floor raise Unachievable.
+values become mpmath.mpf only on the way out, in _mpf, which is also
+where mpmath is imported.  So the exact sums, tail_bound and the
+vectors never load mpmath.  Requests below the precision floor raise
+Unachievable.
 
 Cache policy: the rows psi(j/T) - ln a, j = 1..T, kept per (T, prec)
 for T <= _ROW_MODULUS in an LRU memo of _ROW_LIMIT rows, are the only
@@ -66,7 +68,8 @@ partial_sum_float and the slots of a modulus past the cap, and every
 logarithm (ln 2 included) is computed afresh.  The other cache holds the
 Stirling coefficients per precision.
 Concurrent calls need no lock: two threads may build the same row or
-table, with identical results.
+table, with identical results, and the interpreter's import lock lets
+one thread import mpmath while the other waits for it.
 """
 
 from __future__ import annotations
@@ -79,9 +82,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
-
-import mpmath
-from mpmath import libmp, mp
 
 from .errors import Unachievable
 from .vectors import CoefficientVector, _check_term_limit
@@ -565,8 +565,14 @@ def _psi_tail(v: CoefficientVector, blocks: int, prec: int) -> tuple[int, int]:
 
 
 def _mpf(fixed: int, prec: int) -> mpmath.mpf:
-    """A value scaled by 2^(prec+10), rounded to a prec-bit mpf."""
-    return mp.make_mpf(libmp.from_man_exp(fixed, -(prec + 10), prec, libmp.round_nearest))
+    """A value scaled by 2^(prec+10), rounded to a prec-bit mpf.
+
+    The first call imports mpmath; later calls find it in sys.modules.
+    """
+    import mpmath
+
+    libmp = mpmath.libmp
+    return mpmath.mp.make_mpf(libmp.from_man_exp(fixed, -(prec + 10), prec, libmp.round_nearest))
 
 
 def _allowance(v: CoefficientVector, value: int, prec: int, carried: int) -> float:
@@ -683,7 +689,7 @@ def evaluate(
             raise ValueError("prefix_blocks must be >= 0")
     if v.is_zero():
         return EvalResult(
-            value=mpmath.mpf(0),
+            value=_mpf(0, _MIN_PREC),
             error_bound=0.0,
             blocks_used=2 if method == "raw" else 0,
             method=method,

@@ -1,11 +1,15 @@
 """Evaluator: exact partial sums, bounds, both evaluation routes."""
 
+import json
 import math
+import pathlib
 import pickle
 import random
+import subprocess
 import sys
 import threading
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -19,6 +23,8 @@ from logser import evaluation
 from logser import (
     TERM_LIMIT,
     BudgetExceeded,
+    EvalResult,
+    GammaPartial,
     Unachievable,
     block_term,
     divisor_relations,
@@ -1162,3 +1168,79 @@ class TestConcurrency:
         assert risen.is_set()
         for outcome in outcomes:
             assert outcome == expected
+
+
+# A fresh interpreter runs every exact entry, notes whether mpmath is loaded,
+# then makes its first float calls: in one thread, or in two threads at once
+# (argv[2] is "serial" or "threads").  It prints each value's _mpf_ tuple.
+_LAZY_CHILD = """
+import json, sys, threading
+sys.path.insert(0, sys.argv[1])
+import logser, logser.cli
+from logser import (block_term, decomposition_check, divisor_family, evaluate,
+                    gamma_partial, harmonic, kernel, ln_vector, make_vector,
+                    partial_sum_exact, rearranged_terms, tail_bound)
+harmonic(5000)
+partial_sum_exact(ln_vector(3), 1000)
+partial_sum_exact(make_vector(4, (1, -3, 1, 1)), 200)
+block_term(ln_vector(5), 7)
+rearranged_terms(3, 100)
+tail_bound(ln_vector(7), 10)
+kernel(divisor_family(12))
+decomposition_check(4, 1e-8)
+loaded = "mpmath" in sys.modules
+
+def first_floats():
+    return [evaluate(ln_vector(7), 1e-25).value, gamma_partial(10).value]
+
+if sys.argv[2] == "serial":
+    outcomes = [first_floats()]
+else:
+    sys.setswitchinterval(1e-6)
+    start, outcomes = threading.Barrier(2), [None, None]
+
+    def run(i):
+        start.wait()
+        outcomes[i] = first_floats()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+import mpmath
+print(json.dumps({
+    "loaded": loaded,
+    "mpf": [type(v) is mpmath.mpf for values in outcomes for v in values],
+    "tuples": [[[int(x) for x in v._mpf_] for v in values] for values in outcomes],
+}))
+"""
+
+
+class TestLazyMpmath:
+    """mpmath loads with the first value that leaves as an mpf, not with logser."""
+
+    def _child(self, mode):
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", _LAZY_CHILD, src, mode],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    @pytest.mark.parametrize("mode", ["serial", "threads"])
+    def test_exact_entries_load_no_mpmath_and_first_floats_match(self, mode):
+        want = [[list(evaluate(ln_vector(7), 1e-25).value._mpf_),
+                 list(gamma_partial(10).value._mpf_)]]
+        out = self._child(mode)
+        assert out["loaded"] is False
+        assert all(out["mpf"])
+        assert out["tuples"] == want * (1 if mode == "serial" else 2)
+
+    @pytest.mark.parametrize("cls", [EvalResult, GammaPartial])
+    def test_type_hints_resolve_with_mpmath_passed_in(self, cls):
+        # mpmath is no global of logser.evaluation, so the string annotation
+        # "mpmath.mpf" resolves only when the caller names the module
+        with pytest.raises(NameError):
+            typing.get_type_hints(cls)
+        assert typing.get_type_hints(cls, localns={"mpmath": mpmath})["value"] is mpmath.mpf

@@ -15,14 +15,18 @@ is its JSON summary; a run whose ``correct`` is false or whose
 
 For every end-to-end metric named in the change tree's BENCHMARK.json
 the script prints, and writes under the workload's key in ``--out``,
-each side's median and quartiles over the pairs and the number of pairs
-in which the change is better.  Under ``operations`` it also prints and
-writes each side's requests attempted and failed, summed over its runs,
-since a larger share of failed operations counts against a change as a
-slower metric does.  Each run is kept whole under ``runs``: its
-``correct``, ``attempted``, ``failed`` and ``metrics``, or an ``error``.
-Other workloads already in ``--out`` are kept.  The exit code is 1 when
-a run was flagged or failed to finish.
+each side's median and quartiles over the pairs, the number of pairs
+in which the change is better, whether the change's median lies outside
+the parent's [q1, q3] (``outside_parent_quartiles``) and whether the
+medians differ by more than the parent's q3 - q1
+(``beyond_parent_spread``), the spread a claimed gain must pass.  Under
+``operations`` it also prints and writes each side's requests attempted
+and failed, summed over its runs, since a larger share of failed
+operations counts against a change as a slower metric does.  Each run
+is kept whole under ``runs``: its ``correct``, ``attempted``, ``failed``
+and ``metrics``, or an ``error``.  Other workloads already in ``--out``
+are kept.  The exit code is 1 when a run was flagged or failed to
+finish.
 """
 
 from __future__ import annotations
@@ -70,9 +74,13 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
                   for side in ("parent", "change")}
         wins = sum((c > p) if higher else (c < p)
                    for p, c in zip(values["parent"], values["change"]))
+        parent, change = spread(values["parent"]), spread(values["change"])
         out[name] = {"unit": metric["unit"], "better": metric["better"],
-                     "parent": spread(values["parent"]), "change": spread(values["change"]),
-                     "wins": wins, "pairs": len(pairs)}
+                     "parent": parent, "change": change, "wins": wins, "pairs": len(pairs),
+                     "outside_parent_quartiles":
+                         not parent["q1"] <= change["median"] <= parent["q3"],
+                     "beyond_parent_spread":
+                         abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"]}
     return out
 
 
@@ -125,7 +133,11 @@ def main(argv: list[str] | None = None) -> int:
               f"[{s['parent']['q1']:.4g}, {s['parent']['q3']:.4g}]  change "
               f"{s['change']['median']:10.4g} [{s['change']['q1']:.4g}, "
               f"{s['change']['q3']:.4g}]  {s['unit']}, change better in "
-              f"{s['wins']}/{s['pairs']} ({s['better']} is better)")
+              f"{s['wins']}/{s['pairs']} ({s['better']} is better); change median "
+              + ("outside" if s["outside_parent_quartiles"] else "inside")
+              + " parent [q1, q3], moved "
+              + ("more" if s["beyond_parent_spread"] else "no more")
+              + " than parent q3 - q1")
     print("  operations       " + "  ".join(
         f"{side} {t['failed']} of {t['attempted']} failed in {t['runs']} runs"
         for side, t in totals.items()))
