@@ -449,12 +449,15 @@ def _rearranged_prefix(vec, count: int) -> tuple[float, float]:
 
 
 def _bench_value(method, work, vec):
-    """(value, error bound) of one bench row, before scaling and rounding."""
+    """(value, error bound) of one bench row, before scaling and rounding.
+
+    An accelerated row is the whole psi tail, so it ignores work.
+    """
     if method == "raw":
         blocks = max(2, work)
         return partial_sum_float(vec, blocks), tail_bound(vec, blocks)
     if method == "accelerated":
-        result = evaluate(vec, float("inf"), prefix_blocks=max(2, work))
+        result = evaluate(vec, float("inf"))
         return result.value, result.error_bound
     if method == "rearranged":
         return _rearranged_prefix(vec, work)

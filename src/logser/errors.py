@@ -25,8 +25,8 @@ class BudgetExceeded(SeriesError):
     """The request exceeds a fixed cost limit of the package.
 
     TERM_LIMIT bounds every count of terms summed or slots built: the
-    terms of the exact sums and of an exact prefix, the slots of a
-    vector or a relation family, and the Horner slots of quadrature.
+    terms of the exact sums, the slots of a vector or a relation family,
+    and the Horner slots of quadrature.
     The panel limit of adaptive quadrature bounds the panels of the
     fixed rule as well.
     """

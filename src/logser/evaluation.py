@@ -18,20 +18,19 @@ Two evaluation routes are provided:
   cost does not grow with K.  The reported bound (tail bound plus a
   rounding allowance) is rigorous.
 * accelerated: balance makes the series exactly -(1/T) sum_j a_j psi(j/T),
-  the tail from block 0, so by default no block is summed.  An explicit
-  prefix of K0 blocks is summed exactly, plus the tail
-  -(1/T) sum_j a_j psi(K0 + j/T).  Nothing is truncated, so the
-  reported bound is a rounding allowance alone, and it is rigorous.
+  the tail from block 0, so no block is summed.  Nothing is truncated,
+  so the reported bound is a rounding allowance alone, and it is rigorous.
 
-Both routes are psi tails, and a tail takes one of two sums.  The whole
-series over T <= _ROW_MODULUS is a dot product with a memoised row.
-Every other tail splits off the vector's most common weight c, when that
-saves a psi, and sums c's share through Gauss's multiplication formula
-(DLMF 5.5.6) in one psi and at most one logarithm: a tail pays one psi
-per slot whose weight is not c, plus one, so ln T costs two psi past the
-cap.  c = 0 is the plain slot loop.  _psi_tail makes that choice once
-per tail and returns, with the value, the magnitude the chosen sum
-carries, which is what the rounding allowance charges.
+accelerated is one psi tail and raw two, and a tail takes one of two
+sums.  The whole series over T <= _ROW_MODULUS is a dot product with a
+memoised row.  Every other tail splits off the vector's most common
+weight c, when that saves a psi, and sums c's share through Gauss's
+multiplication formula (DLMF 5.5.6) in one psi and at most one
+logarithm: a tail pays one psi per slot whose weight is not c, plus one,
+so ln T costs two psi past the cap.  c = 0 is the plain slot loop.
+_psi_tail makes that choice once per tail and returns, with the value,
+the magnitude the chosen sum carries, which is what the rounding
+allowance charges.
 
 Exact partial sums, harmonic numbers and the term stream of the
 rearranged form live here as well, all in exact rational arithmetic,
@@ -79,6 +78,7 @@ import functools
 import itertools
 import math
 import operator
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -638,11 +638,8 @@ def evaluate(
     of abs_err for rounding when it picks the truncation K; its K-block
     sum is two psi tails, so its cost does not grow with K and no limit
     bounds it.  accelerated mode sums no block and returns
-    -(1/T) sum_j a_j psi(j/T).  An explicit `prefix_blocks` K0 > 0 sums
-    K0 blocks exactly and adds -(1/T) sum_j a_j psi(K0 + j/T); K0 T over
-    TERM_LIMIT raises BudgetExceeded, as partial_sum_exact does.
-    raw mode picks its own K, so passing `prefix_blocks` with it raises
-    ValueError.
+    -(1/T) sum_j a_j psi(j/T).  `prefix_blocks` is deprecated: a value
+    other than None warns and is ignored.
 
     Error, in units u = 2^-(prec+10) of the fixed-point kernel: the tail
     identity and Gauss's multiplication formula are exact, balance
@@ -669,11 +666,10 @@ def evaluate(
     as carried, over D T.  The row route and the slot loop are c = 0,
     where R is A = (1/T) sum_j |a_j|, and R >= A for every c.  raw's two
     tails take the same c, or 0 for the row, so they err by under twice
-    2^10 u R + u with the R its tail after K blocks carries; a prefix
-    adds u, and rounding to prec bits adds
-    2^10 u |value|.  So the total is under 2^11 u (R + |value| + 1),
-    2^19 times below the reported 2^-(prec-20) (R + |value| + 1), for
-    every prefix_blocks.  raw adds its tail bound.
+    2^10 u R + u with the R its tail after K blocks carries, and rounding
+    to prec bits adds 2^10 u |value|.  So the total is under
+    2^11 u (R + |value| + 1), 2^19 times below the reported
+    2^-(prec-20) (R + |value| + 1).  raw adds its tail bound.
 
     Unachievable signals that abs_err sits below the working-precision
     floor, or that rounding would push the bound past it.
@@ -683,10 +679,8 @@ def evaluate(
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     if prefix_blocks is not None:
-        if method == "raw":
-            raise ValueError("prefix_blocks applies to the accelerated method only")
-        if prefix_blocks < 0:
-            raise ValueError("prefix_blocks must be >= 0")
+        warnings.warn("prefix_blocks is deprecated and ignored; the result is that of "
+                      "the call without it", DeprecationWarning, stacklevel=2)
     if v.is_zero():
         return EvalResult(
             value=_mpf(0, _MIN_PREC),
@@ -708,12 +702,8 @@ def evaluate(
         value = _psi_tail(v, 0, prec)[0] - tail
         bound = _float_upper(mass, den * (blocks - 1))
     else:
-        blocks, value, bound = prefix_blocks or 0, 0, 0.0
-        if blocks:
-            prefix = partial_sum_exact(v, blocks)
-            value = (prefix.numerator << (prec + 10)) // prefix.denominator
-        tail, carried = _psi_tail(v, blocks, prec)
-        value += tail
+        blocks, bound = 0, 0.0
+        value, carried = _psi_tail(v, 0, prec)
     bound += _allowance(v, value, prec, carried)
     if bound > abs_err:
         raise Unachievable(

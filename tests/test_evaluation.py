@@ -398,8 +398,9 @@ class TestEvaluateAccelerated:
             assert abs(float(accel.value) - float(raw.value)) <= 2e-9
 
     def test_small_prefix_still_honest(self):
-        result = evaluate(ln_vector(2), 1e-8, prefix_blocks=10)
-        assert abs(float(result.value) - LN2) <= result.error_bound
+        value, bound = _prefix_and_tail(ln_vector(2), 10, 1e-8)
+        with mp.workprec(200):
+            assert abs(value - mp.log(2)) <= bound
 
     @pytest.mark.parametrize(
         "abs_err, method",
@@ -444,15 +445,17 @@ class TestEvaluateAccelerated:
             assert abs(result.value - mp.ln(64)) <= result.error_bound <= 1e-30
 
     def test_explicit_prefixes_agree_within_bounds(self):
+        # the tail after K0 blocks plus their exact sum is one identity for
+        # every K0, and K0 = 0 is evaluate's own result
         rng = random.Random(31)
         for v in (ln_vector(5), random_balanced(rng, modulus=7)):
-            prefixes = [0, 1, 2, 10, 1000]
-            results = [evaluate(v, 1e-25, prefix_blocks=k) for k in prefixes]
-            assert [r.blocks_used for r in results] == prefixes
+            results = [_prefix_and_tail(v, k, 1e-25) for k in (0, 1, 2, 10, 1000)]
+            result = evaluate(v, 1e-25)
+            assert results[0] == (result.value, result.error_bound)
             with mp.workprec(200):
-                for a in results:
-                    for b in results:
-                        assert abs(a.value - b.value) <= a.error_bound + b.error_bound
+                for a, a_bound in results:
+                    for b, b_bound in results:
+                        assert abs(a - b) <= a_bound + b_bound
 
     @pytest.mark.parametrize("T", [13, 1000, 10007])
     def test_dominant_weight_at_the_zero_of_psi_within_bounds(self, T):
@@ -467,27 +470,32 @@ class TestEvaluateAccelerated:
             with mp.workprec(2200):
                 reference = _digamma_limit(v)
             for abs_err in (1e-6, 1e-30, 1e-100, 1e-250):
-                results = [evaluate(v, abs_err, prefix_blocks=k) for k in (0, 1, 2)]
-                results.append(evaluate(v, abs_err, "raw"))
+                results = [
+                    (r.value, r.error_bound)
+                    for r in (evaluate(v, abs_err), evaluate(v, abs_err, "raw"))
+                ]
+                results += [_prefix_and_tail(v, k, abs_err) for k in (1, 2)]
                 with mp.workprec(2200):
-                    for result in results:
-                        gap = abs(result.value - reference)
-                        assert gap <= result.error_bound <= abs_err, (sign, abs_err, result)
+                    for value, bound in results:
+                        gap = abs(value - reference)
+                        assert gap <= bound <= abs_err, (sign, abs_err, value, bound)
 
     @pytest.mark.parametrize("T", [7, 64, 67, 1000])
     def test_every_route_within_its_bound_of_a_200_bit_ln(self, T):
         # ln_vector(T) takes its common weight 1 in closed form on every route
-        # but the row's: raw's tail, and prefixes below, at and past the
-        # threshold, where the formula leaves ln T, ln(K0/threshold) or nothing
+        # but the row's: raw's tail, and tails after exact prefixes below, at
+        # and past the threshold, where the formula leaves ln T,
+        # ln(K0/threshold) or nothing
         v = ln_vector(T)
         threshold = evaluation._shift_threshold(evaluation._working_prec(1e-30, v))
-        results = [evaluate(v, abs_err, "raw") for abs_err in (1e-6, 1e-30)]
-        for k in (0, 1, threshold - 1, threshold, threshold + 1):
-            results.append(evaluate(v, 1e-30, prefix_blocks=k))
+        routes = [evaluate(v, 1e-6, "raw"), evaluate(v, 1e-30, "raw"), evaluate(v, 1e-30)]
+        results = [(r.value, r.error_bound) for r in routes]
+        for k in (1, threshold - 1, threshold, threshold + 1):
+            results.append(_prefix_and_tail(v, k, 1e-30))
         with mp.workprec(200):
             reference = mp.log(T)
-            for result in results:
-                assert abs(result.value - reference) <= result.error_bound, result
+            for value, bound in results:
+                assert abs(value - reference) <= bound, (value, bound)
 
     def test_ln_of_a_million_in_under_two_seconds(self):
         # one psi slot and one ln through Gauss's multiplication formula,
@@ -497,11 +505,6 @@ class TestEvaluateAccelerated:
         assert time.perf_counter() - start < 2
         with mp.workprec(200):
             assert abs(result.value - mp.log(10**6)) <= result.error_bound <= 1e-9
-
-    def test_budget_caps_an_explicit_prefix(self):
-        # 200,001 blocks over modulus 5 are 1,000,005 block-terms
-        with pytest.raises(BudgetExceeded):
-            evaluate(ln_vector(5), 1e-20, prefix_blocks=200_001)
 
     def test_lnq_1001_1000_needs_no_exact_prefix(self):
         # modulus 10010: even a 32-block exact prefix is 320,320 Fraction terms
@@ -548,19 +551,41 @@ class TestEvaluateAccelerated:
             evaluate(ln_vector(2), 0.0)
         with pytest.raises(ValueError):
             evaluate(ln_vector(2), 1e-6, "fancy")
-        with pytest.raises(ValueError):
-            evaluate(ln_vector(2), 1e-6, prefix_blocks=-1)
 
-    def test_raw_rejects_prefix_blocks(self):
-        # raw picks its own truncation, so it cannot honour a prefix_blocks request
-        with pytest.raises(ValueError, match="prefix_blocks"):
-            evaluate(ln_vector(2), 1e-6, "raw", prefix_blocks=50)
-        with pytest.raises(ValueError, match="prefix_blocks"):
-            evaluate(make_vector(3, [0, 0, 0]), 1e-6, "raw", prefix_blocks=0)
+    @pytest.mark.parametrize("method", ["accelerated", "raw"])
+    def test_prefix_blocks_is_deprecated_and_ignored(self, method, monkeypatch):
+        # any value warns once, at the caller, and the result is the call's
+        # without it; the evaluator sums no exact block for any of them
+        monkeypatch.setattr(evaluation, "partial_sum_exact", _no_exact_prefix)
+        for v in (ln_vector(7), make_vector(3, [0, 0, 0])):
+            expected = evaluate(v, 1e-15, method)
+            for k in (0, 1, 2, 1000, -1, 10**9):
+                with pytest.deprecated_call() as record:
+                    result = evaluate(v, 1e-15, method, prefix_blocks=k)
+                assert result == expected, k
+                assert [w.filename for w in record] == [__file__]
 
 
 def _no_exact_prefix(*args, **kwargs):
-    raise AssertionError("the default accelerated route summed an exact prefix")
+    raise AssertionError("the evaluator summed an exact prefix")
+
+
+def _prefix_and_tail(v, blocks, abs_err):
+    """(value, bound): the first `blocks` blocks summed exactly, plus the psi tail.
+
+    At evaluate's working precision for abs_err, partial_sum_exact(v,
+    blocks) is floored at scale 2^(prec+10) and _psi_tail(v, blocks, prec)
+    added, and the bound is the rounding allowance on the sum's carried
+    count; flooring the prefix adds u, inside its 2^19 margin.  The bound
+    must meet abs_err, as evaluate's does.
+    """
+    prec = evaluation._working_prec(abs_err, v)
+    prefix = partial_sum_exact(v, blocks)
+    tail, carried = evaluation._psi_tail(v, blocks, prec)
+    value = (prefix.numerator << (prec + 10)) // prefix.denominator + tail
+    bound = evaluation._allowance(v, value, prec, carried)
+    assert bound <= abs_err, (v.coeffs, blocks, abs_err, bound)
+    return evaluation._mpf(value, prec), bound
 
 
 def _digamma_limit(v):

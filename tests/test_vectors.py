@@ -20,7 +20,6 @@ from logser import (
     UnbalancedCoefficients,
     decomposition_check,
     divisor_family,
-    evaluate,
     factor_radical,
     fixed_panel_integral,
     harmonic,
@@ -472,7 +471,6 @@ _COUNTED_SITES = {
     "divisor_family": (lambda: divisor_family(60), 167 * 60),
     "harmonic": (lambda: harmonic(60), 60),
     "partial_sum_exact": (lambda: partial_sum_exact(ln_vector(10), 6), 60),
-    "evaluate_prefix": (lambda: evaluate(ln_vector(10), 1e-9, prefix_blocks=6), 60),
     "rearranged_terms": (lambda: rearranged_terms(3, 60), 60),
     "integrate": (lambda: integrate(60, 1, 1e-9), 60),
     # 60 Horner slots per node on each of 4 panels

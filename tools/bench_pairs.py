@@ -27,12 +27,19 @@ is kept whole under ``runs``: its ``correct``, ``attempted``, ``failed``
 and ``metrics``, or an ``error``.  Other workloads already in ``--out``
 are kept.  The exit code is 1 when a run was flagged or failed to
 finish.
+
+With ``--trace`` every run is traced (``--trace 1``) and kept under the
+key ``<workload>_traced``.  The summary then covers the per-layer
+metrics of BENCHMARK.json as well, and each run keeps its ``layers``:
+the min and median µs, repetitions and achieved abs error of every
+``layer`` line the run prints.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -47,16 +54,29 @@ def seeds(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
-def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced bench/run.py in `tree`: its last JSON line, or an error record."""
+# a traced run's line for one kernel of bench/layers.py
+LAYER = re.compile(r"\s*layer (.+): min (\S+) us, median (\S+) us over (\d+), abs error (\S+)")
+
+
+def bench_run(tree: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
+    """One bench/run.py in `tree`: its last JSON line, or an error record.
+
+    A traced run also keeps its layer lines under ``layers``.
+    """
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(int(trace))]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
         summary = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-300:]}"}
+    if trace:
+        summary["layers"] = {
+            m[1]: {"min_us": float(m[2]), "median_us": float(m[3]), "reps": int(m[4]),
+                   "abs_error": float(m[5])}
+            for m in map(LAYER.fullmatch, lines) if m
+        }
     return summary
 
 
@@ -104,16 +124,23 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", type=seeds, required=True, help="first-last or a,b,c")
     parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--out", type=Path)
+    parser.add_argument("--trace", action="store_true",
+                        help="trace every run and summarise the per-layer metrics too")
     args = parser.parse_args(argv)
 
-    metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    declared = json.loads((args.change / "BENCHMARK.json").read_text())
+    metrics = declared["end_to_end"] + (declared["per_layer"] if args.trace else [])
+    key = f"{args.workload}_traced" if args.trace else args.workload
+    # a traced run reports no end-to-end metric, so it is followed by its traced time
+    headline, unit = (("bench.traced_request_ms", "ms") if args.trace
+                      else ("requests_per_s", "/s"))
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     pairs, flags = [], []
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            run = bench_run(trees[side], args.workload, seed, args.seconds)
+            run = bench_run(trees[side], args.workload, seed, args.seconds, args.trace)
             pair[side] = run
             if "error" in run or run["correct"] is not True or run["failed"]:
                 flags.append(f"{side} seed {seed}: "
@@ -121,13 +148,16 @@ def main(argv: list[str] | None = None) -> int:
                                                 f"failed {run.get('failed')}"))
         pairs.append(pair)
         print(f"seed {seed} ({order[0]} first): " + ", ".join(
-            f"{side} {pair[side]['metrics']['requests_per_s']['value']:.1f}/s"
+            f"{side} {pair[side]['metrics'][headline]['value']:.1f} {unit}"
             for side in ("parent", "change") if "metrics" in pair[side]), flush=True)
 
     complete = [p for p in pairs if "metrics" in p["parent"] and "metrics" in p["change"]]
+    # a metric that some run lacks is left out
+    metrics = [m for m in metrics
+               if all(m["name"] in p[side]["metrics"] for p in complete for side in trees)]
     summary = summarise(complete, metrics) if len(complete) >= 2 else {}
     totals = operations(pairs)
-    print(f"{args.workload}: {len(complete)} pairs, median [q1, q3]")
+    print(f"{key}: {len(complete)} pairs, median [q1, q3]")
     for name, s in summary.items():
         print(f"  {name:16s} parent {s['parent']['median']:10.4g} "
               f"[{s['parent']['q1']:.4g}, {s['parent']['q3']:.4g}]  change "
@@ -146,8 +176,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.out:
         record = json.loads(args.out.read_text()) if args.out.exists() else {}
-        record[args.workload] = {
-            "seconds": args.seconds, "seeds": args.seeds,
+        record[key] = {
+            "seconds": args.seconds, "seeds": args.seeds, "trace": args.trace,
             "summary": {**summary, "operations": totals}, "flags": flags, "runs": pairs,
         }
         args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
