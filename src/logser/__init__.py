@@ -43,16 +43,13 @@ from .relations import (
     KernelBasis,
     divisor_family,
     divisor_relations,
-    express_in_basis,
     kernel,
     relation_witnesses,
-    spanning_basis,
     verify_zero,
 )
 from .vectors import (
     TERM_LIMIT,
     CoefficientVector,
-    factor_radical,
     lift,
     linear_combine,
     ln_rational_vector,
@@ -82,8 +79,6 @@ __all__ = [
     "divisor_family",
     "divisor_relations",
     "evaluate",
-    "express_in_basis",
-    "factor_radical",
     "fixed_panel_integral",
     "gamma_partial",
     "harmonic",
@@ -102,7 +97,6 @@ __all__ = [
     "pi_estimate",
     "rearranged_terms",
     "relation_witnesses",
-    "spanning_basis",
     "tail_bound",
     "verify_zero",
 ]

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -85,34 +84,6 @@ def _difference_vectors(modulus: int, repeats: int = 1) -> list[CoefficientVecto
         pattern = (0,) * i + (1, -1) + (0,) * (modulus - 2 - i)
         out.append(_from_weights(modulus * repeats, pattern * repeats))
     return out
-
-
-def _check_family(modulus: int) -> None:
-    """Validate the modulus of a family: T >= 2."""
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
-
-
-def spanning_basis(modulus: int) -> list[CoefficientVector]:
-    """The T-1 difference vectors spanning the balanced space over T.
-
-    Their (T-1) T slots are bounded by TERM_LIMIT, so T <= 1000 builds;
-    a larger modulus raises BudgetExceeded before any vector is built.
-    """
-    _check_family(modulus)
-    _check_term_limit((modulus - 1) * modulus, f"slots of the basis over {modulus}")
-    return _difference_vectors(modulus)
-
-
-def express_in_basis(v: CoefficientVector) -> list[Fraction]:
-    """Coordinates of v in the difference basis: the prefix sums of a.
-
-    Always solvable for balanced input; recombining the basis with the
-    returned coordinates reproduces v exactly.  The last prefix sum is 0
-    by balance and is not a coordinate.  ``kernel`` reduces the same
-    prefix sums, taken over the integer weights.
-    """
-    return [Fraction(s, v.scale) for s in accumulate(v.weights[:-1])]
 
 
 def _normalize_relation(ints: Sequence[int]) -> tuple[int, ...]:
@@ -256,7 +227,8 @@ def divisor_family(T: int) -> list[CoefficientVector]:
     takes builds (at most 167 x 60 slots), a prime T up to 997, and a
     highly composite one such as 720 (2417 x 720) does not.
     """
-    _check_family(T)
+    if T < 2:
+        raise ValueError("modulus must be >= 2")
     # the difference vectors alone bound T before its divisors are listed
     _check_term_limit((T - 1) * T, f"slots of the basis over {T}")
     members = _log_positions(T)[-1][1] + 1

@@ -209,22 +209,6 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-def factor_radical(n: int) -> list[int]:
-    """Sorted distinct prime divisors of n; empty for n = 1.
-
-    Trial division stops at TERM_LIMIT, so the largest factor left is
-    certified prime only below (TERM_LIMIT + 1)^2: a larger one would
-    need candidate divisors up to its square root, past the limit, and
-    raises BudgetExceeded.
-    """
-    if not 1 <= n <= _FACTOR_LIMIT:
-        raise ValueError(f"n must be in [1, 2^63 - 1], got {n}")
-    factors = _factorize(n)
-    top = max(factors, default=1)
-    _check_term_limit(math.isqrt(top), f"candidate divisors up to the square root of {top}")
-    return sorted(factors)
-
-
 def _lifted_logs(modulus: int, weights: dict[int, int]) -> list[int]:
     """sum_d w_d * lift(ln_vector(d), T/d) over divisors d of T, in integers.
 

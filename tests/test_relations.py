@@ -1,8 +1,9 @@
-"""Spanning basis, exact kernels, zero-series verification."""
+"""Difference basis, exact kernels, zero-series verification."""
 
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -15,20 +16,18 @@ from logser import (
     NotComposite,
     divisor_family,
     divisor_relations,
-    express_in_basis,
-    factor_radical,
     kernel,
     lift,
     linear_combine,
     ln_vector,
     make_vector,
     relation_witnesses,
-    spanning_basis,
     verify_zero,
 )
 
 from logser import relations
-from logser.relations import _nullspace
+from logser.relations import _difference_vectors, _nullspace
+from logser.vectors import _factorize
 
 from conftest import random_balanced
 
@@ -96,7 +95,7 @@ def lifted_family(T):
     """divisor_family(T) built by lifting each divisor's spanning basis.
 
     The difference vectors come from make_vector, so this shares no
-    integer constructor with ``spanning_basis`` or ``divisor_family``.
+    integer constructor with ``divisor_family``.
     """
     def differences(d):
         return [
@@ -166,33 +165,26 @@ def unit_families(draw):
 
 
 class TestSpanningBasis:
+    """The T-1 difference vectors that lead every divisor family."""
+
     def test_small_moduli(self):
-        assert [[int(c) for c in b.coeffs] for b in spanning_basis(2)] == [[1, -1]]
-        assert [[int(c) for c in b.coeffs] for b in spanning_basis(3)] == [
-            [1, -1, 0],
-            [0, 1, -1],
-        ]
-        assert [[int(c) for c in b.coeffs] for b in spanning_basis(4)] == [
-            [1, -1, 0, 0],
-            [0, 1, -1, 0],
-            [0, 0, 1, -1],
-        ]
+        for T, rows in [
+            (2, [[1, -1]]),
+            (3, [[1, -1, 0], [0, 1, -1]]),
+            (4, [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1]]),
+        ]:
+            for basis in (divisor_family(T)[: T - 1], _difference_vectors(T)):
+                assert [[int(c) for c in b.coeffs] for b in basis] == rows
 
     def test_linearly_independent(self):
         for T in (2, 3, 7, 12):
-            assert len(kernel(spanning_basis(T))) == 0
+            assert len(kernel(divisor_family(T)[: T - 1])) == 0
 
     def test_requires_modulus_two(self):
-        with pytest.raises(ValueError):
-            spanning_basis(1)
         with pytest.raises(ValueError):
             divisor_family(1)
 
     def test_slots_are_bounded_by_the_term_limit(self):
-        # (T - 1) T slots: 999,000 at T = 1000, past the limit at 1001
-        assert len(spanning_basis(1000)) == 999
-        with pytest.raises(BudgetExceeded):
-            spanning_basis(1001)
         # sigma(720) - 1 = 2417 members of 720 slots, though (T - 1) T fits
         with pytest.raises(BudgetExceeded):
             divisor_family(720)
@@ -207,32 +199,20 @@ class TestSpanningBasis:
             divisor_family(720)
         # past it by the difference vectors alone: no divisor is listed
         monkeypatch.setattr(relations, "_proper_divisors", forbidden)
-        for build in (spanning_basis, divisor_family):
-            with pytest.raises(BudgetExceeded):
-                build(10**12)
+        with pytest.raises(BudgetExceeded):
+            divisor_family(10**12)
 
 
 class TestExpressInBasis:
-    def test_basis_element(self):
-        assert express_in_basis(make_vector(2, [1, -1])) == [Fraction(1)]
-
-    def test_ln_vector(self):
-        assert express_in_basis(ln_vector(3)) == [Fraction(1), Fraction(2)]
-
-    def test_zero_vector(self):
-        assert express_in_basis(make_vector(4, [0] * 4)) == [Fraction(0)] * 3
-
-    def test_rational_vector(self):
-        v = make_vector(3, ["1/2", "-1/3", "-1/6"])
-        assert express_in_basis(v) == [Fraction(1, 2), Fraction(1, 6)]
+    """A balanced vector's coordinates in the difference basis are its prefix sums."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10**6))
     def test_reconstruction_is_exact(self, seed):
         v = random_balanced(random.Random(seed))
-        coords = express_in_basis(v)
-        rebuilt = linear_combine(list(zip(coords, spanning_basis(v.modulus))))
-        assert rebuilt == v
+        coords = list(accumulate(v.coeffs[:-1]))
+        basis = divisor_family(v.modulus)[: v.modulus - 1]
+        assert linear_combine(list(zip(coords, basis))) == v
 
 
 class TestKernel:
@@ -401,11 +381,11 @@ class TestDivisorRelations:
 
         reference = lifted_family(T)
         assert members(divisor_family(T)) == members(reference)
-        assert members(spanning_basis(T)) == members(reference[: T - 1])
+        assert members(_difference_vectors(T)) == members(reference[: T - 1])
 
     @pytest.mark.parametrize("T", COMPOSITES)
     def test_family_members_hold_fractions(self, T):
-        for v in divisor_family(T) + spanning_basis(T):
+        for v in divisor_family(T):
             assert all(type(c) is Fraction for c in v.coeffs), v
             assert all(type(w) is int for w in v.weights), v
             assert type(v.scale) is int
@@ -459,7 +439,7 @@ class TestDivisorRelations:
         with pytest.raises(ValueError):
             relation_witnesses(12, divisor_relations(6))
         with pytest.raises(ValueError):
-            relation_witnesses(6, kernel(spanning_basis(6) + [ln_vector(6)]))
+            relation_witnesses(6, kernel(_difference_vectors(6) + [ln_vector(6)]))
 
     def test_witnesses_need_a_modulus_of_two(self):
         with pytest.raises(NotComposite):
@@ -493,7 +473,7 @@ def _distribution_differences(T):
 
     return [
         [a - b for a, b in zip(gauss(p, i), gauss(p, 1))]
-        for p in factor_radical(T)
+        for p in _factorize(T)
         for i in range(2, T // p + 1)
     ]
 
@@ -510,7 +490,7 @@ class TestZeroSeriesSpace:
             columns = _distribution_differences(T)
             phi = sum(1 for j in range(1, T + 1) if math.gcd(j, T) == 1)
             rank = _rank(columns)
-            assert rank == T - phi - len(factor_radical(T)), T
+            assert rank == T - phi - len(_factorize(T)), T
             if T in COMPOSITES:
                 witnesses = relation_witnesses(T)
                 assert all(w.scale == 1 for w in witnesses), T

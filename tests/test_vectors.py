@@ -20,7 +20,6 @@ from logser import (
     UnbalancedCoefficients,
     decomposition_check,
     divisor_family,
-    factor_radical,
     fixed_panel_integral,
     harmonic,
     integrand,
@@ -33,10 +32,9 @@ from logser import (
     partial_sum_exact,
     rearranged_terms,
     relation_witnesses,
-    spanning_basis,
     vectors,
 )
-from logser.relations import _checked_relations
+from logser.relations import _checked_relations, _difference_vectors
 from logser.vectors import _factorize, _from_weights
 
 from conftest import exact_block_oracle, random_balanced
@@ -127,7 +125,7 @@ every_constructor = st.one_of(
         lambda v, a, b: linear_combine([(a, v), (b, ln_vector(v.modulus))]),
         balanced_vectors(), small_fractions, small_fractions,
     ),
-    st.integers(2, 12).flatmap(lambda T: st.sampled_from(spanning_basis(T))),
+    st.integers(2, 12).flatmap(lambda T: st.sampled_from(_difference_vectors(T))),
     st.builds(ln_rational_vector, st.integers(1, 200), st.integers(1, 200)),
     st.sampled_from([4, 6, 12, 30, 64]).flatmap(lambda T: st.sampled_from(_witnesses(T))),
 )
@@ -175,7 +173,7 @@ class TestStoredForm:
             lambda: ln_vector(24),
             lambda: lift(make_vector(3, ["1/2", "-1/3", "-1/6"]), 4),
             lambda: ln_rational_vector(1001, 1000),
-            lambda: spanning_basis(6)[2],
+            lambda: _difference_vectors(6)[2],
             lambda: divisor_family(12)[-1],
             lambda: divisor_family(12)[0],
             lambda: _checked_relations(12)[1][0][0],
@@ -303,34 +301,40 @@ class TestLinearCombine:
 
 
 class TestFactorRadical:
+    """The distinct primes of n, the keys of _factorize(n), and the bounds
+    ln_rational_vector puts on its arguments before it factorizes them."""
+
     def test_composite(self):
-        assert factor_radical(12) == [2, 3]
+        assert sorted(_factorize(12)) == [2, 3]
 
     def test_one(self):
-        assert factor_radical(1) == []
+        assert _factorize(1) == {}
 
     def test_prime(self):
-        assert factor_radical(97) == [97]
+        assert _factorize(97) == {97: 1}
 
     def test_prime_power(self):
-        assert factor_radical(1024) == [2]
+        assert _factorize(1024) == {2: 10}
 
     def test_bounds(self):
         with pytest.raises(ValueError):
-            factor_radical(0)
-        with pytest.raises(ValueError):
-            factor_radical(2**63)
+            ln_rational_vector(0, 1)
+        with pytest.raises(ValueError, match="63 bits"):
+            ln_rational_vector(2**63, 1)
+        with pytest.raises(ValueError, match="63 bits"):
+            ln_rational_vector(1, 2**63)
 
     def test_a_prime_past_the_limit_squared_raises_at_once(self):
-        # trial division to sqrt(2^61 - 1) would take about 5e8 steps
+        # trial division to sqrt(2^61 - 1) would take about 5e8 steps; it
+        # stops at the limit, and the cofactor left takes the modulus past it
         start = time.perf_counter()
         with pytest.raises(BudgetExceeded, match="term limit"):
-            factor_radical(2**61 - 1)
+            ln_rational_vector(2**61 - 1, 1)
         assert time.perf_counter() - start < 1.0
 
     def test_two_primes_below_the_limit(self):
         # the cofactor left, 999983, is below the limit and so certified prime
-        assert factor_radical(999983 * 999979) == [999979, 999983]
+        assert _factorize(999983 * 999979) == {999979: 1, 999983: 1}
 
     @pytest.mark.parametrize("n", [2, 30, 360, 104729, 2**31 - 1])
     def test_factorization_reconstructs(self, n):
@@ -398,7 +402,7 @@ class TestLnRationalVector:
                 continue
             top, bottom = _factorize(m), _factorize(l)
             expected = 1
-            for p in sorted(set(factor_radical(m)) | set(factor_radical(l))):
+            for p in sorted(set(top) | set(bottom)):
                 if top.get(p, 0) != bottom.get(p, 0):
                     expected *= p
             assert ln_rational_vector(m, l).modulus == expected
@@ -466,7 +470,6 @@ _COUNTED_SITES = {
     "lift": (lambda: lift(ln_vector(6), 10), 60),
     # 60 / 1 has the primes 2, 3 and 5
     "ln_rational_vector": (lambda: ln_rational_vector(60, 1), 30),
-    "spanning_basis": (lambda: spanning_basis(60), 59 * 60),
     # sigma(60) - 1 = 167 members of 60 slots
     "divisor_family": (lambda: divisor_family(60), 167 * 60),
     "harmonic": (lambda: harmonic(60), 60),
@@ -478,9 +481,6 @@ _COUNTED_SITES = {
     # one integrand over modulus 8, bounded by 8 * 8
     "decomposition_check": (lambda: decomposition_check(8, 1e-9), 64),
     "integrand": (lambda: integrand(60, 1, 0.5), 60),
-    # 1001 = 7 * 11 * 13: trial division to 11 finds all three, while to 10
-    # it leaves 143, whose square root 11 passes the limit
-    "factor_radical": (lambda: factor_radical(1001), 11),
 }
 
 
