@@ -5,6 +5,11 @@ convergent series sum_k sum_j a_j/(kT+j).  This package constructs such
 vectors for ln T, ln(M/L) and pi, evaluates them with rigorous or
 accelerated error control, cross-checks them against the matching
 integrals, and discovers exact linear relations among them.
+
+``quadrature`` and ``relations``, and the names they export, load on
+first access (PEP 562), so a start that only sums exactly or evaluates
+compiles neither: ``logser.kernel``, ``from logser import kernel`` and
+``logser.relations`` each import ``relations`` and bind its six names.
 """
 
 from .errors import (
@@ -29,24 +34,6 @@ from .evaluation import (
     rearranged_terms,
     tail_bound,
 )
-from .quadrature import (
-    IntegralCheck,
-    decomposition_check,
-    fixed_panel_integral,
-    integral_series_check,
-    integrand,
-    integrate,
-    pi_arctan,
-    pi_estimate,
-)
-from .relations import (
-    KernelBasis,
-    divisor_family,
-    divisor_relations,
-    kernel,
-    relation_witnesses,
-    verify_zero,
-)
 from .vectors import (
     TERM_LIMIT,
     CoefficientVector,
@@ -58,6 +45,30 @@ from .vectors import (
 )
 
 __version__ = "0.1.0"
+
+# the names each lazy submodule exports; the first access to any of them,
+# or to the submodule itself, imports it and binds them all
+_LAZY = {
+    "quadrature": (
+        "IntegralCheck",
+        "decomposition_check",
+        "fixed_panel_integral",
+        "integral_series_check",
+        "integrand",
+        "integrate",
+        "pi_arctan",
+        "pi_estimate",
+    ),
+    "relations": (
+        "KernelBasis",
+        "divisor_family",
+        "divisor_relations",
+        "kernel",
+        "relation_witnesses",
+        "verify_zero",
+    ),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 
 __all__ = [
     "BudgetExceeded",
@@ -100,3 +111,20 @@ __all__ = [
     "tail_bound",
     "verify_zero",
 ]
+
+
+def __getattr__(name: str):
+    module = _LAZY_MODULE.get(name, name if name in _LAZY else None)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    # the import binds the submodule here as well
+    loaded = import_module(f"{__name__}.{module}")
+    for public in _LAZY[module]:
+        globals()[public] = getattr(loaded, public)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_LAZY_MODULE})

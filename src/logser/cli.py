@@ -15,7 +15,12 @@ printed digit, |value| 10^(1 - precision), rounded up.  Reals are
 rounded by mpmath.libmp at explicit precisions; no mpmath context is
 read or set, so concurrent calls print what single calls print.  mpmath
 is imported by the first real printed (_real) or bench reference taken
-(_ln_float, _bench_target), not with this module.
+(_ln_float, _bench_target), not with this module.  So are `quadrature`
+(by pi, integral-check, decompose and bench's quadrature rows) and
+`relations` (by relations) in the handlers that use them, and argparse
+in _parsers and _parse: importing this module loads none of them.
+json's encoder stays a module-level import, since importing it per
+call would add about 2 us to every _indented_json payload of 8 us.
 
 `bench` prints one CSV row per method and work.  Each method yields its
 value and bound before any scaling, and `bench` scales them to the
@@ -40,7 +45,6 @@ pure-Python encoder.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import math
@@ -53,7 +57,6 @@ from decimal import Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from . import quadrature, relations
 from .errors import SeriesError
 from .evaluation import (
     _harmonic_range,
@@ -226,6 +229,8 @@ def _read_series(args) -> _Reading:
 
 
 def _read_pi(args) -> _Reading:
+    from . import quadrature
+
     (value, series), micros = _timed(quadrature.pi_with_series, args.abs_err)
     digits = _digits_for(args.abs_err, value)
     # pi = 3 sqrt(3) S exactly, and value = fl(fl(3 fl(sqrt 3)) float(S~))
@@ -255,6 +260,8 @@ def _read_gamma(args) -> _Reading:
 
 
 def _read_integral_check(args) -> _Reading:
+    from . import quadrature
+
     check, micros = _timed(quadrature.integral_series_check, args.T, args.j, args.tol)
     digits = _digits_for(args.tol, check.integral_value)
     return _Reading(
@@ -270,6 +277,8 @@ def _read_integral_check(args) -> _Reading:
 
 
 def _read_decompose(args) -> _Reading:
+    from . import quadrature
+
     value, micros = _timed(quadrature.decomposition_check, args.T, args.tol)
     digits = _digits_for(args.tol, value)
     reference = _ln_float(args.T, 96)
@@ -342,6 +351,8 @@ def _cmd_value(args) -> int:
 
 
 def _cmd_relations(args) -> int:
+    from . import relations
+
     (basis, checks), micros = _timed(relations._checked_relations, args.T)
     entries = []
     for rel, (witness, (ok, result)) in zip(basis.vectors, checks):
@@ -461,6 +472,8 @@ def _bench_value(method, work, vec):
         return result.value, result.error_bound
     if method == "rearranged":
         return _rearranged_prefix(vec, work)
+    from . import quadrature
+
     # quadrature: the series is the integral of R/P, R read off the
     # target's difference-basis coordinates.  The step to work + 1 panels
     # estimates the error, or to work - 1 at the panel limit, which work + 1
@@ -535,6 +548,8 @@ def _cmd_bench(args) -> int:
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser, and each subcommand's parser by name."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="logser",
         description=(
@@ -609,6 +624,8 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     else (no arguments, --help, an unknown command) goes to the
     top-level parser.
     """
+    import argparse
+
     parser, commands = _parsers()
     sub = commands.get(argv[0]) if argv else None
     if sub is None:

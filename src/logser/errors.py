@@ -26,7 +26,8 @@ class BudgetExceeded(SeriesError):
 
     TERM_LIMIT bounds every count of terms summed or slots built: the
     terms of the exact sums, the slots of a vector or a relation family,
-    and the Horner slots of quadrature.
+    the divisors relation_witnesses scans, and the Horner slots of
+    quadrature.
     The panel limit of adaptive quadrature bounds the panels of the
     fixed rule as well.
     """

@@ -79,9 +79,9 @@ import itertools
 import math
 import operator
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .errors import Unachievable
 from .vectors import CoefficientVector, _check_term_limit

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Sequence
 
 from .errors import ModulusMismatch, NotComposite
 from .evaluation import EvalResult, evaluate
@@ -319,10 +319,12 @@ def relation_witnesses(
     the family, that is minus the part over the T-1 difference vectors,
     so slot j is r_{j-1} - r_j with r_0 = r_T = 0 and no family member is
     built; for divisor_relations(T) it has nonzero coefficients and
-    series value 0.
+    series value 0.  Given a basis, T past TERM_LIMIT raises
+    BudgetExceeded before T's divisors are scanned.
     """
     if basis is None:
         basis = divisor_relations(T)
+    _check_term_limit(T, f"candidate divisors of {T}")
     # T < 2 has no divisor_family
     if T < 2 or basis.family_size != _log_positions(T)[-1][1] + 1:
         raise ValueError("basis does not belong to divisor_family(T)")

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
 
 from .errors import (
     BudgetExceeded,
@@ -33,16 +33,17 @@ from .errors import (
     UnbalancedCoefficients,
 )
 
-RationalLike = Union[Fraction, int, str]
+RationalLike = Fraction | int | str
 
 _FACTOR_LIMIT = 2**63 - 1
 # the package's one cost limit, on a count of terms summed or slots built
-# (exact sums, vectors, relation families, trial division, quadrature's
-# Horner loop); every such count passes _check_term_limit, which reads it
-# at call time.  At the limit, harmonic(n) runs for about 10 s in pure Python,
-# its sum split over odd denominators, and evaluate(ln_vector(T), 1e-9) for
-# about 0.15 s, its psi sum taken through Gauss's multiplication formula
-# (measurements in CHANGES.md).
+# (exact sums, vectors, relation families and divisor scans, trial
+# division, quadrature's Horner loop); every such count passes
+# _check_term_limit, which reads it at call time.  At the limit,
+# harmonic(n) runs for about 10 s in pure Python, its sum split over odd
+# denominators, and evaluate(ln_vector(T), 1e-9) for about 0.15 s, its psi
+# sum taken through Gauss's multiplication formula (measurements in
+# CHANGES.md).
 TERM_LIMIT = 10**6
 
 

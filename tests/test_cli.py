@@ -26,6 +26,7 @@ from logser import (
     evaluate,
     evaluation,
     make_vector,
+    quadrature,
     rearranged_terms,
     relations,
     vectors,
@@ -716,7 +717,7 @@ class TestBench:
         def no_panel(*args):
             raise AssertionError("a panel was built")
 
-        monkeypatch.setattr(cli.quadrature, "_panel", no_panel)
+        monkeypatch.setattr(quadrature, "_panel", no_panel)
         monkeypatch.setattr(vectors, "TERM_LIMIT", 62)
         with pytest.raises(BudgetExceeded, match="63 Horner slots .* term limit of 62"):
             bench("ln:3", ["quadrature"], [10])
@@ -744,7 +745,7 @@ class TestBench:
             panels.append((numerator, counts))
             return [1.0 / n for n in counts]
 
-        monkeypatch.setattr(cli.quadrature, "_composite", record)
+        monkeypatch.setattr(quadrature, "_composite", record)
         bench("pi", ["quadrature"], [19999, 20000])
         # pi's vector (1, -1, 0) has numerator u^0, ln:3's (1, 1, -2) 1 + 2u
         assert set(numerator for numerator, _ in panels) == {(0.0, 1.0)}

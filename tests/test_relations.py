@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import accumulate
 
@@ -440,6 +441,19 @@ class TestDivisorRelations:
             relation_witnesses(12, divisor_relations(6))
         with pytest.raises(ValueError):
             relation_witnesses(6, kernel(_difference_vectors(6) + [ln_vector(6)]))
+
+    def test_witnesses_bound_the_modulus_before_scanning_its_divisors(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("divisors were scanned before the bound was checked")
+
+        basis = KernelBasis(vectors=((1,),), family_size=1)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            relation_witnesses(10**12, basis)
+        assert time.perf_counter() - start < 1.0
+        monkeypatch.setattr(relations, "_proper_divisors", forbidden)
+        with pytest.raises(BudgetExceeded, match="term limit"):
+            relation_witnesses(10**6 + 1, basis)
 
     def test_witnesses_need_a_modulus_of_two(self):
         with pytest.raises(NotComposite):

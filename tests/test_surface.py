@@ -2,7 +2,10 @@
 
 import importlib
 import inspect
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,20 +13,33 @@ import pytest
 import logser
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_all_lists_exactly_the_public_bindings():
     # both lists in logser/__init__ are kept by hand: every public function
-    # and class it binds, and TERM_LIMIT, is exported, and nothing else is
-    bound = {
+    # and class it binds at import or on first use, and TERM_LIMIT, is
+    # exported, and nothing else is.  A lazy name is in vars(logser) only
+    # once its module has loaded, so the eager bindings exclude the lazy table
+    lazy = logser._LAZY_MODULE
+    eager = {
         name
         for name, value in vars(logser).items()
-        if not name.startswith("_") and (inspect.isfunction(value) or inspect.isclass(value))
+        if not name.startswith("_")
+        and name not in lazy
+        and (inspect.isfunction(value) or inspect.isclass(value))
     }
     assert len(set(logser.__all__)) == len(logser.__all__)
-    assert set(logser.__all__) == bound | {"TERM_LIMIT"}
+    assert set(logser.__all__) == eager | set(lazy) | {"TERM_LIMIT"}
     for name in logser.__all__:
         assert getattr(logser, name) is not None, name
+    for name, module in lazy.items():
+        value = getattr(logser, name)
+        assert value is getattr(getattr(logser, module), name), name
+        assert value.__module__ == f"logser.{module}", name
+    assert set(logser.__all__) <= set(dir(logser))
+    assert {"quadrature", "relations"} <= set(dir(logser))
+    assert logser.verify_zero is logser.relations.verify_zero
 
 
 def _bench_entry_points():
@@ -47,3 +63,62 @@ def test_the_benchmark_finds_entry_points():
 @pytest.mark.parametrize("module,name", _bench_entry_points())
 def test_every_benchmark_entry_point_resolves(module, name):
     assert callable(getattr(importlib.import_module(f"logser.{module}"), name))
+
+
+# the exact sums and a first float, then the first use of each lazy part
+_LAZY_CHILD = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import logser, logser.cli
+logser.harmonic(5000)
+logser.partial_sum_exact(logser.ln_vector(3), 1000)
+logser.rearranged_terms(3, 100)
+logser.evaluate(logser.ln_vector(7), 1e-12)
+watched = ("logser.relations", "logser.quadrature", "argparse")
+before = [m for m in watched if m in sys.modules]
+logser.divisor_relations
+after_access = [m for m in watched if m in sys.modules]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = logser.cli.run(["relations", "--T", "12"])
+print(json.dumps({
+    "before": before,
+    "after_access": after_access,
+    "code": code,
+    "relation_count": json.loads(out.getvalue())["relation_count"],
+}))
+"""
+
+# without site, nothing else loads typing: every logser module, the parser built
+_NO_SITE_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import logser, logser.cli
+logser.harmonic(5000)
+logser.partial_sum_exact(logser.ln_vector(3), 1000)
+logser.rearranged_terms(3, 100)
+logser.kernel(logser.divisor_family(12))
+logser.decomposition_check(4, 1e-8)
+logser.cli._parsers()
+print(json.dumps("typing" in sys.modules))
+"""
+
+
+class TestLazyModules:
+    """A start that only sums exactly loads no relations, quadrature or argparse."""
+
+    def _child(self, *flags, code):
+        proc = subprocess.run([sys.executable, *flags, "-c", code, str(SRC)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_exact_sums_load_neither_module_nor_argparse(self):
+        out = self._child(code=_LAZY_CHILD)
+        assert out["before"] == []
+        assert out["after_access"] == ["logser.relations"]
+        assert out["code"] == 0
+        assert out["relation_count"] == 3
+
+    def test_no_module_imports_typing(self):
+        assert self._child("-S", code=_NO_SITE_CHILD) is False
