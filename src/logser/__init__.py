@@ -10,6 +10,8 @@ integrals, and discovers exact linear relations among them.
 first access (PEP 562), so a start that only sums exactly or evaluates
 compiles neither: ``logser.kernel``, ``from logser import kernel`` and
 ``logser.relations`` each import ``relations`` and bind its six names.
+No module of the package imports ``dataclasses``, which loads
+``inspect``: the records derive from ``vectors._Record``.
 """
 
 from .errors import (

@@ -19,6 +19,8 @@ is imported by the first real printed (_real) or bench reference taken
 (by pi, integral-check, decompose and bench's quadrature rows) and
 `relations` (by relations) in the handlers that use them, and argparse
 in _parsers and _parse: importing this module loads none of them.
+ConvergenceRow is a vectors._Record and _Reading a plain class, so
+dataclasses is not imported either.
 json's encoder stays a module-level import, since importing it per
 call would add about 2 us to every _indented_json payload of 8 us.
 
@@ -52,7 +54,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -66,7 +67,7 @@ from .evaluation import (
     rearranged_terms,
     tail_bound,
 )
-from .vectors import ln_rational_vector, ln_vector, make_vector
+from .vectors import _Record, ln_rational_vector, ln_vector, make_vector
 
 CSV_HEADER = "method,work,value,error_bound,abs_error_vs_reference,wall_time_micros"
 
@@ -75,8 +76,7 @@ _BENCH_RUNS = 3
 _DOUBLE_MAX = int(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(_Record):
     """One benchmark measurement: method and work versus accuracy."""
 
     method: str
@@ -85,6 +85,12 @@ class ConvergenceRow:
     error_bound: float
     abs_error_vs_reference: float
     wall_time_micros: int
+
+    def __init__(self, method: str, work: int, value: float, error_bound: float,
+                 abs_error_vs_reference: float, wall_time_micros: int) -> None:
+        vars(self).update(method=method, work=work, value=value, error_bound=error_bound,
+                          abs_error_vs_reference=abs_error_vs_reference,
+                          wall_time_micros=wall_time_micros)
 
     def as_csv(self) -> str:
         return (
@@ -198,7 +204,6 @@ def _lnq_vector(args):
     return vec, {"M": top, "L": bottom, "modulus": vec.modulus}
 
 
-@dataclass
 class _Reading:
     """What one value subcommand computed; `_cmd_value` prints it.
 
@@ -206,14 +211,12 @@ class _Reading:
     subcommand's own fields, already rendered.
     """
 
-    inputs: dict
-    value: mpmath.mpf | float
-    digits: int
-    error_bound: float
-    bound_is_heuristic: bool
-    micros: int
-    blocks_used: int = 0
-    extras: dict = field(default_factory=dict)
+    def __init__(self, inputs: dict, value: mpmath.mpf | float, digits: int,
+                 error_bound: float, bound_is_heuristic: bool, micros: int,
+                 blocks_used: int = 0, extras: dict | None = None) -> None:
+        vars(self).update(inputs=inputs, value=value, digits=digits, error_bound=error_bound,
+                          bound_is_heuristic=bound_is_heuristic, micros=micros,
+                          blocks_used=blocks_used, extras={} if extras is None else extras)
 
 
 def _read_series(args) -> _Reading:

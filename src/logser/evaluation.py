@@ -80,11 +80,10 @@ import math
 import operator
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import Unachievable
-from .vectors import CoefficientVector, _check_term_limit
+from .vectors import CoefficientVector, _check_term_limit, _Record
 
 _MIN_PREC = 96
 _MAX_PREC = 1024
@@ -96,8 +95,7 @@ _ROW_LIMIT = 128
 _METHODS = ("raw", "accelerated")
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(_Record):
     """Outcome of a series evaluation.
 
     Unless ``bound_is_heuristic`` is set, the true series value lies
@@ -110,13 +108,20 @@ class EvalResult:
     method: str
     bound_is_heuristic: bool
 
+    def __init__(self, value: mpmath.mpf, error_bound: float, blocks_used: int,
+                 method: str, bound_is_heuristic: bool) -> None:
+        vars(self).update(value=value, error_bound=error_bound, blocks_used=blocks_used,
+                          method=method, bound_is_heuristic=bound_is_heuristic)
 
-@dataclass(frozen=True)
-class GammaPartial:
+
+class GammaPartial(_Record):
     """The n-th partial H_n - ln n of the Euler-Mascheroni limit."""
 
     n: int
     value: mpmath.mpf
+
+    def __init__(self, n: int, value: mpmath.mpf) -> None:
+        vars(self).update(n=n, value=value)
 
 
 def block_term(v: CoefficientVector, k: int) -> Fraction:

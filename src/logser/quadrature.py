@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, NoConvergence
 from .evaluation import EvalResult, evaluate
-from .vectors import CoefficientVector, _check_term_limit, ln_vector, make_vector
+from .vectors import CoefficientVector, _check_term_limit, _Record, ln_vector, make_vector
 
 _PANEL_LIMIT = 20000
 _MIN_TOL = 1e-13
@@ -51,8 +50,7 @@ _NODES = tuple(-x for x, _ in _HALF_RULE[:0:-1]) + tuple(x for x, _ in _HALF_RUL
 _WEIGHTS = tuple(w for _, w in _HALF_RULE[:0:-1] + _HALF_RULE)
 
 
-@dataclass(frozen=True)
-class IntegralCheck:
+class IntegralCheck(_Record):
     """Both sides of one integral-series identity and their distance."""
 
     T: int
@@ -60,12 +58,14 @@ class IntegralCheck:
     integral_value: float
     series_value: float
     tolerance: float
-    discrepancy: float = field(init=False)
+    discrepancy: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "discrepancy", abs(self.integral_value - self.series_value)
-        )
+    __match_args__ = ("T", "j", "integral_value", "series_value", "tolerance")
+
+    def __init__(self, T: int, j: int, integral_value: float, series_value: float,
+                 tolerance: float) -> None:
+        vars(self).update(T=T, j=j, integral_value=integral_value, series_value=series_value,
+                          tolerance=tolerance, discrepancy=abs(integral_value - series_value))
 
 
 def _unit(T: int, j: int) -> tuple[float, ...]:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import ModulusMismatch, NotComposite
@@ -39,6 +38,7 @@ from .vectors import (
     _factorize,
     _from_weights,
     _lifted_logs,
+    _Record,
     lift,
     ln_vector,
 )
@@ -49,8 +49,7 @@ _MAX_DIVISOR_MODULUS = 64
 _WITNESS_EPS = 1e-6
 
 
-@dataclass(frozen=True)
-class KernelBasis:
+class KernelBasis(_Record):
     """Basis of exact relations over an ordered family of vectors.
 
     Every tuple combines the family to the exact zero vector; tuples are
@@ -61,12 +60,13 @@ class KernelBasis:
     vectors: tuple[tuple[int, ...], ...]
     family_size: int
 
-    def __post_init__(self) -> None:
-        for rel in self.vectors:
-            if len(rel) != self.family_size:
+    def __init__(self, vectors: tuple[tuple[int, ...], ...], family_size: int) -> None:
+        for rel in vectors:
+            if len(rel) != family_size:
                 raise ValueError("relation length does not match the family size")
             if not any(rel):
                 raise ValueError("relations must not be identically zero")
+        vars(self).update(vectors=vectors, family_size=family_size)
 
     def __len__(self) -> int:
         return len(self.vectors)

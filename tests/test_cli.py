@@ -2,7 +2,6 @@
 
 import builtins
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -22,6 +21,7 @@ from mpmath import mp
 from logser import (
     TERM_LIMIT,
     BudgetExceeded,
+    EvalResult,
     cli,
     evaluate,
     evaluation,
@@ -726,7 +726,9 @@ class TestBench:
         # an evaluate that is off by 1e-6 must show in the error column, by 1e-6
         def shifted(*args, **kwargs):
             result = evaluate(*args, **kwargs)
-            return dataclasses.replace(result, value=result.value + 1e-6)
+            return EvalResult(value=result.value + 1e-6, error_bound=result.error_bound,
+                              blocks_used=result.blocks_used, method=result.method,
+                              bound_is_heuristic=result.bound_is_heuristic)
 
         monkeypatch.setattr(cli, "evaluate", shifted)
         row = bench("vector:3:1/2,-1/3,-1/6", ["accelerated"], [100])[0]

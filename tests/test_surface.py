@@ -1,5 +1,6 @@
 """The public surface: what ``logser`` exports and what the benchmark calls."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -104,11 +105,34 @@ print(json.dumps("typing" in sys.modules))
 """
 
 
-class TestLazyModules:
-    """A start that only sums exactly loads no relations, quadrature or argparse."""
+# every logser module, then one setup probe of the benchmark (argv[2])
+_START_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import logser, logser.cli, logser.errors, logser.evaluation, logser.quadrature
+import logser.relations, logser.vectors
+exec(sys.argv[2])
+print(json.dumps(sorted({"dataclasses", "inspect", "numpy"} & set(sys.modules))))
+"""
 
-    def _child(self, *flags, code):
-        proc = subprocess.run([sys.executable, *flags, "-c", code, str(SRC)],
+
+def _setup_probes() -> dict[str, str]:
+    """bench/workloads.py's SETUP_PROBES, read without importing the bench."""
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    (probes,) = [ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "SETUP_PROBES"]
+    return probes
+
+
+class TestLazyModules:
+    """A start loads only what it runs.
+
+    Exact sums load no relations, quadrature or argparse, and no start
+    loads dataclasses, inspect or numpy.
+    """
+
+    def _child(self, *flags, code, args=()):
+        proc = subprocess.run([sys.executable, *flags, "-c", code, str(SRC), *args],
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout)
@@ -122,3 +146,7 @@ class TestLazyModules:
 
     def test_no_module_imports_typing(self):
         assert self._child("-S", code=_NO_SITE_CHILD) is False
+
+    @pytest.mark.parametrize("workload", sorted(_setup_probes()))
+    def test_a_start_loads_no_dataclasses_inspect_or_numpy(self, workload):
+        assert self._child(code=_START_CHILD, args=(_setup_probes()[workload],)) == []
