@@ -17,12 +17,11 @@ read or set, so concurrent calls print what single calls print.  mpmath
 is imported by the first real printed (_real) or bench reference taken
 (_ln_float, _bench_target), not with this module.  So are `quadrature`
 (by pi, integral-check, decompose and bench's quadrature rows) and
-`relations` (by relations) in the handlers that use them, and argparse
-in _parsers and _parse: importing this module loads none of them.
+`relations` (by relations) in the handlers that use them, argparse
+in _parsers and _parse, and json by the first payload printed
+(_cmd_value, _cmd_relations): importing this module loads none of them.
 ConvergenceRow is a vectors._Record and _Reading a plain class, so
 dataclasses is not imported either.
-json's encoder stays a module-level import, since importing it per
-call would add about 2 us to every _indented_json payload of 8 us.
 
 `bench` prints one CSV row per method and work.  Each method yields its
 value and bound before any scaling, and `bench` scales them to the
@@ -34,15 +33,15 @@ Horner slots against TERM_LIMIT before either runs.
 
 Exit codes: 0 success, 1 domain error (for example unbalanced
 coefficients) or a standard output closed before the payload was
-written (`logser ... | head -1`), 2 usage error.  `--method raw` reaches every abs_err
-that the precision ceiling admits, at a cost that does not grow with
-its truncation.
+written (`logser ... | head -c 1`), 2 usage error.  `--method raw`
+reaches every abs_err that the precision ceiling admits, at a cost that
+does not grow with its truncation.
 
 `run` hands a known subcommand's arguments straight to its own parser
 and everything else to the top-level one, with the top-level parser's
 messages and exit codes (see _parse).  JSON is printed by
-_indented_json, the bytes of json.dumps(payload, indent=2) without its
-pure-Python encoder.
+json.dumps(payload), the standard library's C encoder: one line, with
+", " and ": " separators and ASCII escapes.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 from .errors import SeriesError
 from .evaluation import (
@@ -137,41 +135,6 @@ def _parse_coeffs(raw: str) -> list[Fraction]:
         return [Fraction(part.strip()) for part in raw.split(",") if part.strip()]
     except (ValueError, ZeroDivisionError) as exc:
         raise SeriesError(f"cannot parse coefficient list {raw!r}: {exc}") from exc
-
-
-def _indented_json(obj, indent: str = "") -> str:
-    """Exactly what json.dumps(obj, indent=2) prints, for the payload types.
-
-    dumps falls back to json's pure-Python encoder whenever it indents;
-    this prints the same bytes for dicts with str keys, lists, str, int
-    and bool, and raises TypeError on any other type.
-    """
-    if type(obj) is str:
-        return encode_basestring_ascii(obj)
-    if type(obj) is bool:
-        return "true" if obj else "false"
-    if type(obj) is int:
-        return int.__repr__(obj)
-    inner = indent + "  "
-    if type(obj) is dict:
-        items = [
-            f"{encode_basestring_ascii(k)}: {_indented_json(v, inner)}"
-            for k, v in obj.items()
-        ]
-        brackets = "{}"
-    elif type(obj) is list:
-        # the long lists are of strings, which then take no call each
-        items = [
-            encode_basestring_ascii(v) if type(v) is str else _indented_json(v, inner)
-            for v in obj
-        ]
-        brackets = "[]"
-    else:
-        raise TypeError(f"cannot write {type(obj).__name__} as JSON")
-    if not items:
-        return brackets
-    body = f",\n{inner}".join(items)
-    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
 
 
 # ----------------------------------------------------------------------
@@ -340,7 +303,9 @@ def _cmd_value(args) -> int:
         "wall_time_micros": reading.micros,
     }
     if args.format == "json":
-        print(_indented_json(payload))
+        import json
+
+        print(json.dumps(payload))
         return 0
     inputs = ", ".join(f"{k}={v}" for k, v in reading.inputs.items())
     kind = "heuristic" if reading.bound_is_heuristic else "rigorous"
@@ -379,7 +344,9 @@ def _cmd_relations(args) -> int:
         "wall_time_micros": micros,
     }
     if args.format == "json":
-        print(_indented_json(payload))
+        import json
+
+        print(json.dumps(payload))
     else:
         print(
             f"relations (T={args.T}) found {len(entries)} over a family of "
@@ -655,7 +622,7 @@ def run(argv: list[str] | None = None) -> int:
 def main() -> None:
     """The console script: run(), with a reader that closes the pipe early.
 
-    A closed stdout (`logser ... | head -1`) exits 1 with no traceback.
+    A closed stdout (`logser ... | head -c 1`) exits 1 with no traceback.
     stdout then points at os.devnull, so the interpreter's final flush
     cannot raise again (the recipe in the Python signal docs).
     """

@@ -226,8 +226,9 @@ def decomposition_check(T: int, tol: float) -> float:
 
 def pi_with_series(tol: float) -> tuple[float, EvalResult]:
     """pi_estimate(tol) together with the series evaluation it came from."""
+    # pi_estimate's tol and the CLI's --abs-err both reach this check: name neither
     if not tol >= 1e-12:  # also rejects NaN
-        raise ValueError("tol must be >= 1e-12")
+        raise ValueError(f"pi needs an accuracy of at least 1e-12, got {tol!r}")
     series = evaluate(make_vector(3, (1, -1, 0)), tol / 6, "accelerated")
     return 3.0 * math.sqrt(3.0) * float(series.value), series
 

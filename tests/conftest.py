@@ -5,8 +5,10 @@ The oracles here deliberately avoid the package's own summation paths:
 ``float_block_oracle`` sums the float64 terms 1/(kT+j) literally with
 ``math.fsum`` and ``gauss_digamma_limit`` takes the series limit from
 Gauss's digamma theorem, so they can referee the library's exact and
-floating routes.  An autouse fixture fails any test that runs for more
-than a minute.
+floating routes.  ``digamma_limit`` is the one mpmath reference of that
+limit, through mpmath's own digamma, and ``as_fraction`` reads an mpf
+exactly.  An autouse fixture fails any test that runs for more than a
+minute.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from itertools import repeat
 from operator import truediv
 
 import pytest
-from mpmath import mp
+from mpmath import libmp, mp
 
 from logser import CoefficientVector, make_vector
 
@@ -118,3 +120,21 @@ def gauss_digamma_limit(v: CoefficientVector):
         for j, a in enumerate(v.coeffs, start=1)
         if a
     ) / T
+
+
+def digamma_limit(v: CoefficientVector):
+    """-(1/T) sum_j a_j psi(j/T) by mpmath's digamma, at the current precision."""
+    T = v.modulus
+    return -sum(
+        mp.mpf(a.numerator) / a.denominator * mp.digamma(mp.mpf(j) / T)
+        for j, a in enumerate(v.coeffs, start=1)
+        if a
+    ) / T
+
+
+def as_fraction(x) -> Fraction:
+    """An mpf exactly, read from its raw tuple; a Fraction as it is."""
+    if isinstance(x, Fraction):
+        return x
+    p, q = libmp.to_rational(x._mpf_)
+    return Fraction(int(p), int(q))

@@ -33,6 +33,8 @@ from logser import (
 )
 from logser.cli import CSV_HEADER, bench, run
 
+from conftest import as_fraction, digamma_limit
+
 
 def run_capture(capsys, argv):
     code = run(argv)
@@ -122,6 +124,29 @@ class TestExitCodes:
         code, out, err = run_capture(capsys, argv)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # pi's floor is stated without naming pi_estimate's tol
+            (["pi", "--abs-err", "1e-300"], "at least 1e-12, got 1e-300"),
+            (["pi", "--abs-err", "nan"], "at least 1e-12, got nan"),
+            (["pi", "--abs-err", "-1"], "at least 1e-12, got -1.0"),
+            (["eval", "--T", "3", "--coeffs", "1,x,-1"], "cannot parse coefficient list"),
+            (["lnq", "abc"], "expected M/L with positive integers"),
+            (["bench", "--target", "ln:3", "--methods", ",", "--work", "10"],
+             "need at least one method"),
+            (["bench", "--target", "ln:3", "--methods", "raw", "--work", "0"],
+             "work schedule must be positive"),
+        ],
+        ids=["pi-1e-300", "pi-nan", "pi-negative", "eval-malformed-coeffs",
+             "lnq-malformed-ratio", "bench-no-method", "bench-zero-work"],
+    )
+    def test_bad_input_is_one_error_line(self, capsys, argv, message):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert "tol" not in err
 
     def test_bench_quadrature_over_the_panel_limit_is_domain_error(self, capsys):
         argv = ["bench", "--target", "ln:3", "--methods", "quadrature", "--work", "20001"]
@@ -386,19 +411,6 @@ class TestGolden:
                 assert w == g or (w in loose and close(w, g)), expected
 
 
-def _fraction(x) -> Fraction:
-    """An mpf, exactly; a Fraction as it is."""
-    if isinstance(x, Fraction):
-        return x
-    man, exp = x.man_exp
-    return Fraction(man) * Fraction(2) ** exp
-
-
-def _series(T, coeffs):
-    """-(1/T) sum_j a_j psi(j/T), Gauss's digamma theorem, at the current precision."""
-    return -sum(a * mp.psi(0, mp.mpf(j) / T) for j, a in enumerate(coeffs, 1)) / T
-
-
 def _rearranged_sum(T, n):
     return lambda: sum(rearranged_terms(T, n), Fraction(0))
 
@@ -414,7 +426,7 @@ PRINTED_REFERENCES = {
     # the limit, not the partial
     "gamma --n 100": lambda: +mp.euler,
     "gamma --n 1000000000000000000000000000000": lambda: +mp.euler,
-    "integral-check --T 4 --j 2": lambda: _series(4, (0, 1, -1, 0)),
+    "integral-check --T 4 --j 2": lambda: digamma_limit(make_vector(4, (0, 1, -1, 0))),
     "decompose --T 3": lambda: mp.log(3),
     "rearranged --T 1 --n 7": _rearranged_sum(1, 7),
     "rearranged --T 3 --n 11": _rearranged_sum(3, 11),
@@ -432,36 +444,51 @@ class TestPrintedBound:
         assert code == 0
         payload = json.loads(out)
         with mp.workprec(300):
-            reference = _fraction(PRINTED_REFERENCES[argv]())
+            reference = as_fraction(PRINTED_REFERENCES[argv]())
         error = abs(Fraction(payload["value"]) - reference)
         assert error <= Fraction(payload["error_bound"]), (payload["value"], error)
 
 
 class TestJsonLayout:
-    """The JSON writer prints exactly json.dumps(payload, indent=2)."""
+    """The JSON writer is json.dumps(payload): one compact line."""
 
     @pytest.mark.parametrize("argv", [a for a, _ in GOLDEN_CASES], ids=" ".join)
     def test_golden_output_is_the_indented_layout(self, argv):
+        # the id is kept from the indented writer this layout replaced
         code, out = capture(argv + ["--format", "json"])
         assert code == 0
-        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert out == json.dumps(json.loads(out)) + "\n"
 
-    def test_payload_types_and_nesting(self):
-        payload = {
-            "s": "a\"b\\c\n\u00e9\U0001d11e",
-            "n": -(10**40),
-            "flags": [True, False],
-            "terms": ["1/2", "\u00e9\t\"", ""],
-            "empty": {},
-            "none": [],
-            "nested": {"rows": [{"x": [1, [2, []]], "y": "z"}], "k": 0},
-        }
-        assert cli._indented_json(payload) == json.dumps(payload, indent=2)
-
-    @pytest.mark.parametrize("value", [1.5, None, (1, 2), {1: "a"}, Fraction(1, 2)])
-    def test_other_types_raise(self, value):
-        with pytest.raises(TypeError):
-            cli._indented_json({"value": value})
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(" ".join(a) for a, _ in GOLDEN_CASES),
+            "eval --T 2 --coeffs 1,-1",
+            "ln 3",
+            "lnq 4/3",
+            "pi",
+            "gamma --n 5",
+            "integral-check --T 3 --j 1",
+            "decompose --T 2",
+            "relations --T 12",
+            "rearranged --T 2 --n 6",
+        ],
+    )
+    def test_payloads_hold_only_dicts_lists_strings_ints_and_bools(self, argv):
+        # no float, None or tuple reaches a payload, so the goldens never
+        # depend on binary float formatting; json.loads reads a JSON number
+        # with a fraction or exponent as a float and null as None
+        code, out = capture(argv.split())
+        assert code == 0
+        golden = json.loads(GOLDEN_FILE.read_text()).get(argv, {}).get("json", {})
+        stack = [json.loads(out), golden]
+        while stack:
+            node = stack.pop()
+            assert type(node) in (dict, list, str, int, bool), (argv, node)
+            if type(node) is dict:
+                stack.extend(node.values())
+            elif type(node) is list:
+                stack.extend(node)
 
 
 def parse_outcome(parse, argv):
@@ -535,7 +562,8 @@ class TestEntryPoint:
 
     def test_a_closed_pipe_exits_1_without_a_traceback(self):
         # 20,000 terms print far more than a pipe buffer holds, so the writer is
-        # still blocked when the reader takes one line and closes its end
+        # still blocked when the reader takes one byte and closes its end; the
+        # payload is one line, so reading a line would drain all of it
         proc = subprocess.Popen(
             [sys.executable, "-m", "logser.cli", "rearranged", "--T", "3", "--n", "20000"],
             stdout=subprocess.PIPE,
@@ -543,7 +571,7 @@ class TestEntryPoint:
             env=_cli_env(),
         )
         try:
-            assert proc.stdout.readline() == b"{\n"
+            assert proc.stdout.read(1) == b"{"
             proc.stdout.close()
             code = proc.wait(timeout=120)
             err = proc.stderr.read().decode()
@@ -694,8 +722,9 @@ class TestBench:
                 reference = +mp.pi
             else:
                 T, coeffs = rest.split(":")
-                reference = _series(int(T), [Fraction(c) for c in coeffs.split(",")])
-            reference = _fraction(reference)
+                vec = make_vector(int(T), [Fraction(c) for c in coeffs.split(",")])
+                reference = digamma_limit(vec)
+            reference = as_fraction(reference)
         methods = ["raw", "accelerated", "quadrature"] + ["rearranged"] * (kind == "ln")
         schedule = [1, 2, 7, 100, 1000]
         rows = bench(target, methods, schedule)

@@ -44,6 +44,8 @@ from logser import (
 )
 
 from conftest import (
+    as_fraction,
+    digamma_limit,
     exact_block_oracle,
     float_block_oracle,
     gauss_digamma_limit,
@@ -424,7 +426,7 @@ class TestEvaluateAccelerated:
                 assert result.blocks_used == 0
             assert result.error_bound <= abs_err
             with mp.workprec(bits):
-                gap = abs(result.value - _digamma_limit(v))
+                gap = abs(result.value - digamma_limit(v))
             assert gap <= result.error_bound, f"{v.coeffs} at {abs_err}"
 
     def test_ln2_at_1e60(self):
@@ -467,7 +469,7 @@ class TestEvaluateAccelerated:
             weights[s - 1], weights[-1] = sign * 10**9, -sign * 10**9
             v = make_vector(T, weights)
             with mp.workprec(2200):
-                reference = _digamma_limit(v)
+                reference = digamma_limit(v)
             for abs_err in (1e-6, 1e-30, 1e-100, 1e-250):
                 results = [
                     (r.value, r.error_bound)
@@ -544,6 +546,14 @@ class TestEvaluateAccelerated:
         with pytest.raises(Unachievable):
             evaluate(ln_vector(2), 1e-300)
 
+    @pytest.mark.parametrize("method", ["accelerated", "raw"])
+    def test_a_bound_past_abs_err_is_unachievable(self, method, monkeypatch):
+        # _working_prec always picks enough bits; at 96 the rounding
+        # allowance alone passes 1e-40, and evaluate says so
+        monkeypatch.setattr(evaluation, "_working_prec", lambda abs_err, v: 96)
+        with pytest.raises(Unachievable, match="96 bits of working precision"):
+            evaluate(ln_vector(2), 1e-40, method)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             evaluate(ln_vector(2), 0.0)
@@ -586,14 +596,21 @@ def _prefix_and_tail(v, blocks, abs_err):
     return evaluation._mpf(value, prec), bound
 
 
-def _digamma_limit(v):
-    """-(1/T) sum_j a_j psi(j/T) at the current mpmath precision."""
-    T = v.modulus
-    return -sum(
-        mp.mpf(a.numerator) / a.denominator * mp.digamma(mp.mpf(j) / T)
-        for j, a in enumerate(v.coeffs, start=1)
-        if a
-    ) / T
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: partial_sum_exact(ln_vector(3), -1), "blocks must be >= 0"),
+        (lambda: partial_sum_float(ln_vector(3), -1), "blocks must be >= 0"),
+        (lambda: harmonic(-1), "n must be >= 0"),
+        (lambda: rearranged_terms(0, 5), "modulus must be >= 1"),
+        (lambda: rearranged_terms(2, 0), "count must be >= 1"),
+    ],
+    ids=["partial_sum_exact", "partial_sum_float", "harmonic", "rearranged-modulus",
+         "rearranged-count"],
+)
+def test_negative_counts_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestRearrangedTerms:
@@ -675,7 +692,7 @@ class TestGammaPartial:
         # against an error under 1e-29 in each partial
         sampled = random.Random(8).sample(range(400, TERM_LIMIT), 60)
         for n in [*range(1, 401), *sampled, TERM_LIMIT - 1]:
-            step = _fraction(gamma_partial(n + 1).value) - _fraction(
+            step = as_fraction(gamma_partial(n + 1).value) - as_fraction(
                 gamma_partial(n).value
             )
             assert Fraction(-1, n * (n + 1)) < step < 0, n
@@ -1096,18 +1113,12 @@ def test_eval_result_value_is_high_precision():
     assert isinstance(result.value, mpmath.mpf)
 
 
-def _fraction(x):
-    """The exact value of an mpf, read from its raw tuple."""
-    p, q = libmp.to_rational(x._mpf_)
-    return Fraction(int(p), int(q))
-
-
 class TestConcurrency:
     def test_threads_and_a_precision_flipper_leave_results_unchanged(self):
         moduli = range(2, 10)
         vectors = {T: ln_vector(T) for T in moduli}
         with mp.workprec(400):
-            logs = {T: _fraction(mp.ln(T)) for T in moduli}
+            logs = {T: as_fraction(mp.ln(T)) for T in moduli}
 
         def work():
             evals = [evaluate(vectors[T], e) for T in moduli for e in (1e-12, 1e-30)]
@@ -1144,7 +1155,7 @@ class TestConcurrency:
                 assert result.value._mpf_ == want.value._mpf_
                 assert result.error_bound == want.error_bound
             for result, T in zip(evals, (T for T in moduli for _ in range(2))):
-                error = abs(_fraction(result.value) - logs[T])
+                error = abs(as_fraction(result.value) - logs[T])
                 assert error <= Fraction(result.error_bound), (T, result.error_bound)
 
     def test_threads_and_a_gamma_memo_writer_leave_partials_unchanged(self):

@@ -15,6 +15,7 @@ from logser import quadrature
 from logser import (
     TERM_LIMIT,
     BudgetExceeded,
+    NoConvergence,
     decomposition_check,
     evaluate,
     fixed_panel_integral,
@@ -139,6 +140,16 @@ class TestDecomposition:
     def test_tolerance_floor(self):
         with pytest.raises(ValueError):
             decomposition_check(3, 1e-13)
+
+    def test_modulus_below_two_rejected(self):
+        with pytest.raises(ValueError, match="T must be >= 2"):
+            decomposition_check(1, 1e-8)
+
+    def test_bisection_past_the_panel_limit_does_not_converge(self, monkeypatch):
+        # T = 1000 takes 31 panels at the default limit
+        monkeypatch.setattr(quadrature, "_PANEL_LIMIT", 3)
+        with pytest.raises(NoConvergence, match="within 3 panels"):
+            decomposition_check(1000, 1e-10)
 
     @pytest.mark.parametrize("T", [4, 12])
     def test_builds_the_panels_of_one_adaptive_integral(self, T, monkeypatch):

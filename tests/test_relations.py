@@ -330,6 +330,13 @@ class TestVerifyZero:
 
 
 class TestDivisorRelations:
+    def test_a_failed_witness_check_raises(self, monkeypatch):
+        # verify_zero passes every witness of T <= 64; one it fails is named
+        check = relations.verify_zero
+        monkeypatch.setattr(relations, "verify_zero", lambda v, eps: (False, check(v, eps)[1]))
+        with pytest.raises(ArithmeticError, match=r"witness S_12\([-0-9, ]+\) failed"):
+            divisor_relations(12)
+
     def test_modulus_four_reproduces_zero_series(self):
         basis = divisor_relations(4)
         witnesses = relation_witnesses(4, basis)

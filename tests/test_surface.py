@@ -105,14 +105,17 @@ print(json.dumps("typing" in sys.modules))
 """
 
 
-# every logser module, then one setup probe of the benchmark (argv[2])
+# every logser module, then one setup probe of the benchmark (argv[2]); the
+# modules are read before this child imports json to print them
 _START_CHILD = """
-import json, sys
+import sys
 sys.path.insert(0, sys.argv[1])
 import logser, logser.cli, logser.errors, logser.evaluation, logser.quadrature
 import logser.relations, logser.vectors
 exec(sys.argv[2])
-print(json.dumps(sorted({"dataclasses", "inspect", "numpy"} & set(sys.modules))))
+loaded = sorted({"dataclasses", "inspect", "json", "numpy"} & set(sys.modules))
+import json
+print(json.dumps(loaded))
 """
 
 
@@ -128,7 +131,7 @@ class TestLazyModules:
     """A start loads only what it runs.
 
     Exact sums load no relations, quadrature or argparse, and no start
-    loads dataclasses, inspect or numpy.
+    loads dataclasses, inspect, json or numpy.
     """
 
     def _child(self, *flags, code, args=()):

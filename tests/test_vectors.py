@@ -167,6 +167,10 @@ class TestIntegerConstructor:
 class TestStoredForm:
     """A vector stores its modulus, weights and scale; coeffs is read off them."""
 
+    def test_str_lists_the_coefficients(self):
+        assert str(make_vector(3, ["1/2", "-1/3", "-1/6"])) == "S_3(1/2, -1/3, -1/6)"
+        assert str(ln_vector(2)) == "S_2(1, -1)"
+
     @pytest.mark.parametrize(
         "build",
         [
@@ -259,6 +263,10 @@ class TestLift:
     def test_modulus_limit(self):
         with pytest.raises(BudgetExceeded, match="term limit"):
             lift(ln_vector(2), TERM_LIMIT // 2 + 1)
+
+    def test_rejects_nonpositive_repeats(self):
+        with pytest.raises(ValueError, match="repeats must be >= 1"):
+            lift(ln_vector(2), 0)
 
 
 class TestLinearCombine:
