@@ -12,9 +12,16 @@ is three digits past abs_err's place, at least 17, plus one for each
 digit of |value| before the point past the first.  error_bound covers
 the printed digits: it is the reading's bound plus one unit in the last
 printed digit, |value| 10^(1 - precision), rounded up.  Reals are
-rounded by mpmath.libmp at explicit precisions; no mpmath context is
-read or set, so concurrent calls print what single calls print.  mpmath
-is imported by the first real printed (_real) or bench reference taken
+printed from integers by _decimal: each reading holds its value as
+(m, e), the exact m 2^e (the kernel's integers rounded to prec bits by
+evaluation._round, or a double read through as_integer_ratio), and the
+digits come from the rule mpmath's to_str applies, ported to integers.
+No mpmath context is read or set, so concurrent calls print what single
+calls print.  ln, lnq, eval, gamma, rearranged and relations take their
+values from the kernel's integers (_evaluate, _gamma_partial and
+verify_zero's unread result), so they never import mpmath.  mpmath is
+imported by the library calls of pi, integral-check and bench's rows,
+which read an mpf, and by the references that decompose and bench take
 (_ln_float, _bench_target), not with this module.  So are `quadrature`
 (by pi, integral-check, decompose and bench's quadrature rows) and
 `relations` (by relations) in the handlers that use them, argparse
@@ -58,9 +65,12 @@ from fractions import Fraction
 
 from .errors import SeriesError
 from .evaluation import (
+    _MIN_PREC,
+    _evaluate,
+    _gamma_partial,
     _harmonic_range,
+    _round,
     evaluate,
-    gamma_partial,
     partial_sum_float,
     rearranged_terms,
     tail_bound,
@@ -97,24 +107,80 @@ class ConvergenceRow(_Record):
         )
 
 
-def _digits_for(abs_err: float, value) -> int:
+def _digits_for(abs_err: float, value: float) -> int:
     # three digits past abs_err's place, at least 17, and one more for each
     # digit of |value| before the decimal point past the first
-    magnitude = abs(float(value))
+    magnitude = abs(value)
     extra = max(0, math.floor(math.log10(magnitude))) if magnitude else 0
     if abs_err <= 0 or math.isinf(abs_err):
         return 17 + extra
     return max(17, int(math.ceil(-math.log10(abs_err))) + 3) + extra
 
 
-def _real(value, digits: int) -> str:
-    import mpmath
+def _binary(x: float) -> tuple[int, int]:
+    """A double as (m, e), its exact value m 2^e."""
+    m, den = x.as_integer_ratio()
+    return m, 1 - den.bit_length()
 
-    libmp = mpmath.libmp
-    # round to enough bits for every printed digit, not mpmath's default 53
-    raw = value._mpf_ if isinstance(value, mpmath.mpf) else libmp.from_float(value)
-    bits = math.ceil(digits * math.log2(10)) + 16
-    return libmp.to_str(libmp.mpf_pos(raw, bits, libmp.round_nearest), digits)
+
+def _double(value: tuple[int, int]) -> float:
+    """The double nearest m 2^e, ties to even: float() of the same value as an mpf."""
+    return math.ldexp(*_round(*value, 53))
+
+
+def _decimal(man: int, exp: int, digits: int) -> str:
+    """man 2^exp as a decimal string of at most `digits` significant digits.
+
+    The rule is the one mpmath's to_str applies, ported to integers.  The
+    value is first rounded to nearest at ceil(digits log2 10) + 16 bits,
+    enough for every printed digit.  to_str then floors it to digits + 3
+    or more digits and rounds up on the digit after the first `digits`:
+    that is round half up at `digits` significant digits, with the
+    leading digit's exponent point = floor(log10 |value|).  For
+    min(-(digits // 3), -5) < point < digits the digits print in fixed
+    form (0.000ddd, or d.ddd with the point inside), else as d.ddde+N or
+    d.ddde-N.  Trailing zeros are stripped, keeping one after the point,
+    and zero prints as 0.0.  The rule holds while |log2 |value|| <= 3500,
+    past which to_str divides by a power of ten in floating point; no
+    value printed here comes near that.
+    """
+    m, e = _round(man, exp, math.ceil(digits * math.log2(10)) + 16)
+    if not m:
+        return "0.0"
+    sign, m = ("-" if m < 0 else ""), abs(m)
+    # 2^(b-1) <= value < 2^b puts the leading digit's exponent at low or
+    # low + 1, so value 10^shift, floored, keeps digits + 1 or + 2 digits
+    low = math.floor((m.bit_length() + e - 1) * math.log10(2))
+    shift = digits - low
+    if shift >= 0:
+        m *= 10**shift
+        floored = m << e if e >= 0 else m >> -e
+    else:
+        floored = (m << e) // 10**-shift if e >= 0 else m // (10**-shift << -e)
+    point = len(str(floored)) - 1 - shift
+    # round half up on the first digit past `digits`
+    kept, next_digit = divmod(floored if point == low else floored // 10, 10)
+    kept += next_digit >= 5
+    text = str(kept)
+    if len(text) > digits:  # rounding carried into a new digit
+        text, point = text[:digits], point + 1
+    if min(-(digits // 3), -5) < point < digits:
+        if point < 0:
+            text = "0." + "0" * (-point - 1) + text
+        else:
+            text = text[: point + 1] + "." + text[point + 1 :]
+        suffix = ""
+    else:
+        text = text[0] + "." + text[1:]
+        suffix = f"e+{point}" if point >= 0 else f"e{point}"
+    text = text.rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    return sign + text + suffix
+
+
+def _real(x: float, digits: int) -> str:
+    return _decimal(*_binary(x), digits)
 
 
 def _ln_float(n: int, prec: int) -> float:
@@ -170,11 +236,12 @@ def _lnq_vector(args):
 class _Reading:
     """What one value subcommand computed; `_cmd_value` prints it.
 
-    `micros` times the library calls alone, and `extras` holds the
-    subcommand's own fields, already rendered.
+    `value` is (m, e), the exact value m 2^e that is printed, `micros`
+    times the library calls alone, and `extras` holds the subcommand's
+    own fields, already rendered.
     """
 
-    def __init__(self, inputs: dict, value: mpmath.mpf | float, digits: int,
+    def __init__(self, inputs: dict, value: tuple[int, int], digits: int,
                  error_bound: float, bound_is_heuristic: bool, micros: int,
                  blocks_used: int = 0, extras: dict | None = None) -> None:
         vars(self).update(inputs=inputs, value=value, digits=digits, error_bound=error_bound,
@@ -185,12 +252,13 @@ class _Reading:
 def _read_series(args) -> _Reading:
     """eval, ln and lnq: evaluate the vector that `args.vector` builds."""
     vec, inputs = args.vector(args)
-    result, micros = _timed(evaluate, vec, args.abs_err, args.method)
+    (fixed, prec, bound, blocks), micros = _timed(_evaluate, vec, args.abs_err, args.method)
+    # the value evaluate returns, rounded to prec bits
+    value = _round(fixed, -(prec + 10), prec)
     return _Reading(
         inputs={**inputs, "abs_err": repr(args.abs_err), "method": args.method},
-        value=result.value, digits=_digits_for(args.abs_err, result.value),
-        error_bound=result.error_bound, bound_is_heuristic=result.bound_is_heuristic,
-        micros=micros, blocks_used=result.blocks_used,
+        value=value, digits=_digits_for(args.abs_err, _double(value)),
+        error_bound=bound, bound_is_heuristic=False, micros=micros, blocks_used=blocks,
     )
 
 
@@ -207,7 +275,7 @@ def _read_pi(args) -> _Reading:
     # 2^-50 = 8u leaves room for rounding this sum.
     bound = 5.2 * series.error_bound + 2.0**-50 * abs(value)
     return _Reading(
-        inputs={"abs_err": repr(args.abs_err)}, value=value, digits=digits,
+        inputs={"abs_err": repr(args.abs_err)}, value=_binary(value), digits=digits,
         error_bound=bound, bound_is_heuristic=False,
         micros=micros, blocks_used=series.blocks_used,
         extras={"arctan_cross_check": _real(quadrature.pi_arctan(), digits)},
@@ -215,11 +283,11 @@ def _read_pi(args) -> _Reading:
 
 
 def _read_gamma(args) -> _Reading:
-    partial, micros = _timed(gamma_partial, args.n)
+    fixed, micros = _timed(_gamma_partial, args.n)
     # distance to the limit: the steps A_n - A_{n+1} lie in
     # (0, 1/(n(n+1))) and telescope to at most 1/n, rounded up
     return _Reading(
-        inputs={"n": args.n}, value=partial.value, digits=17,
+        inputs={"n": args.n}, value=_round(fixed, -(_MIN_PREC + 10), _MIN_PREC), digits=17,
         error_bound=math.nextafter(1 / args.n, math.inf), bound_is_heuristic=False,
         micros=micros,
     )
@@ -232,7 +300,7 @@ def _read_integral_check(args) -> _Reading:
     digits = _digits_for(args.tol, check.integral_value)
     return _Reading(
         inputs={"T": args.T, "j": args.j, "tol": repr(args.tol)},
-        value=check.integral_value, digits=digits,
+        value=_binary(check.integral_value), digits=digits,
         error_bound=check.tolerance, bound_is_heuristic=True, micros=micros,
         extras={
             "series_value": _real(check.series_value, digits),
@@ -249,7 +317,7 @@ def _read_decompose(args) -> _Reading:
     digits = _digits_for(args.tol, value)
     reference = _ln_float(args.T, 96)
     return _Reading(
-        inputs={"T": args.T, "tol": repr(args.tol)}, value=value, digits=digits,
+        inputs={"T": args.T, "tol": repr(args.tol)}, value=_binary(value), digits=digits,
         error_bound=args.tol, bound_is_heuristic=True, micros=micros,
         extras={
             "reference_log": _real(reference, digits),
@@ -268,7 +336,7 @@ def _read_rearranged(args) -> _Reading:
     total, sum_micros = _timed(_harmonic_range, c, c * args.T + r)
     value = float(total)
     return _Reading(
-        inputs={"T": args.T, "n": args.n}, value=value,
+        inputs={"T": args.T, "n": args.n}, value=_binary(value),
         digits=_digits_for(math.inf, value),
         # the partial sum itself is exact; float() rounds it to nearest
         error_bound=math.ldexp(abs(value), -53), bound_is_heuristic=False,
@@ -285,16 +353,16 @@ def _cmd_value(args) -> int:
     """Every value subcommand: print the reading that `args.reading` takes."""
     reading = args.reading(args)
     # `precision` significant digits err by little more than half a unit in
-    # the last digit (_real and to_str round guard digits first), a unit
+    # the last digit (_decimal rounds to guard bits first), a unit
     # being at most |value| 10^(1 - precision).  The whole unit charged also
     # covers its own float arithmetic, nextafter rounds the sum up, and a
     # zero value prints exactly.
-    charge = abs(float(reading.value)) * 10.0 ** (1 - reading.digits)
+    charge = abs(_double(reading.value)) * 10.0 ** (1 - reading.digits)
     bound = reading.error_bound + charge
     payload = {
         "command": args.command,
         "inputs": reading.inputs,
-        "value": _real(reading.value, reading.digits),
+        "value": _decimal(*reading.value, reading.digits),
         "precision": reading.digits,
         "error_bound": repr(math.nextafter(bound, math.inf) if charge else bound),
         "bound_is_heuristic": reading.bound_is_heuristic,
@@ -324,13 +392,15 @@ def _cmd_relations(args) -> int:
     (basis, checks), micros = _timed(relations._checked_relations, args.T)
     entries = []
     for rel, (witness, (ok, result)) in zip(basis.vectors, checks):
+        # the integers verify_zero's result holds until its value is read
+        fixed, prec = result._fixed
         entries.append(
             {
                 "relation": [str(c) for c in rel],
                 "witness_modulus": witness.modulus,
                 # every checked witness has scale 1, so its weights are its coefficients
                 "witness_coeffs": [str(w) for w in witness.weights],
-                "witness_value": _real(result.value, 17),
+                "witness_value": _decimal(*_round(fixed, -(prec + 10), prec), 17),
                 "witness_bound": repr(result.error_bound),
                 "verified_zero": ok,
             }

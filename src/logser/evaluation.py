@@ -53,11 +53,18 @@ floating-point kernel computes psi, less a logarithm ln a that balance
 cancels, and the logarithms of rationals that Gauss's formula and the
 Euler-Mascheroni partials leave, in integers scaled by 2^(prec+10),
 prec >= 96.  It reads no mpmath context or memo, so no precision set
-and no constant computed elsewhere in the process changes a result;
-values become mpmath.mpf only on the way out, in _mpf, which is also
-where mpmath is imported.  So the exact sums, tail_bound and the
-vectors never load mpmath.  Requests below the precision floor raise
-Unachievable.
+and no constant computed elsewhere in the process changes a result.
+_evaluate and _gamma_partial return the kernel's integers: the value
+scaled by 2^(prec+10), with its precision (and _evaluate's bound and
+blocks).  evaluate, gamma_partial and partial_sum_float return values
+as mpmath.mpf, made on the way out in _mpf, which is also where mpmath
+is imported; _round rounds the same integers to nearest as _mpf does,
+for callers that compare or print them without mpmath
+(relations.verify_zero and the CLI).  The result
+that _unread builds for verify_zero calls _mpf on the first read of its
+value.  So the exact sums, tail_bound, the vectors and a zero check
+whose value is never read never load mpmath.  Requests below the
+precision floor raise Unachievable.
 
 Cache policy: the rows psi(j/T) - ln a, j = 1..T, kept per (T, prec)
 for T <= _ROW_MODULUS in an LRU memo of _ROW_LIMIT rows, are the only
@@ -112,6 +119,24 @@ class EvalResult(_Record):
                  method: str, bound_is_heuristic: bool) -> None:
         vars(self).update(value=value, error_bound=error_bound, blocks_used=blocks_used,
                           method=method, bound_is_heuristic=bound_is_heuristic)
+
+    @functools.cached_property
+    def value(self) -> mpmath.mpf:
+        # reached only by a result of _unread, whose value is not yet built
+        return _mpf(*self._fixed)
+
+
+def _unread(fixed: int, prec: int, bound: float, blocks: int, method: str) -> EvalResult:
+    """An EvalResult whose value is _mpf(fixed, prec), built on its first read.
+
+    Until then the result holds the two integers as ``_fixed``.  ==, hash,
+    repr, pickle and deepcopy give what the eager result gives, as each
+    reads the value or copies the integers it is built from.
+    """
+    result = object.__new__(EvalResult)
+    vars(result).update(_fixed=(fixed, prec), error_bound=bound, blocks_used=blocks,
+                        method=method, bound_is_heuristic=False)
+    return result
 
 
 class GammaPartial(_Record):
@@ -380,11 +405,15 @@ def gamma_partial(n: int) -> GammaPartial:
     So the sum is within 101u < 2^-99 of A_n.  Rounding it to 96 bits
     adds at most 2^-97, as gamma < A_n <= 1: under 7.6e-30 in total.
     """
+    return GammaPartial(n=n, value=_mpf(_gamma_partial(n), _MIN_PREC))
+
+
+def _gamma_partial(n: int) -> int:
+    """gamma_partial(n)'s value before rounding, scaled by 2^(_MIN_PREC+10)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     m = min(n, _shift_threshold(_MIN_PREC))
-    value = _psi(n + 1, 1, _MIN_PREC) - _psi_row(1, _MIN_PREC)[0] - _ln(m, 1, _MIN_PREC)
-    return GammaPartial(n=n, value=_mpf(value, _MIN_PREC))
+    return _psi(n + 1, 1, _MIN_PREC) - _psi_row(1, _MIN_PREC)[0] - _ln(m, 1, _MIN_PREC)
 
 
 # ----------------------------------------------------------------------
@@ -580,6 +609,24 @@ def _mpf(fixed: int, prec: int) -> mpmath.mpf:
     return mpmath.mp.make_mpf(libmp.from_man_exp(fixed, -(prec + 10), prec, libmp.round_nearest))
 
 
+def _round(man: int, exp: int, bits: int) -> tuple[int, int]:
+    """(m, e) with m 2^e the value man 2^exp rounded to `bits` significant bits.
+
+    Rounds to nearest with ties to even, as mpmath's round_nearest does,
+    so _round(fixed, -(prec + 10), prec) is the value of _mpf(fixed, prec).
+    |m| may reach 2^bits when rounding carries; m 2^e is the value.
+    """
+    size = abs(man)
+    shift = size.bit_length() - bits
+    if shift <= 0:
+        return man, exp
+    m, rest = size >> shift, size & ((1 << shift) - 1)
+    half = 1 << (shift - 1)
+    if rest > half or rest == half and m & 1:
+        m += 1
+    return (-m if man < 0 else m), exp + shift
+
+
 def _allowance(v: CoefficientVector, value: int, prec: int, carried: int) -> float:
     """2^-(prec-20) (R + |value| + 1); value is scaled.
 
@@ -643,8 +690,27 @@ def evaluate(
     of abs_err for rounding when it picks the truncation K; its K-block
     sum is two psi tails, so its cost does not grow with K and no limit
     bounds it.  accelerated mode sums no block and returns
-    -(1/T) sum_j a_j psi(j/T).  `prefix_blocks` is deprecated: a value
-    other than None warns and is ignored.
+    -(1/T) sum_j a_j psi(j/T).  The value is _evaluate's, rounded to a
+    prec-bit mpf.  `prefix_blocks` is deprecated: a value other than None
+    warns and is ignored.
+
+    Unachievable signals that abs_err sits below the working-precision
+    floor, or that rounding would push the bound past it.
+    """
+    if prefix_blocks is not None:
+        warnings.warn("prefix_blocks is deprecated and ignored; the result is that of "
+                      "the call without it", DeprecationWarning, stacklevel=2)
+    fixed, prec, bound, blocks = _evaluate(v, abs_err, method)
+    # positional, as keywords cost about as much per call as _evaluate's frame
+    return EvalResult(_mpf(fixed, prec), bound, blocks, method, False)
+
+
+def _evaluate(v: CoefficientVector, abs_err: float, method: str) -> tuple[int, int, float, int]:
+    """(fixed, prec, bound, blocks): evaluate's result in the kernel's integers.
+
+    The value is fixed / 2^(prec+10), which evaluate rounds to prec bits
+    and which bound covers once so rounded; the zero vector gives 0 at
+    prec 96 and bound 0.
 
     Error, in units u = 2^-(prec+10) of the fixed-point kernel: the tail
     identity and Gauss's multiplication formula are exact, balance
@@ -675,25 +741,13 @@ def evaluate(
     to prec bits adds 2^10 u |value|.  So the total is under
     2^11 u (R + |value| + 1), 2^19 times below the reported
     2^-(prec-20) (R + |value| + 1).  raw adds its tail bound.
-
-    Unachievable signals that abs_err sits below the working-precision
-    floor, or that rounding would push the bound past it.
     """
     if not abs_err > 0:
         raise ValueError("abs_err must be positive")
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
-    if prefix_blocks is not None:
-        warnings.warn("prefix_blocks is deprecated and ignored; the result is that of "
-                      "the call without it", DeprecationWarning, stacklevel=2)
     if v.is_zero():
-        return EvalResult(
-            value=_mpf(0, _MIN_PREC),
-            error_bound=0.0,
-            blocks_used=2 if method == "raw" else 0,
-            method=method,
-            bound_is_heuristic=False,
-        )
+        return 0, _MIN_PREC, 0.0, 2 if method == "raw" else 0
     prec = _working_prec(abs_err, v)
     if method == "raw":
         blocks, mass, den = 2, _weighted_mass(v), v.scale * v.modulus**2
@@ -714,10 +768,4 @@ def evaluate(
         raise Unachievable(
             f"{prec} bits of working precision cannot reach abs_err={abs_err}"
         )
-    return EvalResult(
-        value=_mpf(value, prec),
-        error_bound=bound,
-        blocks_used=blocks,
-        method=method,
-        bound_is_heuristic=False,
-    )
+    return value, prec, bound, blocks

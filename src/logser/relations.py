@@ -31,7 +31,7 @@ from collections.abc import Iterable, Sequence
 from itertools import accumulate
 
 from .errors import ModulusMismatch, NotComposite
-from .evaluation import EvalResult, evaluate
+from .evaluation import EvalResult, _evaluate, _round, _unread
 from .vectors import (
     CoefficientVector,
     _check_term_limit,
@@ -202,12 +202,22 @@ def verify_zero(v: CoefficientVector, eps: float) -> tuple[bool, EvalResult]:
 
     The accelerated route takes the exact digamma tail from block 0 and
     sums no block, so its cost does not grow as eps shrinks and no limit
-    bounds which witnesses can be checked.
+    bounds which witnesses can be checked.  The test is exact and in
+    integers: the value rounded to its prec bits, m 2^e, against the
+    bound's n/d, as |m| d 2^e <= n.  That is the bool that
+    abs(evaluate(v, eps).value) <= error_bound gives.
+
+    The EvalResult is evaluate(v, eps)'s, but its value, the same mpf, is
+    built on its first read, so a check whose value is never read loads
+    no mpmath (the first read does).
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    result = evaluate(v, eps)
-    return abs(result.value) <= result.error_bound, result
+    fixed, prec, bound, blocks = _evaluate(v, eps, "accelerated")
+    m, e = _round(fixed, -(prec + 10), prec)
+    n, d = bound.as_integer_ratio()
+    inside = abs(m) * d << e <= n if e >= 0 else abs(m) * d <= n << -e
+    return inside, _unread(fixed, prec, bound, blocks, "accelerated")
 
 
 def _proper_divisors(T: int) -> list[int]:

@@ -15,7 +15,10 @@ from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from logser import (
@@ -447,6 +450,76 @@ class TestPrintedBound:
             reference = as_fraction(PRINTED_REFERENCES[argv]())
         error = abs(Fraction(payload["value"]) - reference)
         assert error <= Fraction(payload["error_bound"]), (payload["value"], error)
+
+
+def _to_str(man: int, exp: int, prec: int, digits: int) -> str:
+    """man 2^exp printed through mpmath, as the CLI printed reals before _decimal.
+
+    Rounded to nearest at prec bits (as a prec-bit mpf holds it), then at
+    ceil(digits log2 10) + 16 bits, then libmp.to_str.
+    """
+    libmp = mpmath.libmp
+    raw = libmp.from_man_exp(man, exp, prec, libmp.round_nearest)
+    bits = math.ceil(digits * math.log2(10)) + 16
+    return libmp.to_str(libmp.mpf_pos(raw, bits, libmp.round_nearest), digits)
+
+
+@st.composite
+def _binary_values(draw):
+    """(man, exp, prec, digits), the value's leading digit near either form switch or far off."""
+    prec = draw(st.integers(96, 1024))
+    digits = draw(st.integers(17, 400))
+    size = draw(st.integers(0, prec + 40))
+    man = draw(st.one_of(
+        st.integers(0, (1 << size) - 1),
+        # runs of nines and round decimals, which carry when rounded
+        st.builds(lambda k, d: (10**k + d) << (size % 7), st.integers(1, 300), st.integers(-3, 3)),
+    )) * draw(st.sampled_from((1, -1)))
+    # fixed form holds for min(-(digits // 3), -5) < point < digits
+    point = draw(st.one_of(
+        st.integers(-150, 420),
+        st.sampled_from([min(-(digits // 3), -5) + k for k in (-1, 0, 1, 2)]
+                        + [digits + k for k in (-2, -1, 0, 1)]),
+    ))
+    exp = round(point * math.log2(10)) - abs(man).bit_length() + draw(st.integers(-4, 4))
+    return man, exp, prec, digits
+
+
+class TestDecimal:
+    """_decimal prints what mpmath's to_str printed after the same roundings."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_binary_values())
+    def test_matches_to_str(self, value):
+        man, exp, prec, digits = value
+        rounded = evaluation._round(man, exp, prec)
+        assert cli._decimal(*rounded, digits) == _to_str(man, exp, prec, digits)
+        # the double the digit count and the charge read is float(mpf), in
+        # the double range
+        if exp + abs(man).bit_length() < 1023:
+            as_mpf = mp.make_mpf(mpmath.libmp.from_man_exp(man, exp, prec, "n"))
+            assert cli._double(rounded) == float(as_mpf)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.integers(17, 400))
+    def test_doubles_match_to_str(self, x, digits):
+        man, exp = cli._binary(x)
+        assert man * Fraction(2) ** exp == x
+        assert cli._real(x, digits) == _to_str(man, exp, 53, digits)
+        assert cli._double((man, exp)) == x
+
+    @pytest.mark.parametrize("man, exp, digits, text", [
+        (0, 0, 17, "0.0"),
+        (1, 0, 17, "1.0"),
+        (-3, -2, 17, "-0.75"),
+        (10**17 - 1, 0, 17, "99999999999999999.0"),
+        (10**17 - 1, 0, 16, "1.0e+17"),
+        (123, -20, 17, "0.00011730194091796875"),   # fixed form down to 1e-5
+        (1, -30, 17, "9.3132257461547852e-10"),
+        (1, 200, 17, "1.6069380442589903e+60"),
+    ])
+    def test_examples(self, man, exp, digits, text):
+        assert cli._decimal(man, exp, digits) == text == _to_str(man, exp, 2000, digits)
 
 
 class TestJsonLayout:

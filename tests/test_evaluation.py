@@ -1211,8 +1211,8 @@ _LAZY_CHILD = """
 import json, sys, threading
 sys.path.insert(0, sys.argv[1])
 import logser, logser.cli
-from logser import (block_term, decomposition_check, divisor_family, evaluate,
-                    gamma_partial, harmonic, kernel, ln_vector, make_vector,
+from logser import (block_term, decomposition_check, divisor_family, divisor_relations,
+                    evaluate, gamma_partial, harmonic, kernel, ln_vector, make_vector,
                     partial_sum_exact, rearranged_terms, tail_bound)
 harmonic(5000)
 partial_sum_exact(ln_vector(3), 1000)
@@ -1221,6 +1221,7 @@ block_term(ln_vector(5), 7)
 rearranged_terms(3, 100)
 tail_bound(ln_vector(7), 10)
 kernel(divisor_family(12))
+divisor_relations(12)
 decomposition_check(4, 1e-8)
 loaded = "mpmath" in sys.modules
 

@@ -26,6 +26,7 @@ from logser import (
     UnbalancedCoefficients,
     ln_vector,
     make_vector,
+    verify_zero,
 )
 from logser.cli import ConvergenceRow
 
@@ -53,6 +54,13 @@ RECORDS = {
         lambda: EvalResult(0.25, 0.0, 0, "accelerated", True),
         "EvalResult(value=0.25, error_bound=0.0, blocks_used=0, method='accelerated', "
         "bound_is_heuristic=True)",
+        ("value", "error_bound", "blocks_used", "method", "bound_is_heuristic"),
+    ),
+    # verify_zero's result builds its value on first read
+    "eval_lazy": (
+        lambda: verify_zero(ln_vector(2), 1e-6)[1],
+        "EvalResult(value=mpf('0.69314718055994531'), error_bound=3.564350615217656e-23, "
+        "blocks_used=0, method='accelerated', bound_is_heuristic=False)",
         ("value", "error_bound", "blocks_used", "method", "bound_is_heuristic"),
     ),
     "gamma": (
@@ -163,6 +171,26 @@ def test_deepcopy_is_equal(kind):
     assert type(back) is type(record)
     assert back == record and hash(back) == hash(record)
     assert repr(back) == RECORDS[kind][1]
+
+
+def test_a_lazy_value_gives_the_same_before_and_after_its_first_read():
+    factory = RECORDS["eval_lazy"][0]
+    read = factory()
+    assert read.value  # the first read builds the value
+    assert "value" in vars(read)
+    operations = [
+        lambda record: record == read and read == record,
+        hash,
+        repr,
+        copy.deepcopy,
+        *(lambda record, p=p: pickle.loads(pickle.dumps(record, p))
+          for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+    ]
+    for operation in operations:
+        unread = factory()
+        assert "value" not in vars(unread)
+        assert operation(unread) == operation(read)
+    assert repr(read) == RECORDS["eval_lazy"][1]
 
 
 @pytest.mark.parametrize("build,error,message", [

@@ -26,11 +26,11 @@ from logser import (
     verify_zero,
 )
 
-from logser import relations
+from logser import evaluate, evaluation, relations
 from logser.relations import _difference_vectors, _nullspace
 from logser.vectors import _factorize
 
-from conftest import random_balanced
+from conftest import as_fraction, random_balanced
 
 COMPOSITES = [T for T in range(4, 65) if any(T % d == 0 for d in range(2, T))]
 
@@ -327,6 +327,50 @@ class TestVerifyZero:
     def test_eps_validation(self):
         with pytest.raises(ValueError):
             verify_zero(ln_vector(2), 0.0)
+
+    @pytest.mark.parametrize("T", COMPOSITES)
+    def test_the_integer_check_is_the_mpf_check(self, T):
+        # for every witness divisor_relations checks, for ln 2 (nonzero) and for
+        # the zero vector: the bool is abs(value) <= bound over evaluate's mpf,
+        # and the value built on first read is that mpf, bit for bit
+        vectors = [witness for witness, _ in relations._checked_relations(T)[1]]
+        vectors += [ln_vector(2), make_vector(T, [0] * T)]
+        for v in vectors:
+            ok, result = verify_zero(v, 1e-6)
+            eager = evaluate(v, 1e-6)
+            assert ok is (abs(eager.value) <= eager.error_bound)
+            assert ok is (abs(as_fraction(eager.value)) <= Fraction(eager.error_bound))
+            assert "value" not in vars(result)
+            assert result.value._mpf_ == eager.value._mpf_
+            assert result == eager and hash(result) == hash(eager)
+        assert [verify_zero(v, 1e-6)[0] for v in vectors[-2:]] == [False, True]
+
+    # 3/4 is 3 2^104 at prec 96 (scale 2^106): 106 bits, so rounding to 96 bits
+    # keeps multiples of 2^10, and 3 2^94 is even.  The reference compares the
+    # prec-bit mpf with the bound exactly, as Fractions: abs() of an mpf would
+    # round it to mpmath's context precision first, 53 bits by default
+    @pytest.mark.parametrize("fixed, bound, inside", [
+        pytest.param(3 << 104, 0.75, True, id="on"),
+        pytest.param((3 << 104) - 1, 0.75, True, id="below-rounds-onto"),
+        pytest.param((3 << 104) + (1 << 9), 0.75, True, id="tie-to-even-onto"),
+        pytest.param((3 << 104) + (1 << 9) + 1, 0.75, False, id="rounds-one-unit-above"),
+        pytest.param((3 << 104) - (1 << 10), 0.75, True, id="one-unit-below"),
+        pytest.param(-((3 << 104) + (1 << 9)), 0.75, True, id="negative-tie-onto"),
+        pytest.param(-((3 << 104) + (1 << 9) + 1), 0.75, False, id="negative-above"),
+        pytest.param((3 << 104) + (3 << 9), 0.75, False, id="tie-to-even-past"),
+        pytest.param((3 << 104) + (1 << 10), math.nextafter(0.75, 1.0), True,
+                     id="under-the-next-double"),
+        pytest.param((1 << 106) - 1, 1.0, True, id="carry-onto"),
+        pytest.param((1 << 106) - 1, math.nextafter(1.0, 0.0), False, id="carry-past"),
+        pytest.param(0, 0.0, True, id="zero-on-zero"),
+        pytest.param(1, 0.0, False, id="tiny-past-zero"),
+    ])
+    def test_rounding_on_at_and_past_the_bound(self, fixed, bound, inside, monkeypatch):
+        monkeypatch.setattr(relations, "_evaluate", lambda v, eps, method: (fixed, 96, bound, 0))
+        ok, result = verify_zero(ln_vector(2), 1e-6)
+        assert ok is inside
+        assert inside is (abs(as_fraction(evaluation._mpf(fixed, 96))) <= Fraction(bound))
+        assert result.value == evaluation._mpf(fixed, 96) and result.error_bound == bound
 
 
 class TestDivisorRelations:

@@ -113,7 +113,22 @@ sys.path.insert(0, sys.argv[1])
 import logser, logser.cli, logser.errors, logser.evaluation, logser.quadrature
 import logser.relations, logser.vectors
 exec(sys.argv[2])
-loaded = sorted({"dataclasses", "inspect", "json", "numpy"} & set(sys.modules))
+loaded = sorted({"dataclasses", "inspect", "json", "mpmath", "numpy"} & set(sys.modules))
+import json
+print(json.dumps(loaded))
+"""
+
+# the value subcommands and relations, whose values leave the CLI as integers
+_CLI_CHILD = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import logser.cli
+for argv in (["ln", "10"], ["lnq", "3/2"], ["eval", "--T", "3", "--coeffs", "1,-1,0"],
+             ["gamma", "--n", "10"], ["rearranged", "--T", "2", "--n", "10"],
+             ["relations", "--T", "12"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert logser.cli.run(argv) == 0, argv
+loaded = "mpmath" in sys.modules
 import json
 print(json.dumps(loaded))
 """
@@ -131,7 +146,9 @@ class TestLazyModules:
     """A start loads only what it runs.
 
     Exact sums load no relations, quadrature or argparse, and no start
-    loads dataclasses, inspect, json or numpy.
+    loads dataclasses, inspect, json or numpy.  Of the benchmark's setup
+    probes only accel's, which returns an mpf, loads mpmath, and the CLI's
+    ln, lnq, eval, gamma, rearranged and relations print without it.
     """
 
     def _child(self, *flags, code, args=()):
@@ -151,5 +168,10 @@ class TestLazyModules:
         assert self._child("-S", code=_NO_SITE_CHILD) is False
 
     @pytest.mark.parametrize("workload", sorted(_setup_probes()))
-    def test_a_start_loads_no_dataclasses_inspect_or_numpy(self, workload):
-        assert self._child(code=_START_CHILD, args=(_setup_probes()[workload],)) == []
+    def test_a_start_loads_only_what_its_probe_runs(self, workload):
+        loaded = self._child(code=_START_CHILD, args=(_setup_probes()[workload],))
+        # accel's probe returns an mpf, and only mpmath makes one
+        assert set(loaded) <= ({"mpmath"} if workload == "accel" else set())
+
+    def test_cli_values_and_relations_load_no_mpmath(self):
+        assert self._child(code=_CLI_CHILD) is False
