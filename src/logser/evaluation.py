@@ -39,16 +39,19 @@ floating-point kernel as psi(n+1) - psi(1) - ln n with no harmonic
 sum.  The stream's terms are +-1/m, already in lowest terms, so each
 is built from its two integers with no gcd, at a cost that grows with
 the number of terms and not with T.
-Every exact sum of 1/m over a range of m, H_b - H_a, goes through
-one kernel over odd denominators: the odd o in (a, b] and below count
-with a weight of powers of 2, constant on at most 2 bitlen(b) blocks.
-Harmonic numbers are H_n - H_0, the partial sums of a multiple of ln T
-are H_{NT} - H_N, and the rearranged stream's are H_{cT+r} - H_c.  Other
-partial sums are weighted harmonic sums sum_m w_m / m with periodic
-integer weights.  Both sum by balanced splitting with one rule: a run
-of at most _LEAF terms is one unreduced integer pair, reduced once into
-a Fraction, and longer runs merge their halves as Fractions, rather than
-adding one term at a time to an ever larger running rational.  The
+Every exact sum of w_m/m over a range of m, with periodic integer
+weights w, goes through one kernel over odd denominators: each odd o
+counts once, with the weights of the m = 2^i o in range over powers of
+2, which on each of at most 2 bitlen(b) blocks repeat with the period of
+the weights.  Harmonic numbers are H_n - H_0, the partial sums of a
+multiple of ln T are H_{NT} - H_N, and the rearranged stream's are
+H_{cT+r} - H_c, all with unit weight; every other partial sum is the
+range (0, NT] with the vector's weights.  block_term alone sums its
+one block of T terms over the integers.  Both routes sum by balanced
+splitting with one rule: a run of at most _LEAF terms is one unreduced
+integer pair, reduced once into a Fraction, and longer runs merge their
+halves as Fractions, rather than adding one term at a time to an ever
+larger running rational.  The
 floating-point kernel computes psi, less a logarithm ln a that balance
 cancels, and the logarithms of rationals that Gauss's formula and the
 Euler-Mascheroni partials leave, in integers scaled by 2^(prec+10),
@@ -150,7 +153,14 @@ class GammaPartial(_Record):
 
 
 def block_term(v: CoefficientVector, k: int) -> Fraction:
-    """Exact value of block k: sum_j a_j / (k*T + j)."""
+    """Exact value of block k: sum_j a_j / (k*T + j).
+
+    The T terms are summed over the integers by _weighted_harmonic: over
+    odd denominators, (kT, kT + T] would pay _harmonic_range's setup of
+    up to 2 bitlen(kT + T) blocks for T terms (3000 calls at T = 12 took
+    16 -> 71 ms that way), and this route shares no code with
+    partial_sum_exact's.
+    """
     if k < 0:
         raise ValueError("block index must be >= 0")
     return _weighted_harmonic(v.weights, (k + 1) * v.modulus, k * v.modulus) / v.scale
@@ -210,57 +220,116 @@ def _weighted_harmonic(weights: tuple[int, ...], n: int, start: int = 0) -> Frac
     return _balanced(start + 1, n + 1, leaf)
 
 
-def _harmonic_range(a: int, b: int) -> Fraction:
-    """Exact sum_{a<m<=b} 1/m = H_b - H_a, for 0 <= a <= b, over odd denominators.
+def _periodic_odd_leaf(table: list[int], base: int, lo: int, hi: int) -> tuple[int, int]:
+    """table[(k - base) mod P]/(2k+1) over lo <= k < hi, P = len(table), as an unreduced pair.
 
+    Zero weights are skipped.  When each residue class of k mod P holds at
+    least 8 terms, each class is summed as _odd_leaf sums a run and joins
+    the pair with its weight, so the products grow in P short runs: at
+    P = 5 that took a 128-term leaf 36 -> 24 us.  With fewer terms a class
+    the terms join one at a time, as the classes' merges would cost more.
+    """
+    period = len(table)
+    p, q = 0, 1
+    if hi - lo >= 8 * period:
+        for k in range(lo, lo + period):
+            w = table[(k - base) % period]
+            if w:
+                r, s = 0, 1
+                for m in range(2 * k + 1, 2 * hi + 1, 2 * period):
+                    r = r * m + s
+                    s *= m
+                p, q = p * s + q * r * w, q * s
+        return p, q
+    weights = itertools.islice(itertools.cycle(table), (lo - base) % period, None)
+    for m, w in zip(range(2 * lo + 1, 2 * hi + 1, 2), weights):
+        if w:
+            p = p * m + w * q
+            q *= m
+    return p, q
+
+
+def _harmonic_range(a: int, b: int, weights: tuple[int, ...] = (1,)) -> Fraction:
+    """Exact sum_{a<m<=b} w(m)/m, w(m) = weights[(m-1) mod T], over odd denominators.
+
+    For 0 <= a <= b and T = len(weights); unit weight gives H_b - H_a.
     Write m = 2^i o with o odd.  Then a < m <= b iff a >> i < o <= b >> i,
     as 2^i o <= b iff o <= floor(b / 2^i), and likewise for a.  So each
-    odd o counts with weight w(o) = sum 2^-i over the i with
-    a >> i < o <= b >> i, and H_b - H_a = sum_o w(o)/o.  As o runs up, i
-    joins w past the cut a >> i and leaves it past the cut b >> i, so w is
-    constant on each block (x, y] between consecutive points of the sorted
-    cut set {a >> i} u {b >> i}, i < L = bitlen(b) (from i = L on,
-    b >> i = 0 and no o qualifies): at most 2L blocks.  In units of 2^-L,
-    w on (x, y] is the sum over the cuts z <= x of 2^(L-i) for z = a >> i,
-    less 2^(L-i) for z = b >> i.  The sum is divided by 2^L once.  Each
-    odd o <= b is summed at most once, so the kernel sums at most b/2
-    terms, every one with an odd denominator and so fewer bits for its
-    gcds: half the terms of H_n, and at most NT/2 for H_{NT} - H_N, where
-    the periodic weights sum NT.
+    odd o counts once, with weight W(o) = sum_i w(2^i o) / 2^i over its
+    levels, the i with a >> i < o <= b >> i.  The levels are the same on
+    each block (x, y] between consecutive points of the sorted cut set
+    {a >> i} u {b >> i}, i < L = bitlen(b) (from i = L on, b >> i = 0):
+    at most 2L blocks.  On a block they are a run i0 <= i <= i1, as a >> i
+    and b >> i fall while i rises, and both ends fall as o rises.
 
-    A block of at most _LEAF odd terms is one _odd_leaf pair r/s, folded
-    with its weight w into one running unreduced pair p/q as
-    (p s + q r w, q s), which becomes one Fraction at the end.  That pair
-    stays small because each of its blocks is at most one leaf, and there
-    are at most 2L blocks: over 40,000 random ranges with b <= 10^6 it
-    held at most 514 odd terms (257 for H_n).  A longer block goes through
-    _balanced, and its Fraction, weighted, joins a running Fraction.  A
-    short range needs no path of its own: its blocks are all short, so
-    the running pair sums it.
+    On a block, W(o) 2^i1 = sum_{i0<=i<=i1} w(2^i o) 2^(i1-i) is an
+    integer, taken by Horner's rule over the levels.  w(2^i o) reads
+    2^i o mod T, which depends on o mod T alone, and over o = 2k + 1 that
+    repeats every P = T values of k, or P = T/2 when T is even, as odd o
+    meet only the odd residues.  So a block's weights are one table of at
+    most P integers, the weight of k being table[(k - lo) mod P], built in
+    at most P (i1 - i0 + 1) steps.  Unit weights make it the one value
+    2^(i1-i0+1) - 1; for a = 0 the blocks are then the dyadic
+    (b >> (l+1), b >> l] with weight 2 - 2^-l, the odd-part decomposition
+    of the binary-split factorial (P. Luschny; CPython's math.factorial).
+    Each odd o <= b is summed at most once: at most b/2 terms, every one
+    with an odd denominator and so fewer bits for its gcds.
 
-    For a = 0 the blocks are the dyadic (b >> (l+1), b >> l] with weight
-    2 - 2^-l: the odd-part decomposition of the binary-split factorial
-    (P. Luschny; CPython's math.factorial).
+    A block whose table is one value sums 1/o by _odd_leaf times that
+    value, as harmonic numbers and multiples of ln T always do; any other
+    takes _periodic_odd_leaf.  A block of at most _LEAF odd terms is one
+    leaf pair r/s, folded with its unit u = 2^(L-i1) (times the one value)
+    into one running unreduced pair p/q as (p s + q r u, q s), which
+    becomes one Fraction at the end.  That pair stays small, as each of
+    its at most 2L blocks is one leaf: over 40,000 random ranges with
+    b <= 10^6 it held at most 514 odd terms of nonzero weight, with unit
+    weights and with random weights of period 1 to 64 alike (257 for
+    H_n).  A longer block goes through _balanced, and its Fraction, times
+    u, joins a running Fraction.  The sum is divided by 2^L once.  A short
+    range takes the same path: its blocks are all short, so the running
+    pair sums it.
     """
+    T = len(weights)
+    period = T if T & 1 else T >> 1
+    # w(m) = weights[(m - 1) mod T] = by_residue[m mod T]
+    by_residue = weights[-1:] + weights[:-1]
     L = b.bit_length()
-    steps = collections.Counter()
-    for i in range(L):
-        steps[a >> i] += 1 << (L - i)
-        steps[b >> i] -= 1 << (L - i)
-    cuts = sorted(steps)
-    low, total, weight = (0, 1), Fraction(0), 0
+    cuts = sorted({a >> i for i in range(L)} | {b >> i for i in range(L)})
+    low, total = (0, 1), 0
+    i0, i1 = L, L - 1
     for x, y in zip(cuts, cuts[1:]):
-        weight += steps[x]
-        if not weight:
-            continue
+        # the levels of the odd o in (x, y]: a >> i < o <= b >> i for i0 <= i <= i1
+        while b >> i1 < y:
+            i1 -= 1
+        while i0 and a >> (i0 - 1) < y:
+            i0 -= 1
         # the odd o in (x, y] are 2k + 1 for lo <= k < hi
         lo, hi = (x + 1) >> 1, (y + 1) >> 1
-        if hi - lo <= _LEAF:
-            (p, q), (r, s) = low, _odd_leaf(lo, hi)
-            low = p * s + q * r * weight, q * s
+        if i0 > i1 or lo == hi:
+            continue
+        if T == 1:
+            table = [weights[0] * ((2 << (i1 - i0)) - 1)]
         else:
-            total += weight * _balanced(lo, hi, _odd_leaf)
-    return (total + Fraction(*low)) / (1 << L)
+            odds = range(2 * lo + 1, 2 * min(hi, lo + period) + 1, 2)
+            table = [by_residue[(o << i0) % T] for o in odds]
+            for i in range(i0 + 1, i1 + 1):
+                table = [t + t + by_residue[(o << i) % T] for t, o in zip(table, odds)]
+        unit = 1 << (L - i1)
+        if table.count(table[0]) == len(table):
+            if not table[0]:
+                continue
+            leaf, unit = _odd_leaf, unit * table[0]
+        else:
+            leaf = functools.partial(_periodic_odd_leaf, table, lo)
+        if hi - lo <= _LEAF:
+            (p, q), (r, s) = low, leaf(lo, hi)
+            low = p * s + q * r * unit, q * s
+        else:
+            total += unit * _balanced(lo, hi, leaf)
+    p, q = low
+    if total:
+        return (total + Fraction(p, q)) / (1 << L)
+    return Fraction(p, q << L)
 
 
 def partial_sum_exact(v: CoefficientVector, blocks: int) -> Fraction:
@@ -271,13 +340,16 @@ def partial_sum_exact(v: CoefficientVector, blocks: int) -> Fraction:
     summing.  Block k's term j is a_j / m with m = kT + j, so the sum is
     a weighted harmonic sum up to N T, N = blocks, with the vector's
     integer weights a_j D as periodic weights, divided by D once at the
-    end.  A multiple of ln_vector(T), every weight but the last equal to
-    c = a_1 D (balance makes the last -(T-1) c), sums instead to
+    end: _harmonic_range(0, NT, weights), over odd denominators, which
+    sums at most NT/2 terms.  A multiple of ln_vector(T), every weight but
+    the last equal to c = a_1 D (balance makes the last -(T-1) c), sums
+    instead to
 
         (c/D) sum_{k<N} (sum_j 1/(kT+j) - T/(kT+T)) = (c/D) (H_{NT} - H_N),
 
     as the terms 1/(kT+j) run over 1/m for m <= NT and T/(kT+T) = 1/(k+1)
-    over 1/m for m <= N: one _harmonic_range(N, NT) over odd denominators.
+    over 1/m for m <= N: one range (N, NT] with unit weight, whose blocks
+    each take one value, so it builds no weight table.
     """
     if blocks < 0:
         raise ValueError("blocks must be >= 0")
@@ -286,7 +358,7 @@ def partial_sum_exact(v: CoefficientVector, blocks: int) -> Fraction:
     weights = v.weights
     if weights[:-1] == weights[:1] * (T - 1):
         return Fraction(weights[0], v.scale) * _harmonic_range(blocks, blocks * T)
-    return _weighted_harmonic(weights, blocks * T) / v.scale
+    return _harmonic_range(0, blocks * T, weights) / v.scale
 
 
 def harmonic(n: int) -> Fraction:

@@ -162,6 +162,49 @@ class TestPartialSumExact:
                 for N in (0, 1, 2, 50):
                     partial_sum_exact(v, N)
 
+    def test_general_vectors_sum_no_integer_range(self, monkeypatch):
+        # every other vector is one weighted range over odd denominators, short or
+        # long; only block_term keeps the sum over the integers
+        def no_integer_sum(*args):
+            raise AssertionError("a partial sum taken over the integers")
+
+        monkeypatch.setattr(evaluation, "_weighted_harmonic", no_integer_sum)
+        rng = random.Random(44)
+        shapes = [(2, 0), (2, 1), (2, 300), (64, 1), (64, 300)]
+        shapes += [(rng.randint(2, 64), rng.randint(0, 300)) for _ in range(6)]
+        for T, N in shapes:
+            head = [
+                Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.7 else 0
+                for _ in range(T - 1)
+            ]
+            v = make_vector(T, head + [-sum(head)])
+            assert partial_sum_exact(v, N) == exact_block_oracle(v, N)
+
+
+@st.composite
+def _periodic_weights(draw):
+    """Integer weights of period 1 to 16: random, all zero, one nonzero slot, all negative."""
+    T = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(("random", "zero", "single", "negative")))
+    if kind == "zero":
+        return (0,) * T
+    if kind == "single":
+        weights = [0] * T
+        weights[draw(st.integers(0, T - 1))] = draw(st.integers(-50, 50).filter(bool))
+        return tuple(weights)
+    top = -1 if kind == "negative" else 50
+    return tuple(draw(st.lists(st.integers(-50, top), min_size=T, max_size=T)))
+
+
+@st.composite
+def _ranges(draw):
+    """0 <= a <= b <= 6000: empty ranges, b below the period, a >= b/2, many leaves."""
+    # from b = 2048 on, the top block (b/2, b] alone holds four leaves of odd terms
+    b = draw(st.one_of(st.integers(0, 16), st.integers(0, 6000), st.integers(2048, 6000)))
+    kind = draw(st.sampled_from(("any", "empty", "upper half")))
+    low = {"any": 0, "empty": b, "upper half": (b + 1) // 2}[kind]
+    return draw(st.integers(low, b)), b
+
 
 class TestHarmonic:
     def test_small_values(self):
@@ -275,6 +318,47 @@ class TestHarmonic:
         # _weighted_harmonic splits (a, b] over all integers and shares no block code
         a, b = min(a, b), max(a, b)
         assert evaluation._harmonic_range(a, b) == evaluation._weighted_harmonic((1,), b, a)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_periodic_weights(), _ranges())
+    def test_weighted_range_matches_the_all_integers_route(self, weights, bounds):
+        # the odd-denominator kernel with periodic weights against _weighted_harmonic,
+        # which sums (a, b] over the integers and shares no block code
+        a, b = bounds
+        assert evaluation._harmonic_range(a, b, weights) == (
+            evaluation._weighted_harmonic(weights, b, a)
+        )
+
+    @pytest.mark.parametrize("T", [4, 5, 12])
+    def test_weighted_range_at_dyadic_edges_and_leaves(self, T):
+        # N T at 2^k +- 1, where a dyadic block gains or loses its last odd o,
+        # and at multiples of a leaf +- 1, in integers and in odd terms
+        rng = random.Random(T)
+        weights = tuple(rng.randint(-9, 9) for _ in range(T))
+        leaf = evaluation._LEAF
+        ends = sorted({2**k + d for k in range(1, 13) for d in (-1, 1)}
+                      | {j * span + d for j in (1, 2, 3, 8) for span in (leaf, 2 * leaf)
+                         for d in (-1, 1)})
+        prefix = [Fraction(0)]
+        for m in range(1, ends[-1] + 1):
+            prefix.append(prefix[-1] + Fraction(weights[(m - 1) % T], m))
+        for b in ends:
+            for a in sorted({0, b // T, (b + 1) // 2, b - 1}):
+                assert evaluation._harmonic_range(a, b, weights) == prefix[b] - prefix[a]
+
+    @pytest.mark.parametrize("period", [1, 2, 5, 16])
+    def test_periodic_leaf_around_eight_terms_a_class(self, period):
+        # from 8 terms a residue class the leaf sums each class on its own, and
+        # below that term by term; both skip zero weights
+        rng = random.Random(period)
+        table = [rng.choice((0, rng.randint(-9, 9))) for _ in range(period)]
+        lo = 1000 + rng.randint(0, period)
+        for n in (1, 8 * period - 1, 8 * period, 8 * period + 1):
+            for base in (lo, lo - 1, 7):
+                plain = sum((Fraction(table[(k - base) % period], 2 * k + 1)
+                             for k in range(lo, lo + n)), Fraction(0))
+                pair = evaluation._periodic_odd_leaf(table, base, lo, lo + n)
+                assert Fraction(*pair) == plain
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 8), st.integers(0, 60))
