@@ -13,16 +13,18 @@ digit of |value| before the point past the first.  error_bound covers
 the printed digits: it is the reading's bound plus one unit in the last
 printed digit, |value| 10^(1 - precision), rounded up.  Reals are
 printed from integers by _decimal: each reading holds its value as
-(m, e), the exact m 2^e (the kernel's integers rounded to prec bits by
-evaluation._round, or a double read through as_integer_ratio), and the
-digits come from the rule mpmath's to_str applies, ported to integers.
-No mpmath context is read or set, so concurrent calls print what single
-calls print.  ln, lnq, eval, gamma, rearranged and relations take their
-values from the kernel's integers (_evaluate, _gamma_partial and
-verify_zero's unread result), so they never import mpmath.  mpmath is
-imported by the library calls of pi, integral-check and bench's rows,
-which read an mpf, and by the references that decompose and bench take
-(_ln_float, _bench_target), not with this module.  So are `quadrature`
+(m, e), the exact m 2^e (the kernel's value as evaluation hands it out,
+already rounded to prec bits, or a double read through
+as_integer_ratio), and the digits come from the rule mpmath's to_str
+applies, ported to integers.  No mpmath context is read or set, so
+concurrent calls print what single calls print.  ln, lnq, eval, gamma
+and relations take the pairs of _evaluate, _gamma_partial and
+verify_zero's unread result as they come, pi and integral-check take
+doubles that quadrature reads off _evaluate's pair, and rearranged sums
+exactly, so none of them imports mpmath.  mpmath is imported by bench's
+rows, which read an mpf from evaluate or partial_sum_float, and by the
+references that decompose and bench take (_ln_float, _bench_target),
+not with this module.  So are `quadrature`
 (by pi, integral-check, decompose and bench's quadrature rows) and
 `relations` (by relations) in the handlers that use them, argparse
 in _parsers and _parse, and json by the first payload printed
@@ -65,7 +67,7 @@ from fractions import Fraction
 
 from .errors import SeriesError
 from .evaluation import (
-    _MIN_PREC,
+    _double,
     _evaluate,
     _gamma_partial,
     _harmonic_range,
@@ -75,7 +77,7 @@ from .evaluation import (
     rearranged_terms,
     tail_bound,
 )
-from .vectors import _Record, ln_rational_vector, ln_vector, make_vector
+from .vectors import _difference_vector, _Record, ln_rational_vector, ln_vector, make_vector
 
 CSV_HEADER = "method,work,value,error_bound,abs_error_vs_reference,wall_time_micros"
 
@@ -121,11 +123,6 @@ def _binary(x: float) -> tuple[int, int]:
     """A double as (m, e), its exact value m 2^e."""
     m, den = x.as_integer_ratio()
     return m, 1 - den.bit_length()
-
-
-def _double(value: tuple[int, int]) -> float:
-    """The double nearest m 2^e, ties to even: float() of the same value as an mpf."""
-    return math.ldexp(*_round(*value, 53))
 
 
 def _decimal(man: int, exp: int, digits: int) -> str:
@@ -252,9 +249,7 @@ class _Reading:
 def _read_series(args) -> _Reading:
     """eval, ln and lnq: evaluate the vector that `args.vector` builds."""
     vec, inputs = args.vector(args)
-    (fixed, prec, bound, blocks), micros = _timed(_evaluate, vec, args.abs_err, args.method)
-    # the value evaluate returns, rounded to prec bits
-    value = _round(fixed, -(prec + 10), prec)
+    (value, bound, blocks), micros = _timed(_evaluate, vec, args.abs_err, args.method)
     return _Reading(
         inputs={**inputs, "abs_err": repr(args.abs_err), "method": args.method},
         value=value, digits=_digits_for(args.abs_err, _double(value)),
@@ -283,11 +278,11 @@ def _read_pi(args) -> _Reading:
 
 
 def _read_gamma(args) -> _Reading:
-    fixed, micros = _timed(_gamma_partial, args.n)
+    value, micros = _timed(_gamma_partial, args.n)
     # distance to the limit: the steps A_n - A_{n+1} lie in
     # (0, 1/(n(n+1))) and telescope to at most 1/n, rounded up
     return _Reading(
-        inputs={"n": args.n}, value=_round(fixed, -(_MIN_PREC + 10), _MIN_PREC), digits=17,
+        inputs={"n": args.n}, value=value, digits=17,
         error_bound=math.nextafter(1 / args.n, math.inf), bound_is_heuristic=False,
         micros=micros,
     )
@@ -392,15 +387,14 @@ def _cmd_relations(args) -> int:
     (basis, checks), micros = _timed(relations._checked_relations, args.T)
     entries = []
     for rel, (witness, (ok, result)) in zip(basis.vectors, checks):
-        # the integers verify_zero's result holds until its value is read
-        fixed, prec = result._fixed
         entries.append(
             {
                 "relation": [str(c) for c in rel],
                 "witness_modulus": witness.modulus,
                 # every checked witness has scale 1, so its weights are its coefficients
                 "witness_coeffs": [str(w) for w in witness.weights],
-                "witness_value": _decimal(*_round(fixed, -(prec + 10), prec), 17),
+                # the pair verify_zero's result holds until its value is read
+                "witness_value": _decimal(*result._value, 17),
                 "witness_bound": repr(result.error_bound),
                 "verified_zero": ok,
             }
@@ -451,7 +445,7 @@ def _bench_target(target: str):
     if target == "pi":
         pi = libmp.mpf_pi(120, libmp.round_nearest)
         reference = libmp.to_float(pi, rnd=libmp.round_nearest)
-        return make_vector(3, (1, -1, 0)), 3.0 * math.sqrt(3.0), reference, "pi"
+        return _difference_vector(3, 1), 3.0 * math.sqrt(3.0), reference, "pi"
     match = re.fullmatch(r"ln:([+-]?\d+)|vector:([+-]?\d+):(.+)", target)
     if match is None:
         raise SeriesError(f"unknown bench target {target!r}; use ln:T, pi, or vector:T:c1,...")

@@ -57,17 +57,21 @@ cancels, and the logarithms of rationals that Gauss's formula and the
 Euler-Mascheroni partials leave, in integers scaled by 2^(prec+10),
 prec >= 96.  It reads no mpmath context or memo, so no precision set
 and no constant computed elsewhere in the process changes a result.
-_evaluate and _gamma_partial return the kernel's integers: the value
-scaled by 2^(prec+10), with its precision (and _evaluate's bound and
-blocks).  evaluate, gamma_partial and partial_sum_float return values
-as mpmath.mpf, made on the way out in _mpf, which is also where mpmath
-is imported; _round rounds the same integers to nearest as _mpf does,
-for callers that compare or print them without mpmath
-(relations.verify_zero and the CLI).  The result
-that _unread builds for verify_zero calls _mpf on the first read of its
-value.  So the exact sums, tail_bound, the vectors and a zero check
-whose value is never read never load mpmath.  Requests below the
-precision floor raise Unachievable.
+A kernel value leaves this module in one form, the pair (m, e) for the
+value m 2^e: the scaled integer rounded once to prec bits by _round, to
+nearest with ties to even, logser's one rounding rule.  _evaluate and
+_gamma_partial return that pair (_evaluate with its bound and blocks),
+and partial_sum_float rounds its sum the same way.  Every other form is
+read off the pair exactly: _mpf(m, e) is the mpmath.mpf of that value,
+made with no precision and no rounding mode, for evaluate, gamma_partial
+and partial_sum_float, and imports mpmath on its first call; _double is
+the nearest double, what float() of that mpf gives, for quadrature and
+the CLI, which prints its digits from the pair itself.  The result that
+_unread builds for verify_zero and pi_with_series holds the pair and
+calls _mpf on the first read of its value.  So the exact sums,
+tail_bound, the vectors, pi, the integral checks and a zero check whose
+value is never read never load mpmath.  Requests below the precision
+floor raise Unachievable.
 
 Cache policy: the rows psi(j/T) - ln a, j = 1..T, kept per (T, prec)
 for T <= _ROW_MODULUS in an LRU memo of _ROW_LIMIT rows, are the only
@@ -126,18 +130,18 @@ class EvalResult(_Record):
     @functools.cached_property
     def value(self) -> mpmath.mpf:
         # reached only by a result of _unread, whose value is not yet built
-        return _mpf(*self._fixed)
+        return _mpf(*self._value)
 
 
-def _unread(fixed: int, prec: int, bound: float, blocks: int, method: str) -> EvalResult:
-    """An EvalResult whose value is _mpf(fixed, prec), built on its first read.
+def _unread(value: tuple[int, int], bound: float, blocks: int, method: str) -> EvalResult:
+    """An EvalResult whose value is _mpf(*value), built on its first read.
 
-    Until then the result holds the two integers as ``_fixed``.  ==, hash,
-    repr, pickle and deepcopy give what the eager result gives, as each
-    reads the value or copies the integers it is built from.
+    value is _evaluate's pair (m, e), which the result holds as
+    ``_value`` until then.  ==, hash, repr, pickle and deepcopy give what
+    the eager result gives, as each reads the value or copies the pair.
     """
     result = object.__new__(EvalResult)
-    vars(result).update(_fixed=(fixed, prec), error_bound=bound, blocks_used=blocks,
+    vars(result).update(_value=value, error_bound=bound, blocks_used=blocks,
                         method=method, bound_is_heuristic=False)
     return result
 
@@ -477,15 +481,16 @@ def gamma_partial(n: int) -> GammaPartial:
     So the sum is within 101u < 2^-99 of A_n.  Rounding it to 96 bits
     adds at most 2^-97, as gamma < A_n <= 1: under 7.6e-30 in total.
     """
-    return GammaPartial(n=n, value=_mpf(_gamma_partial(n), _MIN_PREC))
+    return GammaPartial(n=n, value=_mpf(*_gamma_partial(n)))
 
 
-def _gamma_partial(n: int) -> int:
-    """gamma_partial(n)'s value before rounding, scaled by 2^(_MIN_PREC+10)."""
+def _gamma_partial(n: int) -> tuple[int, int]:
+    """(m, e): gamma_partial(n)'s value m 2^e, the kernel's sum rounded to 96 bits."""
     if n < 1:
         raise ValueError("n must be >= 1")
     m = min(n, _shift_threshold(_MIN_PREC))
-    return _psi(n + 1, 1, _MIN_PREC) - _psi_row(1, _MIN_PREC)[0] - _ln(m, 1, _MIN_PREC)
+    fixed = _psi(n + 1, 1, _MIN_PREC) - _psi_row(1, _MIN_PREC)[0] - _ln(m, 1, _MIN_PREC)
+    return _round(fixed, -(_MIN_PREC + 10), _MIN_PREC)
 
 
 # ----------------------------------------------------------------------
@@ -670,22 +675,22 @@ def _psi_tail(v: CoefficientVector, blocks: int, prec: int) -> tuple[int, int]:
     return -total // (v.scale * T), carried
 
 
-def _mpf(fixed: int, prec: int) -> mpmath.mpf:
-    """A value scaled by 2^(prec+10), rounded to a prec-bit mpf.
+def _mpf(m: int, e: int) -> mpmath.mpf:
+    """The value m 2^e as an mpf, exactly: no precision, no rounding mode.
 
-    The first call imports mpmath; later calls find it in sys.modules.
+    The pair comes rounded from _round, so the mpf is the one mpmath's
+    from_man_exp(fixed, -(prec + 10), prec, round_nearest) gives.  The
+    first call imports mpmath; later calls find it in sys.modules.
     """
     import mpmath
 
-    libmp = mpmath.libmp
-    return mpmath.mp.make_mpf(libmp.from_man_exp(fixed, -(prec + 10), prec, libmp.round_nearest))
+    return mpmath.mp.make_mpf(mpmath.libmp.from_man_exp(m, e))
 
 
 def _round(man: int, exp: int, bits: int) -> tuple[int, int]:
     """(m, e) with m 2^e the value man 2^exp rounded to `bits` significant bits.
 
-    Rounds to nearest with ties to even, as mpmath's round_nearest does,
-    so _round(fixed, -(prec + 10), prec) is the value of _mpf(fixed, prec).
+    Rounds to nearest with ties to even, as mpmath's round_nearest does.
     |m| may reach 2^bits when rounding carries; m 2^e is the value.
     """
     size = abs(man)
@@ -697,6 +702,11 @@ def _round(man: int, exp: int, bits: int) -> tuple[int, int]:
     if rest > half or rest == half and m & 1:
         m += 1
     return (-m if man < 0 else m), exp + shift
+
+
+def _double(value: tuple[int, int]) -> float:
+    """The double nearest m 2^e, ties to even: float() of _mpf(m, e)."""
+    return math.ldexp(*_round(*value, 53))
 
 
 def _allowance(v: CoefficientVector, value: int, prec: int, carried: int) -> float:
@@ -722,7 +732,8 @@ def partial_sum_float(v: CoefficientVector, blocks: int, prec: int = _MIN_PREC):
         raise ValueError("blocks must be >= 0")
     if not _MIN_PREC <= prec <= _MAX_PREC:
         raise ValueError(f"prec must be in [{_MIN_PREC}, {_MAX_PREC}], got {prec}")
-    return _mpf(_psi_tail(v, 0, prec)[0] - _psi_tail(v, blocks, prec)[0], prec)
+    fixed = _psi_tail(v, 0, prec)[0] - _psi_tail(v, blocks, prec)[0]
+    return _mpf(*_round(fixed, -(prec + 10), prec))
 
 
 # ----------------------------------------------------------------------
@@ -762,9 +773,9 @@ def evaluate(
     of abs_err for rounding when it picks the truncation K; its K-block
     sum is two psi tails, so its cost does not grow with K and no limit
     bounds it.  accelerated mode sums no block and returns
-    -(1/T) sum_j a_j psi(j/T).  The value is _evaluate's, rounded to a
-    prec-bit mpf.  `prefix_blocks` is deprecated: a value other than None
-    warns and is ignored.
+    -(1/T) sum_j a_j psi(j/T).  The value is _evaluate's prec-bit pair,
+    made an mpf by _mpf.  `prefix_blocks` is deprecated: a value other
+    than None warns and is ignored.
 
     Unachievable signals that abs_err sits below the working-precision
     floor, or that rounding would push the bound past it.
@@ -772,17 +783,19 @@ def evaluate(
     if prefix_blocks is not None:
         warnings.warn("prefix_blocks is deprecated and ignored; the result is that of "
                       "the call without it", DeprecationWarning, stacklevel=2)
-    fixed, prec, bound, blocks = _evaluate(v, abs_err, method)
+    value, bound, blocks = _evaluate(v, abs_err, method)
     # positional, as keywords cost about as much per call as _evaluate's frame
-    return EvalResult(_mpf(fixed, prec), bound, blocks, method, False)
+    return EvalResult(_mpf(*value), bound, blocks, method, False)
 
 
-def _evaluate(v: CoefficientVector, abs_err: float, method: str) -> tuple[int, int, float, int]:
-    """(fixed, prec, bound, blocks): evaluate's result in the kernel's integers.
+def _evaluate(
+    v: CoefficientVector, abs_err: float, method: str
+) -> tuple[tuple[int, int], float, int]:
+    """((m, e), bound, blocks): evaluate's result before its value is an mpf.
 
-    The value is fixed / 2^(prec+10), which evaluate rounds to prec bits
-    and which bound covers once so rounded; the zero vector gives 0 at
-    prec 96 and bound 0.
+    m 2^e is the kernel's fixed / 2^(prec+10) rounded once to prec bits by
+    _round, and bound covers it so rounded; the zero vector gives (0, 0)
+    and bound 0.
 
     Error, in units u = 2^-(prec+10) of the fixed-point kernel: the tail
     identity and Gauss's multiplication formula are exact, balance
@@ -819,7 +832,7 @@ def _evaluate(v: CoefficientVector, abs_err: float, method: str) -> tuple[int, i
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     if v.is_zero():
-        return 0, _MIN_PREC, 0.0, 2 if method == "raw" else 0
+        return (0, 0), 0.0, 2 if method == "raw" else 0
     prec = _working_prec(abs_err, v)
     if method == "raw":
         blocks, mass, den = 2, _weighted_mass(v), v.scale * v.modulus**2
@@ -840,4 +853,4 @@ def _evaluate(v: CoefficientVector, abs_err: float, method: str) -> tuple[int, i
         raise Unachievable(
             f"{prec} bits of working precision cannot reach abs_err={abs_err}"
         )
-    return value, prec, bound, blocks
+    return _round(value, -(prec + 10), prec), bound, blocks

@@ -21,6 +21,13 @@ value.  Before any panel is built TERM_LIMIT bounds the Horner slots of
 one node: T for `integrand` and `integrate`, T times its panels for
 `fixed_panel_integral`, and T times T for `decomposition_check`, whose
 bisection goes deeper as T grows.
+
+Every entry reads R off a vector through _numerator, the difference
+vectors' R = u^(j-1) included.  The series values of
+integral_series_check and pi_with_series are evaluation._evaluate's
+rounded pair read as a double by evaluation._double, so no entry here
+imports mpmath; only the first read of the value of pi_with_series'
+EvalResult does.
 """
 
 from __future__ import annotations
@@ -29,8 +36,8 @@ import itertools
 import math
 
 from .errors import BudgetExceeded, NoConvergence
-from .evaluation import EvalResult, evaluate
-from .vectors import CoefficientVector, _check_term_limit, _Record, ln_vector, make_vector
+from .evaluation import EvalResult, _double, _evaluate, _unread
+from .vectors import CoefficientVector, _check_term_limit, _difference_vector, _Record, ln_vector
 
 _PANEL_LIMIT = 20000
 _MIN_TOL = 1e-13
@@ -68,18 +75,18 @@ class IntegralCheck(_Record):
                           tolerance=tolerance, discrepancy=abs(integral_value - series_value))
 
 
-def _unit(T: int, j: int) -> tuple[float, ...]:
-    """R for the j-th difference vector, u^(j-1), as `_ratio` reads it.
+def _unit(T: int, j: int) -> CoefficientVector:
+    """The j-th difference vector over T, whose R is u^(j-1).
 
     A modulus above TERM_LIMIT, T Horner slots per node, raises
-    BudgetExceeded before R is built.
+    BudgetExceeded before the vector is built.
     """
     _check_term_limit(T, "Horner slots per node")
     if T < 2:
         raise ValueError("T must be >= 2")
     if not 1 <= j <= T - 1:
         raise ValueError(f"j must be in [1, {T - 1}], got {j}")
-    return (0.0,) * (T - 1 - j) + (1.0,) + (0.0,) * (j - 1)
+    return _difference_vector(T, j)
 
 
 def _numerator(v: CoefficientVector) -> tuple[float, ...]:
@@ -114,7 +121,7 @@ def integrand(T: int, j: int, u: float) -> float:
     """
     if not 0.0 <= u <= 1.0:
         raise ValueError("u must lie in [0, 1]")
-    return _ratio(_unit(T, j), u)
+    return _ratio(_numerator(_unit(T, j)), u)
 
 
 def _panel(numerator: tuple[float, ...], a: float, b: float) -> float:
@@ -152,7 +159,7 @@ def integrate(T: int, j: int, tol: float) -> float:
     """Adaptive quadrature of the integrand over [0, 1], |error| <~ tol."""
     if not tol >= _MIN_TOL:  # also rejects NaN
         raise ValueError(f"tol must be >= {_MIN_TOL}")
-    return _adaptive(_unit(T, j), tol)
+    return _adaptive(_numerator(_unit(T, j)), tol)
 
 
 def _composite(numerator: tuple[float, ...], *counts: int) -> list[float]:
@@ -181,25 +188,22 @@ def fixed_panel_integral(T: int, j: int, panels: int) -> float:
     TERM_LIMIT Horner slots per node over all panels, T on each; more
     raises BudgetExceeded before any panel is built.
     """
-    return _composite(_unit(T, j), panels)[0]
-
-
-def _difference_series(T: int, j: int, tol: float) -> EvalResult:
-    coeffs = [0] * T
-    coeffs[j - 1] = 1
-    coeffs[j] = -1
-    return evaluate(make_vector(T, coeffs), tol, "accelerated")
+    return _composite(_numerator(_unit(T, j)), panels)[0]
 
 
 def integral_series_check(T: int, j: int, tol: float) -> IntegralCheck:
-    """Compare the integral against the matching difference series."""
+    """Compare the integral against the matching difference series.
+
+    The series value is _evaluate's pair for the j-th difference vector
+    at abs_err tol, read as a double by _double, so no mpmath is loaded.
+    """
     integral = integrate(T, j, tol)
-    series = _difference_series(T, j, tol)
+    series = _evaluate(_unit(T, j), tol, "accelerated")[0]
     return IntegralCheck(
         T=T,
         j=j,
         integral_value=integral,
-        series_value=float(series.value),
+        series_value=_double(series),
         tolerance=tol,
     )
 
@@ -225,12 +229,18 @@ def decomposition_check(T: int, tol: float) -> float:
 
 
 def pi_with_series(tol: float) -> tuple[float, EvalResult]:
-    """pi_estimate(tol) together with the series evaluation it came from."""
+    """pi_estimate(tol) together with the series evaluation it came from.
+
+    The series is the first difference vector over 3 at abs_err tol / 6.
+    Its double comes from _evaluate's pair through _double, and the
+    EvalResult, as verify_zero's, builds its mpf value on the first read,
+    so a caller that reads only the bound and blocks loads no mpmath.
+    """
     # pi_estimate's tol and the CLI's --abs-err both reach this check: name neither
     if not tol >= 1e-12:  # also rejects NaN
         raise ValueError(f"pi needs an accuracy of at least 1e-12, got {tol!r}")
-    series = evaluate(make_vector(3, (1, -1, 0)), tol / 6, "accelerated")
-    return 3.0 * math.sqrt(3.0) * float(series.value), series
+    value, bound, blocks = _evaluate(_difference_vector(3, 1), tol / 6, "accelerated")
+    return 3.0 * math.sqrt(3.0) * _double(value), _unread(value, bound, blocks, "accelerated")
 
 
 def pi_estimate(tol: float) -> float:

@@ -31,10 +31,11 @@ from collections.abc import Iterable, Sequence
 from itertools import accumulate
 
 from .errors import ModulusMismatch, NotComposite
-from .evaluation import EvalResult, _evaluate, _round, _unread
+from .evaluation import EvalResult, _evaluate, _unread
 from .vectors import (
     CoefficientVector,
     _check_term_limit,
+    _difference_vector,
     _factorize,
     _from_weights,
     _lifted_logs,
@@ -70,20 +71,6 @@ class KernelBasis(_Record):
 
     def __len__(self) -> int:
         return len(self.vectors)
-
-
-def _difference_vectors(modulus: int, repeats: int = 1) -> list[CoefficientVector]:
-    """The difference vectors over modulus, each lifted `repeats` times.
-
-    Vector i is the weight pattern (0, ..., 0, 1, -1, 0, ..., 0), 1 at
-    slot i, repeated `repeats` times, built from those integers by
-    _from_weights, which checks its length and balance.
-    """
-    out = []
-    for i in range(modulus - 1):
-        pattern = (0,) * i + (1, -1) + (0,) * (modulus - 2 - i)
-        out.append(_from_weights(modulus * repeats, pattern * repeats))
-    return out
 
 
 def _normalize_relation(ints: Sequence[int]) -> tuple[int, ...]:
@@ -203,21 +190,20 @@ def verify_zero(v: CoefficientVector, eps: float) -> tuple[bool, EvalResult]:
     The accelerated route takes the exact digamma tail from block 0 and
     sums no block, so its cost does not grow as eps shrinks and no limit
     bounds which witnesses can be checked.  The test is exact and in
-    integers: the value rounded to its prec bits, m 2^e, against the
-    bound's n/d, as |m| d 2^e <= n.  That is the bool that
+    integers: _evaluate's value m 2^e, already rounded to its prec bits,
+    against the bound's n/d, as |m| d 2^e <= n.  That is the bool that
     abs(evaluate(v, eps).value) <= error_bound gives.
 
-    The EvalResult is evaluate(v, eps)'s, but its value, the same mpf, is
-    built on its first read, so a check whose value is never read loads
-    no mpmath (the first read does).
+    The EvalResult is evaluate(v, eps)'s, but it holds the pair (m, e) as
+    ``_value`` and builds its value, the same mpf, on the first read, so a
+    check whose value is never read loads no mpmath (the first read does).
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    fixed, prec, bound, blocks = _evaluate(v, eps, "accelerated")
-    m, e = _round(fixed, -(prec + 10), prec)
+    (m, e), bound, blocks = _evaluate(v, eps, "accelerated")
     n, d = bound.as_integer_ratio()
     inside = abs(m) * d << e <= n if e >= 0 else abs(m) * d <= n << -e
-    return inside, _unread(fixed, prec, bound, blocks, "accelerated")
+    return inside, _unread((m, e), bound, blocks, "accelerated")
 
 
 def _proper_divisors(T: int) -> list[int]:
@@ -243,10 +229,10 @@ def divisor_family(T: int) -> list[CoefficientVector]:
     _check_term_limit((T - 1) * T, f"slots of the basis over {T}")
     members = _log_positions(T)[-1][1] + 1
     _check_term_limit(members * T, f"slots of {members} vectors over {T}")
-    family = _difference_vectors(T)
+    family = [_difference_vector(T, j) for j in range(1, T)]
     for d in _proper_divisors(T):
         family.append(lift(ln_vector(d), T // d))
-        family.extend(_difference_vectors(d, T // d))
+        family.extend(_difference_vector(d, j, T // d) for j in range(1, d))
     family.append(ln_vector(T))
     return family
 

@@ -148,6 +148,18 @@ def _from_weights(
     return _settle(object.__new__(CoefficientVector), modulus, tuple(weights), scale)
 
 
+def _difference_vector(modulus: int, j: int, repeats: int = 1) -> CoefficientVector:
+    """The j-th difference vector over modulus, lifted `repeats` times.
+
+    Its weights are 1 in slot j and -1 in slot j + 1, for 1 <= j < modulus,
+    the pattern repeated `repeats` times, built by _from_weights, which
+    checks length and balance.  The difference vectors are the basis in
+    which relations and quadrature read every balanced vector.
+    """
+    pattern = (0,) * (j - 1) + (1, -1) + (0,) * (modulus - 1 - j)
+    return _from_weights(modulus * repeats, pattern * repeats)
+
+
 def _check_term_limit(count: int, what: str) -> None:
     """Raise BudgetExceeded for `count` terms or slots above TERM_LIMIT.
 

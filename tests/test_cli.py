@@ -498,7 +498,7 @@ class TestDecimal:
         # the double range
         if exp + abs(man).bit_length() < 1023:
             as_mpf = mp.make_mpf(mpmath.libmp.from_man_exp(man, exp, prec, "n"))
-            assert cli._double(rounded) == float(as_mpf)
+            assert evaluation._double(rounded) == float(as_mpf)
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(allow_nan=False, allow_infinity=False), st.integers(17, 400))
@@ -506,7 +506,7 @@ class TestDecimal:
         man, exp = cli._binary(x)
         assert man * Fraction(2) ** exp == x
         assert cli._real(x, digits) == _to_str(man, exp, 53, digits)
-        assert cli._double((man, exp)) == x
+        assert evaluation._double((man, exp)) == x
 
     @pytest.mark.parametrize("man, exp, digits, text", [
         (0, 0, 17, "0.0"),
@@ -526,8 +526,7 @@ class TestJsonLayout:
     """The JSON writer is json.dumps(payload): one compact line."""
 
     @pytest.mark.parametrize("argv", [a for a, _ in GOLDEN_CASES], ids=" ".join)
-    def test_golden_output_is_the_indented_layout(self, argv):
-        # the id is kept from the indented writer this layout replaced
+    def test_golden_output_is_one_compact_line(self, argv):
         code, out = capture(argv + ["--format", "json"])
         assert code == 0
         assert out == json.dumps(json.loads(out)) + "\n"

@@ -677,7 +677,7 @@ def _prefix_and_tail(v, blocks, abs_err):
     value = (prefix.numerator << (prec + 10)) // prefix.denominator + tail
     bound = evaluation._allowance(v, value, prec, carried)
     assert bound <= abs_err, (v.coeffs, blocks, abs_err, bound)
-    return evaluation._mpf(value, prec), bound
+    return evaluation._mpf(*evaluation._round(value, -(prec + 10), prec)), bound
 
 
 @pytest.mark.parametrize(
@@ -1186,6 +1186,36 @@ def test_raw_bookkeeping_matches_the_fraction_reference(v, abs_err):
     except Unachievable:
         return
     assert result.blocks_used == blocks
+
+
+@st.composite
+def _scaled_integers(draw):
+    """(fixed, prec): a kernel integer at scale 2^(prec+10), with rounding's edges."""
+    prec = draw(st.integers(96, 1024))
+    shift = draw(st.integers(1, 64))
+    top = draw(st.integers(1 << (prec - 1), (1 << prec) - 1))
+    half = 1 << (shift - 1)
+    fixed = draw(st.one_of(
+        st.just(0),
+        st.integers(1, 1 << (prec + 64)),
+        # a tie, to even down when top is even and up when it is odd
+        st.just((top << shift) + half),
+        # prec one bits and a rest of at least half: rounding carries into a new bit
+        st.integers(half, (1 << shift) - 1).map(lambda rest: (((1 << prec) - 1) << shift) + rest),
+        # within one unit of a tie
+        st.integers(-1, 1).map(lambda d: (top << shift) + half + d),
+    ))
+    return (-fixed if draw(st.booleans()) else fixed), prec
+
+
+@settings(max_examples=400, deadline=None)
+@given(_scaled_integers())
+def test_one_rounding_rule_matches_mpmath(value):
+    # _round is logser's one rounding of a kernel value and _mpf wraps its
+    # pair exactly; mpmath's round_nearest is the reference
+    fixed, prec = value
+    want = libmp.from_man_exp(fixed, -(prec + 10), prec, libmp.round_nearest)
+    assert evaluation._mpf(*evaluation._round(fixed, -(prec + 10), prec))._mpf_ == want
 
 
 def test_eval_result_value_is_high_precision():

@@ -27,6 +27,7 @@ from logser import (
     pi_arctan,
     pi_estimate,
 )
+from logser.vectors import _difference_vector
 
 S3_DIFF = 0.6045997880780726169  # pi / (3 sqrt 3)
 
@@ -130,6 +131,26 @@ class TestIntegralSeriesCheck:
     def test_discrepancy_field_is_distance(self):
         check = integral_series_check(5, 2, 1e-9)
         assert check.discrepancy == abs(check.integral_value - check.series_value)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    def test_series_value_is_the_double_of_evaluate(self, tol):
+        # the series side leaves as a double with no mpf made, bit for bit
+        # the float() of evaluate's value for the same difference vector
+        for T in range(2, 13):
+            for j in range(1, T):
+                v = make_vector(T, [0] * (j - 1) + [1, -1] + [0] * (T - 1 - j))
+                want = float(evaluate(v, tol).value)
+                assert integral_series_check(T, j, tol).series_value.hex() == want.hex()
+
+    def test_difference_vectors_read_as_the_unit_numerators(self):
+        # every entry reads R through _numerator, which for the j-th
+        # difference vector is u^(j-1), highest power first, bit for bit
+        for T in range(2, 65):
+            for j in range(1, T):
+                v = quadrature._unit(T, j)
+                assert v == _difference_vector(T, j)
+                unit = (0.0,) * (T - 1 - j) + (1.0,) + (0.0,) * (j - 1)
+                assert list(map(float.hex, quadrature._numerator(v))) == list(map(float.hex, unit))
 
 
 class TestDecomposition:
@@ -238,6 +259,18 @@ class TestPi:
         with pytest.raises(ValueError):
             pi_estimate(1e-13)
 
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9, 1e-12])
+    def test_estimate_is_3_sqrt_3_times_the_double_of_evaluate(self, tol):
+        eager = evaluate(make_vector(3, (1, -1, 0)), tol / 6)
+        want = 3.0 * math.sqrt(3.0) * float(eager.value)
+        assert pi_estimate(tol).hex() == want.hex()
+        # the series result builds its mpf on the first read, as verify_zero's
+        estimate, series = quadrature.pi_with_series(tol)
+        assert estimate.hex() == want.hex()
+        assert "value" not in vars(series)
+        assert series.value._mpf_ == eager.value._mpf_
+        assert series == eager and hash(series) == hash(eager)
+
 
 def _no_work(*args, **kwargs):
     raise AssertionError("a NaN tolerance reached the quadrature or the series")
@@ -255,7 +288,7 @@ def _no_work(*args, **kwargs):
 def test_nan_tolerance_is_rejected_before_any_panel(call, monkeypatch):
     # NaN compares false both ways, so a guard written as tol < floor lets it in
     monkeypatch.setattr(quadrature, "_panel", _no_work)
-    monkeypatch.setattr(quadrature, "evaluate", _no_work)
+    monkeypatch.setattr(quadrature, "_evaluate", _no_work)
     with pytest.raises(ValueError):
         call(math.nan)
 

@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 from itertools import accumulate
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,8 +28,8 @@ from logser import (
 )
 
 from logser import evaluate, evaluation, relations
-from logser.relations import _difference_vectors, _nullspace
-from logser.vectors import _factorize
+from logser.relations import _nullspace
+from logser.vectors import _difference_vector, _factorize
 
 from conftest import as_fraction, random_balanced
 
@@ -174,7 +175,8 @@ class TestSpanningBasis:
             (3, [[1, -1, 0], [0, 1, -1]]),
             (4, [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1]]),
         ]:
-            for basis in (divisor_family(T)[: T - 1], _difference_vectors(T)):
+            differences = [_difference_vector(T, j) for j in range(1, T)]
+            for basis in (divisor_family(T)[: T - 1], differences):
                 assert [[int(c) for c in b.coeffs] for b in basis] == rows
 
     def test_linearly_independent(self):
@@ -194,7 +196,7 @@ class TestSpanningBasis:
         def forbidden(*args):
             raise AssertionError("work began before the bound was checked")
 
-        monkeypatch.setattr(relations, "_difference_vectors", forbidden)
+        monkeypatch.setattr(relations, "_difference_vector", forbidden)
         # past the limit only when every member is counted: divisors, no vector
         with pytest.raises(BudgetExceeded):
             divisor_family(720)
@@ -366,11 +368,16 @@ class TestVerifyZero:
         pytest.param(1, 0.0, False, id="tiny-past-zero"),
     ])
     def test_rounding_on_at_and_past_the_bound(self, fixed, bound, inside, monkeypatch):
-        monkeypatch.setattr(relations, "_evaluate", lambda v, eps, method: (fixed, 96, bound, 0))
+        # _evaluate hands out fixed rounded to 96 bits by _round; the reference
+        # is mpmath's round_nearest of the same integer
+        value = evaluation._round(fixed, -106, 96)
+        monkeypatch.setattr(relations, "_evaluate", lambda v, eps, method: (value, bound, 0))
         ok, result = verify_zero(ln_vector(2), 1e-6)
+        libmp = mpmath.libmp
+        reference = mpmath.mp.make_mpf(libmp.from_man_exp(fixed, -106, 96, libmp.round_nearest))
         assert ok is inside
-        assert inside is (abs(as_fraction(evaluation._mpf(fixed, 96))) <= Fraction(bound))
-        assert result.value == evaluation._mpf(fixed, 96) and result.error_bound == bound
+        assert inside is (abs(as_fraction(reference)) <= Fraction(bound))
+        assert result.value._mpf_ == reference._mpf_ and result.error_bound == bound
 
 
 class TestDivisorRelations:
@@ -433,7 +440,8 @@ class TestDivisorRelations:
 
         reference = lifted_family(T)
         assert members(divisor_family(T)) == members(reference)
-        assert members(_difference_vectors(T)) == members(reference[: T - 1])
+        differences = [_difference_vector(T, j) for j in range(1, T)]
+        assert members(differences) == members(reference[: T - 1])
 
     @pytest.mark.parametrize("T", COMPOSITES)
     def test_family_members_hold_fractions(self, T):
@@ -491,7 +499,8 @@ class TestDivisorRelations:
         with pytest.raises(ValueError):
             relation_witnesses(12, divisor_relations(6))
         with pytest.raises(ValueError):
-            relation_witnesses(6, kernel(_difference_vectors(6) + [ln_vector(6)]))
+            differences = [_difference_vector(6, j) for j in range(1, 6)]
+            relation_witnesses(6, kernel(differences + [ln_vector(6)]))
 
     def test_witnesses_bound_the_modulus_before_scanning_its_divisors(self, monkeypatch):
         def forbidden(*args):

@@ -118,14 +118,16 @@ import json
 print(json.dumps(loaded))
 """
 
-# the value subcommands and relations, whose values leave the CLI as integers
+# the value subcommands and relations, whose values leave the CLI as integers,
+# and pi and integral-check, whose series values leave as doubles
 _CLI_CHILD = """
 import contextlib, io, sys
 sys.path.insert(0, sys.argv[1])
 import logser.cli
 for argv in (["ln", "10"], ["lnq", "3/2"], ["eval", "--T", "3", "--coeffs", "1,-1,0"],
              ["gamma", "--n", "10"], ["rearranged", "--T", "2", "--n", "10"],
-             ["relations", "--T", "12"]):
+             ["relations", "--T", "12"], ["pi", "--abs-err", "1e-9"],
+             ["integral-check", "--T", "5", "--j", "2"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert logser.cli.run(argv) == 0, argv
 loaded = "mpmath" in sys.modules
@@ -148,7 +150,8 @@ class TestLazyModules:
     Exact sums load no relations, quadrature or argparse, and no start
     loads dataclasses, inspect, json or numpy.  Of the benchmark's setup
     probes only accel's, which returns an mpf, loads mpmath, and the CLI's
-    ln, lnq, eval, gamma, rearranged and relations print without it.
+    ln, lnq, eval, gamma, rearranged, relations, pi and integral-check
+    print without it.
     """
 
     def _child(self, *flags, code, args=()):

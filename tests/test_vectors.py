@@ -34,8 +34,8 @@ from logser import (
     relation_witnesses,
     vectors,
 )
-from logser.relations import _checked_relations, _difference_vectors
-from logser.vectors import _factorize, _from_weights
+from logser.relations import _checked_relations
+from logser.vectors import _difference_vector, _factorize, _from_weights
 
 from conftest import exact_block_oracle, random_balanced
 
@@ -125,7 +125,8 @@ every_constructor = st.one_of(
         lambda v, a, b: linear_combine([(a, v), (b, ln_vector(v.modulus))]),
         balanced_vectors(), small_fractions, small_fractions,
     ),
-    st.integers(2, 12).flatmap(lambda T: st.sampled_from(_difference_vectors(T))),
+    st.integers(2, 12).flatmap(
+        lambda T: st.integers(1, T - 1).map(lambda j: _difference_vector(T, j))),
     st.builds(ln_rational_vector, st.integers(1, 200), st.integers(1, 200)),
     st.sampled_from([4, 6, 12, 30, 64]).flatmap(lambda T: st.sampled_from(_witnesses(T))),
 )
@@ -177,7 +178,7 @@ class TestStoredForm:
             lambda: ln_vector(24),
             lambda: lift(make_vector(3, ["1/2", "-1/3", "-1/6"]), 4),
             lambda: ln_rational_vector(1001, 1000),
-            lambda: _difference_vectors(6)[2],
+            lambda: _difference_vector(6, 3),
             lambda: divisor_family(12)[-1],
             lambda: divisor_family(12)[0],
             lambda: _checked_relations(12)[1][0][0],

@@ -7,7 +7,19 @@ Run from anywhere, standard library only:
 
 Each seed is one pair: ``bench/run.py --workload W --seed S --seconds X
 --trace 0`` runs once in each tree, from that tree's root, so each tree's
-own bench measures its own ``src/``.  The side that runs first
+own bench measures its own ``src/``.
+
+Each tree runs from a fresh copy in a temporary directory, made once
+per invocation without any ``__pycache__`` directory, and every run
+has ``PYTHONDONTWRITEBYTECODE=1``.  So no tree's cached bytecode, valid
+or stale, is read, nothing is written, and both sides compile their
+own sources at every setup start, as a run from a new checkout does.
+The interpreter's and mpmath's installed bytecode is still read: a
+fresh ``PYTHONPYCACHEPREFIX`` would hide it too, and on a 2-vCPU host
+``import mpmath, json, fractions, decimal, argparse`` then took 553-583
+ms against 122-145 ms, a cost that no new checkout pays.
+
+The side that runs first
 alternates from pair to pair (the parent first on even pairs), as a
 shared host drifts in speed.  Each run's last line of standard output
 is its JSON summary; a run whose ``correct`` is false or whose
@@ -39,10 +51,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -65,7 +80,8 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float, trace: bool)
     """
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(int(trace))]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, env=env)
     lines = proc.stdout.strip().splitlines()
     try:
         summary = json.loads(lines[-1])
@@ -78,6 +94,13 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float, trace: bool)
             for m in map(LAYER.fullmatch, lines) if m
         }
     return summary
+
+
+def fresh_copy(tree: Path, dest: Path) -> Path:
+    """`tree` copied to `dest` with no bytecode cache and no test caches."""
+    caches = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", ".benchmarks")
+    shutil.copytree(tree, dest, ignore=caches)
+    return dest
 
 
 def spread(values: list[float]) -> dict:
@@ -134,22 +157,24 @@ def main(argv: list[str] | None = None) -> int:
     # a traced run reports no end-to-end metric, so it is followed by its traced time
     headline, unit = (("bench.traced_request_ms", "ms") if args.trace
                       else ("requests_per_s", "/s"))
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     pairs, flags = [], []
-    for i, seed in enumerate(args.seeds):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {"seed": seed, "first": order[0]}
-        for side in order:
-            run = bench_run(trees[side], args.workload, seed, args.seconds, args.trace)
-            pair[side] = run
-            if "error" in run or run["correct"] is not True or run["failed"]:
-                flags.append(f"{side} seed {seed}: "
-                             + run.get("error", f"correct {run.get('correct')}, "
-                                                f"failed {run.get('failed')}"))
-        pairs.append(pair)
-        print(f"seed {seed} ({order[0]} first): " + ", ".join(
-            f"{side} {pair[side]['metrics'][headline]['value']:.1f} {unit}"
-            for side in ("parent", "change") if "metrics" in pair[side]), flush=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
+        trees = {side: fresh_copy(tree.resolve(), Path(scratch) / side)
+                 for side, tree in (("parent", args.parent), ("change", args.change))}
+        for i, seed in enumerate(args.seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                run = bench_run(trees[side], args.workload, seed, args.seconds, args.trace)
+                pair[side] = run
+                if "error" in run or run["correct"] is not True or run["failed"]:
+                    flags.append(f"{side} seed {seed}: "
+                                 + run.get("error", f"correct {run.get('correct')}, "
+                                                    f"failed {run.get('failed')}"))
+            pairs.append(pair)
+            print(f"seed {seed} ({order[0]} first): " + ", ".join(
+                f"{side} {pair[side]['metrics'][headline]['value']:.1f} {unit}"
+                for side in ("parent", "change") if "metrics" in pair[side]), flush=True)
 
     complete = [p for p in pairs if "metrics" in p["parent"] and "metrics" in p["change"]]
     # a metric that some run lacks is left out
