@@ -325,8 +325,8 @@ def _read_rearranged(args) -> _Reading:
     terms, micros = _timed(rearranged_terms, args.T, args.n)
     # whole groups of T + 1 terms are blocks of ln_vector(T), which sum to
     # H_{cT} - H_c; the r <= T leftover terms 1/(cT + j) extend H_{cT}, so
-    # the partial sum is 1/(c+1) + ... + 1/(cT+r), one range over odd
-    # denominators
+    # the partial sum is 1/(c+1) + ... + 1/(cT+r), one unit-weight range,
+    # summed over the denominators prime to 6
     c, r = divmod(args.n, args.T + 1)
     total, sum_micros = _timed(_harmonic_range, c, c * args.T + r)
     value = float(total)

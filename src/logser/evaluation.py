@@ -39,20 +39,31 @@ floating-point kernel as psi(n+1) - psi(1) - ln n with no harmonic
 sum.  The stream's terms are +-1/m, already in lowest terms, so each
 is built from its two integers with no gcd, at a cost that grows with
 the number of terms and not with T.
-Every exact sum of w_m/m over a range of m, with periodic integer
-weights w, goes through one kernel over odd denominators: each odd o
-counts once, with the weights of the m = 2^i o in range over powers of
-2, which on each of at most 2 bitlen(b) blocks repeat with the period of
-the weights.  Harmonic numbers are H_n - H_0, the partial sums of a
-multiple of ln T are H_{NT} - H_N, and the rearranged stream's are
-H_{cT+r} - H_c, all with unit weight; every other partial sum is the
-range (0, NT] with the vector's weights.  block_term alone sums its
-one block of T terms over the integers.  Both routes sum by balanced
+
+Every exact sum of w_m/m over a range (a, b], with periodic integer
+weights w, goes through _harmonic_range, which cuts it into blocks on
+one of two kernels.  Weights of period 1 take the wheel over 2 3: each
+o prime to 6 counts once, with the weights of the m = 2^i 3^j o in
+range, which are one integer on each block between consecutive cuts
+a // s, b // s, and its leaf takes those o two at a time.  Harmonic
+numbers are H_n - H_0, the partial sums of a multiple of ln T are
+H_{NT} - H_N, and the rearranged stream's are H_{cT+r} - H_c, all with
+unit weight, so the wheel sums about a third of their terms.
+
+Longer periods take the kernel over odd denominators: each odd o counts
+once, with the weights of the m = 2^i o in range over powers of 2,
+which on each of at most 2 bitlen(b) blocks repeat with the period of
+the weights, one table per block.  Every partial sum other than a
+multiple of ln T is the range (0, NT] with the vector's weights.
+
+Both kernels' blocks go through one fold, which sums by balanced
 splitting with one rule: a run of at most _LEAF terms is one unreduced
 integer pair, reduced once into a Fraction, and longer runs merge their
 halves as Fractions, rather than adding one term at a time to an ever
-larger running rational.  The
-floating-point kernel computes psi, less a logarithm ln a that balance
+larger running rational.  block_term alone sums its one block of T
+terms over the integers, by the same rule.
+
+The floating-point kernel computes psi, less a logarithm ln a that balance
 cancels, and the logarithms of rationals that Gauss's formula and the
 Euler-Mascheroni partials leave, in integers scaled by 2^(prec+10),
 prec >= 96.  It reads no mpmath context or memo, so no precision set
@@ -253,18 +264,86 @@ def _periodic_odd_leaf(table: list[int], base: int, lo: int, hi: int) -> tuple[i
     return p, q
 
 
-def _harmonic_range(a: int, b: int, weights: tuple[int, ...] = (1,)) -> Fraction:
-    """Exact sum_{a<m<=b} w(m)/m, w(m) = weights[(m-1) mod T], over odd denominators.
+def _wheel_leaf(lo: int, hi: int) -> tuple[int, int]:
+    """1/u_k over lo <= k < hi, u_k = 3k + 1 + (k & 1), as an unreduced pair.
 
-    For 0 <= a <= b and T = len(weights); unit weight gives H_b - H_a.
-    Write m = 2^i o with o odd.  Then a < m <= b iff a >> i < o <= b >> i,
-    as 2^i o <= b iff o <= floor(b / 2^i), and likewise for a.  So each
-    odd o counts once, with weight W(o) = sum_i w(2^i o) / 2^i over its
+    u_k is the k-th integer prime to 6: 1, 5, 7, 11, ...  The units
+    6j + 1 and 6j + 5 (k = 2j, 2j + 1) join two at a time, as
+    (12j + 6)/((6j + 1)(6j + 5)); an odd lo or an odd count leaves one
+    unit to join alone at either end.
+    """
+    p, q = 0, 1
+    if lo & 1 and lo < hi:
+        p, q, lo = 1, 3 * lo + 2, lo + 1
+    for m in range(3 * lo + 1, 3 * hi - 4, 6):
+        d = m * (m + 4)
+        p = p * d + q * (2 * m + 4)
+        q *= d
+    if (hi - lo) & 1:
+        m = 3 * hi - 2
+        p, q = p * m + q, q * m
+    return p, q
+
+
+def _wheel_blocks(a: int, b: int, c: int) -> tuple[list, int]:
+    """(blocks, E): the sum of c/m over a < m <= b as _harmonic_range's blocks, over E.
+
+    Write m = s o with s = 2^i 3^j and o prime to 6, a unit.  Then
+    a < m <= b iff a // s < o <= b // s, so each unit o counts once, with
+    weight c W(o), W(o) = sum 1/s over the s with a // s < o <= b // s.
+    Only an s with a multiple in (a, b] counts, and so does every divisor
+    of one, so the s are the t 2^i, t = 3^j, and each column of t stops
+    at its first s without.  Their lcm E = 2^I 3^J is the product of the
+    largest power of 2 and of 3 among them, so E W(o) is an integer, a
+    sum of E/s, and it changes only at the cuts {a // s} u {b // s}.  A
+    step of +E/s at a // s and -E/s at b // s per s gives the weight of
+    each block (x, y] between consecutive cuts as a running sum; a block
+    of weight 0 is skipped.  A block's units are u_k for lo <= k < hi,
+    summed by _wheel_leaf, and its unit is c E W.  For a = 0 the blocks
+    are the (b // s', b // s] for consecutive s < s', the wheel's form of
+    the odd-part decomposition _odd_blocks takes.  Each unit o <= b is
+    summed at most once: about b/3 terms, against b/2 odd ones.
+    """
+    # E = 2^I 3^J: the largest powers of 2 and of 3 with a multiple in (a, b]
+    two = three = 1
+    while b // (two << 1) > a // (two << 1):
+        two <<= 1
+    while b // (3 * three) > a // (3 * three):
+        three *= 3
+    # each s = t 2^i adds c E/s at a // s = (a // t) >> i and takes it back at b // s
+    steps = {}
+    get = steps.get
+    t, w0 = 1, two * three * c
+    while t <= three:
+        w, x, y = w0, a // t, b // t
+        while x < y:
+            steps[x] = get(x, 0) + w
+            steps[y] = get(y, 0) - w
+            w, x, y = w >> 1, x >> 1, y >> 1
+        t, w0 = 3 * t, w0 // 3
+    # the block (x, y] up to each cut y holds the units u_k, lo <= k < hi
+    blocks, weight, lo = [], 0, 0
+    for y in sorted(steps):
+        hi = (y + 1) // 6 + (y + 5) // 6
+        if weight and lo < hi:
+            blocks.append((lo, hi, _wheel_leaf, weight))
+        weight += steps[y]
+        lo = hi
+    return blocks, two * three
+
+
+def _odd_blocks(a: int, b: int, weights: tuple[int, ...]) -> tuple[list, int]:
+    """(blocks, 2^L): sum_{a<m<=b} w(m)/m as _harmonic_range's blocks, over 2^L.
+
+    w(m) = weights[(m-1) mod T], T = len(weights), L = bitlen(b).  Write
+    m = 2^i o with o odd.  Then a < m <= b iff a >> i < o <= b >> i, as
+    2^i o <= b iff o <= floor(b / 2^i), and likewise for a.  So each odd
+    o counts once, with weight W(o) = sum_i w(2^i o) / 2^i over its
     levels, the i with a >> i < o <= b >> i.  The levels are the same on
     each block (x, y] between consecutive points of the sorted cut set
-    {a >> i} u {b >> i}, i < L = bitlen(b) (from i = L on, b >> i = 0):
-    at most 2L blocks.  On a block they are a run i0 <= i <= i1, as a >> i
-    and b >> i fall while i rises, and both ends fall as o rises.
+    {a >> i} u {b >> i}, i < L (from i = L on, b >> i = 0): at most 2L
+    blocks.  On a block they are a run i0 <= i <= i1, as a >> i and
+    b >> i fall while i rises, and both ends fall as o rises.
 
     On a block, W(o) 2^i1 = sum_{i0<=i<=i1} w(2^i o) 2^(i1-i) is an
     integer, taken by Horner's rule over the levels.  w(2^i o) reads
@@ -272,26 +351,14 @@ def _harmonic_range(a: int, b: int, weights: tuple[int, ...] = (1,)) -> Fraction
     repeats every P = T values of k, or P = T/2 when T is even, as odd o
     meet only the odd residues.  So a block's weights are one table of at
     most P integers, the weight of k being table[(k - lo) mod P], built in
-    at most P (i1 - i0 + 1) steps.  Unit weights make it the one value
-    2^(i1-i0+1) - 1; for a = 0 the blocks are then the dyadic
-    (b >> (l+1), b >> l] with weight 2 - 2^-l, the odd-part decomposition
-    of the binary-split factorial (P. Luschny; CPython's math.factorial).
-    Each odd o <= b is summed at most once: at most b/2 terms, every one
-    with an odd denominator and so fewer bits for its gcds.
-
-    A block whose table is one value sums 1/o by _odd_leaf times that
-    value, as harmonic numbers and multiples of ln T always do; any other
-    takes _periodic_odd_leaf.  A block of at most _LEAF odd terms is one
-    leaf pair r/s, folded with its unit u = 2^(L-i1) (times the one value)
-    into one running unreduced pair p/q as (p s + q r u, q s), which
-    becomes one Fraction at the end.  That pair stays small, as each of
-    its at most 2L blocks is one leaf: over 40,000 random ranges with
-    b <= 10^6 it held at most 514 odd terms of nonzero weight, with unit
-    weights and with random weights of period 1 to 64 alike (257 for
-    H_n).  A longer block goes through _balanced, and its Fraction, times
-    u, joins a running Fraction.  The sum is divided by 2^L once.  A short
-    range takes the same path: its blocks are all short, so the running
-    pair sums it.
+    at most P (i1 - i0 + 1) steps, and the block's unit is 2^(L-i1).  A
+    table of one value sums 1/o by _odd_leaf, the value joining the unit;
+    any other takes _periodic_odd_leaf.  For unit weights and a = 0 the
+    blocks are the dyadic (b >> (l+1), b >> l] with weight 2 - 2^-l, the
+    odd-part decomposition of the binary-split factorial (P. Luschny;
+    CPython's math.factorial).  Each odd o <= b is summed at most once:
+    at most b/2 terms, every one with an odd denominator and so fewer
+    bits for its gcds.
     """
     T = len(weights)
     period = T if T & 1 else T >> 1
@@ -299,7 +366,7 @@ def _harmonic_range(a: int, b: int, weights: tuple[int, ...] = (1,)) -> Fraction
     by_residue = weights[-1:] + weights[:-1]
     L = b.bit_length()
     cuts = sorted({a >> i for i in range(L)} | {b >> i for i in range(L)})
-    low, total = (0, 1), 0
+    blocks = []
     i0, i1 = L, L - 1
     for x, y in zip(cuts, cuts[1:]):
         # the levels of the odd o in (x, y]: a >> i < o <= b >> i for i0 <= i <= i1
@@ -311,20 +378,45 @@ def _harmonic_range(a: int, b: int, weights: tuple[int, ...] = (1,)) -> Fraction
         lo, hi = (x + 1) >> 1, (y + 1) >> 1
         if i0 > i1 or lo == hi:
             continue
-        if T == 1:
-            table = [weights[0] * ((2 << (i1 - i0)) - 1)]
-        else:
-            odds = range(2 * lo + 1, 2 * min(hi, lo + period) + 1, 2)
-            table = [by_residue[(o << i0) % T] for o in odds]
-            for i in range(i0 + 1, i1 + 1):
-                table = [t + t + by_residue[(o << i) % T] for t, o in zip(table, odds)]
+        odds = range(2 * lo + 1, 2 * min(hi, lo + period) + 1, 2)
+        table = [by_residue[(o << i0) % T] for o in odds]
+        for i in range(i0 + 1, i1 + 1):
+            table = [t + t + by_residue[(o << i) % T] for t, o in zip(table, odds)]
         unit = 1 << (L - i1)
-        if table.count(table[0]) == len(table):
-            if not table[0]:
-                continue
-            leaf, unit = _odd_leaf, unit * table[0]
-        else:
-            leaf = functools.partial(_periodic_odd_leaf, table, lo)
+        if table.count(table[0]) < len(table):
+            blocks.append((lo, hi, functools.partial(_periodic_odd_leaf, table, lo), unit))
+        elif table[0]:
+            blocks.append((lo, hi, _odd_leaf, unit * table[0]))
+    return blocks, 1 << L
+
+
+def _harmonic_range(a: int, b: int, weights: tuple[int, ...] = (1,)) -> Fraction:
+    """Exact sum_{a<m<=b} w(m)/m, w(m) = weights[(m-1) mod T], for 0 <= a <= b.
+
+    T = len(weights); unit weight gives H_b - H_a.  Weights of period 1
+    take the wheel over 2 3, _wheel_blocks; longer periods take odd
+    denominators, _odd_blocks, as a wheel block would need a table of P
+    weights built over each of its dozens of s.  Either kernel returns
+    blocks (lo, hi, leaf, unit) and a scale, and the sum is the blocks'
+    unit * (leaf's terms lo <= k < hi), over the scale.
+
+    One fold sums the blocks of both.  A block of at most _LEAF terms is
+    one leaf pair r/s, folded with its unit into one running unreduced
+    pair p/q as (p s + q r unit, q s), which becomes one Fraction at the
+    end.  That pair stays small, as each of its blocks is one leaf: over
+    40,000 random ranges with b <= 10^6 it held at most 2231 units on
+    the wheel (1161 for H_n), and at most 512 odd terms with random
+    weights of period 2 to 64.  A longer block goes through _balanced,
+    and its Fraction, times its unit, joins a running Fraction.  The sum
+    is divided by the scale once.  A short range takes the same path:
+    its blocks are all short, so the running pair sums it.
+    """
+    if len(weights) == 1:
+        blocks, scale = _wheel_blocks(a, b, weights[0])
+    else:
+        blocks, scale = _odd_blocks(a, b, weights)
+    low, total = (0, 1), 0
+    for lo, hi, leaf, unit in blocks:
         if hi - lo <= _LEAF:
             (p, q), (r, s) = low, leaf(lo, hi)
             low = p * s + q * r * unit, q * s
@@ -332,8 +424,8 @@ def _harmonic_range(a: int, b: int, weights: tuple[int, ...] = (1,)) -> Fraction
             total += unit * _balanced(lo, hi, leaf)
     p, q = low
     if total:
-        return (total + Fraction(p, q)) / (1 << L)
-    return Fraction(p, q << L)
+        return (total + Fraction(p, q)) / scale
+    return Fraction(p, q * scale)
 
 
 def partial_sum_exact(v: CoefficientVector, blocks: int) -> Fraction:
@@ -352,8 +444,8 @@ def partial_sum_exact(v: CoefficientVector, blocks: int) -> Fraction:
         (c/D) sum_{k<N} (sum_j 1/(kT+j) - T/(kT+T)) = (c/D) (H_{NT} - H_N),
 
     as the terms 1/(kT+j) run over 1/m for m <= NT and T/(kT+T) = 1/(k+1)
-    over 1/m for m <= N: one range (N, NT] with unit weight, whose blocks
-    each take one value, so it builds no weight table.
+    over 1/m for m <= N: one range (N, NT] with unit weight, on the wheel
+    over 2 3, which sums about NT/3 terms and builds no weight table.
     """
     if blocks < 0:
         raise ValueError("blocks must be >= 0")
@@ -368,10 +460,11 @@ def partial_sum_exact(v: CoefficientVector, blocks: int) -> Fraction:
 def harmonic(n: int) -> Fraction:
     """Exact harmonic number H_n = 1 + 1/2 + ... + 1/n, with H_0 = 0.
 
-    _harmonic_range(0, n): over odd denominators only, in the dyadic
-    blocks (n >> (l+1), n >> l] weighted 2 - 2^-l.  The cost grows faster
-    than n, as the exact sum's numerator and denominator grow, so n stops
-    at TERM_LIMIT, checked before any term is summed.
+    _harmonic_range(0, n): on the wheel over 2 3, each unit o prime to 6
+    once, in the blocks (n // s', n // s] between consecutive
+    s = 2^i 3^j, about n/3 terms.  The cost grows faster than n, as the
+    exact sum's numerator and denominator grow, so n stops at
+    TERM_LIMIT, checked before any term is summed.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -680,11 +773,19 @@ def _mpf(m: int, e: int) -> mpmath.mpf:
 
     The pair comes rounded from _round, so the mpf is the one mpmath's
     from_man_exp(fixed, -(prec + 10), prec, round_nearest) gives.  The
-    first call imports mpmath; later calls find it in sys.modules.
+    first call imports mpmath and rebinds _mpf to a closure over
+    mp.make_mpf and libmp.from_man_exp, so later calls run no import
+    statement and no attribute lookup.
     """
+    global _mpf
     import mpmath
 
-    return mpmath.mp.make_mpf(mpmath.libmp.from_man_exp(m, e))
+    make_mpf, from_man_exp = mpmath.mp.make_mpf, mpmath.libmp.from_man_exp
+
+    def _mpf(m: int, e: int) -> mpmath.mpf:
+        return make_mpf(from_man_exp(m, e))
+
+    return _mpf(m, e)
 
 
 def _round(man: int, exp: int, bits: int) -> tuple[int, int]:

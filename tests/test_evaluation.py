@@ -150,12 +150,17 @@ class TestPartialSumExact:
                 )
 
     def test_ln_multiples_sum_no_periodic_weights(self, monkeypatch):
-        # a multiple of ln T is one range over odd denominators, short or long:
-        # nothing sums over the integers, with the vector's weights or unit ones
+        # a multiple of ln T is one unit range on the wheel over 2 3, short or long:
+        # nothing sums over the integers, with the vector's weights or unit ones,
+        # and no block takes the odd kernel's weight tables
         def no_integer_sum(*args):
             raise AssertionError("a multiple of ln T summed over the integers")
 
+        def no_odd_blocks(*args):
+            raise AssertionError("a multiple of ln T built the odd kernel's blocks")
+
         monkeypatch.setattr(evaluation, "_weighted_harmonic", no_integer_sum)
+        monkeypatch.setattr(evaluation, "_odd_blocks", no_odd_blocks)
         for T in (1, 2, 3, 64):
             for c in (1, -2):
                 v = make_vector(T, [c] * (T - 1) + [-(T - 1) * c])
@@ -226,7 +231,7 @@ class TestHarmonic:
         "n", sorted({0, 1, 2, 3} | {2**k + d for k in range(1, 14) for d in (-1, 0, 1)})
     )
     def test_dyadic_block_edges(self, n):
-        # the odd o in (n >> (l+1), n >> l] change block as n crosses 2^k
+        # a cut n // s, s = 2^i 3^j, moves as n crosses a multiple of s, 2^k among them
         plain = sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
         assert harmonic(n) == plain
 
@@ -260,23 +265,70 @@ class TestHarmonic:
     @pytest.mark.parametrize("a", [10**4, 10**4 + 1, 3 * 10**5 + 7])
     @pytest.mark.parametrize("d", [-1, 0, 1])
     def test_range_blocks_around_one_leaf(self, monkeypatch, a, d):
-        # (a, a + 2K] for a >= 2K is one block of K odd terms, the cuts a >> i and
-        # b >> i, i >= 1, all lying below a: at most _LEAF odd terms join the
-        # running pair as one leaf, and a longer block goes through _balanced
+        # on the wheel, (6a, 6a + 3K] holds exactly K units prime to 6 and is one
+        # block, since every cut of an s >= 2 lies at or below (6a + 3K) // 2 <= 6a.
+        # On the odd kernel, with a periodic weight table, (a, a + 2K] is one block
+        # of K odd terms in the same way.  Either way at most _LEAF terms fold into
+        # the running pair as one leaf, and a longer block goes through _balanced
         K = evaluation._LEAF + d
-        b = a + 2 * K
-        spans = []
-        real = evaluation._balanced
+        weights = (2, -1, 3)
+        spans, leaves = [], []
+        real_balanced, real_leaf = evaluation._balanced, evaluation._wheel_leaf
 
-        def recorded(lo, hi, leaf):
+        def balanced(lo, hi, leaf):
             spans.append(hi - lo)
-            return real(lo, hi, leaf)
+            return real_balanced(lo, hi, leaf)
 
-        monkeypatch.setattr(evaluation, "_balanced", recorded)
-        plain = sum((Fraction(1, m) for m in range(a + 1, b + 1)), Fraction(0))
-        assert evaluation._harmonic_range(a, b) == plain
-        # the first call is the block's own; the rest are its halves
+        def wheel_leaf(lo, hi):
+            leaves.append(hi - lo)
+            return real_leaf(lo, hi)
+
+        monkeypatch.setattr(evaluation, "_balanced", balanced)
+        monkeypatch.setattr(evaluation, "_wheel_leaf", wheel_leaf)
+        lo, hi = 6 * a, 6 * a + 3 * K
+        plain = sum((Fraction(1, m) for m in range(lo + 1, hi + 1)), Fraction(0))
+        assert evaluation._harmonic_range(lo, hi) == plain
+        # the block is the last; the first _balanced call is its own, the rest its halves
+        if K > evaluation._LEAF:
+            assert spans[0] == K
+            assert all(n <= evaluation._LEAF for n in leaves)
+        else:
+            assert spans == [] and leaves[-1] == K
+
+        spans.clear()
+        lo, hi = a, a + 2 * K
+        plain = sum((Fraction(weights[(m - 1) % 3], m) for m in range(lo + 1, hi + 1)),
+                    Fraction(0))
+        assert evaluation._harmonic_range(lo, hi, weights) == plain
         assert spans[:1] == ([K] if K > evaluation._LEAF else [])
+
+    @pytest.mark.parametrize("lo", [0, 1, 2, 7, 500, 501])
+    def test_wheel_leaf_against_plain_sums(self, lo):
+        # the units join two at a time; an odd start or count leaves one alone at an end
+        units = [m for m in range(1, 3 * (lo + evaluation._LEAF + 2)) if math.gcd(m, 6) == 1]
+        for n in (0, 1, 2, 3, evaluation._LEAF - 1, evaluation._LEAF + 1):
+            plain = sum((Fraction(1, u) for u in units[lo:lo + n]), Fraction(0))
+            p, q = evaluation._wheel_leaf(lo, lo + n)
+            assert q > 0 and Fraction(p, q) == plain
+
+    def test_range_at_wheel_edges(self):
+        # ends at 2^i 3^j + {-1, 0, 1}, where a cut a // s or b // s moves, and at
+        # 6k + {0, 1, 5}, where a block gains or loses a unit at either end
+        smooth = {2**i * 3**j for i in range(13) for j in range(8)}
+        ends = sorted({s + d for s in smooth for d in (-1, 0, 1)}
+                      | {6 * k + r for k in (0, 1, 2, 7, 64, 500, 833) for r in (0, 1, 5)})
+        ends = [e for e in ends if 0 <= e <= 5000]
+        prefix = [Fraction(0)]
+        for m in range(1, ends[-1] + 1):
+            prefix.append(prefix[-1] + Fraction(1, m))
+        for i, b in enumerate(ends):
+            for a in ends[:i + 1]:
+                assert evaluation._harmonic_range(a, b) == prefix[b] - prefix[a]
+
+    @pytest.mark.parametrize("c", [-3, 0, 7])
+    def test_wheel_weight_scales_the_unit_range(self, c):
+        for a, b in ((0, 0), (0, 1), (5, 6), (0, 300), (1000, 1022), (123, 4567), (6000, 6384)):
+            assert evaluation._harmonic_range(a, b, (c,)) == c * evaluation._harmonic_range(a, b)
 
     def test_balanced_leaves_tile_the_range(self):
         # a range of at most _LEAF terms is one leaf; a longer one is halved into
