@@ -41,27 +41,24 @@ is built from its two integers with no gcd, at a cost that grows with
 the number of terms and not with T.
 
 Every exact sum of w_m/m over a range (a, b], with periodic integer
-weights w, goes through _harmonic_range, which cuts it into blocks on
-one of two kernels.  Weights of period 1 take the wheel over 2 3: each
-o prime to 6 counts once, with the weights of the m = 2^i 3^j o in
-range, which are one integer on each block between consecutive cuts
-a // s, b // s, and its leaf takes those o two at a time.  Harmonic
-numbers are H_n - H_0, the partial sums of a multiple of ln T are
-H_{NT} - H_N, and the rearranged stream's are H_{cT+r} - H_c, all with
-unit weight, so the wheel sums about a third of their terms.
+weights w of period T, goes through _harmonic_range on one kernel, the
+wheel over 2 3: each o prime to 6 counts once, with the weights of the
+m = 2^i 3^j o in range.  On each block between consecutive cuts
+a // s, b // s those weights depend on o mod T alone, so a block takes
+one table of at most 2T/gcd(T, 6) integers, or one integer when they
+are equal, and a leaf takes its o two at a time, or one class of o at
+a time.  Harmonic numbers are H_n - H_0, the partial sums of a multiple
+c of ln T are c (H_{NT} - H_N), and the rearranged stream's are
+H_{cT+r} - H_c, all of period 1; every other partial sum is the range
+(0, NT] with the vector's weights.  The wheel sums about a third of
+the terms.
 
-Longer periods take the kernel over odd denominators: each odd o counts
-once, with the weights of the m = 2^i o in range over powers of 2,
-which on each of at most 2 bitlen(b) blocks repeat with the period of
-the weights, one table per block.  Every partial sum other than a
-multiple of ln T is the range (0, NT] with the vector's weights.
-
-Both kernels' blocks go through one fold, which sums by balanced
-splitting with one rule: a run of at most _LEAF terms is one unreduced
-integer pair, reduced once into a Fraction, and longer runs merge their
-halves as Fractions, rather than adding one term at a time to an ever
-larger running rational.  block_term alone sums its one block of T
-terms over the integers, by the same rule.
+The blocks go through one fold, which sums by balanced splitting with
+one rule: a run of at most _LEAF terms is one unreduced integer pair,
+reduced once into a Fraction, and longer runs merge their halves as
+Fractions, rather than adding one term at a time to an ever larger
+running rational.  block_term alone sums its one block of T terms over
+the integers, by the same rule.
 
 The floating-point kernel computes psi, less a logarithm ln a that balance
 cancels, and the logarithms of rationals that Gauss's formula and the
@@ -170,10 +167,10 @@ class GammaPartial(_Record):
 def block_term(v: CoefficientVector, k: int) -> Fraction:
     """Exact value of block k: sum_j a_j / (k*T + j).
 
-    The T terms are summed over the integers by _weighted_harmonic: over
-    odd denominators, (kT, kT + T] would pay _harmonic_range's setup of
-    up to 2 bitlen(kT + T) blocks for T terms (3000 calls at T = 12 took
-    16 -> 71 ms that way), and this route shares no code with
+    The T terms are summed over the integers by _weighted_harmonic: on the
+    wheel, (kT, kT + T] would pay _harmonic_range's setup of a block and
+    a table per cut a // s, b // s for T terms (3000 calls at T = 12 took
+    12 -> 123 ms that way), and this route shares no code with
     partial_sum_exact's.
     """
     if k < 0:
@@ -205,15 +202,6 @@ def _balanced(lo: int, hi: int, leaf: _Leaf) -> Fraction:
     return Fraction(*leaf(lo, hi))
 
 
-def _odd_leaf(lo: int, hi: int) -> tuple[int, int]:
-    """1/(2k+1) summed over lo <= k < hi, as an unreduced pair."""
-    p, q = 0, 1
-    for m in range(2 * lo + 1, 2 * hi + 1, 2):
-        p = p * m + q
-        q *= m
-    return p, q
-
-
 def _weighted_harmonic(weights: tuple[int, ...], n: int, start: int = 0) -> Fraction:
     """Exact sum_{m=start+1..n} weights[(m-1) mod len(weights)] / m.
 
@@ -233,35 +221,6 @@ def _weighted_harmonic(weights: tuple[int, ...], n: int, start: int = 0) -> Frac
         return p, q
 
     return _balanced(start + 1, n + 1, leaf)
-
-
-def _periodic_odd_leaf(table: list[int], base: int, lo: int, hi: int) -> tuple[int, int]:
-    """table[(k - base) mod P]/(2k+1) over lo <= k < hi, P = len(table), as an unreduced pair.
-
-    Zero weights are skipped.  When each residue class of k mod P holds at
-    least 8 terms, each class is summed as _odd_leaf sums a run and joins
-    the pair with its weight, so the products grow in P short runs: at
-    P = 5 that took a 128-term leaf 36 -> 24 us.  With fewer terms a class
-    the terms join one at a time, as the classes' merges would cost more.
-    """
-    period = len(table)
-    p, q = 0, 1
-    if hi - lo >= 8 * period:
-        for k in range(lo, lo + period):
-            w = table[(k - base) % period]
-            if w:
-                r, s = 0, 1
-                for m in range(2 * k + 1, 2 * hi + 1, 2 * period):
-                    r = r * m + s
-                    s *= m
-                p, q = p * s + q * r * w, q * s
-        return p, q
-    weights = itertools.islice(itertools.cycle(table), (lo - base) % period, None)
-    for m, w in zip(range(2 * lo + 1, 2 * hi + 1, 2), weights):
-        if w:
-            p = p * m + w * q
-            q *= m
-    return p, q
 
 
 def _wheel_leaf(lo: int, hi: int) -> tuple[int, int]:
@@ -285,136 +244,149 @@ def _wheel_leaf(lo: int, hi: int) -> tuple[int, int]:
     return p, q
 
 
-def _wheel_blocks(a: int, b: int, c: int) -> tuple[list, int]:
-    """(blocks, E): the sum of c/m over a < m <= b as _harmonic_range's blocks, over E.
+def _periodic_wheel_leaf(table: list[int], base: int, lo: int, hi: int) -> tuple[int, int]:
+    """table[(k - base) mod P]/u_k over lo <= k < hi, P = len(table), as an unreduced pair.
 
-    Write m = s o with s = 2^i 3^j and o prime to 6, a unit.  Then
-    a < m <= b iff a // s < o <= b // s, so each unit o counts once, with
-    weight c W(o), W(o) = sum 1/s over the s with a // s < o <= b // s.
-    Only an s with a multiple in (a, b] counts, and so does every divisor
-    of one, so the s are the t 2^i, t = 3^j, and each column of t stops
-    at its first s without.  Their lcm E = 2^I 3^J is the product of the
-    largest power of 2 and of 3 among them, so E W(o) is an integer, a
-    sum of E/s, and it changes only at the cuts {a // s} u {b // s}.  A
-    step of +E/s at a // s and -E/s at b // s per s gives the weight of
-    each block (x, y] between consecutive cuts as a running sum; a block
-    of weight 0 is skipped.  A block's units are u_k for lo <= k < hi,
-    summed by _wheel_leaf, and its unit is c E W.  For a = 0 the blocks
-    are the (b // s', b // s] for consecutive s < s', the wheel's form of
-    the odd-part decomposition _odd_blocks takes.  Each unit o <= b is
-    summed at most once: about b/3 terms, against b/2 odd ones.
+    Zero weights are skipped.  A run of at least 8P terms lies in a block
+    whose table is a whole period of u_k mod T, and that period is even,
+    so u_{k+P} = u_k + 3P: each residue class of k mod P is then summed as
+    one run of step 3P and joins the pair with its weight, so the
+    products grow in P short runs.  With fewer terms a class the terms
+    join one at a time, as the classes' merges would cost more.
     """
+    period = len(table)
+    p, q = 0, 1
+    if hi - lo >= 8 * period:
+        for k in range(lo, lo + period):
+            w = table[(k - base) % period]
+            if w:
+                r, s = 0, 1
+                for m in range(3 * k + 1 + (k & 1), 3 * hi, 3 * period):
+                    r = r * m + s
+                    s *= m
+                p, q = p * s + q * r * w, q * s
+        return p, q
+    weights = itertools.islice(itertools.cycle(table), (lo - base) % period, None)
+    for k, w in zip(range(lo, hi), weights):
+        if w:
+            m = 3 * k + 1 + (k & 1)
+            p = p * m + w * q
+            q *= m
+    return p, q
+
+
+def _wheel_blocks(a: int, b: int, weights: tuple[int, ...]) -> tuple[list, int]:
+    """(blocks, E): sum_{a<m<=b} w(m)/m as _harmonic_range's blocks, over E.
+
+    w(m) = weights[(m-1) mod T], T = len(weights).  Write m = s o with
+    s = 2^i 3^j and o prime to 6, a unit.  Then a < m <= b iff
+    a // s < o <= b // s, so each unit o counts once, with weight
+    W(o) = sum w(s o)/s over the s with a // s < o <= b // s.  Only an s
+    with a multiple in (a, b] counts, and so does every divisor of one, so
+    the s are the t 2^i, t = 3^j, and each column of t stops at its first
+    s without.  Their lcm E = 2^I 3^J is the product of the largest power
+    of 2 and of 3 among them, so E W(o) is an integer.  w(s o) reads
+    s o mod T, which depends on s mod T and o mod T alone, so E W(o) is
+    sum_r S_r w(r o) over the classes r = s mod T, S_r the sum of E/s
+    over the class.  Each S_r changes only at the cuts a // s and b // s:
+    a step of +E/s at a // s and -E/s at b // s per s gives every S_r on
+    each block (x, y] between consecutive cuts as a running sum.
+
+    A block's units are u_k for lo <= k < hi, and u_k mod T repeats every
+    P = 2T/gcd(T, 6) values of k (u_{k+2} = u_k + 6).  So a block's
+    weights E W are one table of its first min(P, hi - lo) units, the
+    weight of k being table[(k - lo) mod P], built unit by unit when the
+    block has fewer units than classes and class by class otherwise.  A
+    table of one value sums by _wheel_leaf, the value being the block's
+    unit, and a block of weight 0 is skipped; any other table takes
+    _periodic_wheel_leaf.  For T = 1 every unit has the one weight c, so
+    a step is the integer E c/s and a block's unit the running sum, with
+    no class and no table.  For a = 0 the blocks are the (b // s', b // s]
+    for consecutive s < s', the wheel's form of the odd-part decomposition
+    of the binary-split factorial (P. Luschny; CPython's math.factorial).
+    Each unit o <= b is summed at most once: about b/3 terms.
+    """
+    T = len(weights)
     # E = 2^I 3^J: the largest powers of 2 and of 3 with a multiple in (a, b]
     two = three = 1
     while b // (two << 1) > a // (two << 1):
         two <<= 1
     while b // (3 * three) > a // (3 * three):
         three *= 3
-    # each s = t 2^i adds c E/s at a // s = (a // t) >> i and takes it back at b // s
+    # each s = t 2^i adds E/s at a // s = (a // t) >> i and takes it back at
+    # b // s, keyed x T + (s mod T) for its cut x; for T = 1 the key is x and
+    # the step E c/s, in a loop of its own, as it carries the unit ranges
     steps = {}
     get = steps.get
-    t, w0 = 1, two * three * c
+    t, e0 = 1, two * three * (weights[0] if T == 1 else 1)
     while t <= three:
-        w, x, y = w0, a // t, b // t
+        s, e, x, y = t, e0, a // t, b // t
+        if T == 1:
+            while x < y:
+                steps[x] = get(x, 0) + e
+                steps[y] = get(y, 0) - e
+                e, x, y = e >> 1, x >> 1, y >> 1
         while x < y:
-            steps[x] = get(x, 0) + w
-            steps[y] = get(y, 0) - w
-            w, x, y = w >> 1, x >> 1, y >> 1
-        t, w0 = 3 * t, w0 // 3
+            kx, ky = x * T + s % T, y * T + s % T
+            steps[kx] = get(kx, 0) + e
+            steps[ky] = get(ky, 0) - e
+            s, e, x, y = 2 * s, e >> 1, x >> 1, y >> 1
+        t, e0 = 3 * t, e0 // 3
     # the block (x, y] up to each cut y holds the units u_k, lo <= k < hi
     blocks, weight, lo = [], 0, 0
-    for y in sorted(steps):
-        hi = (y + 1) // 6 + (y + 5) // 6
-        if weight and lo < hi:
-            blocks.append((lo, hi, _wheel_leaf, weight))
-        weight += steps[y]
-        lo = hi
-    return blocks, two * three
-
-
-def _odd_blocks(a: int, b: int, weights: tuple[int, ...]) -> tuple[list, int]:
-    """(blocks, 2^L): sum_{a<m<=b} w(m)/m as _harmonic_range's blocks, over 2^L.
-
-    w(m) = weights[(m-1) mod T], T = len(weights), L = bitlen(b).  Write
-    m = 2^i o with o odd.  Then a < m <= b iff a >> i < o <= b >> i, as
-    2^i o <= b iff o <= floor(b / 2^i), and likewise for a.  So each odd
-    o counts once, with weight W(o) = sum_i w(2^i o) / 2^i over its
-    levels, the i with a >> i < o <= b >> i.  The levels are the same on
-    each block (x, y] between consecutive points of the sorted cut set
-    {a >> i} u {b >> i}, i < L (from i = L on, b >> i = 0): at most 2L
-    blocks.  On a block they are a run i0 <= i <= i1, as a >> i and
-    b >> i fall while i rises, and both ends fall as o rises.
-
-    On a block, W(o) 2^i1 = sum_{i0<=i<=i1} w(2^i o) 2^(i1-i) is an
-    integer, taken by Horner's rule over the levels.  w(2^i o) reads
-    2^i o mod T, which depends on o mod T alone, and over o = 2k + 1 that
-    repeats every P = T values of k, or P = T/2 when T is even, as odd o
-    meet only the odd residues.  So a block's weights are one table of at
-    most P integers, the weight of k being table[(k - lo) mod P], built in
-    at most P (i1 - i0 + 1) steps, and the block's unit is 2^(L-i1).  A
-    table of one value sums 1/o by _odd_leaf, the value joining the unit;
-    any other takes _periodic_odd_leaf.  For unit weights and a = 0 the
-    blocks are the dyadic (b >> (l+1), b >> l] with weight 2 - 2^-l, the
-    odd-part decomposition of the binary-split factorial (P. Luschny;
-    CPython's math.factorial).  Each odd o <= b is summed at most once:
-    at most b/2 terms, every one with an odd denominator and so fewer
-    bits for its gcds.
-    """
-    T = len(weights)
-    period = T if T & 1 else T >> 1
+    if T == 1:
+        for y in sorted(steps):
+            hi = (y + 1) // 6 + (y + 5) // 6
+            if weight and lo < hi:
+                blocks.append((lo, hi, _wheel_leaf, weight))
+            weight += steps[y]
+            lo = hi
+        return blocks, two * three
     # w(m) = weights[(m - 1) mod T] = by_residue[m mod T]
     by_residue = weights[-1:] + weights[:-1]
-    L = b.bit_length()
-    cuts = sorted({a >> i for i in range(L)} | {b >> i for i in range(L)})
-    blocks = []
-    i0, i1 = L, L - 1
-    for x, y in zip(cuts, cuts[1:]):
-        # the levels of the odd o in (x, y]: a >> i < o <= b >> i for i0 <= i <= i1
-        while b >> i1 < y:
-            i1 -= 1
-        while i0 and a >> (i0 - 1) < y:
-            i0 -= 1
-        # the odd o in (x, y] are 2k + 1 for lo <= k < hi
-        lo, hi = (x + 1) >> 1, (y + 1) >> 1
-        if i0 > i1 or lo == hi:
-            continue
-        odds = range(2 * lo + 1, 2 * min(hi, lo + period) + 1, 2)
-        table = [by_residue[(o << i0) % T] for o in odds]
-        for i in range(i0 + 1, i1 + 1):
-            table = [t + t + by_residue[(o << i) % T] for t, o in zip(table, odds)]
-        unit = 1 << (L - i1)
-        if table.count(table[0]) < len(table):
-            blocks.append((lo, hi, functools.partial(_periodic_odd_leaf, table, lo), unit))
-        elif table[0]:
-            blocks.append((lo, hi, _odd_leaf, unit * table[0]))
-    return blocks, 1 << L
+    period = 2 * T // math.gcd(T, 6)
+    sums = {}  # S_r by class r, nonzero ones only
+    for key in sorted(steps):
+        y, r = divmod(key, T)
+        hi = (y + 1) // 6 + (y + 5) // 6
+        if sums and lo < hi:
+            units = [3 * k + 1 + (k & 1) for k in range(lo, min(hi, lo + period))]
+            if len(units) < len(sums):
+                table = [sum([e * by_residue[c * u % T] for c, e in sums.items()]) for u in units]
+            else:
+                table = [0] * len(units)
+                for c, e in sums.items():
+                    table = [w + e * by_residue[c * u % T] for w, u in zip(table, units)]
+            if table.count(table[0]) < len(table):
+                blocks.append((lo, hi, functools.partial(_periodic_wheel_leaf, table, lo), 1))
+            elif table[0]:
+                blocks.append((lo, hi, _wheel_leaf, table[0]))
+        e = sums.pop(r, 0) + steps[key]
+        if e:
+            sums[r] = e
+        lo = hi
+    return blocks, two * three
 
 
 def _harmonic_range(a: int, b: int, weights: tuple[int, ...] = (1,)) -> Fraction:
     """Exact sum_{a<m<=b} w(m)/m, w(m) = weights[(m-1) mod T], for 0 <= a <= b.
 
-    T = len(weights); unit weight gives H_b - H_a.  Weights of period 1
-    take the wheel over 2 3, _wheel_blocks; longer periods take odd
-    denominators, _odd_blocks, as a wheel block would need a table of P
-    weights built over each of its dozens of s.  Either kernel returns
-    blocks (lo, hi, leaf, unit) and a scale, and the sum is the blocks'
-    unit * (leaf's terms lo <= k < hi), over the scale.
+    T = len(weights); unit weight gives H_b - H_a.  _wheel_blocks returns
+    blocks (lo, hi, leaf, unit) over the integers prime to 6 and a scale,
+    and the sum is the blocks' unit * (leaf's terms lo <= k < hi), over
+    the scale.
 
-    One fold sums the blocks of both.  A block of at most _LEAF terms is
-    one leaf pair r/s, folded with its unit into one running unreduced
-    pair p/q as (p s + q r unit, q s), which becomes one Fraction at the
-    end.  That pair stays small, as each of its blocks is one leaf: over
-    40,000 random ranges with b <= 10^6 it held at most 2231 units on
-    the wheel (1161 for H_n), and at most 512 odd terms with random
-    weights of period 2 to 64.  A longer block goes through _balanced,
-    and its Fraction, times its unit, joins a running Fraction.  The sum
-    is divided by the scale once.  A short range takes the same path:
-    its blocks are all short, so the running pair sums it.
+    A block of at most _LEAF terms is one leaf pair r/s, folded with its
+    unit into one running unreduced pair p/q as (p s + q r unit, q s),
+    which becomes one Fraction at the end.  That pair stays small, as
+    each of its blocks is one leaf: over 40,000 random ranges with
+    b <= 10^6 it held at most 2231 units (1161 for H_n), and at most
+    2154 with random weights of period 2 to 64.  A longer block goes
+    through _balanced, and its Fraction, times its unit, joins a running
+    Fraction.  The sum is divided by the scale once.  A short range takes
+    the same path: its blocks are all short, so the running pair sums it.
     """
-    if len(weights) == 1:
-        blocks, scale = _wheel_blocks(a, b, weights[0])
-    else:
-        blocks, scale = _odd_blocks(a, b, weights)
+    blocks, scale = _wheel_blocks(a, b, weights)
     low, total = (0, 1), 0
     for lo, hi, leaf, unit in blocks:
         if hi - lo <= _LEAF:
@@ -436,25 +408,25 @@ def partial_sum_exact(v: CoefficientVector, blocks: int) -> Fraction:
     summing.  Block k's term j is a_j / m with m = kT + j, so the sum is
     a weighted harmonic sum up to N T, N = blocks, with the vector's
     integer weights a_j D as periodic weights, divided by D once at the
-    end: _harmonic_range(0, NT, weights), over odd denominators, which
-    sums at most NT/2 terms.  A multiple of ln_vector(T), every weight but
+    end: _harmonic_range(0, NT, weights), on the wheel over 2 3, which
+    sums about NT/3 terms.  A multiple of ln_vector(T), every weight but
     the last equal to c = a_1 D (balance makes the last -(T-1) c), sums
     instead to
 
         (c/D) sum_{k<N} (sum_j 1/(kT+j) - T/(kT+T)) = (c/D) (H_{NT} - H_N),
 
     as the terms 1/(kT+j) run over 1/m for m <= NT and T/(kT+T) = 1/(k+1)
-    over 1/m for m <= N: one range (N, NT] with unit weight, on the wheel
-    over 2 3, which sums about NT/3 terms and builds no weight table.
+    over 1/m for m <= N: the range (N, NT] with the one weight (c,), which
+    builds no weight table, and for c = 0 no block either.
     """
     if blocks < 0:
         raise ValueError("blocks must be >= 0")
     T = v.modulus
     _check_term_limit(blocks * T, f"block-terms ({blocks} blocks over modulus {T})")
-    weights = v.weights
+    a, weights = 0, v.weights
     if weights[:-1] == weights[:1] * (T - 1):
-        return Fraction(weights[0], v.scale) * _harmonic_range(blocks, blocks * T)
-    return _harmonic_range(0, blocks * T, weights) / v.scale
+        a, weights = blocks, weights[:1]
+    return _harmonic_range(a, blocks * T, weights) / v.scale
 
 
 def harmonic(n: int) -> Fraction:

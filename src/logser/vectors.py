@@ -44,13 +44,12 @@ _FACTOR_LIMIT = 2**63 - 1
 # the package's one cost limit, on a count of terms summed or slots built
 # (exact sums, vectors, relation families and divisor scans, trial
 # division, quadrature's Horner loop); every such count passes
-# _check_term_limit, which reads it at call time.  At the limit, harmonic(n)
-# and a multiple of ln T run for about 7.5-9 s in pure Python, their sums
-# split over the integers prime to 6, and a general vector's prefix (at
-# T = 5 and at modulus 10010), split over odd denominators, for about
-# 11 s.  evaluate(ln_vector(T), 1e-9) takes about 0.15 s, its psi sum
-# taken through Gauss's multiplication formula (measurements in
-# CHANGES.md).
+# _check_term_limit, which reads it at call time.  At the limit, harmonic(n),
+# a multiple of ln T and a general vector's prefix (at T = 5 and at modulus
+# 10010) run for about 6.5-9 s in pure Python, by the host's speed, their
+# sums split over the integers prime to 6.  evaluate(ln_vector(T), 1e-9)
+# takes about 0.15 s, its psi sum taken through Gauss's multiplication
+# formula (measurements in CHANGES.md).
 TERM_LIMIT = 10**6
 
 

@@ -126,10 +126,10 @@ class TestPartialSumExact:
             assert partial_sum_exact(v, K) == exact_block_oracle(v, K)
 
     @pytest.mark.parametrize("T", [1, 2, 64])
-    @pytest.mark.parametrize("c", [Fraction(1), Fraction(-3), Fraction(-5, 7)])
+    @pytest.mark.parametrize("c", [Fraction(1), Fraction(-3), Fraction(-5, 7), Fraction(0)])
     def test_ln_multiples_take_the_range(self, T, c):
-        # c ln T sums to c (H_{NT} - H_N) through _harmonic_range, over short
-        # ranges and long ones
+        # c ln T sums to c (H_{NT} - H_N) through _harmonic_range with the one
+        # weight (c D,), over short ranges and long ones
         v = make_vector(T, [c] * (T - 1) + [-(T - 1) * c])
         for N in (0, 1, 2, 40, 300):
             assert partial_sum_exact(v, N) == (
@@ -150,26 +150,36 @@ class TestPartialSumExact:
                 )
 
     def test_ln_multiples_sum_no_periodic_weights(self, monkeypatch):
-        # a multiple of ln T is one unit range on the wheel over 2 3, short or long:
-        # nothing sums over the integers, with the vector's weights or unit ones,
-        # and no block takes the odd kernel's weight tables
+        # a multiple of ln T is one range of one weight on the wheel over 2 3, short
+        # or long: nothing sums over the integers, with the vector's weights or unit
+        # ones, and no block takes the periodic leaf's weight table
         def no_integer_sum(*args):
             raise AssertionError("a multiple of ln T summed over the integers")
 
-        def no_odd_blocks(*args):
-            raise AssertionError("a multiple of ln T built the odd kernel's blocks")
+        def no_periodic_leaf(*args):
+            raise AssertionError("a multiple of ln T summed a periodic weight table")
 
         monkeypatch.setattr(evaluation, "_weighted_harmonic", no_integer_sum)
-        monkeypatch.setattr(evaluation, "_odd_blocks", no_odd_blocks)
+        monkeypatch.setattr(evaluation, "_periodic_wheel_leaf", no_periodic_leaf)
         for T in (1, 2, 3, 64):
             for c in (1, -2):
                 v = make_vector(T, [c] * (T - 1) + [-(T - 1) * c])
                 for N in (0, 1, 2, 50):
                     partial_sum_exact(v, N)
 
+    def test_zero_vector_sums_no_term(self, monkeypatch):
+        # the zero vector passes as 0 ln T, and the weight 0 builds no block, so
+        # 10^5 blocks return at once with no leaf summed
+        def no_leaf(*args):
+            raise AssertionError("the zero vector summed a term")
+
+        monkeypatch.setattr(evaluation, "_wheel_leaf", no_leaf)
+        monkeypatch.setattr(evaluation, "_periodic_wheel_leaf", no_leaf)
+        assert partial_sum_exact(make_vector(3, [0, 0, 0]), 10**5) == 0
+
     def test_general_vectors_sum_no_integer_range(self, monkeypatch):
-        # every other vector is one weighted range over odd denominators, short or
-        # long; only block_term keeps the sum over the integers
+        # every other vector is one weighted range over the denominators prime to
+        # 6, short or long; only block_term keeps the sum over the integers
         def no_integer_sum(*args):
             raise AssertionError("a partial sum taken over the integers")
 
@@ -204,7 +214,7 @@ def _periodic_weights(draw):
 @st.composite
 def _ranges(draw):
     """0 <= a <= b <= 6000: empty ranges, b below the period, a >= b/2, many leaves."""
-    # from b = 2048 on, the top block (b/2, b] alone holds four leaves of odd terms
+    # from b = 2048 on, the top block (b/2, b] alone holds b/6 > 2 _LEAF units prime to 6
     b = draw(st.one_of(st.integers(0, 16), st.integers(0, 6000), st.integers(2048, 6000)))
     kind = draw(st.sampled_from(("any", "empty", "upper half")))
     low = {"any": 0, "empty": b, "upper half": (b + 1) // 2}[kind]
@@ -250,8 +260,8 @@ class TestHarmonic:
                 assert evaluation._harmonic_range(a, b) == prefix[b] - prefix[a]
 
     def test_range_at_dyadic_edges_and_spans(self):
-        # cuts a >> i and b >> i that meet, or straddle a power of 2; and
-        # blocks of many leaves of odd terms, for spans of 1024 terms and of a leaf
+        # cuts a // s and b // s that meet, or straddle a power of 2; and
+        # blocks of many leaves, for spans of 1024 terms and of a leaf
         edges = sorted({2**k + d for k in range(1, 14) for d in (-1, 0, 1)}
                        | {4 * span + d for span in (1024, evaluation._LEAF) for d in (-1, 1)}
                        | {6 * span + 3 for span in (1024, evaluation._LEAF)})
@@ -265,42 +275,38 @@ class TestHarmonic:
     @pytest.mark.parametrize("a", [10**4, 10**4 + 1, 3 * 10**5 + 7])
     @pytest.mark.parametrize("d", [-1, 0, 1])
     def test_range_blocks_around_one_leaf(self, monkeypatch, a, d):
-        # on the wheel, (6a, 6a + 3K] holds exactly K units prime to 6 and is one
-        # block, since every cut of an s >= 2 lies at or below (6a + 3K) // 2 <= 6a.
-        # On the odd kernel, with a periodic weight table, (a, a + 2K] is one block
-        # of K odd terms in the same way.  Either way at most _LEAF terms fold into
-        # the running pair as one leaf, and a longer block goes through _balanced
+        # (6a, 6a + 3K] holds exactly K units prime to 6 and is one block, since
+        # every cut of an s >= 2 lies at or below (6a + 3K) // 2 <= 6a.  With unit
+        # weights it takes the wheel leaf, and with the weights (2, -1, 3) the
+        # periodic leaf.  Either way at most _LEAF terms fold into the running pair
+        # as one leaf, and a longer block goes through _balanced
         K = evaluation._LEAF + d
-        weights = (2, -1, 3)
-        spans, leaves = [], []
-        real_balanced, real_leaf = evaluation._balanced, evaluation._wheel_leaf
-
-        def balanced(lo, hi, leaf):
-            spans.append(hi - lo)
-            return real_balanced(lo, hi, leaf)
-
-        def wheel_leaf(lo, hi):
-            leaves.append(hi - lo)
-            return real_leaf(lo, hi)
-
-        monkeypatch.setattr(evaluation, "_balanced", balanced)
-        monkeypatch.setattr(evaluation, "_wheel_leaf", wheel_leaf)
         lo, hi = 6 * a, 6 * a + 3 * K
-        plain = sum((Fraction(1, m) for m in range(lo + 1, hi + 1)), Fraction(0))
-        assert evaluation._harmonic_range(lo, hi) == plain
-        # the block is the last; the first _balanced call is its own, the rest its halves
-        if K > evaluation._LEAF:
-            assert spans[0] == K
-            assert all(n <= evaluation._LEAF for n in leaves)
-        else:
-            assert spans == [] and leaves[-1] == K
+        for weights, name in (((1,), "_wheel_leaf"), ((2, -1, 3), "_periodic_wheel_leaf")):
+            spans, leaves = [], []
+            real_balanced, real_leaf = evaluation._balanced, getattr(evaluation, name)
 
-        spans.clear()
-        lo, hi = a, a + 2 * K
-        plain = sum((Fraction(weights[(m - 1) % 3], m) for m in range(lo + 1, hi + 1)),
-                    Fraction(0))
-        assert evaluation._harmonic_range(lo, hi, weights) == plain
-        assert spans[:1] == ([K] if K > evaluation._LEAF else [])
+            def balanced(lo, hi, leaf):
+                spans.append(hi - lo)
+                return real_balanced(lo, hi, leaf)
+
+            def counted_leaf(*args):
+                leaves.append(args[-1] - args[-2])
+                return real_leaf(*args)
+
+            monkeypatch.setattr(evaluation, "_balanced", balanced)
+            monkeypatch.setattr(evaluation, name, counted_leaf)
+            plain = sum((Fraction(weights[(m - 1) % len(weights)], m)
+                         for m in range(lo + 1, hi + 1)), Fraction(0))
+            assert evaluation._harmonic_range(lo, hi, weights) == plain
+            # the block is the last; the first _balanced call is its own, the rest
+            # its halves
+            if K > evaluation._LEAF:
+                assert spans[0] == K
+                assert all(n <= evaluation._LEAF for n in leaves)
+            else:
+                assert spans == [] and leaves[-1] == K
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("lo", [0, 1, 2, 7, 500, 501])
     def test_wheel_leaf_against_plain_sums(self, lo):
@@ -311,19 +317,29 @@ class TestHarmonic:
             p, q = evaluation._wheel_leaf(lo, lo + n)
             assert q > 0 and Fraction(p, q) == plain
 
-    def test_range_at_wheel_edges(self):
+    @pytest.mark.parametrize("weights", [
+        (1,),
+        (3, 0, -2, 5, 1, -7, 0, 4, -1, 2, 6, -9),
+        (2, -1, 0, 4, -3),
+    ], ids=["unit", "period12", "period5"])
+    def test_range_at_wheel_edges(self, weights):
         # ends at 2^i 3^j + {-1, 0, 1}, where a cut a // s or b // s moves, and at
-        # 6k + {0, 1, 5}, where a block gains or loses a unit at either end
+        # 6k + {0, 1, 5}, where a block gains or loses a unit at either end.  A
+        # block's table is its first min(P, hi - lo) units, P = 2T/gcd(T, 6): P = 4
+        # at period 12 (gcd 6) and P = 10 at period 5 (gcd 1).  Periodic weights
+        # stop at 1500, where the top block (b/2, b] holds 250 units, past 8P and
+        # _LEAF, in a fifth of the unit weights' time
+        T = len(weights)
         smooth = {2**i * 3**j for i in range(13) for j in range(8)}
         ends = sorted({s + d for s in smooth for d in (-1, 0, 1)}
                       | {6 * k + r for k in (0, 1, 2, 7, 64, 500, 833) for r in (0, 1, 5)})
-        ends = [e for e in ends if 0 <= e <= 5000]
+        ends = [e for e in ends if 0 <= e <= (5000 if T == 1 else 1500)]
         prefix = [Fraction(0)]
         for m in range(1, ends[-1] + 1):
-            prefix.append(prefix[-1] + Fraction(1, m))
+            prefix.append(prefix[-1] + Fraction(weights[(m - 1) % T], m))
         for i, b in enumerate(ends):
             for a in ends[:i + 1]:
-                assert evaluation._harmonic_range(a, b) == prefix[b] - prefix[a]
+                assert evaluation._harmonic_range(a, b, weights) == prefix[b] - prefix[a]
 
     @pytest.mark.parametrize("c", [-3, 0, 7])
     def test_wheel_weight_scales_the_unit_range(self, c):
@@ -339,10 +355,11 @@ class TestHarmonic:
 
             def leaf(lo, hi):
                 calls.append((lo, hi))
-                return evaluation._odd_leaf(lo, hi)
+                return evaluation._wheel_leaf(lo, hi)
 
             total = evaluation._balanced(7, 7 + n, leaf)
-            assert total == sum((Fraction(1, 2 * k + 1) for k in range(7, 7 + n)), Fraction(0))
+            units = (3 * k + 1 + (k & 1) for k in range(7, 7 + n))
+            assert total == sum((Fraction(1, u) for u in units), Fraction(0))
             assert [lo for lo, _ in calls] == [7] + [hi for _, hi in calls[:-1]]
             assert calls[-1][1] == 7 + n
             assert all(0 < hi - lo <= leaf_size for lo, hi in calls)
@@ -374,8 +391,8 @@ class TestHarmonic:
     @settings(max_examples=150, deadline=None)
     @given(_periodic_weights(), _ranges())
     def test_weighted_range_matches_the_all_integers_route(self, weights, bounds):
-        # the odd-denominator kernel with periodic weights against _weighted_harmonic,
-        # which sums (a, b] over the integers and shares no block code
+        # the wheel with periodic weights against _weighted_harmonic, which sums
+        # (a, b] over the integers and shares no block code
         a, b = bounds
         assert evaluation._harmonic_range(a, b, weights) == (
             evaluation._weighted_harmonic(weights, b, a)
@@ -383,8 +400,8 @@ class TestHarmonic:
 
     @pytest.mark.parametrize("T", [4, 5, 12])
     def test_weighted_range_at_dyadic_edges_and_leaves(self, T):
-        # N T at 2^k +- 1, where a dyadic block gains or loses its last odd o,
-        # and at multiples of a leaf +- 1, in integers and in odd terms
+        # N T at 2^k +- 1, where a cut b // 2^i moves, and at multiples of a
+        # leaf +- 1, in integers and in units prime to 6
         rng = random.Random(T)
         weights = tuple(rng.randint(-9, 9) for _ in range(T))
         leaf = evaluation._LEAF
@@ -398,18 +415,21 @@ class TestHarmonic:
             for a in sorted({0, b // T, (b + 1) // 2, b - 1}):
                 assert evaluation._harmonic_range(a, b, weights) == prefix[b] - prefix[a]
 
-    @pytest.mark.parametrize("period", [1, 2, 5, 16])
-    def test_periodic_leaf_around_eight_terms_a_class(self, period):
-        # from 8 terms a residue class the leaf sums each class on its own, and
-        # below that term by term; both skip zero weights
-        rng = random.Random(period)
+    @pytest.mark.parametrize("T", [1, 2, 5, 16])
+    def test_periodic_leaf_around_eight_terms_a_class(self, T):
+        # a table of a whole period P = 2T/gcd(T, 6) of u_k mod T: from 8 terms a
+        # residue class the leaf sums each class as one run of step 3P, and below
+        # that term by term; both skip zero weights
+        period = 2 * T // math.gcd(T, 6)
+        rng = random.Random(T)
         table = [rng.choice((0, rng.randint(-9, 9))) for _ in range(period)]
+        table[rng.randrange(period)] = 0
         lo = 1000 + rng.randint(0, period)
         for n in (1, 8 * period - 1, 8 * period, 8 * period + 1):
             for base in (lo, lo - 1, 7):
-                plain = sum((Fraction(table[(k - base) % period], 2 * k + 1)
+                plain = sum((Fraction(table[(k - base) % period], 3 * k + 1 + (k & 1))
                              for k in range(lo, lo + n)), Fraction(0))
-                pair = evaluation._periodic_odd_leaf(table, base, lo, lo + n)
+                pair = evaluation._periodic_wheel_leaf(table, base, lo, lo + n)
                 assert Fraction(*pair) == plain
 
     @settings(max_examples=30, deadline=None)
