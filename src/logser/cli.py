@@ -10,8 +10,8 @@ cross as "p/q" strings and reals as decimal strings with a precision
 field, so goldens never depend on binary float formatting.  precision
 is three digits past abs_err's place, at least 17, plus one for each
 digit of |value| before the point past the first.  error_bound covers
-the printed digits: it is the reading's bound plus one unit in the last
-printed digit, |value| 10^(1 - precision), rounded up.  Reals are
+the printed digits: it is the reading's bound plus the exact distance
+|printed - value|, rounded up once by evaluation._float_upper.  Reals are
 printed from integers by _decimal: each reading holds its value as
 (m, e), the exact m 2^e (the kernel's value as evaluation hands it out,
 already rounded to prec bits, or a double read through
@@ -69,6 +69,7 @@ from .errors import SeriesError
 from .evaluation import (
     _double,
     _evaluate,
+    _float_upper,
     _gamma_partial,
     _harmonic_range,
     _round,
@@ -233,13 +234,13 @@ def _lnq_vector(args):
 class _Reading:
     """What one value subcommand computed; `_cmd_value` prints it.
 
-    `value` is (m, e), the exact value m 2^e that is printed, `micros`
-    times the library calls alone, and `extras` holds the subcommand's
-    own fields, already rendered.
+    `value` is (m, e), the exact value m 2^e that is printed,
+    `error_bound` an exact float or Fraction, `micros` times the library
+    calls alone, and `extras` holds the subcommand's own fields.
     """
 
     def __init__(self, inputs: dict, value: tuple[int, int], digits: int,
-                 error_bound: float, bound_is_heuristic: bool, micros: int,
+                 error_bound: float | Fraction, bound_is_heuristic: bool, micros: int,
                  blocks_used: int = 0, extras: dict | None = None) -> None:
         vars(self).update(inputs=inputs, value=value, digits=digits, error_bound=error_bound,
                           bound_is_heuristic=bound_is_heuristic, micros=micros,
@@ -266,9 +267,10 @@ def _read_pi(args) -> _Reading:
     # with |S~ - S| <= series.error_bound.  The square root and the two
     # products round to nearest (relative error <= u = 2^-53 each) and the
     # conversion of S~ errs by less than one unit in the last place (2u),
-    # so |value - 3 sqrt(3) S~| < 5.01u |value|.  5.2 > 3 sqrt(3), and
-    # 2^-50 = 8u leaves room for rounding this sum.
-    bound = 5.2 * series.error_bound + 2.0**-50 * abs(value)
+    # so |value - 3 sqrt(3) S~| < 5.01u |value|.  26/5 > 3 sqrt(3) and
+    # 2^-50 = 8u > 5.01u, summed exactly
+    (bn, bd), (vn, vd) = series.error_bound.as_integer_ratio(), abs(value).as_integer_ratio()
+    bound = Fraction((26 * bn * vd << 50) + 5 * vn * bd, 5 * bd * vd << 50)
     return _Reading(
         inputs={"abs_err": repr(args.abs_err)}, value=_binary(value), digits=digits,
         error_bound=bound, bound_is_heuristic=False,
@@ -279,12 +281,12 @@ def _read_pi(args) -> _Reading:
 
 def _read_gamma(args) -> _Reading:
     value, micros = _timed(_gamma_partial, args.n)
-    # distance to the limit: the steps A_n - A_{n+1} lie in
-    # (0, 1/(n(n+1))) and telescope to at most 1/n, rounded up
+    # distance to the limit: the steps A_n - A_{n+1} lie in (0, 1/(n(n+1)))
+    # and telescope to at most 1/n, plus gamma_partial's 613 2^-106
     return _Reading(
         inputs={"n": args.n}, value=value, digits=17,
-        error_bound=math.nextafter(1 / args.n, math.inf), bound_is_heuristic=False,
-        micros=micros,
+        error_bound=Fraction((1 << 106) + 613 * args.n, args.n << 106),
+        bound_is_heuristic=False, micros=micros,
     )
 
 
@@ -334,7 +336,7 @@ def _read_rearranged(args) -> _Reading:
         inputs={"T": args.T, "n": args.n}, value=_binary(value),
         digits=_digits_for(math.inf, value),
         # the partial sum itself is exact; float() rounds it to nearest
-        error_bound=math.ldexp(abs(value), -53), bound_is_heuristic=False,
+        error_bound=Fraction(abs(value)) / 2**53, bound_is_heuristic=False,
         micros=micros + sum_micros, blocks_used=c,
         extras={
             # Decimal prints integers of any length; str(int) stops at 4300 digits
@@ -347,19 +349,19 @@ def _read_rearranged(args) -> _Reading:
 def _cmd_value(args) -> int:
     """Every value subcommand: print the reading that `args.reading` takes."""
     reading = args.reading(args)
-    # `precision` significant digits err by little more than half a unit in
-    # the last digit (_decimal rounds to guard bits first), a unit
-    # being at most |value| 10^(1 - precision).  The whole unit charged also
-    # covers its own float arithmetic, nextafter rounds the sum up, and a
-    # zero value prints exactly.
-    charge = abs(_double(reading.value)) * 10.0 ** (1 - reading.digits)
-    bound = reading.error_bound + charge
+    text = _decimal(*reading.value, reading.digits)
+    # the reading's bound n/d plus the exact |p/q - m 2^e| of the printed
+    # digits, rounded up once; e <= 0 for a double and for a kernel pair, whose
+    # prec passes |value|'s bits.  An inf tolerance is n/d = 1/0
+    (p, q), (m, e) = Decimal(text).as_integer_ratio(), reading.value
+    charge, unit = abs((p << -e) - q * m), q << -e
+    n, d = (1, 0) if reading.error_bound == math.inf else reading.error_bound.as_integer_ratio()
     payload = {
         "command": args.command,
         "inputs": reading.inputs,
-        "value": _decimal(*reading.value, reading.digits),
+        "value": text,
         "precision": reading.digits,
-        "error_bound": repr(math.nextafter(bound, math.inf) if charge else bound),
+        "error_bound": repr(_float_upper(n * unit + charge * d, d * unit)),
         "bound_is_heuristic": reading.bound_is_heuristic,
         "blocks_used": reading.blocks_used,
         **reading.extras,
@@ -472,7 +474,7 @@ def _bench_target(target: str):
     return vec, 1.0, libmp.to_float(total, rnd=libmp.round_nearest), "vector"
 
 
-def _rearranged_prefix(vec, count: int) -> tuple[float, float]:
+def _rearranged_prefix(vec, count: int) -> tuple[float, Fraction]:
     """(float prefix sum of the stream, rigorous error bound vs ln T).
 
     The first `complete` groups of T + 1 terms are blocks of vec =
@@ -483,13 +485,13 @@ def _rearranged_prefix(vec, count: int) -> tuple[float, float]:
     total = float(partial_sum_float(vec, complete)) + math.fsum(
         1.0 / (complete * T + j) for j in range(1, leftover + 1)
     )
-    bound = tail_bound(vec, max(2, complete))
+    bound = Fraction(tail_bound(vec, max(2, complete)))
     if complete < 2:
         # the tail bound starts at two blocks; charge the skipped ones whole
-        bound += 2.0 * (math.log(T + 1) + 2.0)
+        bound += 2 * (Fraction(math.log(T + 1)) + 2)
     elif leftover:
         # partial block k: its terms sum to less than 2(T+1)/(kT)
-        bound += 2.0 * (T + 1) / (complete * T)
+        bound += Fraction(2 * (T + 1), complete * T)
     return total, bound
 
 
@@ -522,7 +524,7 @@ def bench(target: str, methods: list[str], work_schedule: list[int]) -> list[Con
 
     Each row is computed three times; wall_time_micros is the fastest.
     Every row's value is scaled to the target and rounded to a double in
-    one place, which charges that rounding to its error_bound.
+    one place, which charges that rounding to its exact error_bound.
     """
     if not methods:
         raise SeriesError("need at least one method")
@@ -550,17 +552,11 @@ def bench(target: str, methods: list[str], work_schedule: list[int]) -> list[Con
             # 4.5e-16 |value| of c x, a rearranged row's additions in doubles
             # included, and c' b falls at most 3.01u short of c b: under
             # 5.8e-16 at a pi row's largest b (raw at two blocks, 1/3).
-            # 1e-15 (1 + |value|) covers both and the rounding of this sum.
-            rows.append(
-                ConvergenceRow(
-                    method=method,
-                    work=work,
-                    value=value,
-                    error_bound=scale * b + 1e-15 * (1.0 + abs(value)),
-                    abs_error_vs_reference=abs(value - reference),
-                    wall_time_micros=min(micros for _, micros in runs),
-                )
-            )
+            # 1e-15 (1 + |value|) covers both.
+            bound = Fraction(scale) * Fraction(b) + Fraction(1e-15) * (1 + Fraction(abs(value)))
+            rows.append(ConvergenceRow(method, work, value,
+                                       _float_upper(bound.numerator, bound.denominator),
+                                       abs(value - reference), min(m for _, m in runs)))
     return rows
 
 

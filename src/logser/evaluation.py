@@ -444,20 +444,22 @@ def harmonic(n: int) -> Fraction:
     return _harmonic_range(0, n)
 
 
-def _weighted_mass(v: CoefficientVector) -> int:
-    """M D = sum_j |a_j D| (T - j): the truncation bound's constant M, times D."""
+def _truncation(v: CoefficientVector, blocks: int) -> tuple[int, int]:
+    """(M D, T^2 D (K - 1)), the tail bound after K = blocks, M D = sum_j |w_j| (T - j)."""
     T = v.modulus
-    return sum(abs(w) * (T - j) for j, w in enumerate(v.weights, start=1))
+    mass = sum(abs(w) * (T - j) for j, w in enumerate(v.weights, start=1))
+    return mass, v.scale * T * T * (blocks - 1)
 
 
 def _float_upper(num: int, den: int) -> float:
-    """Smallest convenient float that is >= num/den, for num >= 0, den > 0.
+    """The least double >= num/den (num, den >= 0): the one exit for bounds.
 
-    A quotient past the double range gives inf, still an upper bound.
+    num / den rounds correctly, so it is the answer or the double below
+    it.  A quotient past the double range, or num/0, gives inf.
     """
     try:
         f = num / den
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return math.inf
     p, q = f.as_integer_ratio()
     return f if p * den >= num * q else math.nextafter(f, math.inf)
@@ -472,7 +474,7 @@ def tail_bound(v: CoefficientVector, blocks: int) -> float:
     """
     if blocks < 2:
         raise ValueError("tail bound requires at least 2 blocks")
-    return _float_upper(_weighted_mass(v), v.scale * v.modulus**2 * (blocks - 1))
+    return _float_upper(*_truncation(v, blocks))
 
 
 def _lowest_terms(numerator: int, denominator: int) -> Fraction:
@@ -782,15 +784,16 @@ def _double(value: tuple[int, int]) -> float:
     return math.ldexp(*_round(*value, 53))
 
 
-def _allowance(v: CoefficientVector, value: int, prec: int, carried: int) -> float:
-    """2^-(prec-20) (R + |value| + 1); value is scaled.
+def _allowance(v: CoefficientVector, value: int, prec: int, carried: int) -> tuple[int, int]:
+    """(n, d): 2^-(prec-20) (R + |value| + 1) as n/d, exactly; value is scaled.
 
     R = carried / (D T) is the magnitude of the psi tail that value came
-    from, the carried count _psi_tail returns.
+    from, the carried count _psi_tail returns.  _evaluate adds the pair to
+    its other parts exactly and rounds the sum up once.
     """
     wp = prec + 10
-    scale = (carried << wp) // (v.scale * v.modulus) + abs(value)
-    return (scale + (1 << wp)) / (1 << (2 * prec - 10))
+    DT = v.scale * v.modulus
+    return (carried << wp) + (abs(value) + (1 << wp)) * DT, DT << (2 * prec - 10)
 
 
 def partial_sum_float(v: CoefficientVector, blocks: int, prec: int = _MIN_PREC):
@@ -847,8 +850,9 @@ def evaluate(
     sum is two psi tails, so its cost does not grow with K and no limit
     bounds it.  accelerated mode sums no block and returns
     -(1/T) sum_j a_j psi(j/T).  The value is _evaluate's prec-bit pair,
-    made an mpf by _mpf.  `prefix_blocks` is deprecated: a value other
-    than None warns and is ignored.
+    made an mpf by _mpf, and the bound the exact sum of its parts,
+    rounded up once.  `prefix_blocks` is deprecated: a value other than
+    None warns and is ignored.
 
     Unachievable signals that abs_err sits below the working-precision
     floor, or that rounding would push the bound past it.
@@ -897,8 +901,9 @@ def _evaluate(
     tails take the same c, or 0 for the row, so they err by under twice
     2^10 u R + u with the R its tail after K blocks carries, and rounding
     to prec bits adds 2^10 u |value|.  So the total is under
-    2^11 u (R + |value| + 1), 2^19 times below the reported
-    2^-(prec-20) (R + |value| + 1).  raw adds its tail bound.
+    2^11 u (R + |value| + 1), 2^19 times below the allowance
+    2^-(prec-20) (R + |value| + 1).  raw adds its tail bound, and the
+    exact sum is rounded up once.
     """
     if not abs_err > 0:
         raise ValueError("abs_err must be positive")
@@ -908,7 +913,8 @@ def _evaluate(
         return (0, 0), 0.0, 2 if method == "raw" else 0
     prec = _working_prec(abs_err, v)
     if method == "raw":
-        blocks, mass, den = 2, _weighted_mass(v), v.scale * v.modulus**2
+        # the tail bound after K blocks is the one after 2 over K - 1
+        blocks, (mass, den) = 2, _truncation(v, 2)
         if not math.isinf(abs_err):
             # the tail gets abs_err n/d less 2^-20 of it; the rest is for the
             # allowance: K - 1 >= M / (T^2 (n/d) (1 - 2^-20)), in integers
@@ -917,11 +923,12 @@ def _evaluate(
         # the first `blocks` blocks are the series minus its tail after them
         tail, carried = _psi_tail(v, blocks, prec)
         value = _psi_tail(v, 0, prec)[0] - tail
-        bound = _float_upper(mass, den * (blocks - 1))
+        den *= blocks - 1
     else:
-        blocks, bound = 0, 0.0
+        blocks, mass, den = 0, 0, 1
         value, carried = _psi_tail(v, 0, prec)
-    bound += _allowance(v, value, prec, carried)
+    n, d = _allowance(v, value, prec, carried)
+    bound = _float_upper(mass * d + n * den, den * d)
     if bound > abs_err:
         raise Unachievable(
             f"{prec} bits of working precision cannot reach abs_err={abs_err}"

@@ -7,8 +7,9 @@ The oracles here deliberately avoid the package's own summation paths:
 Gauss's digamma theorem, so they can referee the library's exact and
 floating routes.  ``digamma_limit`` is the one mpmath reference of that
 limit, through mpmath's own digamma, and ``as_fraction`` reads an mpf
-exactly.  An autouse fixture fails any test that runs for more than a
-minute.
+exactly.  ``least_double_at_least`` is the reference for logser's one
+exit for bounds.  An autouse fixture fails any test that runs for more
+than a minute.
 """
 
 from __future__ import annotations
@@ -138,3 +139,8 @@ def as_fraction(x) -> Fraction:
         return x
     p, q = libmp.to_rational(x._mpf_)
     return Fraction(int(p), int(q))
+
+
+def least_double_at_least(f: float, x: Fraction) -> bool:
+    """Whether f is the least double >= x: x <= f, and the double below f is < x."""
+    return Fraction(math.nextafter(f, -math.inf)) < x and (f == math.inf or x <= Fraction(f))

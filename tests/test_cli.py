@@ -32,11 +32,12 @@ from logser import (
     quadrature,
     rearranged_terms,
     relations,
+    tail_bound,
     vectors,
 )
 from logser.cli import CSV_HEADER, bench, run
 
-from conftest import as_fraction, digamma_limit
+from conftest import as_fraction, digamma_limit, least_double_at_least
 
 
 def run_capture(capsys, argv):
@@ -429,6 +430,8 @@ PRINTED_REFERENCES = {
     # the limit, not the partial
     "gamma --n 100": lambda: +mp.euler,
     "gamma --n 1000000000000000000000000000000": lambda: +mp.euler,
+    # 1/n is 1e-40 here, so the bound must count the kernel's 7.6e-30
+    "gamma --n 10000000000000000000000000000000000000000": lambda: +mp.euler,
     "integral-check --T 4 --j 2": lambda: digamma_limit(make_vector(4, (0, 1, -1, 0))),
     "decompose --T 3": lambda: mp.log(3),
     "rearranged --T 1 --n 7": _rearranged_sum(1, 7),
@@ -450,6 +453,92 @@ class TestPrintedBound:
             reference = as_fraction(PRINTED_REFERENCES[argv]())
         error = abs(Fraction(payload["value"]) - reference)
         assert error <= Fraction(payload["error_bound"]), (payload["value"], error)
+
+
+def _eval_argv(head, exponent, method):
+    coeffs = ",".join(map(str, head + [-sum(head)]))
+    return f"eval --T {len(head) + 1} --coeffs={coeffs} --abs-err 1e-{exponent} --method {method}"
+
+
+# every value subcommand, at random inputs, and the heuristic ones at tol inf
+_VALUE_ARGVS = st.one_of(
+    st.builds("ln {} --abs-err 1e-{} --method {}".format, st.integers(2, 80),
+              st.integers(3, 40), st.sampled_from(("raw", "accelerated"))),
+    st.builds("lnq {}/{} --abs-err 1e-{}".format, st.integers(1, 60), st.integers(1, 60),
+              st.integers(3, 30)),
+    st.builds(_eval_argv, st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=7),
+              st.integers(3, 30), st.sampled_from(("raw", "accelerated"))),
+    st.builds("pi --abs-err 1e-{}".format, st.integers(3, 12)),
+    st.builds("gamma --n {}".format, st.one_of(st.integers(1, 10**6), st.integers(1, 10**60))),
+    st.builds("rearranged --T {} --n {}".format, st.integers(1, 9), st.integers(1, 300)),
+    st.builds("integral-check --T {} --j {} --tol {}".format, st.just(5), st.integers(1, 4),
+              st.sampled_from(("1e-9", "1e-6", "inf"))),
+    st.builds("decompose --T {} --tol {}".format, st.integers(2, 12),
+              st.sampled_from(("1e-10", "1e-6", "inf"))),
+)
+
+
+def _reading_parts(args):
+    """The exact sum of a reading's parts, recomputed from the library."""
+    if args.command in ("ln", "lnq", "eval"):
+        return Fraction(evaluation._evaluate(args.vector(args)[0], args.abs_err, args.method)[1])
+    if args.command == "pi":
+        value, series = quadrature.pi_with_series(args.abs_err)
+        return Fraction(26, 5) * Fraction(series.error_bound) + Fraction(abs(value)) / 2**50
+    if args.command == "gamma":
+        # the telescoped steps to the limit, and gamma_partial's proved error
+        return Fraction(1, args.n) + Fraction(101, 2**106) + Fraction(1, 2**97)
+    if args.command == "rearranged":
+        return Fraction(abs(float(sum(rearranged_terms(args.T, args.n), Fraction(0))))) / 2**53
+    # integral-check and decompose: the heuristic tolerance, which may be inf
+    return args.tol if args.tol == math.inf else Fraction(args.tol)
+
+
+class TestOneExitForBounds:
+    """Every bound is the exact sum of its parts, rounded up once to a double."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_VALUE_ARGVS)
+    def test_payload_bound_is_the_reading_and_the_printed_charge_rounded_up(self, argv):
+        args = cli._parse(argv.split())
+        reading = args.reading(args)
+        parts = _reading_parts(args)
+        assert reading.error_bound == parts
+        code, out = capture(argv.split())
+        assert code == 0
+        payload = json.loads(out)
+        m, e = reading.value
+        charge = abs(Fraction(payload["value"]) - m * Fraction(2) ** e)
+        if parts == math.inf:
+            assert payload["error_bound"] == "inf"
+        else:
+            assert least_double_at_least(float(payload["error_bound"]), parts + charge)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        target=st.sampled_from(["ln:2", "ln:5", "pi", "vector:3:1,-1,0", "vector:4:1/2,-3,1,3/2"]),
+        method=st.sampled_from(cli._BENCH_METHODS),
+        work=st.integers(1, 400),
+    )
+    def test_bench_row_bound_is_its_exact_parts_rounded_up(self, target, method, work):
+        if method == "rearranged" and not target.startswith("ln"):
+            return
+        (row,) = bench(target, [method], [work])
+        vec, scale, _, _ = cli._bench_target(target)
+        x, b = cli._bench_value(method, work, vec)
+        if method == "rearranged":
+            # the tail after whole blocks, and the skipped or partial block's charge
+            T = vec.modulus
+            complete, leftover = divmod(work, T + 1)
+            want = Fraction(tail_bound(vec, max(2, complete)))
+            if complete < 2:
+                want += 2 * (Fraction(math.log(T + 1)) + 2)
+            elif leftover:
+                want += Fraction(2 * (T + 1), complete * T)
+            assert b == want
+        assert row.value == scale * float(x)
+        parts = Fraction(scale) * Fraction(b) + Fraction(1e-15) * (1 + Fraction(abs(row.value)))
+        assert least_double_at_least(row.error_bound, parts)
 
 
 def _to_str(man: int, exp: int, prec: int, digits: int) -> str:

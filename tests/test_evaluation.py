@@ -49,6 +49,7 @@ from conftest import (
     exact_block_oracle,
     float_block_oracle,
     gauss_digamma_limit,
+    least_double_at_least,
     random_balanced,
 )
 
@@ -689,14 +690,16 @@ class TestEvaluateAccelerated:
             ru = evaluate(u, 1e-10)
             rv = evaluate(v, 1e-10)
             rc = evaluate(combo, 1e-10)
-            lhs = float(rc.value)
-            rhs = float(alpha) * float(ru.value) + float(beta) * float(rv.value)
+            # S(alpha u + beta v) = alpha S(u) + beta S(v) exactly, so the values,
+            # read as exact rationals, differ by at most the summed bounds
+            lhs = as_fraction(rc.value)
+            rhs = alpha * as_fraction(ru.value) + beta * as_fraction(rv.value)
             budget = (
-                rc.error_bound
-                + abs(float(alpha)) * ru.error_bound
-                + abs(float(beta)) * rv.error_bound
+                Fraction(rc.error_bound)
+                + abs(alpha) * Fraction(ru.error_bound)
+                + abs(beta) * Fraction(rv.error_bound)
             )
-            assert abs(lhs - rhs) <= budget + 1e-14
+            assert abs(lhs - rhs) <= budget
 
     def test_unachievable_accuracy(self):
         with pytest.raises(Unachievable):
@@ -740,14 +743,15 @@ def _prefix_and_tail(v, blocks, abs_err):
     At evaluate's working precision for abs_err, partial_sum_exact(v,
     blocks) is floored at scale 2^(prec+10) and _psi_tail(v, blocks, prec)
     added, and the bound is the rounding allowance on the sum's carried
-    count; flooring the prefix adds u, inside its 2^19 margin.  The bound
-    must meet abs_err, as evaluate's does.
+    count, its exact pair rounded up by _float_upper as evaluate's is;
+    flooring the prefix adds u, inside its 2^19 margin.  The bound must
+    meet abs_err, as evaluate's does.
     """
     prec = evaluation._working_prec(abs_err, v)
     prefix = partial_sum_exact(v, blocks)
     tail, carried = evaluation._psi_tail(v, blocks, prec)
     value = (prefix.numerator << (prec + 10)) // prefix.denominator + tail
-    bound = evaluation._allowance(v, value, prec, carried)
+    bound = evaluation._float_upper(*evaluation._allowance(v, value, prec, carried))
     assert bound <= abs_err, (v.coeffs, blocks, abs_err, bound)
     return evaluation._mpf(*evaluation._round(value, -(prec + 10), prec)), bound
 
@@ -1258,6 +1262,75 @@ def test_raw_bookkeeping_matches_the_fraction_reference(v, abs_err):
     except Unachievable:
         return
     assert result.blocks_used == blocks
+
+
+@st.composite
+def _quotients(draw):
+    """(num, den): random sizes, doubles and their neighbours, past the range and below it."""
+    kind = draw(st.sampled_from(("random", "double", "huge", "tiny")))
+    if kind == "random":
+        return draw(st.integers(0, 1 << 1200)), draw(st.integers(1, 1 << 1200))
+    if kind == "huge":
+        # from the largest double to past the range, where num / den overflows
+        return draw(st.integers(int(sys.float_info.max), 1 << 1030)), draw(st.integers(1, 3))
+    if kind == "tiny":
+        # a positive quotient below half the least subnormal, 2^-1075
+        return draw(st.integers(1, 1 << 64)), draw(st.integers(1 << 1140, 1 << 1300))
+    x = draw(st.floats(min_value=0.0, allow_infinity=False))
+    p, q = x.as_integer_ratio()
+    k = draw(st.integers(1, 1 << 80))
+    return max(0, p * k + draw(st.integers(-1, 1))), q * k
+
+
+@settings(max_examples=500, deadline=None)
+@given(_quotients())
+def test_float_upper_is_the_least_double_at_least_the_quotient(quotient):
+    num, den = quotient
+    assert least_double_at_least(evaluation._float_upper(num, den), Fraction(num, den))
+
+
+@pytest.mark.parametrize("num, den, want", [
+    (0, 7, 0.0),
+    (1, 3, math.nextafter(1 / 3, 1.0)),  # 1/3 rounds down to nearest
+    (1, 10, 0.1),                        # 1/10 rounds up to nearest
+    (int(sys.float_info.max) + 1, 1, math.inf),
+    (1 << 1024, 1, math.inf),            # num / den overflows
+    (1, 1 << 1075, 5e-324),              # half the least subnormal rounds to 0
+    (1, 1 << 2000, 5e-324),
+    (1, 0, math.inf),                    # n/0, an inf heuristic tolerance in the CLI
+])
+def test_float_upper_edges(num, den, want):
+    assert evaluation._float_upper(num, den) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    v=_prec_vectors().filter(lambda v: not v.is_zero()),
+    abs_err=st.floats(min_value=1e-60, max_value=10.0),
+    method=st.sampled_from(("accelerated", "raw")),
+)
+def test_evaluate_bound_is_its_exact_parts_rounded_up_once(v, abs_err, method):
+    # the allowance 2^-(prec-20) (R + |value| + 1), plus raw's tail
+    # M / (T^2 (K - 1)), in Fractions from the coefficients; tail_bound is
+    # the tail alone, rounded up
+    try:
+        (m, e), bound, blocks = evaluation._evaluate(v, abs_err, method)
+    except Unachievable:
+        return
+    prec = evaluation._working_prec(abs_err, v)
+    T = v.modulus
+    value, carried = evaluation._psi_tail(v, 0, prec)
+    tail = Fraction(0)
+    if method == "raw":
+        after, carried = evaluation._psi_tail(v, blocks, prec)
+        value -= after
+        mass = sum(abs(a) * (T - j) for j, a in enumerate(v.coeffs, start=1))
+        tail = mass / (T * T * (blocks - 1))
+        assert least_double_at_least(tail_bound(v, blocks), tail)
+    assert (m, e) == evaluation._round(value, -(prec + 10), prec)
+    R = Fraction(carried, v.scale * T)
+    allowance = (R + Fraction(abs(value), 1 << (prec + 10)) + 1) / (1 << (prec - 20))
+    assert least_double_at_least(bound, tail + allowance)
 
 
 @st.composite
