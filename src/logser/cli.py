@@ -11,20 +11,23 @@ field, so goldens never depend on binary float formatting.  precision
 is three digits past abs_err's place, at least 17, plus one for each
 digit of |value| before the point past the first.  error_bound covers
 the printed digits: it is the reading's bound plus the exact distance
-|printed - value|, rounded up once by evaluation._float_upper.  Reals are
-printed from integers by _decimal: each reading holds its value as
-(m, e), the exact m 2^e (the kernel's value as evaluation hands it out,
-already rounded to prec bits, or a double read through
-as_integer_ratio), and the digits come from the rule mpmath's to_str
-applies, ported to integers.  No mpmath context is read or set, so
-concurrent calls print what single calls print.  ln, lnq, eval, gamma
+|printed - value|, the digits read back as integers by _printed, rounded
+up once by evaluation._float_upper.  No reading counts a kernel error of
+its own: each takes the bound that evaluation hands out with its pair,
+and adds only what it does past the pair.  Reals are printed from
+integers by _decimal: each reading holds its value as (m, e), the exact
+m 2^e (the kernel's value as evaluation hands it out, already rounded
+to prec bits, or a double read through as_integer_ratio), and the
+digits come from the rule mpmath's to_str applies, ported to integers.
+No mpmath context is read or set, so concurrent calls print what
+single calls print.  ln, lnq, eval, gamma
 and relations take the pairs of _evaluate, _gamma_partial and
 verify_zero's unread result as they come, pi and integral-check take
 doubles that quadrature reads off _evaluate's pair, and rearranged sums
-exactly, so none of them imports mpmath.  mpmath is imported by bench's
-rows, which read an mpf from evaluate or partial_sum_float, and by the
-references that decompose and bench take (_ln_float, _bench_target),
-not with this module.  So are `quadrature`
+exactly, so none of them imports mpmath, and nor do bench's rows, which
+read the pairs of _evaluate and evaluation._partial.  mpmath is imported
+by the references that decompose and bench take (_ln_float,
+_bench_target), not with this module.  So are `quadrature`
 (by pi, integral-check, decompose and bench's quadrature rows) and
 `relations` (by relations) in the handlers that use them, argparse
 in _parsers and _parse, and json by the first payload printed
@@ -34,11 +37,15 @@ dataclasses is not imported either.
 
 `bench` prints one CSV row per method and work.  Each method yields its
 value and bound before any scaling, and `bench` scales them to the
-target and charges the printed double's rounding, 1e-15 (1 + |value|),
-in one place.  A quadrature row integrates the one integrand R/P that
-`quadrature` owns, R read off the target's difference-basis
-coordinates, for every target; `quadrature` checks both of its rules'
-Horner slots against TERM_LIMIT before either runs.
+target and charges the printed double's rounding in one place.  A raw,
+accelerated or rearranged row's value and bound are exact, the kernel's
+allowance included, so its charge is the exact distance to the printed
+double, or for pi the argument of _pi_bound, which the pi reading
+shares.  A quadrature row's bound is a heuristic estimate, and its
+charge 1e-15 (1 + |value|).  A quadrature row integrates the one
+integrand R/P that `quadrature` owns, R read off the target's
+difference-basis coordinates, for every target; `quadrature` checks
+both of its rules' Horner slots against TERM_LIMIT before either runs.
 
 Exit codes: 0 success, 1 domain error (for example unbalanced
 coefficients) or a standard output closed before the payload was
@@ -72,11 +79,10 @@ from .evaluation import (
     _float_upper,
     _gamma_partial,
     _harmonic_range,
+    _partial,
     _round,
-    evaluate,
-    partial_sum_float,
+    _truncation,
     rearranged_terms,
-    tail_bound,
 )
 from .vectors import _difference_vector, _Record, ln_rational_vector, ln_vector, make_vector
 
@@ -258,34 +264,40 @@ def _read_series(args) -> _Reading:
     )
 
 
+def _pi_bound(value: float, bound: float | Fraction) -> Fraction:
+    """The exact bound on |value - pi| for value = fl(fl(3 fl(sqrt 3)) fl(S~)).
+
+    pi = 3 sqrt(3) S exactly, for S the series of the first difference
+    vector over 3, and |S~ - S| <= bound.  The square root, the two
+    products and the conversion of S~ to the nearest double each round to
+    nearest (relative error <= u = 2^-53), so |value - 3 sqrt(3) S~| <
+    4.01u |value|.  26/5 > 3 sqrt(3) and 2^-50 = 8u > 4.01u, summed
+    exactly.  The pi reading and bench's pi rows share this argument.
+    """
+    (bn, bd), (vn, vd) = bound.as_integer_ratio(), abs(value).as_integer_ratio()
+    return Fraction((26 * bn * vd << 50) + 5 * vn * bd, 5 * bd * vd << 50)
+
+
 def _read_pi(args) -> _Reading:
     from . import quadrature
 
     (value, series), micros = _timed(quadrature.pi_with_series, args.abs_err)
     digits = _digits_for(args.abs_err, value)
-    # pi = 3 sqrt(3) S exactly, and value = fl(fl(3 fl(sqrt 3)) float(S~))
-    # with |S~ - S| <= series.error_bound.  The square root and the two
-    # products round to nearest (relative error <= u = 2^-53 each) and the
-    # conversion of S~ errs by less than one unit in the last place (2u),
-    # so |value - 3 sqrt(3) S~| < 5.01u |value|.  26/5 > 3 sqrt(3) and
-    # 2^-50 = 8u > 5.01u, summed exactly
-    (bn, bd), (vn, vd) = series.error_bound.as_integer_ratio(), abs(value).as_integer_ratio()
-    bound = Fraction((26 * bn * vd << 50) + 5 * vn * bd, 5 * bd * vd << 50)
     return _Reading(
         inputs={"abs_err": repr(args.abs_err)}, value=_binary(value), digits=digits,
-        error_bound=bound, bound_is_heuristic=False,
+        error_bound=_pi_bound(value, series.error_bound), bound_is_heuristic=False,
         micros=micros, blocks_used=series.blocks_used,
         extras={"arctan_cross_check": _real(quadrature.pi_arctan(), digits)},
     )
 
 
 def _read_gamma(args) -> _Reading:
-    value, micros = _timed(_gamma_partial, args.n)
+    (value, (bn, bd)), micros = _timed(_gamma_partial, args.n)
     # distance to the limit: the steps A_n - A_{n+1} lie in (0, 1/(n(n+1)))
-    # and telescope to at most 1/n, plus gamma_partial's 613 2^-106
+    # and telescope to at most 1/n, plus the kernel's proved bn/bd
     return _Reading(
         inputs={"n": args.n}, value=value, digits=17,
-        error_bound=Fraction((1 << 106) + 613 * args.n, args.n << 106),
+        error_bound=Fraction(bd + bn * args.n, args.n * bd),
         bound_is_heuristic=False, micros=micros,
     )
 
@@ -346,16 +358,25 @@ def _read_rearranged(args) -> _Reading:
     )
 
 
+def _printed(text: str) -> tuple[int, int]:
+    """(p, q), q > 0: the exact value p/q of a decimal string that _decimal prints."""
+    mantissa, _, exponent = text.partition("e")
+    whole, _, decimals = mantissa.partition(".")
+    power = int(exponent or 0) - len(decimals)
+    return int(whole + decimals) * 10**max(power, 0), 10**max(-power, 0)
+
+
 def _cmd_value(args) -> int:
     """Every value subcommand: print the reading that `args.reading` takes."""
     reading = args.reading(args)
     text = _decimal(*reading.value, reading.digits)
     # the reading's bound n/d plus the exact |p/q - m 2^e| of the printed
     # digits, rounded up once; e <= 0 for a double and for a kernel pair, whose
-    # prec passes |value|'s bits.  An inf tolerance is n/d = 1/0
-    (p, q), (m, e) = Decimal(text).as_integer_ratio(), reading.value
+    # prec passes |value|'s bits.  Only a heuristic float tolerance can be inf,
+    # which is n/d = 1/0
+    (p, q), (m, e), bound = _printed(text), reading.value, reading.error_bound
     charge, unit = abs((p << -e) - q * m), q << -e
-    n, d = (1, 0) if reading.error_bound == math.inf else reading.error_bound.as_integer_ratio()
+    n, d = (1, 0) if reading.bound_is_heuristic and math.isinf(bound) else bound.as_integer_ratio()
     payload = {
         "command": args.command,
         "inputs": reading.inputs,
@@ -474,49 +495,44 @@ def _bench_target(target: str):
     return vec, 1.0, libmp.to_float(total, rnd=libmp.round_nearest), "vector"
 
 
-def _rearranged_prefix(vec, count: int) -> tuple[float, Fraction]:
-    """(float prefix sum of the stream, rigorous error bound vs ln T).
-
-    The first `complete` groups of T + 1 terms are blocks of vec =
-    ln_vector(T); the leftover terms are 1/(complete * T + j).
-    """
-    T = vec.modulus
-    complete, leftover = divmod(count, T + 1)
-    total = float(partial_sum_float(vec, complete)) + math.fsum(
-        1.0 / (complete * T + j) for j in range(1, leftover + 1)
-    )
-    bound = Fraction(tail_bound(vec, max(2, complete)))
-    if complete < 2:
-        # the tail bound starts at two blocks; charge the skipped ones whole
-        bound += 2 * (Fraction(math.log(T + 1)) + 2)
-    elif leftover:
-        # partial block k: its terms sum to less than 2(T+1)/(kT)
-        bound += Fraction(2 * (T + 1), complete * T)
-    return total, bound
-
-
 def _bench_value(method, work, vec):
     """(value, error bound) of one bench row, before scaling and rounding.
 
-    An accelerated row is the whole psi tail, so it ignores work.
+    A quadrature row gives two doubles, its value and the heuristic
+    estimate of its error.  A raw, accelerated or rearranged row gives
+    two Fractions: the exact value of the kernel's pair, with any
+    leftover terms, and the exact sum of its bound's parts.  An
+    accelerated row is _evaluate's whole psi tail and its bound, so it
+    ignores work.  raw sums c = max(2, work) blocks by _partial, with
+    evaluation's allowance and the truncation after them.  A rearranged
+    row of `work` terms is c whole groups of T + 1 terms, which are
+    blocks of vec = ln_vector(T), and r leftover terms 1/(cT + j), which
+    extend H_{cT}: the kernel's c blocks and their bound as raw's, plus
+    H_{cT+r} - H_{cT} summed exactly, and the charge for the block that
+    the truncation skips or that the leftover terms leave.
     """
-    if method == "raw":
-        blocks = max(2, work)
-        return partial_sum_float(vec, blocks), tail_bound(vec, blocks)
-    if method == "accelerated":
-        result = evaluate(vec, float("inf"))
-        return result.value, result.error_bound
-    if method == "rearranged":
-        return _rearranged_prefix(vec, work)
-    from . import quadrature
+    if method == "quadrature":
+        from . import quadrature
 
-    # quadrature: the series is the integral of R/P, R read off the
-    # target's difference-basis coordinates.  The step to work + 1 panels
-    # estimates the error, or to work - 1 at the panel limit, which work + 1
-    # would pass
-    step = work + 1 if work < quadrature._PANEL_LIMIT else work - 1
-    value, other = quadrature._composite(quadrature._numerator(vec), work, step)
-    return value, abs(value - other)
+        # the series is the integral of R/P, R read off the target's
+        # difference-basis coordinates.  The step to work + 1 panels
+        # estimates the error, or to work - 1 at the panel limit, which
+        # work + 1 would pass
+        step = work + 1 if work < quadrature._PANEL_LIMIT else work - 1
+        value, other = quadrature._composite(quadrature._numerator(vec), work, step)
+        return value, abs(value - other)
+    if method == "accelerated":
+        (m, e), bound, _ = _evaluate(vec, math.inf, method)
+        return m * Fraction(2) ** e, Fraction(bound)
+    T = vec.modulus
+    c, r = (max(2, work), 0) if method == "raw" else divmod(work, T + 1)
+    (m, e), (n, d) = _partial(vec, c)
+    bound = Fraction(n, d) + Fraction(*_truncation(vec, max(2, c)))
+    if c < 2 or r:
+        # the truncation starts at two blocks, so the skipped ones are charged
+        # whole; the terms of partial block c sum to less than 2(T+1)/(cT)
+        bound += 2 * (Fraction(math.log(T + 1)) + 2) if c < 2 else Fraction(2 * (T + 1), c * T)
+    return m * Fraction(2) ** e + _harmonic_range(c * T, c * T + r), bound
 
 
 def bench(target: str, methods: list[str], work_schedule: list[int]) -> list[ConvergenceRow]:
@@ -524,7 +540,11 @@ def bench(target: str, methods: list[str], work_schedule: list[int]) -> list[Con
 
     Each row is computed three times; wall_time_micros is the fastest.
     Every row's value is scaled to the target and rounded to a double in
-    one place, which charges that rounding to its exact error_bound.
+    one place, which charges that rounding to its error_bound.  A raw,
+    accelerated or rearranged row's error_bound is the exact sum of its
+    parts rounded up once: its bound from _bench_value, and the exact
+    |value - x| of the double nearest its exact x, or for pi the argument
+    of _pi_bound.  A quadrature row's stays heuristic.
     """
     if not methods:
         raise SeriesError("need at least one method")
@@ -545,15 +565,15 @@ def bench(target: str, methods: list[str], work_schedule: list[int]) -> list[Con
             runs = [_timed(_bench_value, method, work, vec) for _ in range(_BENCH_RUNS)]
             x, b = runs[0][0]
             value = scale * float(x)
-            # value = fl(c' fl(x)) for the method's x within b of the series
-            # (raw's 96-bit kernel adds under 2^-95 (A + |x| + 1), A the mean
-            # |a_j|), where c' is 1, or for pi fl(3 fl(sqrt 3)), within 2.01u
-            # of c = 3 sqrt 3 (u = 2^-53).  So value is within 4.01u |value| <
-            # 4.5e-16 |value| of c x, a rearranged row's additions in doubles
-            # included, and c' b falls at most 3.01u short of c b: under
-            # 5.8e-16 at a pi row's largest b (raw at two blocks, 1/3).
-            # 1e-15 (1 + |value|) covers both.
-            bound = Fraction(scale) * Fraction(b) + Fraction(1e-15) * (1 + Fraction(abs(value)))
+            # an exact x is charged its exact distance to its double, or pi's
+            # 3 sqrt(3) argument.  A quadrature x is a double near the series
+            # and value = fl(c' x), where c' is 1, or for pi fl(3 fl(sqrt 3)),
+            # within 2.01u of c = 3 sqrt 3 (u = 2^-53), and c' b falls at most
+            # 3.01u short of c b; 1e-15 (1 + |value|) covers both while b
+            # estimates x's error
+            bound = (Fraction(scale) * Fraction(b) + Fraction(1e-15) * (1 + Fraction(abs(value)))
+                     if method == "quadrature" else _pi_bound(value, b) if kind == "pi"
+                     else b + abs(Fraction(value) - x))
             rows.append(ConvergenceRow(method, work, value,
                                        _float_upper(bound.numerator, bound.denominator),
                                        abs(value - reference), min(m for _, m in runs)))

@@ -67,9 +67,11 @@ prec >= 96.  It reads no mpmath context or memo, so no precision set
 and no constant computed elsewhere in the process changes a result.
 A kernel value leaves this module in one form, the pair (m, e) for the
 value m 2^e: the scaled integer rounded once to prec bits by _round, to
-nearest with ties to even, logser's one rounding rule.  _evaluate and
-_gamma_partial return that pair (_evaluate with its bound and blocks),
-and partial_sum_float rounds its sum the same way.  Every other form is
+nearest with ties to even, logser's one rounding rule.  _partial, the
+one kernel sum of the first K blocks or of the whole series, returns
+that pair with its exact allowance, and _gamma_partial with its proved
+error; _evaluate returns _partial's pair with its rounded-up bound and
+its blocks, and partial_sum_float reads the pair.  Every other form is
 read off the pair exactly: _mpf(m, e) is the mpmath.mpf of that value,
 made with no precision and no rounding mode, for evaluate, gamma_partial
 and partial_sum_float, and imports mpmath on its first call; _double is
@@ -435,8 +437,8 @@ def harmonic(n: int) -> Fraction:
     _harmonic_range(0, n): on the wheel over 2 3, each unit o prime to 6
     once, in the blocks (n // s', n // s] between consecutive
     s = 2^i 3^j, about n/3 terms.  The cost grows faster than n, as the
-    exact sum's numerator and denominator grow, so n stops at
-    TERM_LIMIT, checked before any term is summed.
+    exact sum's numerator and denominator grow, so n stops at the
+    TERM_LIMIT that is checked before any term is summed.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -546,18 +548,23 @@ def gamma_partial(n: int) -> GammaPartial:
     remainder, under 49u.  psi(1), from the row of modulus 1, takes 31
     steps: under 50u.  ln m errs by under 2u, as _ln's docstring counts.
     So the sum is within 101u < 2^-99 of A_n.  Rounding it to 96 bits
-    adds at most 2^-97, as gamma < A_n <= 1: under 7.6e-30 in total.
+    adds at most 2^-97 = 512u, as gamma < A_n <= 1: 613u < 7.6e-30 in
+    total, the bound _gamma_partial hands out.
     """
-    return GammaPartial(n=n, value=_mpf(*_gamma_partial(n)))
+    return GammaPartial(n=n, value=_mpf(*_gamma_partial(n)[0]))
 
 
-def _gamma_partial(n: int) -> tuple[int, int]:
-    """(m, e): gamma_partial(n)'s value m 2^e, the kernel's sum rounded to 96 bits."""
+def _gamma_partial(n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """((m, e), (613, 2^106)): gamma_partial(n)'s value m 2^e and its proved error.
+
+    m 2^e is the kernel's sum rounded to 96 bits, within 613 2^-106 of
+    A_n, as gamma_partial's docstring counts.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     m = min(n, _shift_threshold(_MIN_PREC))
     fixed = _psi(n + 1, 1, _MIN_PREC) - _psi_row(1, _MIN_PREC)[0] - _ln(m, 1, _MIN_PREC)
-    return _round(fixed, -(_MIN_PREC + 10), _MIN_PREC)
+    return _round(fixed, -(_MIN_PREC + 10), _MIN_PREC), (613, 1 << 106)
 
 
 # ----------------------------------------------------------------------
@@ -788,28 +795,45 @@ def _allowance(v: CoefficientVector, value: int, prec: int, carried: int) -> tup
     """(n, d): 2^-(prec-20) (R + |value| + 1) as n/d, exactly; value is scaled.
 
     R = carried / (D T) is the magnitude of the psi tail that value came
-    from, the carried count _psi_tail returns.  _evaluate adds the pair to
-    its other parts exactly and rounds the sum up once.
+    from, the carried count _psi_tail returns.  _partial hands the pair
+    out with its value, and _evaluate and the CLI's bench rows add it to
+    their other parts exactly and round the sum up once.
     """
     wp = prec + 10
     DT = v.scale * v.modulus
     return (carried << wp) + (abs(value) + (1 << wp)) * DT, DT << (2 * prec - 10)
 
 
+def _partial(v: CoefficientVector, blocks: int | None,
+             prec: int = _MIN_PREC) -> tuple[tuple[int, int], tuple[int, int]]:
+    """((m, e), (n, d)): the first `blocks` blocks, or the whole series for None.
+
+    The first `blocks` blocks are the series less its psi tail after
+    them.  m 2^e is that sum rounded once to prec bits by _round, and n/d
+    its exact allowance, from the carried count of the tail after
+    `blocks` blocks, or of the whole series: _evaluate's error count
+    covers the sum so rounded within n/d.
+    """
+    value, carried = _psi_tail(v, 0, prec)
+    tail, carried = (0, carried) if blocks is None else _psi_tail(v, blocks, prec)
+    value -= tail
+    return _round(value, -(prec + 10), prec), _allowance(v, value, prec, carried)
+
+
 def partial_sum_float(v: CoefficientVector, blocks: int, prec: int = _MIN_PREC):
     """Floating partial sum of the first `blocks` blocks.
 
     Computed through the exact digamma identity rather than term by
-    term, so the cost is independent of `blocks`.  Accurate to roughly
-    the working precision; use partial_sum_exact for exactness.  prec
-    must lie in [96, 1024], the range evaluate's error analysis covers.
+    term, so the cost is independent of `blocks`: the mpf of _partial's
+    prec-bit pair, whose allowance, the bound _evaluate proves for it, is
+    not returned.  Use partial_sum_exact for exactness.  prec must lie in
+    [96, 1024], the range evaluate's error analysis covers.
     """
     if blocks < 0:
         raise ValueError("blocks must be >= 0")
     if not _MIN_PREC <= prec <= _MAX_PREC:
         raise ValueError(f"prec must be in [{_MIN_PREC}, {_MAX_PREC}], got {prec}")
-    fixed = _psi_tail(v, 0, prec)[0] - _psi_tail(v, blocks, prec)[0]
-    return _mpf(*_round(fixed, -(prec + 10), prec))
+    return _mpf(*_partial(v, blocks, prec)[0])
 
 
 # ----------------------------------------------------------------------
@@ -920,17 +944,14 @@ def _evaluate(
             # allowance: K - 1 >= M / (T^2 (n/d) (1 - 2^-20)), in integers
             n, d = abs_err.as_integer_ratio()
             blocks = max(2, -(-(mass * d << 20) // (den * n * ((1 << 20) - 1))) + 1)
-        # the first `blocks` blocks are the series minus its tail after them
-        tail, carried = _psi_tail(v, blocks, prec)
-        value = _psi_tail(v, 0, prec)[0] - tail
-        den *= blocks - 1
+        value, (n, d) = _partial(v, blocks, prec)
+        n, d = mass * d + n * den * (blocks - 1), den * (blocks - 1) * d
     else:
-        blocks, mass, den = 0, 0, 1
-        value, carried = _psi_tail(v, 0, prec)
-    n, d = _allowance(v, value, prec, carried)
-    bound = _float_upper(mass * d + n * den, den * d)
+        # the whole series has no truncation: its bound is the allowance alone
+        blocks, (value, (n, d)) = 0, _partial(v, None, prec)
+    bound = _float_upper(n, d)
     if bound > abs_err:
         raise Unachievable(
             f"{prec} bits of working precision cannot reach abs_err={abs_err}"
         )
-    return _round(value, -(prec + 10), prec), bound, blocks
+    return value, bound, blocks

@@ -17,14 +17,13 @@ from types import SimpleNamespace
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
 from logser import (
     TERM_LIMIT,
     BudgetExceeded,
-    EvalResult,
     cli,
     evaluate,
     evaluation,
@@ -32,7 +31,6 @@ from logser import (
     quadrature,
     rearranged_terms,
     relations,
-    tail_bound,
     vectors,
 )
 from logser.cli import CSV_HEADER, bench, run
@@ -494,6 +492,36 @@ def _reading_parts(args):
     return args.tol if args.tol == math.inf else Fraction(args.tol)
 
 
+@st.composite
+def _bench_rows(draw):
+    """(target, method, work): a raw, accelerated or rearranged row, T <= 8.
+
+    A vector target is random, or a multiple of a series that is exactly 0
+    (2 ln 2 - ln 4, ln 6 - ln 2 - ln 3, ln 8 - 3 ln 2), whose value does
+    not hide the kernel's error in a charge relative to |value|.
+    """
+    kind = draw(st.sampled_from(("ln", "pi", "vector", "zero")))
+    if kind == "ln":
+        target = f"ln:{draw(st.integers(1, 8))}"
+    elif kind == "pi":
+        target = "pi"
+    else:
+        if kind == "vector":
+            T = draw(st.integers(2, 8))
+            head = draw(st.lists(st.integers(-10**20, 10**20), min_size=T - 1, max_size=T - 1))
+            weights = head + [-sum(head)]
+        else:
+            K = draw(st.one_of(st.integers(1, 10**20), st.integers(0, 20).map(10 .__pow__)))
+            zero = draw(st.sampled_from([(1, -3, 1, 1), (-1, 1, 2, 1, -1, -2),
+                                         (-2, 4, -2, 4, -2, 4, -2, -4)]))
+            weights = [K * a for a in zero]
+        target = f"vector:{len(weights)}:" + ",".join(map(str, weights))
+    method = draw(st.sampled_from(("raw", "accelerated") + ("rearranged",) * (kind == "ln")))
+    work = draw(st.one_of(st.integers(1, 400), st.integers(1, 10**40),
+                          st.builds(lambda k, d: 10**k + d, st.integers(0, 40), st.integers(0, 9))))
+    return target, method, work
+
+
 class TestOneExitForBounds:
     """Every bound is the exact sum of its parts, rounded up once to a double."""
 
@@ -524,21 +552,63 @@ class TestOneExitForBounds:
         if method == "rearranged" and not target.startswith("ln"):
             return
         (row,) = bench(target, [method], [work])
-        vec, scale, _, _ = cli._bench_target(target)
+        vec, scale, _, kind = cli._bench_target(target)
         x, b = cli._bench_value(method, work, vec)
-        if method == "rearranged":
-            # the tail after whole blocks, and the skipped or partial block's charge
-            T = vec.modulus
-            complete, leftover = divmod(work, T + 1)
-            want = Fraction(tail_bound(vec, max(2, complete)))
-            if complete < 2:
-                want += 2 * (Fraction(math.log(T + 1)) + 2)
-            elif leftover:
-                want += Fraction(2 * (T + 1), complete * T)
-            assert b == want
         assert row.value == scale * float(x)
-        parts = Fraction(scale) * Fraction(b) + Fraction(1e-15) * (1 + Fraction(abs(row.value)))
+        if method == "quadrature":
+            # a heuristic estimate, scaled, and the printed double's slop
+            parts = Fraction(scale) * Fraction(b) + Fraction(1e-15) * (1 + Fraction(abs(row.value)))
+            assert least_double_at_least(row.error_bound, parts)
+            return
+        T = vec.modulus
+        if method == "accelerated":
+            # _evaluate's pair and bound, at the precision that abs_err inf sets
+            (m, e), bound, _ = evaluation._evaluate(vec, math.inf, "accelerated")
+            want_x, want_b = m * Fraction(2) ** e, Fraction(bound)
+        else:
+            # c blocks at 96 bits, with the allowance 2^-76 (R + |value| + 1) and the
+            # tail M / (T^2 (K - 1)) after K = max(2, c) blocks, from the coefficients;
+            # rearranged adds its r leftover terms and the skipped or partial block's charge
+            c, r = (max(2, work), 0) if method == "raw" else divmod(work, T + 1)
+            prec, K = 96, max(2, c)
+            whole, _ = evaluation._psi_tail(vec, 0, prec)
+            tail, carried = evaluation._psi_tail(vec, c, prec)
+            m, e = evaluation._round(whole - tail, -(prec + 10), prec)
+            R = Fraction(carried, vec.scale * T)
+            allowance = (R + Fraction(abs(whole - tail), 1 << (prec + 10)) + 1) / (1 << (prec - 20))
+            mass = sum(abs(a) * (T - j) for j, a in enumerate(vec.coeffs, start=1))
+            want_b = allowance + mass / (T * T * (K - 1))
+            if c < 2:
+                want_b += 2 * (Fraction(math.log(T + 1)) + 2)
+            elif r:
+                want_b += Fraction(2 * (T + 1), c * T)
+            want_x = m * Fraction(2) ** e + sum(Fraction(1, c * T + j) for j in range(1, r + 1))
+        assert (x, b) == (want_x, want_b)
+        # the printed double's charge: its exact distance from x, or for pi the
+        # 26/5 > 3 sqrt(3) and 2^-50 argument that the pi reading makes; no 1e-15
+        if kind == "pi":
+            parts = Fraction(26, 5) * b + Fraction(abs(row.value)) / 2**50
+        else:
+            parts = b + abs(Fraction(row.value) - x)
         assert least_double_at_least(row.error_bound, parts)
+
+
+_WITNESS = "vector:4:{0},-{1},{0},{0}".format(10**20, 3 * 10**20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bench_rows())
+@example((_WITNESS, "raw", 10**35))
+@example((_WITNESS, "raw", 10**40))
+@example(("ln:8", "rearranged", 10**40 + 5))
+def test_kernel_bench_rows_lie_within_their_bound_of_a_300_bit_limit(row_args):
+    target, method, work = row_args
+    (row,) = bench(target, [method], [work])
+    vec, _, _, kind = cli._bench_target(target)
+    with mp.workprec(300):
+        # digamma_limit gives the zero vector a float 0.0
+        reference = as_fraction(+mp.pi if kind == "pi" else mp.mpf(digamma_limit(vec)))
+    assert abs(Fraction(row.value) - reference) <= Fraction(row.error_bound), row
 
 
 def _to_str(man: int, exp: int, prec: int, digits: int) -> str:
@@ -609,6 +679,22 @@ class TestDecimal:
     ])
     def test_examples(self, man, exp, digits, text):
         assert cli._decimal(man, exp, digits) == text == _to_str(man, exp, 2000, digits)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_binary_values())
+    # 0.0, -1.5, 0.0009765625, 1.26...e+30 and -6.36...e-12
+    @example((0, 0, 96, 17))
+    @example((-3, -1, 96, 17))
+    @example((1, -10, 96, 17))
+    @example((1, 100, 96, 17))
+    @example((-7, -40, 96, 17))
+    def test_printed_digits_read_back_as_their_exact_ratio(self, value):
+        # every form: fixed, 0.000ddd, d.ddde+N, d.ddde-N, 0.0, and negatives
+        man, exp, prec, digits = value
+        text = cli._decimal(*evaluation._round(man, exp, prec), digits)
+        p, q = cli._printed(text)
+        assert q > 0
+        assert Fraction(p, q) == Fraction(text)
 
 
 class TestJsonLayout:
@@ -913,20 +999,30 @@ class TestBench:
             bench("ln:3", ["quadrature"], [10])
 
     def test_vector_reference_is_independent_of_evaluate(self, monkeypatch):
-        # an evaluate that is off by 1e-6 must show in the error column, by 1e-6
-        def shifted(*args, **kwargs):
-            result = evaluate(*args, **kwargs)
-            return EvalResult(value=result.value + 1e-6, error_bound=result.error_bound,
-                              blocks_used=result.blocks_used, method=result.method,
-                              bound_is_heuristic=result.bound_is_heuristic)
+        # an _evaluate whose pair is off by 1e-6 must show in the error column, by 1e-6
+        def shifted(*args):
+            (m, e), bound, blocks = evaluation._evaluate(*args)
+            return (m + (1 << -e) // 10**6, e), bound, blocks
 
-        monkeypatch.setattr(cli, "evaluate", shifted)
+        monkeypatch.setattr(cli, "_evaluate", shifted)
         row = bench("vector:3:1/2,-1/3,-1/6", ["accelerated"], [100])[0]
         assert row.abs_error_vs_reference == pytest.approx(1e-6, rel=1e-6)
 
     def test_zero_vector_target(self):
         rows = bench("vector:4:1,-3,1,1", ["raw"], [100])
         assert abs(rows[0].value) <= rows[0].error_bound
+
+    def test_large_weights_count_in_the_kernel_bound(self):
+        # K (1, -3, 1, 1) over 4 is K (2 ln 2 - ln 4) = 0 exactly.  At K = 10^20 the
+        # 96-bit kernel errs by about 2e-12 after 10^35 blocks, which a charge of
+        # 1e-15 (1 + |value|) misses; the allowance grows with the weights
+        K = 10**20
+        rows = bench(f"vector:4:{K},{-3 * K},{K},{K}", ["raw", "accelerated"],
+                     [10, 10**35, 10**40])
+        assert len(rows) == 6
+        for row in rows:
+            assert abs(Fraction(row.value)) <= Fraction(row.error_bound), row
+            assert row.abs_error_vs_reference <= row.error_bound, row
 
     def test_quadrature_at_the_panel_limit_steps_down(self, monkeypatch):
         # the error estimate takes work + 1 panels, or work - 1 where work + 1

@@ -870,6 +870,9 @@ class TestGammaPartial:
                 reference = mp.harmonic(n) - mp.log(n)
                 # the bound that gamma_partial's docstring derives
                 assert abs(gamma_partial(n).value - reference) <= 7.6e-30, n
+                # and that _gamma_partial hands out beside its pair, exactly
+                (m, e), (bn, bd) = evaluation._gamma_partial(n)
+                assert abs(m * Fraction(2) ** e - as_fraction(reference)) <= Fraction(bn, bd), n
 
     def test_gamma_memo_window_changes_no_partial(self):
         # mpmath's constant memo stores memo_val before memo_prec, so a reader
