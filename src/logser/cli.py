@@ -25,27 +25,27 @@ and relations take the pairs of _evaluate, _gamma_partial and
 verify_zero's unread result as they come, pi and integral-check take
 doubles that quadrature reads off _evaluate's pair, and rearranged sums
 exactly, so none of them imports mpmath, and nor do bench's rows, which
-read the pairs of _evaluate and evaluation._partial.  mpmath is imported
-by the references that decompose and bench take (_ln_float,
-_bench_target), not with this module.  So are `quadrature`
-(by pi, integral-check, decompose and bench's quadrature rows) and
+read the pairs of evaluation._partial, or bench's pi reference, math.pi.
+mpmath is imported by the ln and vector references that decompose and
+bench take (_ln_float, _bench_target), not with this module.  So are
+`quadrature` (by pi, integral-check, decompose and bench) and
 `relations` (by relations) in the handlers that use them, argparse
 in _parsers and _parse, and json by the first payload printed
 (_cmd_value, _cmd_relations): importing this module loads none of them.
 ConvergenceRow is a vectors._Record and _Reading a plain class, so
 dataclasses is not imported either.
 
-`bench` prints one CSV row per method and work.  Each method yields its
-value and bound before any scaling, and `bench` scales them to the
-target and charges the printed double's rounding in one place.  A raw,
-accelerated or rearranged row's value and bound are exact, the kernel's
-allowance included, so its charge is the exact distance to the printed
-double, or for pi the argument of _pi_bound, which the pi reading
-shares.  A quadrature row's bound is a heuristic estimate, and its
-charge 1e-15 (1 + |value|).  A quadrature row integrates the one
-integrand R/P that `quadrature` owns, R read off the target's
-difference-basis coordinates, for every target; `quadrature` checks
-both of its rules' Horner slots against TERM_LIMIT before either runs.
+`bench` prints one CSV row per method and work, and each row is one
+library call.  A raw, accelerated or rearranged row is one
+evaluation._partial sum at _working_prec(inf, vec), the precision that
+the target's weights set, and its value and bound are exact, the
+kernel's allowance included.  A quadrature row is one
+quadrature._fixed_panel call, which owns its rule and its step to the
+next panel count, and its bound is a heuristic estimate.  `bench`
+scales each value to the target and charges the printed double's
+rounding in one place: the exact distance to the printed double, or for
+pi the argument of quadrature._pi_bound, which the pi reading shares,
+and for a quadrature row 1e-15 (1 + |value|).
 
 Exit codes: 0 success, 1 domain error (for example unbalanced
 coefficients) or a standard output closed before the payload was
@@ -82,6 +82,7 @@ from .evaluation import (
     _partial,
     _round,
     _truncation,
+    _working_prec,
     rearranged_terms,
 )
 from .vectors import _difference_vector, _Record, ln_rational_vector, ln_vector, make_vector
@@ -187,16 +188,16 @@ def _real(x: float, digits: int) -> str:
     return _decimal(*_binary(x), digits)
 
 
-def _ln_float(n: int, prec: int) -> float:
-    import mpmath
+def _ln_float(n: int) -> float:
+    """ln n as the nearest double, from mpmath at 120 bits."""
+    from mpmath import libmp
 
-    libmp = mpmath.libmp
     # a reference, from mpmath and not the kernel.  mpf_log reads mpmath's
     # memo of ln 2, which stores a new value before its precision; a read
     # between the two stores takes ln 2 shifted by a power of two.  Only
     # this request's displayed reference would be off: nothing is kept.
     # Round to nearest, as float(mpf) does; to_float's default round_fast may not
-    raw = libmp.mpf_log(libmp.from_int(n), prec, libmp.round_nearest)
+    raw = libmp.mpf_log(libmp.from_int(n), 120, libmp.round_nearest)
     return libmp.to_float(raw, rnd=libmp.round_nearest)
 
 
@@ -264,20 +265,6 @@ def _read_series(args) -> _Reading:
     )
 
 
-def _pi_bound(value: float, bound: float | Fraction) -> Fraction:
-    """The exact bound on |value - pi| for value = fl(fl(3 fl(sqrt 3)) fl(S~)).
-
-    pi = 3 sqrt(3) S exactly, for S the series of the first difference
-    vector over 3, and |S~ - S| <= bound.  The square root, the two
-    products and the conversion of S~ to the nearest double each round to
-    nearest (relative error <= u = 2^-53), so |value - 3 sqrt(3) S~| <
-    4.01u |value|.  26/5 > 3 sqrt(3) and 2^-50 = 8u > 4.01u, summed
-    exactly.  The pi reading and bench's pi rows share this argument.
-    """
-    (bn, bd), (vn, vd) = bound.as_integer_ratio(), abs(value).as_integer_ratio()
-    return Fraction((26 * bn * vd << 50) + 5 * vn * bd, 5 * bd * vd << 50)
-
-
 def _read_pi(args) -> _Reading:
     from . import quadrature
 
@@ -285,7 +272,7 @@ def _read_pi(args) -> _Reading:
     digits = _digits_for(args.abs_err, value)
     return _Reading(
         inputs={"abs_err": repr(args.abs_err)}, value=_binary(value), digits=digits,
-        error_bound=_pi_bound(value, series.error_bound), bound_is_heuristic=False,
+        error_bound=quadrature._pi_bound(value, series.error_bound), bound_is_heuristic=False,
         micros=micros, blocks_used=series.blocks_used,
         extras={"arctan_cross_check": _real(quadrature.pi_arctan(), digits)},
     )
@@ -324,7 +311,7 @@ def _read_decompose(args) -> _Reading:
 
     value, micros = _timed(quadrature.decomposition_check, args.T, args.tol)
     digits = _digits_for(args.tol, value)
-    reference = _ln_float(args.T, 96)
+    reference = _ln_float(args.T)
     return _Reading(
         inputs={"T": args.T, "tol": repr(args.tol)}, value=_binary(value), digits=digits,
         error_bound=args.tol, bound_is_heuristic=True, micros=micros,
@@ -456,19 +443,19 @@ def _cmd_relations(args) -> int:
 def _bench_target(target: str):
     """Returns (vector, scale, reference, kind).
 
-    References come from mpmath, not the kernel they check.  mpmath's
-    memos of pi and ln 2, which mpf_pi, mpf_log and mpf_psi0 read, store
-    a new value before its precision, so a read from another thread
-    between the two stores takes the constant shifted by a power of two.
-    Only this request's reference would be off: nothing is kept.
+    pi's reference is math.pi, the double nearest pi, and its scale
+    3 sqrt 3 the double that quadrature.pi_with_series multiplies by, so
+    a pi target loads no mpmath.  The ln and vector references come from
+    mpmath, not the kernel they check.  mpmath's memos of pi and ln 2,
+    which mpf_log and mpf_psi0 read, store a new value before its
+    precision, so a read from another thread between the two stores takes
+    the constant shifted by a power of two.  Only this request's reference
+    would be off: nothing is kept.
     """
-    import mpmath
-
-    libmp = mpmath.libmp
     if target == "pi":
-        pi = libmp.mpf_pi(120, libmp.round_nearest)
-        reference = libmp.to_float(pi, rnd=libmp.round_nearest)
-        return _difference_vector(3, 1), 3.0 * math.sqrt(3.0), reference, "pi"
+        from . import quadrature
+
+        return _difference_vector(3, 1), quadrature._PI_SCALE, math.pi, "pi"
     match = re.fullmatch(r"ln:([+-]?\d+)|vector:([+-]?\d+):(.+)", target)
     if match is None:
         raise SeriesError(f"unknown bench target {target!r}; use ln:T, pi, or vector:T:c1,...")
@@ -476,7 +463,9 @@ def _bench_target(target: str):
     if ln_T is not None:
         # build the vector first: it rejects T < 1, where ln is complex
         vec = ln_vector(int(ln_T))
-        return vec, 1.0, _ln_float(vec.modulus, 120), "ln"
+        return vec, 1.0, _ln_float(vec.modulus), "ln"
+    from mpmath import libmp
+
     vec = make_vector(int(T), _parse_coeffs(coeffs))
     # every row is a double, and a quadrature panel's partial sums reach twice
     # the coordinates' absolute sum: keep four times that sum in range
@@ -496,55 +485,47 @@ def _bench_target(target: str):
 
 
 def _bench_value(method, work, vec):
-    """(value, error bound) of one bench row, before scaling and rounding.
+    """(value, error bound) of one kernel bench row, before scaling and rounding.
 
-    A quadrature row gives two doubles, its value and the heuristic
-    estimate of its error.  A raw, accelerated or rearranged row gives
-    two Fractions: the exact value of the kernel's pair, with any
-    leftover terms, and the exact sum of its bound's parts.  An
-    accelerated row is _evaluate's whole psi tail and its bound, so it
-    ignores work.  raw sums c = max(2, work) blocks by _partial, with
-    evaluation's allowance and the truncation after them.  A rearranged
-    row of `work` terms is c whole groups of T + 1 terms, which are
-    blocks of vec = ln_vector(T), and r leftover terms 1/(cT + j), which
-    extend H_{cT}: the kernel's c blocks and their bound as raw's, plus
-    H_{cT+r} - H_{cT} summed exactly, and the charge for the block that
-    the truncation skips or that the leftover terms leave.
+    A raw, accelerated or rearranged row is one _partial sum at
+    _working_prec(inf, vec), the precision that the weights set, and
+    gives two Fractions: the exact value of its pair, with any leftover
+    terms, and the exact sum of its bound's parts.  An accelerated row
+    is the whole series with its allowance alone, so it ignores work.
+    raw sums c = max(2, work) blocks, with the allowance and the
+    truncation after them.  A rearranged row of `work` terms is c whole
+    groups of T + 1 terms, which are blocks of vec = ln_vector(T), and r
+    leftover terms 1/(cT + j), which extend H_{cT}: the kernel's c blocks
+    and their bound as raw's, plus H_{cT+r} - H_{cT} summed exactly, and
+    the charge for the block that the truncation skips or that the
+    leftover terms leave.
     """
-    if method == "quadrature":
-        from . import quadrature
-
-        # the series is the integral of R/P, R read off the target's
-        # difference-basis coordinates.  The step to work + 1 panels
-        # estimates the error, or to work - 1 at the panel limit, which
-        # work + 1 would pass
-        step = work + 1 if work < quadrature._PANEL_LIMIT else work - 1
-        value, other = quadrature._composite(quadrature._numerator(vec), work, step)
-        return value, abs(value - other)
-    if method == "accelerated":
-        (m, e), bound, _ = _evaluate(vec, math.inf, method)
-        return m * Fraction(2) ** e, Fraction(bound)
     T = vec.modulus
-    c, r = (max(2, work), 0) if method == "raw" else divmod(work, T + 1)
-    (m, e), (n, d) = _partial(vec, c)
-    bound = Fraction(n, d) + Fraction(*_truncation(vec, max(2, c)))
-    if c < 2 or r:
-        # the truncation starts at two blocks, so the skipped ones are charged
-        # whole; the terms of partial block c sum to less than 2(T+1)/(cT)
-        bound += 2 * (Fraction(math.log(T + 1)) + 2) if c < 2 else Fraction(2 * (T + 1), c * T)
-    return m * Fraction(2) ** e + _harmonic_range(c * T, c * T + r), bound
+    c, r = {"raw": (max(2, work), 0), "accelerated": (None, 0)}.get(method) or divmod(work, T + 1)
+    (m, e), (n, d) = _partial(vec, c, _working_prec(math.inf, vec))
+    bound = Fraction(n, d)
+    if c is not None:
+        bound += Fraction(*_truncation(vec, max(2, c)))
+        if c < 2 or r:
+            # the truncation starts at two blocks, so the skipped ones are charged
+            # whole; the terms of partial block c sum to less than 2(T+1)/(cT)
+            bound += 2 * (Fraction(math.log(T + 1)) + 2) if c < 2 else Fraction(2 * (T + 1), c * T)
+    return m * Fraction(2) ** e + (r and _harmonic_range(c * T, c * T + r)), bound
 
 
 def bench(target: str, methods: list[str], work_schedule: list[int]) -> list[ConvergenceRow]:
     """One ConvergenceRow per (method, work) pair, in schedule order.
 
-    Each row is computed three times; wall_time_micros is the fastest.
-    Every row's value is scaled to the target and rounded to a double in
-    one place, which charges that rounding to its error_bound.  A raw,
-    accelerated or rearranged row's error_bound is the exact sum of its
-    parts rounded up once: its bound from _bench_value, and the exact
+    Each row is one library call, made three times: _bench_value's
+    kernel sum, or for a quadrature row quadrature._fixed_panel, which
+    returns its value and heuristic estimate.  wall_time_micros is the
+    fastest of the three.  Every row's value is scaled to the
+    target and rounded to a double in one place, which charges that
+    rounding to its error_bound.  A raw, accelerated or rearranged row's
+    error_bound is the exact sum of its parts rounded up once: _partial's
+    allowance and any truncation from _bench_value, and the exact
     |value - x| of the double nearest its exact x, or for pi the argument
-    of _pi_bound.  A quadrature row's stays heuristic.
+    of quadrature._pi_bound.  A quadrature row's stays heuristic.
     """
     if not methods:
         raise SeriesError("need at least one method")
@@ -555,24 +536,27 @@ def bench(target: str, methods: list[str], work_schedule: list[int]) -> list[Con
             raise SeriesError(
                 f"unknown method {method!r}; choose from {', '.join(_BENCH_METHODS)}"
             )
+    from . import quadrature
+
     vec, scale, reference, kind = _bench_target(target)
     rows = []
     for method in methods:
         if method == "rearranged" and kind != "ln":
             raise SeriesError("rearranged benches only apply to ln:T targets")
         for work in work_schedule:
-            # the first run of a row pays cold caches; report the fastest
-            runs = [_timed(_bench_value, method, work, vec) for _ in range(_BENCH_RUNS)]
+            # one library call a row; the first run pays cold caches, so report the fastest
+            runs = [_timed(quadrature._fixed_panel, vec, work) if method == "quadrature"
+                    else _timed(_bench_value, method, work, vec) for _ in range(_BENCH_RUNS)]
             x, b = runs[0][0]
             value = scale * float(x)
             # an exact x is charged its exact distance to its double, or pi's
             # 3 sqrt(3) argument.  A quadrature x is a double near the series
-            # and value = fl(c' x), where c' is 1, or for pi fl(3 fl(sqrt 3)),
-            # within 2.01u of c = 3 sqrt 3 (u = 2^-53), and c' b falls at most
-            # 3.01u short of c b; 1e-15 (1 + |value|) covers both while b
-            # estimates x's error
+            # and value = fl(c' x), where c' is 1, or for pi quadrature's
+            # _PI_SCALE, within 2.01u of c = 3 sqrt 3 (u = 2^-53), and c' b falls
+            # at most 3.01u short of c b; 1e-15 (1 + |value|) covers both while
+            # b estimates x's error
             bound = (Fraction(scale) * Fraction(b) + Fraction(1e-15) * (1 + Fraction(abs(value)))
-                     if method == "quadrature" else _pi_bound(value, b) if kind == "pi"
+                     if method == "quadrature" else quadrature._pi_bound(value, b) if kind == "pi"
                      else b + abs(Fraction(value) - x))
             rows.append(ConvergenceRow(method, work, value,
                                        _float_upper(bound.numerator, bound.denominator),

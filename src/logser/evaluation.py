@@ -805,7 +805,7 @@ def _allowance(v: CoefficientVector, value: int, prec: int, carried: int) -> tup
 
 
 def _partial(v: CoefficientVector, blocks: int | None,
-             prec: int = _MIN_PREC) -> tuple[tuple[int, int], tuple[int, int]]:
+             prec: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """((m, e), (n, d)): the first `blocks` blocks, or the whole series for None.
 
     The first `blocks` blocks are the series less its psi tail after

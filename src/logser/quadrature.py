@@ -19,21 +19,28 @@ panels refined by bisection against an absolute-error target.  The
 rule's nodes and weights are literals, each the double nearest the true
 value.  Before any panel is built TERM_LIMIT bounds the Horner slots of
 one node: T for `integrand` and `integrate`, T times its panels for
-`fixed_panel_integral`, and T times T for `decomposition_check`, whose
-bisection goes deeper as T grows.
+`fixed_panel_integral`, T times the panels of both rules for
+_fixed_panel, and T times T for `decomposition_check`, whose bisection
+goes deeper as T grows.  _fixed_panel, the private twin of
+fixed_panel_integral that the CLI's bench rows call, takes any vector
+and returns its heuristic error estimate too: the step to the rule on
+one panel more, or one fewer at _PANEL_LIMIT.
 
 Every entry reads R off a vector through _numerator, the difference
 vectors' R = u^(j-1) included.  The series values of
 integral_series_check and pi_with_series are evaluation._evaluate's
 rounded pair read as a double by evaluation._double, so no entry here
 imports mpmath; only the first read of the value of pi_with_series'
-EvalResult does.
+EvalResult does.  pi_with_series scales that double by _PI_SCALE, the
+double fl(3 fl(sqrt 3)), and _pi_bound argues the rounding of that
+product, for the CLI's pi reading and its bench's pi rows alike.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 from .errors import BudgetExceeded, NoConvergence
 from .evaluation import EvalResult, _double, _evaluate, _unread
@@ -181,6 +188,18 @@ def _composite(numerator: tuple[float, ...], *counts: int) -> list[float]:
     return [math.fsum(_panel(numerator, i / n, (i + 1) / n) for i in range(n)) for n in counts]
 
 
+def _fixed_panel(v: CoefficientVector, panels: int) -> tuple[float, float]:
+    """(value, estimate): v's integral on `panels` equal panels, and its error's estimate.
+
+    The estimate, a heuristic, is the step to the rule on panels + 1, or
+    on panels - 1 at _PANEL_LIMIT, which panels + 1 would pass.  Both
+    rules' Horner slots pass TERM_LIMIT before either runs.
+    """
+    step = panels + 1 if panels < _PANEL_LIMIT else panels - 1
+    value, other = _composite(_numerator(v), panels, step)
+    return value, abs(value - other)
+
+
 def fixed_panel_integral(T: int, j: int, panels: int) -> float:
     """Non-adaptive composite rule on `panels` equal panels (for benchmarks).
 
@@ -228,6 +247,10 @@ def decomposition_check(T: int, tol: float) -> float:
     return _adaptive(_numerator(ln_vector(T)), tol)
 
 
+# the double that pi's series is scaled by, fl(3 fl(sqrt 3)); _pi_bound argues its rounding
+_PI_SCALE = 3.0 * math.sqrt(3.0)
+
+
 def pi_with_series(tol: float) -> tuple[float, EvalResult]:
     """pi_estimate(tol) together with the series evaluation it came from.
 
@@ -240,7 +263,21 @@ def pi_with_series(tol: float) -> tuple[float, EvalResult]:
     if not tol >= 1e-12:  # also rejects NaN
         raise ValueError(f"pi needs an accuracy of at least 1e-12, got {tol!r}")
     value, bound, blocks = _evaluate(_difference_vector(3, 1), tol / 6, "accelerated")
-    return 3.0 * math.sqrt(3.0) * _double(value), _unread(value, bound, blocks, "accelerated")
+    return _PI_SCALE * _double(value), _unread(value, bound, blocks, "accelerated")
+
+
+def _pi_bound(value: float, bound: float | Fraction) -> Fraction:
+    """The exact bound on |value - pi| for value = fl(_PI_SCALE fl(S~)).
+
+    pi = 3 sqrt(3) S exactly, for S the series of the first difference
+    vector over 3, and |S~ - S| <= bound.  The square root, the two
+    products and the conversion of S~ to the nearest double each round to
+    nearest (relative error <= u = 2^-53), so |value - 3 sqrt(3) S~| <
+    4.01u |value|.  26/5 > 3 sqrt(3) and 2^-50 = 8u > 4.01u, summed
+    exactly.  The CLI's pi reading and bench's pi rows share this argument.
+    """
+    (bn, bd), (vn, vd) = bound.as_integer_ratio(), abs(value).as_integer_ratio()
+    return Fraction((26 * bn * vd << 50) + 5 * vn * bd, 5 * bd * vd << 50)
 
 
 def pi_estimate(tol: float) -> float:

@@ -140,9 +140,14 @@ class TestExitCodes:
              "need at least one method"),
             (["bench", "--target", "ln:3", "--methods", "raw", "--work", "0"],
              "work schedule must be positive"),
+            # a raw row sums at the precision that its 1001-bit coefficients set,
+            # as an accelerated row does, and that passes the ceiling
+            (["bench", "--target", f"vector:2:{2**1000},-{2**1000}", "--methods", "raw",
+              "--work", "10"], "1050 bits of working precision (ceiling 1024)"),
         ],
         ids=["pi-1e-300", "pi-nan", "pi-negative", "eval-malformed-coeffs",
-             "lnq-malformed-ratio", "bench-no-method", "bench-zero-work"],
+             "lnq-malformed-ratio", "bench-no-method", "bench-zero-work",
+             "bench-raw-past-the-precision-ceiling"],
     )
     def test_bad_input_is_one_error_line(self, capsys, argv, message):
         code, out, err = run_capture(capsys, argv)
@@ -553,36 +558,43 @@ class TestOneExitForBounds:
             return
         (row,) = bench(target, [method], [work])
         vec, scale, _, kind = cli._bench_target(target)
-        x, b = cli._bench_value(method, work, vec)
+        if method == "quadrature":
+            x, b = quadrature._fixed_panel(vec, work)
+        else:
+            x, b = cli._bench_value(method, work, vec)
         assert row.value == scale * float(x)
         if method == "quadrature":
             # a heuristic estimate, scaled, and the printed double's slop
             parts = Fraction(scale) * Fraction(b) + Fraction(1e-15) * (1 + Fraction(abs(row.value)))
             assert least_double_at_least(row.error_bound, parts)
             return
+        # one _partial sum at the precision that abs_err inf sets from the weights,
+        # with the allowance 2^-(prec-20) (R + |value| + 1): the whole series for
+        # accelerated, and c blocks for raw and rearranged, which add the tail
+        # M / (T^2 (K - 1)) after K = max(2, c) blocks, from the coefficients;
+        # rearranged adds its r leftover terms and the skipped or partial block's charge
         T = vec.modulus
-        if method == "accelerated":
-            # _evaluate's pair and bound, at the precision that abs_err inf sets
-            (m, e), bound, _ = evaluation._evaluate(vec, math.inf, "accelerated")
-            want_x, want_b = m * Fraction(2) ** e, Fraction(bound)
+        c, r = ((None, 0) if method == "accelerated" else (max(2, work), 0) if method == "raw"
+                else divmod(work, T + 1))
+        prec = evaluation._working_prec(math.inf, vec)
+        whole, carried = evaluation._psi_tail(vec, 0, prec)
+        tail, carried = (0, carried) if c is None else evaluation._psi_tail(vec, c, prec)
+        m, e = evaluation._round(whole - tail, -(prec + 10), prec)
+        R = Fraction(carried, vec.scale * T)
+        want_b = (R + Fraction(abs(whole - tail), 1 << (prec + 10)) + 1) / (1 << (prec - 20))
+        want_x = m * Fraction(2) ** e
+        if c is None:
+            # _evaluate's pair, and its bound, that allowance rounded up once
+            (em, ee), bound, _ = evaluation._evaluate(vec, math.inf, "accelerated")
+            assert (em, ee) == (m, e) and least_double_at_least(bound, want_b)
         else:
-            # c blocks at 96 bits, with the allowance 2^-76 (R + |value| + 1) and the
-            # tail M / (T^2 (K - 1)) after K = max(2, c) blocks, from the coefficients;
-            # rearranged adds its r leftover terms and the skipped or partial block's charge
-            c, r = (max(2, work), 0) if method == "raw" else divmod(work, T + 1)
-            prec, K = 96, max(2, c)
-            whole, _ = evaluation._psi_tail(vec, 0, prec)
-            tail, carried = evaluation._psi_tail(vec, c, prec)
-            m, e = evaluation._round(whole - tail, -(prec + 10), prec)
-            R = Fraction(carried, vec.scale * T)
-            allowance = (R + Fraction(abs(whole - tail), 1 << (prec + 10)) + 1) / (1 << (prec - 20))
             mass = sum(abs(a) * (T - j) for j, a in enumerate(vec.coeffs, start=1))
-            want_b = allowance + mass / (T * T * (K - 1))
+            want_b += mass / (T * T * (max(2, c) - 1))
             if c < 2:
                 want_b += 2 * (Fraction(math.log(T + 1)) + 2)
             elif r:
                 want_b += Fraction(2 * (T + 1), c * T)
-            want_x = m * Fraction(2) ** e + sum(Fraction(1, c * T + j) for j in range(1, r + 1))
+            want_x += sum(Fraction(1, c * T + j) for j in range(1, r + 1))
         assert (x, b) == (want_x, want_b)
         # the printed double's charge: its exact distance from x, or for pi the
         # 26/5 > 3 sqrt(3) and 2^-50 argument that the pi reading makes; no 1e-15
@@ -999,12 +1011,12 @@ class TestBench:
             bench("ln:3", ["quadrature"], [10])
 
     def test_vector_reference_is_independent_of_evaluate(self, monkeypatch):
-        # an _evaluate whose pair is off by 1e-6 must show in the error column, by 1e-6
+        # a kernel sum whose pair is off by 1e-6 must show in the error column, by 1e-6
         def shifted(*args):
-            (m, e), bound, blocks = evaluation._evaluate(*args)
-            return (m + (1 << -e) // 10**6, e), bound, blocks
+            (m, e), allowance = evaluation._partial(*args)
+            return (m + (1 << -e) // 10**6, e), allowance
 
-        monkeypatch.setattr(cli, "_evaluate", shifted)
+        monkeypatch.setattr(cli, "_partial", shifted)
         row = bench("vector:3:1/2,-1/3,-1/6", ["accelerated"], [100])[0]
         assert row.abs_error_vs_reference == pytest.approx(1e-6, rel=1e-6)
 
@@ -1023,6 +1035,39 @@ class TestBench:
         for row in rows:
             assert abs(Fraction(row.value)) <= Fraction(row.error_bound), row
             assert row.abs_error_vs_reference <= row.error_bound, row
+
+    def test_kernel_rows_sum_at_the_precision_of_the_weights(self):
+        # the witness's coefficients take 70 bits, so its rows sum at 70 + 48 = 118
+        # bits, not 96: after 10^35 blocks raw errs by about 1e-16, not 2e-12
+        (row,) = bench(_WITNESS, ["raw"], [10**35])
+        assert row.error_bound < 1e-6, row
+        assert abs(Fraction(row.value)) <= Fraction(row.error_bound), row
+        assert row.abs_error_vs_reference <= row.error_bound, row
+
+    def test_each_kernel_row_is_one_partial_sum(self, monkeypatch):
+        calls = []
+
+        def recorded(*args):
+            calls.append(args[1:])
+            return evaluation._partial(*args)
+
+        monkeypatch.setattr(cli, "_partial", recorded)
+        monkeypatch.setattr(cli, "_evaluate", None)
+        bench("ln:3", ["raw", "accelerated", "rearranged"], [1, 10])
+        # three runs a row; the blocks of raw, accelerated and rearranged
+        blocks = [2, 10, None, None, 0, 2]
+        assert calls == [(c, 96) for c in blocks for _ in range(3)]
+
+    def test_pi_reference_is_the_double_nearest_pi(self):
+        libmp = mpmath.libmp
+        pi = libmp.to_float(libmp.mpf_pi(120, libmp.round_nearest), rnd=libmp.round_nearest)
+        assert cli._bench_target("pi")[2] == pi == math.pi
+
+    def test_ln_reference_is_the_double_nearest_ln(self):
+        # decompose's domain, T <= 1000, and the ln targets read one reference
+        with mp.workprec(300):
+            assert [cli._ln_float(T) for T in range(1, 1001)] == [
+                float(mp.log(T)) for T in range(1, 1001)]
 
     def test_quadrature_at_the_panel_limit_steps_down(self, monkeypatch):
         # the error estimate takes work + 1 panels, or work - 1 where work + 1

@@ -135,6 +135,19 @@ import json
 print(json.dumps(loaded))
 """
 
+# bench's pi rows: math.pi is the reference, and every method reads the kernel's pair
+_PI_BENCH_CHILD = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import logser.cli
+argv = ["bench", "--target", "pi", "--methods", "raw,accelerated,quadrature", "--work", "1,10"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert logser.cli.run(argv) == 0
+loaded = "mpmath" in sys.modules
+import json
+print(json.dumps(loaded))
+"""
+
 
 def _setup_probes() -> dict[str, str]:
     """bench/workloads.py's SETUP_PROBES, read without importing the bench."""
@@ -151,7 +164,7 @@ class TestLazyModules:
     loads dataclasses, inspect, json or numpy.  Of the benchmark's setup
     probes only accel's, which returns an mpf, loads mpmath, and the CLI's
     ln, lnq, eval, gamma, rearranged, relations, pi and integral-check
-    print without it.
+    print without it, as does bench of the pi target.
     """
 
     def _child(self, *flags, code, args=()):
@@ -178,3 +191,6 @@ class TestLazyModules:
 
     def test_cli_values_and_relations_load_no_mpmath(self):
         assert self._child(code=_CLI_CHILD) is False
+
+    def test_bench_of_pi_loads_no_mpmath(self):
+        assert self._child(code=_PI_BENCH_CHILD) is False
