@@ -38,14 +38,14 @@ dataclasses is not imported either.
 `bench` prints one CSV row per method and work, and each row is one
 library call.  A raw, accelerated or rearranged row is one
 evaluation._partial sum at _working_prec(inf, vec), the precision that
-the target's weights set, and its value and bound are exact, the
-kernel's allowance included.  A quadrature row is one
-quadrature._fixed_panel call, which owns its rule and its step to the
-next panel count, and its bound is a heuristic estimate.  `bench`
-scales each value to the target and charges the printed double's
-rounding in one place: the exact distance to the printed double, or for
-pi the argument of quadrature._pi_bound, which the pi reading shares,
-and for a quadrature row 1e-15 (1 + |value|).
+the target's weights set, or at the precision ceiling where they pass
+it, and its value and bound are exact, the kernel's allowance included.
+A quadrature row is one quadrature._fixed_panel call, which owns its
+rule and its step to the next panel count, and its bound is a heuristic
+estimate.  `bench` scales each value to the target and charges the
+printed double's rounding in one place: the exact distance to the
+printed double, or for pi the argument of quadrature._pi_bound, which
+the pi reading shares, and for a quadrature row 1e-15 (1 + |value|).
 
 Exit codes: 0 success, 1 domain error (for example unbalanced
 coefficients) or a standard output closed before the payload was
@@ -72,8 +72,9 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 
-from .errors import SeriesError
+from .errors import SeriesError, Unachievable
 from .evaluation import (
+    _MAX_PREC,
     _double,
     _evaluate,
     _float_upper,
@@ -485,10 +486,14 @@ def _bench_target(target: str):
 
 
 def _bench_value(method, work, vec):
-    """(value, error bound) of one kernel bench row, before scaling and rounding.
+    """(value, error bound) of one bench row, before scaling and rounding.
 
-    A raw, accelerated or rearranged row is one _partial sum at
-    _working_prec(inf, vec), the precision that the weights set, and
+    Each row is one library call.  A quadrature row is
+    quadrature._fixed_panel's two doubles, its value and the heuristic
+    estimate of its error.  A raw, accelerated or rearranged row is one
+    _partial sum at _working_prec(inf, vec), the precision that the
+    weights set, or at the ceiling where they pass it: _partial's
+    allowance grows with the weights, so its bound stays rigorous.  It
     gives two Fractions: the exact value of its pair, with any leftover
     terms, and the exact sum of its bound's parts.  An accelerated row
     is the whole series with its allowance alone, so it ignores work.
@@ -500,32 +505,40 @@ def _bench_value(method, work, vec):
     the charge for the block that the truncation skips or that the
     leftover terms leave.
     """
+    if method == "quadrature":
+        from . import quadrature
+
+        return quadrature._fixed_panel(vec, work)
+    try:
+        prec = _working_prec(math.inf, vec)
+    except Unachievable:
+        prec = _MAX_PREC
+    if method == "accelerated":
+        (m, e), (n, d) = _partial(vec, None, prec)
+        return m * Fraction(2) ** e, Fraction(n, d)
     T = vec.modulus
-    c, r = {"raw": (max(2, work), 0), "accelerated": (None, 0)}.get(method) or divmod(work, T + 1)
-    (m, e), (n, d) = _partial(vec, c, _working_prec(math.inf, vec))
-    bound = Fraction(n, d)
-    if c is not None:
-        bound += Fraction(*_truncation(vec, max(2, c)))
-        if c < 2 or r:
-            # the truncation starts at two blocks, so the skipped ones are charged
-            # whole; the terms of partial block c sum to less than 2(T+1)/(cT)
-            bound += 2 * (Fraction(math.log(T + 1)) + 2) if c < 2 else Fraction(2 * (T + 1), c * T)
-    return m * Fraction(2) ** e + (r and _harmonic_range(c * T, c * T + r)), bound
+    c, r = (max(2, work), 0) if method == "raw" else divmod(work, T + 1)
+    (m, e), (n, d) = _partial(vec, c, prec)
+    bound = Fraction(n, d) + Fraction(*_truncation(vec, max(2, c)))
+    if c < 2 or r:
+        # the truncation starts at two blocks, so the skipped ones are charged
+        # whole; the terms of partial block c sum to less than 2(T+1)/(cT)
+        bound += 2 * (Fraction(math.log(T + 1)) + 2) if c < 2 else Fraction(2 * (T + 1), c * T)
+    return m * Fraction(2) ** e + _harmonic_range(c * T, c * T + r), bound
 
 
 def bench(target: str, methods: list[str], work_schedule: list[int]) -> list[ConvergenceRow]:
     """One ConvergenceRow per (method, work) pair, in schedule order.
 
-    Each row is one library call, made three times: _bench_value's
-    kernel sum, or for a quadrature row quadrature._fixed_panel, which
-    returns its value and heuristic estimate.  wall_time_micros is the
-    fastest of the three.  Every row's value is scaled to the
-    target and rounded to a double in one place, which charges that
-    rounding to its error_bound.  A raw, accelerated or rearranged row's
-    error_bound is the exact sum of its parts rounded up once: _partial's
-    allowance and any truncation from _bench_value, and the exact
-    |value - x| of the double nearest its exact x, or for pi the argument
-    of quadrature._pi_bound.  A quadrature row's stays heuristic.
+    Each row is _bench_value's one library call, made three times;
+    wall_time_micros is the fastest of the three.  Every row's value is
+    scaled to the target and rounded to a double in one place, which
+    charges that rounding to its error_bound.  A raw, accelerated or
+    rearranged row's error_bound is the exact sum of its parts rounded
+    up once: _partial's allowance and any truncation from _bench_value,
+    and the exact |value - x| of the double nearest its exact x, or for
+    pi the argument of quadrature._pi_bound.  A quadrature row's stays
+    heuristic.
     """
     if not methods:
         raise SeriesError("need at least one method")
@@ -536,17 +549,16 @@ def bench(target: str, methods: list[str], work_schedule: list[int]) -> list[Con
             raise SeriesError(
                 f"unknown method {method!r}; choose from {', '.join(_BENCH_METHODS)}"
             )
-    from . import quadrature
-
     vec, scale, reference, kind = _bench_target(target)
+    if kind == "pi":
+        from .quadrature import _pi_bound
     rows = []
     for method in methods:
         if method == "rearranged" and kind != "ln":
             raise SeriesError("rearranged benches only apply to ln:T targets")
         for work in work_schedule:
-            # one library call a row; the first run pays cold caches, so report the fastest
-            runs = [_timed(quadrature._fixed_panel, vec, work) if method == "quadrature"
-                    else _timed(_bench_value, method, work, vec) for _ in range(_BENCH_RUNS)]
+            # the first run of a row pays cold caches; report the fastest
+            runs = [_timed(_bench_value, method, work, vec) for _ in range(_BENCH_RUNS)]
             x, b = runs[0][0]
             value = scale * float(x)
             # an exact x is charged its exact distance to its double, or pi's
@@ -556,7 +568,7 @@ def bench(target: str, methods: list[str], work_schedule: list[int]) -> list[Con
             # at most 3.01u short of c b; 1e-15 (1 + |value|) covers both while
             # b estimates x's error
             bound = (Fraction(scale) * Fraction(b) + Fraction(1e-15) * (1 + Fraction(abs(value)))
-                     if method == "quadrature" else quadrature._pi_bound(value, b) if kind == "pi"
+                     if method == "quadrature" else _pi_bound(value, b) if kind == "pi"
                      else b + abs(Fraction(value) - x))
             rows.append(ConvergenceRow(method, work, value,
                                        _float_upper(bound.numerator, bound.denominator),

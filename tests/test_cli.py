@@ -140,14 +140,9 @@ class TestExitCodes:
              "need at least one method"),
             (["bench", "--target", "ln:3", "--methods", "raw", "--work", "0"],
              "work schedule must be positive"),
-            # a raw row sums at the precision that its 1001-bit coefficients set,
-            # as an accelerated row does, and that passes the ceiling
-            (["bench", "--target", f"vector:2:{2**1000},-{2**1000}", "--methods", "raw",
-              "--work", "10"], "1050 bits of working precision (ceiling 1024)"),
         ],
         ids=["pi-1e-300", "pi-nan", "pi-negative", "eval-malformed-coeffs",
-             "lnq-malformed-ratio", "bench-no-method", "bench-zero-work",
-             "bench-raw-past-the-precision-ceiling"],
+             "lnq-malformed-ratio", "bench-no-method", "bench-zero-work"],
     )
     def test_bad_input_is_one_error_line(self, capsys, argv, message):
         code, out, err = run_capture(capsys, argv)
@@ -558,10 +553,7 @@ class TestOneExitForBounds:
             return
         (row,) = bench(target, [method], [work])
         vec, scale, _, kind = cli._bench_target(target)
-        if method == "quadrature":
-            x, b = quadrature._fixed_panel(vec, work)
-        else:
-            x, b = cli._bench_value(method, work, vec)
+        x, b = cli._bench_value(method, work, vec)
         assert row.value == scale * float(x)
         if method == "quadrature":
             # a heuristic estimate, scaled, and the printed double's slop
@@ -1043,6 +1035,17 @@ class TestBench:
         assert row.error_bound < 1e-6, row
         assert abs(Fraction(row.value)) <= Fraction(row.error_bound), row
         assert row.abs_error_vs_reference <= row.error_bound, row
+
+    def test_weights_past_the_precision_ceiling_sum_at_it(self):
+        # 2^1000 (1, -1) over 2 is 2^1000 ln 2; its coefficients would set 1050
+        # bits, past the ceiling of 1024, and each kernel row sums at 1024
+        rows = bench(f"vector:2:{2**1000},-{2**1000}", ["raw", "accelerated"], [10, 10**35])
+        with mp.workprec(1100):
+            limit = mp.ldexp(mp.log(2), 1000)
+            for row in rows:
+                assert mp.fabs(mp.mpf(row.value) - limit) <= row.error_bound, row
+        # past the truncation, the bound is the printed double's rounding and the allowance
+        assert rows[-1].error_bound < 2 * math.ulp(rows[-1].value), rows[-1]
 
     def test_each_kernel_row_is_one_partial_sum(self, monkeypatch):
         calls = []
