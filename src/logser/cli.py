@@ -81,10 +81,11 @@ from .evaluation import (
     _gamma_partial,
     _harmonic_range,
     _partial,
+    _rearranged_denominators,
+    _rearranged_signs,
     _round,
     _truncation,
     _working_prec,
-    rearranged_terms,
 )
 from .vectors import _difference_vector, _Record, ln_rational_vector, ln_vector, make_vector
 
@@ -324,16 +325,25 @@ def _read_decompose(args) -> _Reading:
 
 
 def _read_rearranged(args) -> _Reading:
-    terms, micros = _timed(rearranged_terms, args.T, args.n)
+    """rearranged: the stream's terms and their exact partial sum.
+
+    Each term is printed as "s/m" from the sign s and the integer m that
+    evaluation._rearranged_signs and _rearranged_denominators give, in one
+    pass with no Fraction built: the text that rearranged_terms' Fractions
+    print.
+    """
+    T = args.T
+    denominators, micros = _timed(_rearranged_denominators, T, args.n)
+    terms = [f"{s}/{m}" for s, m in zip(_rearranged_signs(T, args.n), denominators)]
     # whole groups of T + 1 terms are blocks of ln_vector(T), which sum to
     # H_{cT} - H_c; the r <= T leftover terms 1/(cT + j) extend H_{cT}, so
     # the partial sum is 1/(c+1) + ... + 1/(cT+r), one unit-weight range,
     # summed over the denominators prime to 6
-    c, r = divmod(args.n, args.T + 1)
-    total, sum_micros = _timed(_harmonic_range, c, c * args.T + r)
+    c, r = divmod(args.n, T + 1)
+    total, sum_micros = _timed(_harmonic_range, c, c * T + r)
     value = float(total)
     return _Reading(
-        inputs={"T": args.T, "n": args.n}, value=_binary(value),
+        inputs={"T": T, "n": args.n}, value=_binary(value),
         digits=_digits_for(math.inf, value),
         # the partial sum itself is exact; float() rounds it to nearest
         error_bound=Fraction(abs(value)) / 2**53, bound_is_heuristic=False,
@@ -341,7 +351,7 @@ def _read_rearranged(args) -> _Reading:
         extras={
             # Decimal prints integers of any length; str(int) stops at 4300 digits
             "partial_sum": f"{Decimal(total.numerator)}/{Decimal(total.denominator)}",
-            "terms": [f"{t.numerator}/{t.denominator}" for t in terms],
+            "terms": terms,
         },
     )
 

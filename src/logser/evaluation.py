@@ -36,9 +36,10 @@ Exact partial sums, harmonic numbers and the term stream of the
 rearranged form live here as well, all in exact rational arithmetic,
 and so do the Euler-Mascheroni partials H_n - ln n, computed by the
 floating-point kernel as psi(n+1) - psi(1) - ln n with no harmonic
-sum.  The stream's terms are +-1/m, already in lowest terms, so each
-is built from its two integers with no gcd, at a cost that grows with
-the number of terms and not with T.
+sum.  The stream's terms are +-1/m, already in lowest terms, so its m
+are built as one integer list with no Python step per term, and each
+term from its two integers with no gcd, at a cost that grows with the
+number of terms; T changes it little.
 
 Every exact sum of w_m/m over a range (a, b], with periodic integer
 weights w of period T, goes through _harmonic_range on one kernel, the
@@ -53,11 +54,12 @@ H_{cT+r} - H_c, all of period 1; every other partial sum is the range
 (0, NT] with the vector's weights.  The wheel sums about a third of
 the terms.
 
-The blocks go through one fold, which sums by balanced splitting with
-one rule: a run of at most _LEAF terms is one unreduced integer pair,
-reduced once into a Fraction, and longer runs merge their halves as
-Fractions, rather than adding one term at a time to an ever larger
-running rational.  block_term alone sums its one block of T terms over
+The blocks go through one balanced split, over all their units taken
+as one sequence: a run of at most _LEAF terms is one unreduced integer
+pair, reduced once, and longer runs merge their halves as coprime
+integer pairs by Fraction's own two-gcd rule, rather than adding one
+term at a time to an ever larger running rational.  Only the top pair
+becomes a Fraction.  block_term alone sums its one block of T terms over
 the integers, by the same rule.
 
 The floating-point kernel computes psi, less a logarithm ln a that balance
@@ -103,7 +105,7 @@ import itertools
 import math
 import operator
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 
 from .errors import Unachievable
@@ -187,21 +189,49 @@ _LEAF = 128
 _Leaf = Callable[[int, int], tuple[int, int]]
 
 
-def _balanced(lo: int, hi: int, leaf: _Leaf) -> Fraction:
-    """The sum of the terms lo <= k < hi, leaf(lo, hi) giving a run's pair.
+def _balanced(lo: int, hi: int, leaf: _Leaf, scale: int = 1) -> Fraction:
+    """The sum of the terms lo <= k < hi, over scale > 0; leaf(lo, hi) gives a run's pair.
 
-    Balanced splitting (Haible and Papanikolaou 1998): the range is halved
-    until a piece holds at most _LEAF terms, each piece is summed
-    sequentially as one unreduced integer pair leaf(lo, hi), with no gcd
-    inside it, and the pair becomes one Fraction, reduced once.  Halves
-    merge by Fraction addition, so every gcd runs on operands of balanced
-    size: a pair carried to the top would keep every factor of every
-    term's denominator, and its final gcd is quadratic in its size.
+    Balanced splitting (Haible and Papanikolaou 1998) by _balanced_pair,
+    whose top pair is coprime, so the scale takes one gcd with the
+    numerator alone and the quotient, coprime too, becomes a Fraction
+    through _lowest_terms with no further gcd.
+    """
+    p, q = _balanced_pair(lo, hi, leaf)
+    g = math.gcd(p, scale)
+    return _lowest_terms((p // g,), [q * (scale // g)])[0]
+
+
+def _balanced_pair(lo: int, hi: int, leaf: _Leaf) -> tuple[int, int]:
+    """The sum of the terms lo <= k < hi as a coprime pair (p, q), q > 0.
+
+    The range is halved until a piece holds at most _LEAF terms, each
+    piece is summed sequentially as one unreduced integer pair
+    leaf(lo, hi), with no gcd inside it, and that pair is reduced once.
+    Halves merge by Fraction._add's rule on coprime pairs: g = gcd of the
+    denominators, then one gcd of the new numerator with g alone, so each
+    merge holds the reduced pair that adding the halves as Fractions
+    would, with no Fraction built.  Every gcd runs on operands of
+    balanced size: an unreduced pair carried to the top would keep every
+    factor of every term's denominator, and its final gcd is quadratic in
+    its size.
     """
     if hi - lo > _LEAF:
         mid = (lo + hi) // 2
-        return _balanced(lo, mid, leaf) + _balanced(mid, hi, leaf)
-    return Fraction(*leaf(lo, hi))
+        na, da = _balanced_pair(lo, mid, leaf)
+        nb, db = _balanced_pair(mid, hi, leaf)
+        g = math.gcd(da, db)
+        if g == 1:
+            return na * db + da * nb, da * db
+        s = da // g
+        t = na * (db // g) + nb * s
+        g2 = math.gcd(t, g)
+        if g2 == 1:
+            return t, s * db
+        return t // g2, s * (db // g2)
+    p, q = leaf(lo, hi)
+    g = math.gcd(p, q)
+    return p // g, q // g
 
 
 def _weighted_harmonic(weights: tuple[int, ...], n: int, start: int = 0) -> Fraction:
@@ -209,7 +239,7 @@ def _weighted_harmonic(weights: tuple[int, ...], n: int, start: int = 0) -> Frac
 
     Summed by _balanced over the integers m: a leaf skips the zero
     weights and sums at most _LEAF terms as one unreduced integer pair,
-    and the leaves' Fractions merge in balanced halves.
+    and the leaves' reduced pairs merge in balanced halves.
     """
     period = len(weights)
 
@@ -378,28 +408,36 @@ def _harmonic_range(a: int, b: int, weights: tuple[int, ...] = (1,)) -> Fraction
     and the sum is the blocks' unit * (leaf's terms lo <= k < hi), over
     the scale.
 
-    A block of at most _LEAF terms is one leaf pair r/s, folded with its
-    unit into one running unreduced pair p/q as (p s + q r unit, q s),
-    which becomes one Fraction at the end.  That pair stays small, as
-    each of its blocks is one leaf: over 40,000 random ranges with
-    b <= 10^6 it held at most 2231 units (1161 for H_n), and at most
-    2154 with random weights of period 2 to 64.  A longer block goes
-    through _balanced, and its Fraction, times its unit, joins a running
-    Fraction.  The sum is divided by the scale once.  A short range takes
-    the same path: its blocks are all short, so the running pair sums it.
+    The blocks' units, taken as one sequence, go through one _balanced
+    split: a leaf of at most _LEAF units folds each block segment it
+    spans, as the pair r/s of the block's run times its unit, into one
+    unreduced pair p/q as (p s + q r unit, q s).  A leaf finds its first
+    segment by scanning the blocks from the first: there are at most two
+    per s = 2^i 3^j <= b, 284 for b <= TERM_LIMIT (91 for H_n there), so
+    the scan is a small share of a leaf's products.  The scale is divided
+    out once, by _balanced, at the top.
+    A short range is one leaf over all its blocks.
     """
     blocks, scale = _wheel_blocks(a, b, weights)
-    low, total = (0, 1), 0
-    for lo, hi, leaf, unit in blocks:
-        if hi - lo <= _LEAF:
-            (p, q), (r, s) = low, leaf(lo, hi)
-            low = p * s + q * r * unit, q * s
-        else:
-            total += unit * _balanced(lo, hi, leaf)
-    p, q = low
-    if total:
-        return (total + Fraction(p, q)) / scale
-    return Fraction(p, q * scale)
+    # the blocks' units as one sequence: block (lo, hi) holds its units
+    # start <= i < stop, u_k at k = i + lo - start
+    pieces, stop = [], 0
+    for lo, hi, run, unit in blocks:
+        start, stop = stop, stop + hi - lo
+        pieces.append((start, stop, lo, hi, run, unit))
+
+    def leaf(i: int, j: int) -> tuple[int, int]:
+        p, q = 0, 1
+        for start, stop, lo, hi, run, unit in pieces:
+            if stop <= i:
+                continue
+            if start >= j:
+                break
+            r, s = run(lo + i - start if i > start else lo, hi + j - stop if j < stop else hi)
+            p, q = p * s + q * r * unit, q * s
+        return p, q
+
+    return _balanced(0, stop, leaf, scale)
 
 
 def partial_sum_exact(v: CoefficientVector, blocks: int) -> Fraction:
@@ -479,54 +517,88 @@ def tail_bound(v: CoefficientVector, blocks: int) -> float:
     return _float_upper(*_truncation(v, blocks))
 
 
-def _lowest_terms(numerator: int, denominator: int) -> Fraction:
-    """numerator/denominator as a Fraction, with no type dispatch and no gcd.
+def _lowest_terms(numerators: Iterable[int], denominators: list[int]) -> list[Fraction]:
+    """The Fractions n/d of paired numerators n and denominators d.
 
-    Only for a coprime pair with denominator > 0, which is then already in
-    lowest terms: the Fraction(numerator, denominator) would hold the same
-    pair.  It fills Fraction's two slots directly, so it relies on
+    Only for coprime pairs with d > 0, which are then already in lowest
+    terms: each Fraction(n, d) would hold the same pair.  Each is built
+    with no type dispatch and no gcd, in one loop with no call per pair.
+    It overwrites the caller's list: each Fraction replaces its d in
+    place, and the same list, now of Fractions, is returned, so no second
+    list is made.  It fills Fraction's two slots directly, so it relies on
     Fraction.__slots__ being ('_numerator', '_denominator'), as it is on
     CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0, whose ==, hash, str, repr
     and pickling read only those two slots.
     """
-    term = object.__new__(Fraction)
-    term._numerator = numerator
-    term._denominator = denominator
-    return term
+    new = object.__new__
+    for i, numerator, denominator in zip(itertools.count(), numerators, denominators):
+        term = new(Fraction)
+        term._numerator = numerator
+        term._denominator = denominator
+        denominators[i] = term
+    return denominators
 
 
-def rearranged_terms(modulus: int, count: int) -> list[Fraction]:
-    """First `count` terms of the rearranged stream for ln T.
+def _rearranged_signs(modulus: int, count: int) -> Iterator[int]:
+    """The sign, 1 or -1, of each term +-1/m of the rearranged stream, endlessly.
 
-    Block k contributes the T terms 1/(kT+1), ..., 1/(kT+T) followed by
-    the balancing term -1/(k+1); the stream rearranges the conditionally
-    convergent series 1 - 1 + 1/2 - 1/2 + ...  Valid for modulus >= 1.
-    Every term is +-1/m with m >= 1, already in lowest terms, so it is
-    built from its two integers by _lowest_terms, in one pass: the c whole
-    blocks of T + 1 terms, then the first r terms of block c, where
-    count = c (T + 1) + r.  The cost grows with `count` alone, whatever T.
+    Each block's T terms 1/m, then its balancing term -1/m; with fewer
+    than T terms in all, only the first `count` signs are read.
+    """
+    return itertools.cycle((1,) * min(modulus, count) + (-1,))
+
+
+def _rearranged_denominators(modulus: int, count: int) -> list[int]:
+    """The m of each of the first `count` terms +-1/m of the rearranged stream.
+
+    Term i = k (T + 1) + j of block k is 1/(kT + j + 1) for j < T and
+    -1/(k + 1) for j = T.  With T < 64 and at least T + 1 blocks, the m
+    of each column j < T are every T-th of 1, 2, 3, ... and the balancing
+    column's are 1, 2, 3, ..., so the list takes one slice assignment per
+    column; otherwise one per block.  That is at most about
+    count / 65 + 64 assignments, with no Python step per term, and the
+    integers are made in the order they are read.  The two ways are level
+    at T = 64, for count 10^5 and 10^6; below it the columns are faster,
+    above it the blocks' contiguous runs.  Makes rearranged_terms' three
+    checks.
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
     _check_term_limit(count, f"terms of the rearranged stream for ln {modulus}")
-    # filled in place, so the list has none of the spare slots appends leave
-    out: list[Fraction] = [None] * count
-    blocks, rest = divmod(count, modulus + 1)
-    i = 0
-    for k in range(blocks):
-        base = k * modulus
-        for m in range(base + 1, base + modulus + 1):
-            out[i] = _lowest_terms(1, m)
-            i += 1
-        out[i] = _lowest_terms(-1, k + 1)
-        i += 1
-    base = blocks * modulus
-    for m in range(base + 1, base + rest + 1):
-        out[i] = _lowest_terms(1, m)
-        i += 1
+    T, width = modulus, modulus + 1
+    out = [0] * count
+    blocks = -(-count // width)
+    if T < 64 and width <= blocks:
+        balancing = len(range(T, count, width))
+        ones = list(range(1, count - balancing + 1))
+        for j in range(T):
+            out[j::width] = ones[j::T]
+        out[T::width] = range(1, balancing + 1)
+    else:
+        for k in range(blocks):
+            start = k * width
+            run = min(T, count - start)
+            out[start:start + run] = range(k * T + 1, k * T + run + 1)
+            if start + T < count:
+                out[start + T] = k + 1
     return out
+
+
+def rearranged_terms(modulus: int, count: int) -> list[Fraction]:
+    """First `count` terms of the rearranged harmonic stream for ln(modulus).
+
+    Block k contributes the T terms 1/(kT+1), ..., 1/(kT+T) followed by
+    the balancing term -1/(k+1); the stream rearranges the conditionally
+    convergent series 1 - 1 + 1/2 - 1/2 + ...  Valid for modulus >= 1.
+    Every term is +-1/m with m >= 1, already in lowest terms, so the m of
+    _rearranged_denominators become Fractions in _lowest_terms' one loop,
+    in place, with the signs of _rearranged_signs as numerators.  The cost
+    grows with `count`; T changes it little.
+    """
+    denominators = _rearranged_denominators(modulus, count)
+    return _lowest_terms(_rearranged_signs(modulus, count), denominators)
 
 
 def gamma_partial(n: int) -> GammaPartial:

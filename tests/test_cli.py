@@ -233,9 +233,13 @@ class TestJsonOutput:
                 _, out, _ = run_capture(
                     capsys, ["rearranged", "--T", str(T), "--n", str(n)]
                 )
-                total = sum(rearranged_terms(T, n), Fraction(0))
+                payload = json.loads(out)
+                terms = rearranged_terms(T, n)
+                total = sum(terms, Fraction(0))
                 expected = f"{total.numerator}/{total.denominator}"
-                assert json.loads(out)["partial_sum"] == expected, (T, n)
+                assert payload["partial_sum"] == expected, (T, n)
+                # the CLI prints its terms from their integers, not from this stream
+                assert payload["terms"] == [f"{t.numerator}/{t.denominator}" for t in terms], (T, n)
 
     def test_rearranged_partial_sum_beyond_int_str_limit(self, capsys):
         code, out, err = run_capture(capsys, ["rearranged", "--T", "2", "--n", "20000"])

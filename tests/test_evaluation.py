@@ -276,37 +276,54 @@ class TestHarmonic:
     @pytest.mark.parametrize("a", [10**4, 10**4 + 1, 3 * 10**5 + 7])
     @pytest.mark.parametrize("d", [-1, 0, 1])
     def test_range_blocks_around_one_leaf(self, monkeypatch, a, d):
-        # (6a, 6a + 3K] holds exactly K units prime to 6 and is one block, since
-        # every cut of an s >= 2 lies at or below (6a + 3K) // 2 <= 6a.  With unit
-        # weights it takes the wheel leaf, and with the weights (2, -1, 3) the
-        # periodic leaf.  Either way at most _LEAF terms fold into the running pair
-        # as one leaf, and a longer block goes through _balanced
+        # (6a, 6a + 3K] holds exactly K units prime to 6, u_k for 2a <= k < 2a + K,
+        # and they are one block, the last, since every cut of an s >= 2 lies at or
+        # below (6a + 3K) // 2 <= 6a.  With unit weights it takes the wheel leaf,
+        # and with the weights (2, -1, 3) the periodic leaf.  Each of the 3K
+        # integers is one unit of one block, and the blocks' units, taken as one
+        # sequence, go through one split of span 3K: its leaves hold at most
+        # _LEAF units each and tile it in order, and the runs they sum tile every
+        # block in order
         K = evaluation._LEAF + d
         lo, hi = 6 * a, 6 * a + 3 * K
-        for weights, name in (((1,), "_wheel_leaf"), ((2, -1, 3), "_periodic_wheel_leaf")):
-            spans, leaves = [], []
-            real_balanced, real_leaf = evaluation._balanced, getattr(evaluation, name)
+        for weights in ((1,), (2, -1, 3)):
+            blocks, _ = evaluation._wheel_blocks(lo, hi, weights)
+            assert blocks[-1][:2] == (2 * a, 2 * a + K)
+            assert sum(end - start for start, end, _, _ in blocks) == 3 * K
+            spans, leaves, runs = [], [], []
+            real_balanced = evaluation._balanced
 
-            def balanced(lo, hi, leaf):
-                spans.append(hi - lo)
-                return real_balanced(lo, hi, leaf)
+            def balanced(lo, hi, leaf, scale=1):
+                def counted_leaf(i, j):
+                    leaves.append((i, j))
+                    return leaf(i, j)
 
-            def counted_leaf(*args):
-                leaves.append(args[-1] - args[-2])
-                return real_leaf(*args)
+                spans.append((lo, hi))
+                return real_balanced(lo, hi, counted_leaf, scale)
+
+            def counted(real):
+                def run(*args):
+                    runs.append(args[-2:])
+                    return real(*args)
+                return run
 
             monkeypatch.setattr(evaluation, "_balanced", balanced)
-            monkeypatch.setattr(evaluation, name, counted_leaf)
+            for name in ("_wheel_leaf", "_periodic_wheel_leaf"):
+                monkeypatch.setattr(evaluation, name, counted(getattr(evaluation, name)))
             plain = sum((Fraction(weights[(m - 1) % len(weights)], m)
                          for m in range(lo + 1, hi + 1)), Fraction(0))
             assert evaluation._harmonic_range(lo, hi, weights) == plain
-            # the block is the last; the first _balanced call is its own, the rest
-            # its halves
-            if K > evaluation._LEAF:
-                assert spans[0] == K
-                assert all(n <= evaluation._LEAF for n in leaves)
-            else:
-                assert spans == [] and leaves[-1] == K
+            assert spans == [(0, 3 * K)]
+            assert all(0 < j - i <= evaluation._LEAF for i, j in leaves)
+            assert [i for i, _ in leaves] == [0] + [j for _, j in leaves[:-1]]
+            assert leaves[-1][1] == 3 * K
+            pieces = iter(runs)
+            for start, end, _, _ in blocks:
+                while start < end:
+                    i, j = next(pieces)
+                    assert i == start < j <= end
+                    start = j
+            assert next(pieces, None) is None
             monkeypatch.undo()
 
     @pytest.mark.parametrize("lo", [0, 1, 2, 7, 500, 501])
@@ -398,6 +415,40 @@ class TestHarmonic:
         assert evaluation._harmonic_range(a, b, weights) == (
             evaluation._weighted_harmonic(weights, b, a)
         )
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(st.integers(-6, 6), min_size=1, max_size=12), st.booleans(),
+           st.integers(0, 1500), st.integers(0, 1500))
+    def test_sums_leave_in_lowest_terms(self, weights, cancel, a, b):
+        # merges and the top pair are built with no Fraction normalisation, so each
+        # result must still be the reduced pair, denominator > 0, of the plain sum.
+        # Cancelling weights sum to 0 over a period, as a balanced vector's do
+        if cancel:
+            weights[-1] = -sum(weights[:-1])
+        weights, T = tuple(weights), len(weights)
+        a, b = min(a, b), max(a, b)
+
+        def plain(lo, hi, weights):
+            return sum((Fraction(weights[(m - 1) % len(weights)], m)
+                        for m in range(lo + 1, hi + 1)), Fraction(0))
+
+        cases = [
+            (evaluation._harmonic_range(a, b, weights), plain(a, b, weights)),
+            (evaluation._weighted_harmonic(weights, b, a), plain(a, b, weights)),
+            (harmonic(b), plain(0, b, (1,))),
+        ]
+        if cancel:
+            v = make_vector(T, weights)
+            cases.append((partial_sum_exact(v, b // T), plain(0, b // T * T, weights)))
+        for got, expected in cases:
+            assert math.gcd(got.numerator, got.denominator) == 1
+            assert got.denominator > 0
+            assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+
+    def test_cancelling_range_is_zero_over_one(self):
+        # 1/1 - 2/2 = 0, which must come out as the pair 0/1
+        total = evaluation._harmonic_range(0, 2, (1, -2))
+        assert (total.numerator, total.denominator) == (0, 1)
 
     @pytest.mark.parametrize("T", [4, 5, 12])
     def test_weighted_range_at_dyadic_edges_and_leaves(self, T):
@@ -824,6 +875,19 @@ class TestRearrangedTerms:
                 assert type(back) is Fraction and back == ref
             c, r = divmod(count, T + 1)
             assert sum(terms, Fraction(0)) == evaluation._harmonic_range(c, c * T + r)
+
+    @pytest.mark.parametrize("T", [62, 63, 64, 65])
+    def test_terms_on_either_side_of_the_column_rule(self, T):
+        # below T = 64, with at least T + 1 blocks, the m are laid out column by
+        # column, otherwise block by block; counts at and around T + 1 blocks
+        width = T + 1
+        for count in (width * T - 1, width * T, width * T + 1, width * width + 5, 10**4):
+            terms = rearranged_terms(T, count)
+            expected = []
+            for i in range(count):
+                k, j = divmod(i, width)
+                expected.append((-1, k + 1) if j == T else (1, k * T + j + 1))
+            assert [(t.numerator, t.denominator) for t in terms] == expected, count
 
     def test_cost_does_not_grow_with_modulus(self):
         start = time.perf_counter()
